@@ -8,6 +8,7 @@
 #include "linalg/shrinkage.hpp"
 #include "obs/convergence.hpp"
 #include "obs/trace.hpp"
+#include "rpca/stable_pcp_tf.hpp"
 #include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
@@ -56,9 +57,6 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     if (mu <= 0.0) mu = 1.0;
     mu_bar = 1e-9 * mu;
   }
-  const double eta = 0.9;
-  // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
-  const double inv_lf = 0.5;
 
   if (warm) {
     ws.d = seed.low_rank;
@@ -69,11 +67,29 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     ws.e.resize(m, n);
     ws.e.fill(0.0);
   }
+  result.warm_started = warm;
+  mu = accelerated_prox(a, a_norm, options, lambda, mu, mu_bar, /*eta=*/0.9,
+                        BandLimit{}, ws, result);
+
+  linalg::sub_sub(a, ws.d, ws.e, ws.residual);
+  result.residual = linalg::frobenius_norm(ws.residual) / a_norm;
+  result.low_rank.swap(ws.d);
+  result.sparse.swap(ws.e);
+  result.final_mu = mu;
+  result.mu_floor = mu_bar;
+  result.solve_seconds = clock.seconds();
+}
+
+double accelerated_prox(const linalg::Matrix& a, double a_norm,
+                        const Options& options, double lambda, double mu,
+                        double mu_bar, double eta, const BandLimit& band,
+                        SolverWorkspace& ws, Result& result) {
+  // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
+  const double inv_lf = 0.5;
   ws.d_prev = ws.d;
   ws.e_prev = ws.e;
   double t = 1.0, t_prev = 1.0;
 
-  result.warm_started = warm;
   for (int k = 0; k < options.max_iterations; ++k) {
     obs::Span iteration_span("rpca.apg.iteration");
     const double momentum = (t_prev - 1.0) / t;
@@ -90,6 +106,7 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     const auto svt = svt_step(ws.gd, mu * inv_lf, options, ws, ws.d);
     if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
     result.rank = svt.rank;
+    band_limit_step(ws.d, band, mu, ws);
 
     t_prev = t;
     t = 0.5 * (1.0 + std::sqrt(4.0 * t * t + 1.0));
@@ -103,8 +120,8 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     iteration_span.set_value(static_cast<double>(k + 1));
     if (options.probe != nullptr) {
       // Read-only diagnostics of the live iterates; ws.residual is
-      // scratch here (it is recomputed from the final iterates after
-      // the loop), so probing never perturbs the solve.
+      // scratch here (the callers recompute it from the final iterates),
+      // so probing never perturbs the solve.
       obs::IterationStats stats;
       stats.iteration = k + 1;
       linalg::sub_sub(a, ws.d, ws.e, ws.residual);
@@ -114,7 +131,7 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
       stats.objective = misfit * misfit / (2.0 * mu) + lambda * e_l1;
       stats.rank = result.rank;
       stats.sparsity = static_cast<double>(linalg::l0_count(ws.e, 0.0)) /
-                       static_cast<double>(m * n);
+                       static_cast<double>(a.rows() * a.cols());
       stats.mu = mu;
       stats.step = std::sqrt(change) / std::max(std::sqrt(scale), 1.0);
       options.probe->on_iteration(stats);
@@ -125,14 +142,7 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
       break;
     }
   }
-
-  linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-  result.residual = linalg::frobenius_norm(ws.residual) / a_norm;
-  result.low_rank.swap(ws.d);
-  result.sparse.swap(ws.e);
-  result.final_mu = mu;
-  result.mu_floor = mu_bar;
-  result.solve_seconds = clock.seconds();
+  return mu;
 }
 
 }  // namespace netconst::rpca

@@ -5,7 +5,12 @@
 // Solves the relaxed problem
 //   min_{D,E}  mu ||D||_* + mu lambda ||E||_1 + 1/2 ||A - D - E||_F^2
 // with Nesterov acceleration and a continuation schedule mu_k -> mu_bar.
+//
+// The iteration itself (accelerated_prox) is shared with stable PCP and
+// TF stable PCP, which solve the same Lagrangian with mu held fixed.
 #pragma once
+
+#include <cstddef>
 
 #include "rpca/rpca.hpp"
 
@@ -24,5 +29,26 @@ Result solve_apg(const linalg::Matrix& a, const Options& options);
 /// spectral norm only to discard it.
 void solve_apg(const linalg::Matrix& a, const Options& options,
                double lambda, SolverWorkspace& ws, Result& result);
+
+/// Band limit on D along the time axis (TF stable PCP): after every SVT
+/// the temporal DCT coefficients of D with frequency index >= keep_rows
+/// are soft-thresholded by weight * mu / 2. The default is off.
+struct BandLimit {
+  std::size_t keep_rows = 0;
+  double weight = 0.0;
+};
+
+/// The accelerated proximal-gradient loop of APG, stable PCP and TF
+/// stable PCP. Iterates from the caller's ws.d / ws.e with the mu
+/// schedule mu <- max(eta * mu, mu_bar) (eta = 1, mu_bar = mu for a
+/// fixed mu), band-limiting D after each SVT when `band` is on. Honors
+/// options.probe and options.tolerance, emits one rpca.apg.iteration
+/// span per iteration, and sets result.rank / iterations / converged.
+/// `a_norm` is ||A||_F (> 0). Returns the final mu; the final iterates
+/// are left in ws.d / ws.e.
+double accelerated_prox(const linalg::Matrix& a, double a_norm,
+                        const Options& options, double lambda, double mu,
+                        double mu_bar, double eta, const BandLimit& band,
+                        SolverWorkspace& ws, Result& result);
 
 }  // namespace netconst::rpca

@@ -4,7 +4,7 @@
 //
 // This is the mathematical core of the paper: the TP-matrix of a virtual
 // cluster is decomposed into the rank-one constant component (TC-matrix)
-// and the sparse error component (TE-matrix). Three solvers are provided:
+// and the sparse error component (TE-matrix). Five solvers are provided:
 //
 //  * Apg     — accelerated proximal gradient (Ji & Ye), the paper's choice;
 //  * Ialm    — inexact augmented Lagrange multipliers, a faster alternative
@@ -19,6 +19,10 @@
 //              which further band-limits D along the time axis so slow
 //              diurnal/baseline structure stays in the constant
 //              component while fast churn is pushed out of it.
+//
+// Apg, StablePcp and StablePcpTf share one accelerated proximal-gradient
+// loop (rpca/apg.hpp accelerated_prox): the stable-PCP pair runs it with
+// a fixed mu, and StablePcpTf adds a band limit on D.
 #pragma once
 
 #include <cstddef>
@@ -106,7 +110,8 @@ struct Options {
   double lambda = 0.0;
   int max_iterations = 500;
   /// Relative convergence tolerance on ||A - D - E||_F / ||A||_F
-  /// (Ialm/RankOne) or on the iterate change (Apg).
+  /// (Ialm/RankOne) or on the iterate change (Apg, StablePcp,
+  /// StablePcpTf).
   double tolerance = 1e-7;
   linalg::SvdOptions svd;
   /// Randomized-SVT routing policy (default off = exact solves).
@@ -127,9 +132,10 @@ struct Options {
   /// Relative iterate-change tolerance of the polish alternation.
   double polish_tolerance = 1e-10;
   /// Optional convergence observer, called once per solver iteration
-  /// with read-only diagnostics of the live iterates (currently honored
-  /// by Apg, the online path's solver). Null — the default — costs the
-  /// solver one branch per iteration and computes nothing extra.
+  /// with read-only diagnostics of the live iterates. Honored by Apg,
+  /// StablePcp and StablePcpTf (their shared loop); Ialm and RankOne do
+  /// not call it. Null — the default — costs the solver one branch per
+  /// iteration and computes nothing extra.
   /// Observation never alters an iterate: outputs are byte-identical
   /// with and without a probe.
   obs::SolverProbe* probe = nullptr;

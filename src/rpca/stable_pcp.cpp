@@ -5,8 +5,8 @@
 
 #include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
-#include "linalg/shrinkage.hpp"
 #include "rpca/rank1.hpp"
+#include "rpca/stable_pcp_tf.hpp"
 #include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
@@ -49,7 +49,7 @@ Result solve_stable_pcp(const linalg::Matrix& a,
 
 void solve_stable_pcp(const linalg::Matrix& a, const Options& base,
                       double lambda, double noise_sigma, SolverWorkspace& ws,
-                      Result& result) {
+                      Result& result, const BandLimit& band) {
   NETCONST_CHECK(!a.empty(), "stable PCP of an empty matrix");
   NETCONST_CHECK(lambda > 0.0, "stable PCP requires lambda > 0");
   const Stopwatch clock;
@@ -61,52 +61,28 @@ void solve_stable_pcp(const linalg::Matrix& a, const Options& base,
 
   const double a_fro = linalg::frobenius_norm(a);
   NETCONST_CHECK(a_fro > 0.0, "stable PCP of an all-zero matrix");
-  // Zhou et al.'s recommended Lagrangian weight.
+  // Zhou et al.'s recommended Lagrangian weight, held fixed: with
+  // eta = 1 and mu_bar = mu the loop's max(eta * mu, mu_bar) is mu.
   const double mu =
       std::sqrt(2.0 * static_cast<double>(std::max(a.rows(), a.cols()))) *
       std::max(sigma, 1e-12 * linalg::max_abs(a));
-  const double inv_lf = 0.5;  // gradient Lipschitz constant is 2
 
   ws.d.resize(a.rows(), a.cols());
   ws.d.fill(0.0);
   ws.e.resize(a.rows(), a.cols());
   ws.e.fill(0.0);
-  ws.d_prev = ws.d;
-  ws.e_prev = ws.e;
-  double t = 1.0, t_prev = 1.0;
-
-  for (int k = 0; k < base.max_iterations; ++k) {
-    const double momentum = (t_prev - 1.0) / t;
-    linalg::gradient_step(ws.d, ws.d_prev, ws.e, ws.e_prev, a, momentum,
-                          inv_lf, lambda * mu * inv_lf, ws.gd, ws.ge);
-
-    ws.d.swap(ws.d_prev);
-    ws.e.swap(ws.e_prev);
-    ws.e.swap(ws.ge);
-    const auto svt = svt_step(ws.gd, mu * inv_lf, base, ws, ws.d);
-    if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
-    result.rank = svt.rank;
-
-    t_prev = t;
-    t = 0.5 * (1.0 + std::sqrt(4.0 * t * t + 1.0));
-    result.iterations = k + 1;
-
-    double change = 0.0, scale = 0.0;
-    linalg::iterate_change_norms(ws.d, ws.d_prev, ws.e, ws.e_prev, change,
-                                 scale);
-    if (std::sqrt(change) <=
-        base.tolerance * std::max(std::sqrt(scale), 1.0)) {
-      result.converged = true;
-      break;
-    }
-  }
+  accelerated_prox(a, a_fro, base, lambda, mu, /*mu_bar=*/mu, /*eta=*/1.0,
+                   band, ws, result);
 
   // Debias: the nuclear-norm prox shrinks every kept singular value by
   // ~mu/2; refit D as the exact rank-r projection of A - E with the
-  // discovered rank (standard post-processing for stable PCP).
+  // discovered rank (standard post-processing for stable PCP). The refit
+  // is taken from data that still carries the high-frequency noise a
+  // band limit excludes, so the band is re-imposed once.
   if (result.rank > 0) {
     linalg::sub(a, ws.e, ws.target);
     low_rank_step(ws.target, result.rank, base, ws, ws.d);
+    band_limit_step(ws.d, band, mu, ws);
   }
 
   linalg::sub_sub(a, ws.d, ws.e, ws.residual);

@@ -8,10 +8,11 @@
 //   min mu ||D||_* + mu lambda ||E||_1 + 1/2 ||A - D - E||_F^2
 // by proximal gradient with a FIXED mu matched to the noise level
 // (mu = sqrt(2 max(m, n)) * sigma), instead of APG's continuation of
-// mu -> 0. The residual A - D - E then absorbs the dense noise rather
-// than being forced into E.
+// mu -> 0, through APG's accelerated_prox loop. The residual A - D - E
+// then absorbs the dense noise rather than being forced into E.
 #pragma once
 
+#include "rpca/apg.hpp"
 #include "rpca/rpca.hpp"
 
 namespace netconst::rpca {
@@ -30,11 +31,14 @@ Result solve_stable_pcp(const linalg::Matrix& a,
 
 /// Workspace variant (see solve_apg's workspace overload for the
 /// conventions). `lambda` must be pre-resolved (> 0); `noise_sigma <= 0`
-/// estimates it from the data. Numerically identical to
-/// reference::solve_stable_pcp.
+/// estimates it from the data. Honors `base.probe`. A `band` that is on
+/// makes this TF stable PCP: D is band-limited after every SVT and once
+/// more after the debias refit. Numerically identical to
+/// reference::solve_stable_pcp (and, with a band, to
+/// reference::solve_stable_pcp_tf).
 void solve_stable_pcp(const linalg::Matrix& a, const Options& base,
                       double lambda, double noise_sigma, SolverWorkspace& ws,
-                      Result& result);
+                      Result& result, const BandLimit& band = {});
 
 /// Robust noise-level estimate: 1.4826 * MAD of the entries of
 /// A - rank1(A). Suitable when the low-rank component is (near) rank-1.

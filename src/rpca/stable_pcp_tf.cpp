@@ -1,17 +1,11 @@
 #include "rpca/stable_pcp_tf.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
-#include "linalg/fused.hpp"
-#include "linalg/norms.hpp"
-#include "obs/convergence.hpp"
 #include "rpca/stable_pcp.hpp"
-#include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
-#include "support/stopwatch.hpp"
 
 namespace netconst::rpca {
 namespace {
@@ -28,17 +22,6 @@ const linalg::Matrix& cached_dct_basis(std::size_t rows,
     ws.dct.basis_rows = rows;
   }
   return ws.dct.basis;
-}
-
-/// One time-frequency proximal step on `d` through the workspace's
-/// coefficient panel: forward DCT along time, shrink above the
-/// passband, transform back.
-void tf_prox_step(linalg::Matrix& d, std::size_t keep_rows,
-                  double threshold, SolverWorkspace& ws) {
-  const linalg::Matrix& basis = cached_dct_basis(d.rows(), ws);
-  temporal_dct_forward(basis, d, ws.dct.coeffs);
-  shrink_high_frequencies(ws.dct.coeffs, keep_rows, threshold);
-  temporal_dct_inverse(basis, ws.dct.coeffs, d);
 }
 
 }  // namespace
@@ -130,100 +113,19 @@ void solve_stable_pcp_tf(const linalg::Matrix& a, const Options& base,
                          double lambda, double noise_sigma,
                          double passband_fraction, double tf_weight,
                          SolverWorkspace& ws, Result& result) {
-  NETCONST_CHECK(!a.empty(), "TF stable PCP of an empty matrix");
-  NETCONST_CHECK(lambda > 0.0, "TF stable PCP requires lambda > 0");
   NETCONST_CHECK(tf_weight >= 0.0, "TF weight must be non-negative");
-  const Stopwatch clock;
-  reset_result(result);
-  ++ws.stats.solves;
-  double sigma = noise_sigma;
-  if (sigma <= 0.0) sigma = estimate_noise_sigma(a, ws);
-  NETCONST_CHECK(sigma >= 0.0, "noise sigma must be non-negative");
+  solve_stable_pcp(a, base, lambda, noise_sigma, ws, result,
+                   {tf_passband_rows(a.rows(), passband_fraction), tf_weight});
+}
 
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "TF stable PCP of an all-zero matrix");
-  // Stable PCP's Lagrangian weight; the TF shrink reuses its scale.
-  const double mu =
-      std::sqrt(2.0 * static_cast<double>(std::max(a.rows(), a.cols()))) *
-      std::max(sigma, 1e-12 * linalg::max_abs(a));
-  const double inv_lf = 0.5;  // gradient Lipschitz constant is 2
-  const std::size_t keep_rows = tf_passband_rows(a.rows(), passband_fraction);
-  const double tf_threshold = tf_weight * mu * inv_lf;
-
-  ws.d.resize(a.rows(), a.cols());
-  ws.d.fill(0.0);
-  ws.e.resize(a.rows(), a.cols());
-  ws.e.fill(0.0);
-  ws.d_prev = ws.d;
-  ws.e_prev = ws.e;
-  double t = 1.0, t_prev = 1.0;
-
-  for (int k = 0; k < base.max_iterations; ++k) {
-    const double momentum = (t_prev - 1.0) / t;
-    linalg::gradient_step(ws.d, ws.d_prev, ws.e, ws.e_prev, a, momentum,
-                          inv_lf, lambda * mu * inv_lf, ws.gd, ws.ge);
-
-    ws.d.swap(ws.d_prev);
-    ws.e.swap(ws.e_prev);
-    ws.e.swap(ws.ge);
-    const auto svt = svt_step(ws.gd, mu * inv_lf, base, ws, ws.d);
-    if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
-    result.rank = svt.rank;
-    // The extra proximal step that distinguishes this solver: band-limit
-    // D along the time axis before the next gradient evaluation.
-    if (tf_threshold > 0.0 && keep_rows < a.rows()) {
-      tf_prox_step(ws.d, keep_rows, tf_threshold, ws);
-    }
-
-    t_prev = t;
-    t = 0.5 * (1.0 + std::sqrt(4.0 * t * t + 1.0));
-    result.iterations = k + 1;
-
-    double change = 0.0, scale = 0.0;
-    linalg::iterate_change_norms(ws.d, ws.d_prev, ws.e, ws.e_prev, change,
-                                 scale);
-    if (base.probe != nullptr) {
-      // Read-only diagnostics of the live iterates; ws.residual is
-      // scratch here (recomputed from the final iterates after the
-      // loop), so probing never perturbs the solve.
-      obs::IterationStats stats;
-      stats.iteration = k + 1;
-      linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-      stats.residual = linalg::frobenius_norm(ws.residual) / a_fro;
-      const double misfit = stats.residual * a_fro;
-      const double e_l1 = linalg::l1_norm(ws.e);
-      stats.objective = misfit * misfit / (2.0 * mu) + lambda * e_l1;
-      stats.rank = result.rank;
-      stats.sparsity =
-          static_cast<double>(linalg::l0_count(ws.e, 0.0)) /
-          static_cast<double>(a.rows() * a.cols());
-      stats.mu = mu;
-      stats.step = std::sqrt(change) / std::max(std::sqrt(scale), 1.0);
-      base.probe->on_iteration(stats);
-    }
-    if (std::sqrt(change) <=
-        base.tolerance * std::max(std::sqrt(scale), 1.0)) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Debias exactly like stable PCP, then re-impose the band limit once:
-  // the rank-r refit is taken from data that still contains the
-  // high-frequency noise the constraint is meant to exclude.
-  if (result.rank > 0) {
-    linalg::sub(a, ws.e, ws.target);
-    low_rank_step(ws.target, result.rank, base, ws, ws.d);
-    if (tf_threshold > 0.0 && keep_rows < a.rows()) {
-      tf_prox_step(ws.d, keep_rows, tf_threshold, ws);
-    }
-  }
-
-  linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-  result.residual = linalg::frobenius_norm(ws.residual) / a_fro;
-  result.low_rank.swap(ws.d);
-  result.sparse.swap(ws.e);
-  result.solve_seconds = clock.seconds();
+void band_limit_step(linalg::Matrix& d, const BandLimit& band, double mu,
+                     SolverWorkspace& ws) {
+  const double threshold = band.weight * mu * 0.5;
+  if (threshold <= 0.0 || band.keep_rows >= d.rows()) return;
+  const linalg::Matrix& basis = cached_dct_basis(d.rows(), ws);
+  temporal_dct_forward(basis, d, ws.dct.coeffs);
+  shrink_high_frequencies(ws.dct.coeffs, band.keep_rows, threshold);
+  temporal_dct_inverse(basis, ws.dct.coeffs, d);
 }
 
 }  // namespace netconst::rpca

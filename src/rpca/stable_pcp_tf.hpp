@@ -5,10 +5,11 @@
 // slow temporal structure (diurnal load cycles, baseline drift) that
 // plain nuclear-norm shrinkage either absorbs into E or blurs away.
 //
-// The time-frequency constraint is enforced as an extra proximal step:
-// each iteration's SVT output is transformed along the window (row/time)
-// axis with an orthonormal DCT-II, the coefficients above the passband
-// are soft-thresholded, and the panel is transformed back. Low-frequency
+// The time-frequency constraint is enforced as an extra proximal step
+// (band_limit_step) inside stable PCP's loop: each iteration's SVT
+// output is transformed along the window (row/time) axis with an
+// orthonormal DCT-II, the coefficients above the passband are
+// soft-thresholded, and the panel is transformed back. Low-frequency
 // structure — the constant component plus its diurnal modulation —
 // passes through untouched; high-frequency energy in D is pushed into
 // the residual/E where the detector can see it.
@@ -19,6 +20,7 @@
 // levels and thread counts by construction.
 #pragma once
 
+#include "rpca/apg.hpp"
 #include "rpca/rpca.hpp"
 
 namespace netconst::rpca {
@@ -41,7 +43,7 @@ struct StablePcpTfOptions {
   double passband_fraction = kDefaultTfPassband;
   /// Scale of the high-frequency soft-threshold, in units of mu / 2
   /// (the same scale the L1 prox on E uses). 0 disables the TF step,
-  /// reducing the solver to stable PCP up to the debias pass.
+  /// reducing the solver to stable PCP exactly.
   double tf_weight = kDefaultTfWeight;
 };
 
@@ -50,14 +52,21 @@ struct StablePcpTfOptions {
 Result solve_stable_pcp_tf(const linalg::Matrix& a,
                            const StablePcpTfOptions& options = {});
 
-/// Workspace variant (see solve_apg's workspace overload for the
-/// conventions). `lambda` must be pre-resolved (> 0); `noise_sigma <= 0`
-/// estimates it from the data. Honors `base.probe`. Numerically
-/// identical to reference::solve_stable_pcp_tf.
+/// Workspace variant: solve_stable_pcp with the band limit
+/// {tf_passband_rows(rows, passband_fraction), tf_weight}. `lambda` must
+/// be pre-resolved (> 0); `noise_sigma <= 0` estimates it from the data.
+/// Numerically identical to reference::solve_stable_pcp_tf.
 void solve_stable_pcp_tf(const linalg::Matrix& a, const Options& base,
                          double lambda, double noise_sigma,
                          double passband_fraction, double tf_weight,
                          SolverWorkspace& ws, Result& result);
+
+/// The band limit's proximal step on `d` through the workspace's cached
+/// basis and coefficient panel: forward DCT along time, soft-threshold
+/// the rows >= band.keep_rows by band.weight * mu / 2, transform back.
+/// No-op when that threshold is 0 or the passband covers the window.
+void band_limit_step(linalg::Matrix& d, const BandLimit& band, double mu,
+                     SolverWorkspace& ws);
 
 /// Number of low-frequency DCT atoms the passband keeps for a window of
 /// `rows` snapshots: round(passband_fraction * rows), clamped to

@@ -97,6 +97,7 @@ const Plan* PlanCache::lookup_or_compute(std::size_t tenant_index,
           replaced_.fetch_add(1, std::memory_order_relaxed);
         }
         misses_.fetch_add(1, std::memory_order_relaxed);
+        drop_if_superseded(slot, fresh);
         return &fresh->plan;
       }
       // CAS refreshed `current`; re-evaluate the slot.
@@ -124,6 +125,8 @@ std::size_t PlanCache::invalidate_below(std::size_t tenant_index,
   // for this purpose; the mutex serializes concurrent invalidators
   // (different-tenant publishes) onto it.
   std::lock_guard<std::mutex> lock(invalidate_mutex_);
+  std::uint64_t& floor = floors_[tenant_index];
+  if (version > floor) floor = version;
   EpochDomain::ReadGuard guard(invalidate_reader_);
   std::size_t dropped = 0;
   for (std::atomic<const Entry*>& slot : table_) {
@@ -142,6 +145,23 @@ std::size_t PlanCache::invalidate_below(std::size_t tenant_index,
     invalidated_.fetch_add(dropped, std::memory_order_relaxed);
   }
   return dropped;
+}
+
+void PlanCache::drop_if_superseded(std::atomic<const Entry*>& slot,
+                                   const Entry* entry) {
+  // Under the mutex, either the sweep for a newer version runs after
+  // this insert (and unlinks the entry itself), or its floor is visible
+  // here. The caller's read guard keeps `entry` from being reclaimed,
+  // so the CAS below cannot hit a reused address.
+  std::lock_guard<std::mutex> lock(invalidate_mutex_);
+  const auto floor = floors_.find(entry->tenant);
+  if (floor == floors_.end() || entry->plan.version >= floor->second) return;
+  const Entry* expected = entry;
+  if (slot.compare_exchange_strong(expected, nullptr,
+                                   std::memory_order_seq_cst)) {
+    epoch_->retire(entry);
+    invalidated_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 std::size_t PlanCache::size() const {

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "serving/epoch.hpp"
@@ -98,13 +99,25 @@ class PlanCache {
                std::size_t tenant_index, std::uint64_t version,
                const PlanRequest& request) const;
 
+  /// Unlink `entry` from `slot` again if an invalidate_below for its
+  /// tenant has moved past its version since the miss began.
+  void drop_if_superseded(std::atomic<const Entry*>& slot,
+                          const Entry* entry);
+
   EpochDomain* epoch_;
   std::size_t mask_;  // capacity - 1 (power of two)
   std::vector<std::atomic<const Entry*>> table_;
   /// Reader slot pinned across invalidate_below scans; one slot, so
-  /// concurrent invalidators serialize on the mutex (publish path only).
+  /// concurrent invalidators serialize on the mutex (publish path, plus
+  /// a miss's post-insert floor check — never a hit).
   std::mutex invalidate_mutex_;
   EpochDomain::Reader invalidate_reader_;
+  /// Highest invalidate_below version per tenant, guarded by
+  /// invalidate_mutex_. A querier that pinned the previous snapshot can
+  /// insert after the sweep for the next one has passed its slot; it
+  /// checks this floor after inserting, so no superseded entry outlives
+  /// the invalidation that superseded it.
+  std::unordered_map<std::size_t, std::uint64_t> floors_;
 
   mutable std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

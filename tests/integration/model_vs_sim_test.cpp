@@ -4,7 +4,9 @@
 // sweep of random trees, operations and message sizes.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "collective/binomial.hpp"
 #include "collective/collective_ops.hpp"
@@ -29,8 +31,12 @@ StarWorld make_star(std::size_t n, double bw, double hop_latency) {
   const auto hub =
       world.topology.add_node(simnet::NodeKind::Switch, "hub");
   for (std::size_t k = 0; k < n; ++k) {
-    const auto host = world.topology.add_node(simnet::NodeKind::Host,
-                                              "h" + std::to_string(k));
+    // Appended rather than "h" + ...: gcc 12's -Wrestrict misfires on
+    // the operator+ inlining.
+    std::string name = "h";
+    name += std::to_string(k);
+    const auto host =
+        world.topology.add_node(simnet::NodeKind::Host, std::move(name));
     world.topology.add_link(host, hub, bw, hop_latency);
     world.hosts.push_back(host);
   }

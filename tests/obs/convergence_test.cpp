@@ -30,34 +30,46 @@ rpca::SyntheticProblem small_problem(std::uint64_t seed) {
   return rpca::make_synthetic(spec, rng);
 }
 
+// The solvers that run the shared accelerated proximal-gradient loop
+// and therefore honor Options::probe (IALM and RankOne do not).
+constexpr rpca::Solver kProbedSolvers[] = {
+    rpca::Solver::Apg, rpca::Solver::StablePcp, rpca::Solver::StablePcpTf};
+
 TEST(ConvergenceProbe, ObservesEveryIteration) {
   const rpca::SyntheticProblem problem = small_problem(17);
-  TraceProbe probe;
-  rpca::Options options;
-  options.max_iterations = 400;
-  options.probe = &probe;
-  const rpca::Result result =
-      rpca::solve(problem.data, rpca::Solver::Apg, options);
+  for (const rpca::Solver solver : kProbedSolvers) {
+    SCOPED_TRACE(rpca::solver_name(solver));
+    TraceProbe probe;
+    rpca::Options options;
+    options.max_iterations = 400;
+    options.probe = &probe;
+    const rpca::Result result = rpca::solve(problem.data, solver, options);
 
-  EXPECT_EQ(probe.observed(), static_cast<std::uint64_t>(result.iterations));
-  ASSERT_EQ(probe.trace().size(),
-            static_cast<std::size_t>(result.iterations));
-  for (std::size_t k = 0; k < probe.trace().size(); ++k) {
-    const IterationStats& stats = probe.trace()[k];
-    EXPECT_EQ(stats.iteration, static_cast<int>(k) + 1);
-    EXPECT_TRUE(std::isfinite(stats.objective));
-    EXPECT_TRUE(std::isfinite(stats.residual));
-    EXPECT_GE(stats.residual, 0.0);
-    EXPECT_GE(stats.sparsity, 0.0);
-    EXPECT_LE(stats.sparsity, 1.0);
-    EXPECT_GT(stats.mu, 0.0);
-    EXPECT_GE(stats.step, 0.0);
+    EXPECT_EQ(probe.observed(),
+              static_cast<std::uint64_t>(result.iterations));
+    ASSERT_EQ(probe.trace().size(),
+              static_cast<std::size_t>(result.iterations));
+    for (std::size_t k = 0; k < probe.trace().size(); ++k) {
+      const IterationStats& stats = probe.trace()[k];
+      EXPECT_EQ(stats.iteration, static_cast<int>(k) + 1);
+      EXPECT_TRUE(std::isfinite(stats.objective));
+      EXPECT_TRUE(std::isfinite(stats.residual));
+      EXPECT_GE(stats.residual, 0.0);
+      EXPECT_GE(stats.sparsity, 0.0);
+      EXPECT_LE(stats.sparsity, 1.0);
+      EXPECT_GT(stats.mu, 0.0);
+      EXPECT_GE(stats.step, 0.0);
+    }
+    // APG's continuation drives mu down, never up; stable PCP holds it.
+    if (solver == rpca::Solver::Apg) {
+      EXPECT_LT(probe.trace().back().mu, probe.trace().front().mu);
+    } else {
+      EXPECT_EQ(probe.trace().back().mu, probe.trace().front().mu);
+    }
+    // The solve converged somewhere much better than where it started.
+    EXPECT_LT(probe.trace().back().residual,
+              probe.trace().front().residual);
   }
-  // APG's continuation drives mu down, never up.
-  EXPECT_LE(probe.trace().back().mu, probe.trace().front().mu);
-  // The solve converged somewhere much better than where it started.
-  EXPECT_LT(probe.trace().back().residual,
-            probe.trace().front().residual);
 }
 
 TEST(ConvergenceProbe, CapacityCapsTheTraceNotTheCount) {
@@ -79,23 +91,30 @@ TEST(ConvergenceProbe, CapacityCapsTheTraceNotTheCount) {
 
 TEST(ConvergenceProbe, SolverOutputByteIdenticalWithAndWithoutProbe) {
   const rpca::SyntheticProblem problem = small_problem(19);
-  rpca::Options plain;
-  plain.max_iterations = 400;
-  const rpca::Result baseline =
-      rpca::solve(problem.data, rpca::Solver::Apg, plain);
+  for (const rpca::Solver solver : kProbedSolvers) {
+    SCOPED_TRACE(rpca::solver_name(solver));
+    rpca::Options plain;
+    plain.max_iterations = 400;
+    const rpca::Result baseline = rpca::solve(problem.data, solver, plain);
 
-  TraceProbe probe;
-  rpca::Options probed;
-  probed.max_iterations = 400;
-  probed.probe = &probe;
-  const rpca::Result observed =
-      rpca::solve(problem.data, rpca::Solver::Apg, probed);
+    TraceProbe probe;
+    rpca::Options probed;
+    probed.max_iterations = 400;
+    probed.probe = &probe;
+    const rpca::Result observed = rpca::solve(problem.data, solver, probed);
 
-  EXPECT_EQ(baseline.iterations, observed.iterations);
-  EXPECT_EQ(baseline.converged, observed.converged);
-  EXPECT_EQ(baseline.low_rank.max_abs_diff(observed.low_rank), 0.0);
-  EXPECT_EQ(baseline.sparse.max_abs_diff(observed.sparse), 0.0);
-  EXPECT_EQ(baseline.residual, observed.residual);
+    EXPECT_EQ(probe.observed(),
+              static_cast<std::uint64_t>(observed.iterations));
+    EXPECT_EQ(baseline.iterations, observed.iterations);
+    EXPECT_EQ(baseline.converged, observed.converged);
+    EXPECT_EQ(baseline.rank, observed.rank);
+    EXPECT_EQ(baseline.low_rank.max_abs_diff(observed.low_rank), 0.0);
+    EXPECT_EQ(baseline.sparse.max_abs_diff(observed.sparse), 0.0);
+    EXPECT_EQ(baseline.residual, observed.residual);
+    EXPECT_EQ(baseline.solver_residual, observed.solver_residual);
+    EXPECT_EQ(baseline.final_mu, observed.final_mu);
+    EXPECT_EQ(baseline.mu_floor, observed.mu_floor);
+  }
 }
 
 TEST(ConvergenceProbe, SolverOutputByteIdenticalTracingOnAndOff) {

@@ -14,7 +14,9 @@ Event make_event(double time, EventKind kind, double value = 0.0) {
   event.time = time;
   event.tenant = "t0";
   event.kind = kind;
-  event.detail = "d";
+  // Move-assigned: gcc 12's -Wrestrict misfires on the const char*
+  // assignment of a one-character literal.
+  event.detail = std::string("d");
   event.value = value;
   return event;
 }

@@ -47,7 +47,9 @@ TEST(SyntheticProblem, SparseEntriesBoundedAwayFromZero) {
   Rng rng(4);
   const SyntheticProblem p = make_synthetic(spec, rng);
   for (double v : p.sparse.data()) {
-    if (v != 0.0) EXPECT_GE(std::abs(v), 0.5);
+    if (v != 0.0) {
+      EXPECT_GE(std::abs(v), 0.5);
+    }
   }
 }
 
