@@ -33,6 +33,7 @@ enum class TriggerReason {
   /// the threshold/interval policies noticed.
   DetectorSignal,
 };
+inline constexpr std::size_t kTriggerReasonCount = 5;
 
 const char* trigger_reason_name(TriggerReason reason);
 

@@ -32,6 +32,24 @@ RefresherOptions tenant_refresher_options(const TenantConfig& config,
   return options;
 }
 
+/// A per-tenant metric and the service-wide total it rolls up into,
+/// resolved once and updated together so the two cannot disagree.
+template <typename Metric>
+struct Rollup {
+  Metric& tenant;
+  Metric& total;
+
+  void increment(double amount = 1.0) {
+    tenant.increment(amount);
+    total.increment(amount);
+  }
+  void observe(double value) {
+    tenant.observe(value);
+    total.observe(value);
+  }
+  double value() const { return tenant.value(); }
+};
+
 }  // namespace
 
 struct ConstantFinderService::Tenant {
@@ -46,33 +64,47 @@ struct ConstantFinderService::Tenant {
         scheduler(config_in.scheduler),
         ingestor(*config_in.provider, window, config_in.ingest),
         rng(config_in.seed),
-        // Hot-path metric handles resolved once; the registry keeps the
-        // referenced objects alive for the service's lifetime.
-        snapshots(metrics.counter(prefix() + "snapshots_ingested")),
-        operations(metrics.counter(prefix() + "operations")),
-        refreshes(metrics.counter(prefix() + "refreshes")),
-        warm_solves(metrics.counter(prefix() + "warm_solves")),
-        cold_solves(metrics.counter(prefix() + "cold_solves")),
-        cold_fallbacks(metrics.counter(prefix() + "cold_fallbacks")),
-        recalibrations(metrics.counter(prefix() + "recalibrations")),
-        suppressed(metrics.counter(prefix() + "recalibrations_suppressed")),
-        dropped_probes(metrics.counter(prefix() + "dropped_probes")),
-        calibration_failures(
-            metrics.counter(prefix() + "calibration_failures")),
-        stale_rows(metrics.counter(prefix() + "stale_rows_reused")),
+        // Every handle resolved once, so all series exist (at zero) from
+        // registration; the registry keeps the objects alive.
+        snapshots{metrics.counter(prefix() + "snapshots_ingested"),
+                  metrics.counter("online.snapshots_ingested")},
+        operations{metrics.counter(prefix() + "operations"),
+                   metrics.counter("online.operations")},
+        refreshes{metrics.counter(prefix() + "refreshes"),
+                  metrics.counter("online.refreshes")},
+        warm_solves{metrics.counter(prefix() + "warm_solves"),
+                    metrics.counter("online.warm_solves")},
+        cold_solves{metrics.counter(prefix() + "cold_solves"),
+                    metrics.counter("online.cold_solves")},
+        cold_fallbacks{metrics.counter(prefix() + "cold_fallbacks"),
+                       metrics.counter("online.cold_fallbacks")},
+        recalibrations{metrics.counter(prefix() + "recalibrations"),
+                       metrics.counter("online.recalibrations")},
+        suppressed{metrics.counter(prefix() + "recalibrations_suppressed"),
+                   metrics.counter("online.recalibrations_suppressed")},
+        dropped_probes{metrics.counter(prefix() + "dropped_probes"),
+                       metrics.counter("online.dropped_probes")},
+        calibration_failures{
+            metrics.counter(prefix() + "calibration_failures"),
+            metrics.counter("online.calibration_failures")},
+        stale_rows{metrics.counter(prefix() + "stale_rows_reused"),
+                   metrics.counter("online.stale_rows_reused")},
+        imputed_entries{metrics.counter(prefix() + "imputed_entries"),
+                        metrics.counter("online.imputed_entries")},
+        incremental_updates{
+            metrics.counter(prefix() + "incremental_updates"),
+            metrics.counter("rpca.incremental.updates")},
+        drift_fallbacks{metrics.counter(prefix() + "drift_fallbacks"),
+                        metrics.counter("rpca.incremental.drift_fallbacks")},
+        refresh_seconds{metrics.histogram(prefix() + "refresh_seconds"),
+                        metrics.histogram("online.refresh_seconds")},
+        solver_iterations{metrics.histogram(prefix() + "solver_iterations"),
+                          metrics.histogram("online.solver_iterations")},
         forced(metrics.counter(prefix() + "forced_recalibrations")),
-        imputed_entries(metrics.counter(prefix() + "imputed_entries")),
-        incremental_updates(
-            metrics.counter(prefix() + "incremental_updates")),
-        drift_fallbacks(metrics.counter(prefix() + "drift_fallbacks")),
         detector_verdicts(metrics.counter(prefix() + "detector_verdicts")),
         detector_recalibrations(
             metrics.counter(prefix() + "detector_recalibrations")),
-        error_norm_gauge(metrics.gauge(prefix() + "error_norm")),
-        refresh_seconds(metrics.histogram(prefix() + "refresh_seconds")),
-        solver_iterations(
-            metrics.histogram(prefix() + "solver_iterations")) {
-    NETCONST_CHECK(config.provider != nullptr, "tenant needs a provider");
+        error_norm_gauge(metrics.gauge(prefix() + "error_norm")) {
     NETCONST_CHECK(config.provider->cluster_size() >= 2,
                    "tenant cluster must have at least two VMs");
     NETCONST_CHECK(config.operation_gap >= 0.0,
@@ -109,26 +141,26 @@ struct ConstantFinderService::Tenant {
   std::size_t batch_remaining = 0;
   double step_ewma = 0.0;  // seconds per step; 0 = not yet measured
 
-  Counter& snapshots;
-  Counter& operations;
-  Counter& refreshes;
-  Counter& warm_solves;
-  Counter& cold_solves;
-  Counter& cold_fallbacks;
-  Counter& recalibrations;
-  Counter& suppressed;
-  Counter& dropped_probes;
-  Counter& calibration_failures;
-  Counter& stale_rows;
+  Rollup<Counter> snapshots;
+  Rollup<Counter> operations;
+  Rollup<Counter> refreshes;
+  Rollup<Counter> warm_solves;
+  Rollup<Counter> cold_solves;
+  Rollup<Counter> cold_fallbacks;
+  Rollup<Counter> recalibrations;
+  Rollup<Counter> suppressed;
+  Rollup<Counter> dropped_probes;
+  Rollup<Counter> calibration_failures;
+  Rollup<Counter> stale_rows;
+  Rollup<Counter> imputed_entries;
+  Rollup<Counter> incremental_updates;
+  Rollup<Counter> drift_fallbacks;
+  Rollup<Histogram> refresh_seconds;
+  Rollup<Histogram> solver_iterations;
   Counter& forced;
-  Counter& imputed_entries;
-  Counter& incremental_updates;
-  Counter& drift_fallbacks;
   Counter& detector_verdicts;
   Counter& detector_recalibrations;
   Gauge& error_norm_gauge;
-  Histogram& refresh_seconds;
-  Histogram& solver_iterations;
 };
 
 ConstantFinderService::ConstantFinderService(const ServiceOptions& options)
@@ -137,12 +169,39 @@ ConstantFinderService::ConstantFinderService(const ServiceOptions& options)
                       ? nullptr
                       : std::make_unique<ThreadPool>(options.threads)),
       pool_(owned_pool_ ? owned_pool_.get() : &ThreadPool::global()),
-      events_(options.event_capacity) {}
+      events_(options.event_capacity),
+      svd_full_(metrics_.counter("rpca.svd.path.full")),
+      svd_randomized_(metrics_.counter("rpca.svd.path.randomized")),
+      svd_incremental_(metrics_.counter("rpca.svd.path.incremental")),
+      masked_fallbacks_(metrics_.counter("rpca.incremental.masked_fallbacks")),
+      anchors_(metrics_.counter("rpca.incremental.anchors")),
+      level_changes_(metrics_.counter("online.level_changes")),
+      calibration_seconds_(metrics_.histogram("online.calibration_seconds")),
+      error_norm_(metrics_.histogram("online.error_norm")),
+      operation_relative_error_(
+          metrics_.histogram("online.operation_relative_error")),
+      detect_latency_slides_(metrics_.histogram("detect.latency_slides")),
+      detect_preemptions_(metrics_.counter("detect.preemptions")),
+      // TriggerReason order; None books as an interval trigger.
+      recalibrations_by_reason_{
+          &metrics_.counter("online.recalibrations.interval"),
+          &metrics_.counter("online.recalibrations.breach"),
+          &metrics_.counter("online.recalibrations.interval"),
+          &metrics_.counter("online.recalibrations.forced"),
+          &metrics_.counter("online.recalibrations.detector")} {
+  for (std::size_t k = 0; k < verdicts_.size(); ++k) {
+    verdicts_[k] = &metrics_.counter(
+        std::string("detect.verdicts.") +
+        detect::verdict_kind_name(static_cast<detect::VerdictKind>(k)));
+  }
+}
 
 ConstantFinderService::~ConstantFinderService() = default;
 
 std::size_t ConstantFinderService::add_tenant(const TenantConfig& config) {
   NETCONST_CHECK(!config.name.empty(), "tenant name must not be empty");
+  // Checked before Tenant's members bind to *config.provider.
+  NETCONST_CHECK(config.provider != nullptr, "tenant needs a provider");
   for (const auto& tenant : tenants_) {
     NETCONST_CHECK(tenant->config.name != config.name,
                    "duplicate tenant name");
@@ -160,14 +219,12 @@ void ConstantFinderService::sync_ingest_totals(Tenant& tenant) {
     const auto delta =
         static_cast<double>(failures - tenant.synced_failures);
     tenant.calibration_failures.increment(delta);
-    metrics_.counter("online.calibration_failures").increment(delta);
     tenant.synced_failures = failures;
   }
   const std::uint64_t stale = tenant.ingestor.stale_rows_reused();
   if (stale > tenant.synced_stale) {
     const auto delta = static_cast<double>(stale - tenant.synced_stale);
     tenant.stale_rows.increment(delta);
-    metrics_.counter("online.stale_rows_reused").increment(delta);
     // One event per reused row, so the event log, the counters, and
     // TenantStatus all agree — bootstrap fills included.
     for (std::uint64_t k = tenant.synced_stale; k < stale; ++k) {
@@ -180,27 +237,10 @@ void ConstantFinderService::sync_ingest_totals(Tenant& tenant) {
   }
 }
 
-void ConstantFinderService::account_refresh_imputation(
-    Tenant& tenant, const RefreshReport& report) {
-  if (!report.degraded()) return;
-  const auto imputed = static_cast<double>(report.missing_entries());
-  tenant.imputed_entries.increment(imputed);
-  metrics_.counter("online.imputed_entries").increment(imputed);
-}
-
 void ConstantFinderService::record_convergence(Tenant& tenant,
                                                RefreshReport& report) {
-  tenant.solver_iterations.observe(
-      static_cast<double>(report.latency.iterations));
-  tenant.solver_iterations.observe(
-      static_cast<double>(report.bandwidth.iterations));
-  Histogram& global = metrics_.histogram("online.solver_iterations");
-  global.observe(static_cast<double>(report.latency.iterations));
-  global.observe(static_cast<double>(report.bandwidth.iterations));
   if (options_.convergence_capacity == 0) return;
-
-  const auto refresh =
-      static_cast<std::uint64_t>(tenant.refreshes.value());
+  const auto refresh = static_cast<std::uint64_t>(tenant.refreshes.value());
   const double now = tenant.config.provider->now();
   LayerRefresh* layers[] = {&report.latency, &report.bandwidth};
   const char* names[] = {"latency", "bandwidth"};
@@ -261,9 +301,9 @@ void ConstantFinderService::run_detector(Tenant& tenant,
 
   const char* kind = detect::verdict_kind_name(verdict->kind);
   tenant.detector_verdicts.increment();
-  metrics_.counter(std::string("detect.verdicts.") + kind).increment();
-  metrics_.histogram("detect.latency_slides")
-      .observe(static_cast<double>(verdict->latency_slides));
+  verdicts_[static_cast<std::size_t>(verdict->kind)]->increment();
+  detect_latency_slides_.observe(
+      static_cast<double>(verdict->latency_slides));
   std::string detail = std::string(kind) + " (signal " +
                        detect::signal_name(verdict->signal) + ", latency " +
                        std::to_string(verdict->latency_slides) + " slides";
@@ -276,16 +316,12 @@ void ConstantFinderService::run_detector(Tenant& tenant,
                   verdict->score});
   // A verdict is exactly the anomaly the flight recorder exists for.
   obs::FlightRecorder::instance().maybe_auto_dump(
-      verdict->kind == detect::VerdictKind::PlacementShift
-          ? "detector_placement_shift"
-      : verdict->kind == detect::VerdictKind::OutlierStorm
-          ? "detector_outlier_storm"
-          : "detector_baseline_drift");
+      (std::string("detector_") + kind).c_str());
   if (tenant.config.detector_preempt &&
       verdict->kind != detect::VerdictKind::OutlierStorm) {
     tenant.detector_preempt_pending = true;
     tenant.detector_preempt_score = verdict->score;
-    metrics_.counter("detect.preemptions").increment();
+    detect_preemptions_.increment();
   }
 }
 
@@ -312,6 +348,50 @@ void ConstantFinderService::publish_snapshot(Tenant& tenant) {
       static_cast<std::uint64_t>(tenant.refreshes.value()));
 }
 
+bool ConstantFinderService::account_refresh(Tenant& tenant,
+                                            RefreshReport& report) {
+  cloud::NetworkProvider& provider = *tenant.config.provider;
+  tenant.component = report.component;
+  const bool level_changed = tenant.scheduler.record_refresh(
+      provider.now(), report.component.error_norm);
+  tenant.refreshes.increment();
+  publish_snapshot(tenant);
+  if (report.degraded()) {
+    tenant.imputed_entries.increment(
+        static_cast<double>(report.missing_entries()));
+  }
+  record_convergence(tenant, report);
+  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+    tenant.solver_iterations.observe(static_cast<double>(layer->iterations));
+    // Which machinery produced this layer's factors: the incremental
+    // row update, the randomized-SVT solver path, or the exact solver.
+    if (layer->incremental_used) {
+      tenant.incremental_updates.increment();
+      svd_incremental_.increment();
+      continue;  // no solve ran for this layer
+    }
+    (layer->randomized_steps > 0 ? svd_randomized_ : svd_full_).increment();
+    if (layer->drift_fallback) tenant.drift_fallbacks.increment();
+    if (layer->incremental_masked) masked_fallbacks_.increment();
+    if (layer->anchored) anchors_.increment();
+    (layer->warm_used ? tenant.warm_solves : tenant.cold_solves).increment();
+    if (layer->cold_fallback) tenant.cold_fallbacks.increment();
+  }
+  if (report.any_cold_fallback()) {
+    events_.record({provider.now(), tenant.config.name,
+                    EventKind::ColdSolveFallback,
+                    "warm solve diverged; solved cold",
+                    report.component.error_norm});
+    // A rejected warm solve is an anomaly worth a post-mortem: freeze
+    // the flight recorder's view of the refresh that led here.
+    obs::FlightRecorder::instance().maybe_auto_dump("cold_fallback");
+  }
+  tenant.refresh_seconds.observe(report.total_seconds);
+  error_norm_.observe(report.component.error_norm);
+  tenant.error_norm_gauge.set(report.component.error_norm);
+  return level_changed;
+}
+
 void ConstantFinderService::bootstrap(Tenant& tenant) {
   obs::Span bootstrap_span("svc.bootstrap");
   cloud::NetworkProvider& provider = *tenant.config.provider;
@@ -319,37 +399,14 @@ void ConstantFinderService::bootstrap(Tenant& tenant) {
     obs::Span ingest_span("svc.ingest");
     return tenant.ingestor.fill(tenant.config.snapshot_interval);
   }();
-  const double ingested = static_cast<double>(tenant.window.size());
-  tenant.snapshots.increment(ingested);
-  metrics_.counter("online.snapshots_ingested").increment(ingested);
-  metrics_.histogram("online.calibration_seconds").observe(fill_seconds);
+  tenant.snapshots.increment(static_cast<double>(tenant.window.size()));
+  calibration_seconds_.observe(fill_seconds);
   sync_ingest_totals(tenant);
 
+  // No seed and no tracker yet: both layers solve cold, and the first
+  // record_refresh never reports a level change.
   RefreshReport report = tenant.refresher.refresh(tenant.window);
-  tenant.component = report.component;
-  tenant.scheduler.record_refresh(provider.now(),
-                                  report.component.error_norm);
-  tenant.refreshes.increment();
-  metrics_.counter("online.refreshes").increment();
-  publish_snapshot(tenant);
-  account_refresh_imputation(tenant, report);
-  record_convergence(tenant, report);
-  tenant.cold_solves.increment(2.0);
-  metrics_.counter("online.cold_solves").increment(2.0);
-  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-    metrics_
-        .counter(layer->randomized_steps > 0 ? "rpca.svd.path.randomized"
-                                             : "rpca.svd.path.full")
-        .increment();
-    if (layer->anchored) {
-      metrics_.counter("rpca.incremental.anchors").increment();
-    }
-  }
-  tenant.refresh_seconds.observe(report.total_seconds);
-  metrics_.histogram("online.refresh_seconds").observe(report.total_seconds);
-  metrics_.histogram("online.error_norm").observe(
-      report.component.error_norm);
-  tenant.error_norm_gauge.set(report.component.error_norm);
+  account_refresh(tenant, report);
   events_.record({provider.now(), tenant.config.name, EventKind::Refresh,
                   "bootstrap (" + std::to_string(tenant.window.size()) +
                       " snapshots, cold solve)",
@@ -372,85 +429,17 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
     return tenant.ingestor.ingest_calibrated();
   }();
   tenant.snapshots.increment();
-  metrics_.counter("online.snapshots_ingested").increment();
-  metrics_.histogram("online.calibration_seconds")
-      .observe(ingest.elapsed_seconds);
+  calibration_seconds_.observe(ingest.elapsed_seconds);
   sync_ingest_totals(tenant);
   events_.record({provider.now(), tenant.config.name,
                   EventKind::SnapshotIngested,
                   trigger_reason_name(reason), ingest.elapsed_seconds});
 
   RefreshReport report = tenant.refresher.refresh(tenant.window);
-  tenant.component = report.component;
-  const bool level_changed = tenant.scheduler.record_refresh(
-      provider.now(), report.component.error_norm);
-
-  tenant.refreshes.increment();
-  metrics_.counter("online.refreshes").increment();
-  publish_snapshot(tenant);
-  account_refresh_imputation(tenant, report);
-  record_convergence(tenant, report);
-  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-    // Which machinery produced this layer's factors: the incremental
-    // row update, the randomized-SVT solver path, or the exact solver.
-    if (layer->incremental_used) {
-      tenant.incremental_updates.increment();
-      metrics_.counter("rpca.incremental.updates").increment();
-      metrics_.counter("rpca.svd.path.incremental").increment();
-      continue;  // no solve ran for this layer
-    }
-    metrics_
-        .counter(layer->randomized_steps > 0 ? "rpca.svd.path.randomized"
-                                             : "rpca.svd.path.full")
-        .increment();
-    if (layer->drift_fallback) {
-      tenant.drift_fallbacks.increment();
-      metrics_.counter("rpca.incremental.drift_fallbacks").increment();
-    }
-    if (layer->incremental_masked) {
-      metrics_.counter("rpca.incremental.masked_fallbacks").increment();
-    }
-    if (layer->anchored) {
-      metrics_.counter("rpca.incremental.anchors").increment();
-    }
-    if (layer->warm_used) {
-      tenant.warm_solves.increment();
-      metrics_.counter("online.warm_solves").increment();
-    } else {
-      tenant.cold_solves.increment();
-      metrics_.counter("online.cold_solves").increment();
-    }
-    if (layer->cold_fallback) {
-      tenant.cold_fallbacks.increment();
-      metrics_.counter("online.cold_fallbacks").increment();
-    }
-  }
-  if (report.any_cold_fallback()) {
-    events_.record({provider.now(), tenant.config.name,
-                    EventKind::ColdSolveFallback,
-                    "warm solve diverged; solved cold",
-                    report.component.error_norm});
-    // A rejected warm solve is an anomaly worth a post-mortem: freeze
-    // the flight recorder's view of the refresh that led here.
-    obs::FlightRecorder::instance().maybe_auto_dump("cold_fallback");
-  }
-  tenant.refresh_seconds.observe(report.total_seconds);
-  metrics_.histogram("online.refresh_seconds").observe(report.total_seconds);
-  metrics_.histogram("online.error_norm").observe(
-      report.component.error_norm);
-  tenant.error_norm_gauge.set(report.component.error_norm);
+  const bool level_changed = account_refresh(tenant, report);
 
   tenant.recalibrations.increment();
-  metrics_.counter("online.recalibrations").increment();
-  metrics_
-      .counter(reason == TriggerReason::ThresholdBreach
-                   ? "online.recalibrations.breach"
-               : reason == TriggerReason::ForcedDegraded
-                   ? "online.recalibrations.forced"
-               : reason == TriggerReason::DetectorSignal
-                   ? "online.recalibrations.detector"
-                   : "online.recalibrations.interval")
-      .increment();
+  recalibrations_by_reason_[static_cast<std::size_t>(reason)]->increment();
   if (reason == TriggerReason::ForcedDegraded) {
     tenant.forced.increment();
     obs::FlightRecorder::instance().maybe_auto_dump("forced_recalibration");
@@ -462,7 +451,7 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
                   EventKind::Recalibration, trigger_reason_name(reason),
                   trigger_value});
   if (level_changed) {
-    metrics_.counter("online.level_changes").increment();
+    level_changes_.increment();
     events_.record(
         {provider.now(), tenant.config.name, EventKind::LevelChange,
          core::effectiveness_name(tenant.scheduler.level()),
@@ -497,7 +486,6 @@ void ConstantFinderService::step(Tenant& tenant) {
   const double observed =
       provider.measure(i, j, tenant.config.operation_bytes);
   tenant.operations.increment();
-  metrics_.counter("online.operations").increment();
 
   SchedulerDecision decision;
   if (!std::isfinite(observed)) {
@@ -508,7 +496,6 @@ void ConstantFinderService::step(Tenant& tenant) {
     // once the streak says the constant can no longer be checked.
     ++tenant.drop_streak;
     tenant.dropped_probes.increment();
-    metrics_.counter("online.dropped_probes").increment();
     events_.record({provider.now(), tenant.config.name,
                     EventKind::ProbeDropped, "operation probe lost",
                     static_cast<double>(tenant.drop_streak)});
@@ -528,14 +515,12 @@ void ConstantFinderService::step(Tenant& tenant) {
     tenant.drop_streak = 0;
     decision = tenant.scheduler.observe_operation(provider.now(), expected,
                                                   observed);
-    metrics_.histogram("online.operation_relative_error")
-        .observe(decision.relative_error);
+    operation_relative_error_.observe(decision.relative_error);
   }
 
   if (decision.suppressed_probes > 0) {
     const auto count = static_cast<double>(decision.suppressed_probes);
     tenant.suppressed.increment(count);
-    metrics_.counter("online.recalibrations_suppressed").increment(count);
     events_.record({provider.now(), tenant.config.name,
                     EventKind::RecalibrationSuppressed,
                     "interval factor " +
@@ -676,32 +661,24 @@ TenantStatus ConstantFinderService::status(std::size_t tenant_index) const {
   status.provider_time = tenant.config.provider->now();
   status.error_norm = tenant.component.error_norm;
   status.level = tenant.scheduler.level();
-  status.snapshots_ingested =
-      static_cast<std::uint64_t>(tenant.snapshots.value());
-  status.refreshes = static_cast<std::uint64_t>(tenant.refreshes.value());
-  status.warm_solves =
-      static_cast<std::uint64_t>(tenant.warm_solves.value());
-  status.cold_solves =
-      static_cast<std::uint64_t>(tenant.cold_solves.value());
-  status.cold_fallbacks =
-      static_cast<std::uint64_t>(tenant.cold_fallbacks.value());
+  const auto count = [](const auto& metric) {
+    return static_cast<std::uint64_t>(metric.value());
+  };
+  status.snapshots_ingested = count(tenant.snapshots);
+  status.refreshes = count(tenant.refreshes);
+  status.warm_solves = count(tenant.warm_solves);
+  status.cold_solves = count(tenant.cold_solves);
+  status.cold_fallbacks = count(tenant.cold_fallbacks);
   status.breaches = tenant.scheduler.breaches();
   status.interval_recalibrations = tenant.scheduler.interval_triggers();
   status.suppressed_recalibrations = tenant.scheduler.suppressed();
-  status.dropped_probes =
-      static_cast<std::uint64_t>(tenant.dropped_probes.value());
-  status.calibration_failures =
-      static_cast<std::uint64_t>(tenant.calibration_failures.value());
-  status.stale_rows_reused =
-      static_cast<std::uint64_t>(tenant.stale_rows.value());
-  status.forced_recalibrations =
-      static_cast<std::uint64_t>(tenant.forced.value());
-  status.imputed_entries =
-      static_cast<std::uint64_t>(tenant.imputed_entries.value());
-  status.detector_verdicts =
-      static_cast<std::uint64_t>(tenant.detector_verdicts.value());
-  status.detector_recalibrations =
-      static_cast<std::uint64_t>(tenant.detector_recalibrations.value());
+  status.dropped_probes = count(tenant.dropped_probes);
+  status.calibration_failures = count(tenant.calibration_failures);
+  status.stale_rows_reused = count(tenant.stale_rows);
+  status.forced_recalibrations = count(tenant.forced);
+  status.imputed_entries = count(tenant.imputed_entries);
+  status.detector_verdicts = count(tenant.detector_verdicts);
+  status.detector_recalibrations = count(tenant.detector_recalibrations);
   return status;
 }
 

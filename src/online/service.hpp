@@ -25,6 +25,7 @@
 //   fresh calibration and warm-refresh the decomposition.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -104,8 +105,10 @@ struct ServiceOptions {
   /// stragglers sooner at slightly more scheduling overhead; 0 acts
   /// as 1. Has no effect on any tenant's trajectory.
   std::size_t batch_slice = 16;
-  /// Event-log retention; 0 = unbounded.
-  std::size_t event_capacity = 0;
+  /// Event-log retention: the newest events kept (older ones are dropped
+  /// but still counted by EventLog::recorded()). 0 = unbounded, which
+  /// grows with the campaign: each event owns a heap string.
+  std::size_t event_capacity = 65536;
   /// Per-tenant solver convergence telemetry: each refresh's per-layer
   /// iteration trace is kept in a bounded ring of this many records
   /// (read back via convergence()). 0 disables collection entirely —
@@ -230,9 +233,12 @@ class ConstantFinderService {
   /// Fold the ingestor's lifetime degradation totals into the metrics
   /// (delta since the last sync — fill() can ingest many snapshots).
   void sync_ingest_totals(Tenant& tenant);
-  void account_refresh_imputation(Tenant& tenant, const RefreshReport& report);
+  /// Bootstrap's and maintenance's shared bookkeeping of one refresh:
+  /// adopt and publish the component, book solve paths, imputation,
+  /// convergence and error norm. Returns whether the level changed.
+  bool account_refresh(Tenant& tenant, RefreshReport& report);
   /// Move the refresh's per-layer iteration traces into the tenant's
-  /// convergence ring and observe the iteration-count histograms.
+  /// convergence ring.
   void record_convergence(Tenant& tenant, RefreshReport& report);
   /// Feed one refresh to the tenant's change-point detector and act on
   /// a verdict (events, metrics, auto-dump, pre-emption flag).
@@ -251,6 +257,21 @@ class ConstantFinderService {
   MetricsRegistry metrics_;
   EventLog events_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
+  // Service-wide series with no per-tenant twin, resolved (and so
+  // exported, at zero) from construction; the rest live in Tenant.
+  Counter& svd_full_;
+  Counter& svd_randomized_;
+  Counter& svd_incremental_;
+  Counter& masked_fallbacks_;
+  Counter& anchors_;
+  Counter& level_changes_;
+  Histogram& calibration_seconds_;
+  Histogram& error_norm_;
+  Histogram& operation_relative_error_;
+  Histogram& detect_latency_slides_;
+  Counter& detect_preemptions_;
+  std::array<Counter*, kTriggerReasonCount> recalibrations_by_reason_;
+  std::array<Counter*, detect::kVerdictKindCount> verdicts_{};  // by kind
 };
 
 }  // namespace netconst::online

@@ -3,13 +3,16 @@
 // and the bookkeeping (status, metrics, events) must stay consistent.
 #include "online/service.hpp"
 
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cloud/synthetic.hpp"
+#include "faults/fault_provider.hpp"
 #include "support/error.hpp"
 
 namespace netconst::online {
@@ -37,6 +40,66 @@ TenantConfig tenant_config(const std::string& name,
   config.scheduler.base_interval = 1500.0;
   config.seed = seed;
   return config;
+}
+
+/// Three chaos-wrapped tenants with the incremental hot path and the
+/// detector on, so every accounting path fires in a short run: probe
+/// loss with stale-row reuse, imputation and forced maintenance, a
+/// placement shift, and an outlier storm.
+struct ChaosFleet {
+  ChaosFleet() {
+    faults::FaultPlanConfig lossy;
+    lossy.seed = 13;
+    lossy.drop_probability = 0.6;
+    faults::FaultPlanConfig shifted;
+    shifted.placement_changes.push_back({4000.0, 0, 3.0});
+    faults::FaultPlanConfig stormy;
+    stormy.storms.push_back({3000.0, 6000.0, 6.0});
+    std::uint64_t t = 0;
+    for (const faults::FaultPlanConfig& plan : {lossy, shifted, stormy}) {
+      cloud::SyntheticCloudConfig network = tiny_cloud(60 + t);
+      if (t == 2) {
+        // Frequent heavy spikes: warm solves diverge and fall back cold.
+        network.mean_quiet_duration = 1200.0;
+        network.mean_spike_duration = 600.0;
+        network.max_spike_bandwidth_factor = 8.0;
+        network.max_spike_latency_factor = 5.0;
+      }
+      clouds.push_back(std::make_unique<cloud::SyntheticCloud>(network));
+      providers.push_back(std::make_unique<faults::FaultInjectionProvider>(
+          *clouds.back(), plan));
+      TenantConfig config = tenant_config("chaos" + std::to_string(t),
+                                          *providers.back(), 300 + t);
+      config.refresher.incremental = true;
+      config.detector_enabled = true;
+      config.ingest.calibration.max_retries = 0;
+      config.forced_recalibration_after = 3;
+      service.add_tenant(config);
+      ++t;
+    }
+  }
+
+  std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
+  std::vector<std::unique_ptr<faults::FaultInjectionProvider>> providers;
+  ConstantFinderService service;
+};
+
+std::map<std::string, double> counters_of(const MetricsRegistry& metrics) {
+  std::map<std::string, double> counters;
+  for (const obs::MetricSample& sample : metrics.samples()) {
+    if (sample.type == obs::MetricType::Counter) {
+      counters[sample.name] = sample.value;
+    }
+  }
+  return counters;
+}
+
+std::set<std::string> names_of(const MetricsRegistry& metrics) {
+  std::set<std::string> names;
+  for (const obs::MetricSample& sample : metrics.samples()) {
+    names.insert(sample.name);
+  }
+  return names;
 }
 
 TEST(ConstantFinderService, TenantRegistrationContracts) {
@@ -125,6 +188,104 @@ TEST(ConstantFinderService, SmokeRunKeepsBookkeepingConsistent) {
   std::ostringstream report;
   service.print_report(report);
   EXPECT_NE(report.str().find("tenant0"), std::string::npos);
+}
+
+TEST(ConstantFinderService, BootstrapIsOneColdRefreshOfBothLayers) {
+  ConstantFinderService service;
+  std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
+  constexpr std::size_t kTenants = 3;
+  for (std::uint64_t t = 0; t < kTenants; ++t) {
+    clouds.push_back(
+        std::make_unique<cloud::SyntheticCloud>(tiny_cloud(70 + t)));
+    service.add_tenant(
+        tenant_config("tenant" + std::to_string(t), *clouds.back(), t + 1));
+  }
+  service.run(0);  // bootstrap only
+
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    const TenantStatus status = service.status(t);
+    EXPECT_EQ(status.steps, 0u);
+    EXPECT_EQ(status.refreshes, 1u);
+    EXPECT_EQ(status.cold_solves, 2u);
+    EXPECT_EQ(status.warm_solves, 0u);
+    EXPECT_EQ(status.cold_fallbacks, 0u);
+  }
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_DOUBLE_EQ(metrics.counter_value("rpca.svd.path.full") +
+                       metrics.counter_value("rpca.svd.path.randomized"),
+                   2.0 * kTenants);
+  EXPECT_DOUBLE_EQ(metrics.counter_value("online.cold_solves"),
+                   2.0 * kTenants);
+  EXPECT_DOUBLE_EQ(metrics.counter_value("online.level_changes"), 0.0);
+  EXPECT_EQ(service.events().count(EventKind::Refresh), kTenants);
+}
+
+TEST(ConstantFinderService, TenantCountersSumToServiceTotals) {
+  ChaosFleet fleet;
+  fleet.service.run(40);
+  const std::map<std::string, double> counters =
+      counters_of(fleet.service.metrics());
+  const auto tenant_sum = [&](const std::string& metric) {
+    double sum = 0.0;
+    for (std::size_t t = 0; t < fleet.service.tenant_count(); ++t) {
+      const auto it = counters.find(
+          "tenant." + fleet.service.status(t).name + "." + metric);
+      EXPECT_NE(it, counters.end()) << metric;
+      if (it != counters.end()) sum += it->second;
+    }
+    return sum;
+  };
+
+  // Every online.X counter with a tenant.<name>.X twin is its sum.
+  std::size_t twins = 0;
+  for (const auto& [name, value] : counters) {
+    const std::string prefix = "online.";
+    if (name.rfind(prefix, 0) != 0) continue;
+    const std::string metric = name.substr(prefix.size());
+    if (counters.count("tenant.chaos0." + metric) == 0) continue;
+    EXPECT_DOUBLE_EQ(value, tenant_sum(metric)) << name;
+    ++twins;
+  }
+  EXPECT_EQ(twins, 12u);
+  // The per-tenant series whose total lives under another name.
+  EXPECT_DOUBLE_EQ(counters.at("rpca.incremental.updates"),
+                   tenant_sum("incremental_updates"));
+  EXPECT_DOUBLE_EQ(counters.at("rpca.incremental.drift_fallbacks"),
+                   tenant_sum("drift_fallbacks"));
+  EXPECT_DOUBLE_EQ(counters.at("online.recalibrations.forced"),
+                   tenant_sum("forced_recalibrations"));
+  EXPECT_DOUBLE_EQ(counters.at("online.recalibrations.detector"),
+                   tenant_sum("detector_recalibrations"));
+  EXPECT_DOUBLE_EQ(counters.at("detect.verdicts.placement_shift") +
+                       counters.at("detect.verdicts.outlier_storm") +
+                       counters.at("detect.verdicts.baseline_drift"),
+                   tenant_sum("detector_verdicts"));
+  // Each layer refresh took exactly one SVT path.
+  EXPECT_DOUBLE_EQ(counters.at("rpca.svd.path.full") +
+                       counters.at("rpca.svd.path.randomized") +
+                       counters.at("rpca.svd.path.incremental"),
+                   2.0 * counters.at("online.refreshes"));
+
+  // The campaign reached the paths it is meant to check.
+  EXPECT_GT(counters.at("online.stale_rows_reused"), 0.0);
+  EXPECT_GT(counters.at("online.imputed_entries"), 0.0);
+  EXPECT_GT(counters.at("online.dropped_probes"), 0.0);
+  EXPECT_GT(counters.at("online.recalibrations.forced"), 0.0);
+  EXPECT_GT(counters.at("online.cold_fallbacks"), 0.0);
+  EXPECT_GT(counters.at("rpca.incremental.drift_fallbacks"), 0.0);
+  EXPECT_GT(counters.at("rpca.incremental.updates"), 0.0);
+}
+
+TEST(ConstantFinderService, MetricSetIsFixedAtRegistration) {
+  // Every series exists, at zero, from add_tenant on: a scrape before
+  // the first refresh sees the same names as one after a campaign.
+  ChaosFleet fleet;
+  const std::set<std::string> registered = names_of(fleet.service.metrics());
+  EXPECT_TRUE(registered.count("online.recalibrations.forced"));
+  fleet.service.run(0);
+  EXPECT_EQ(names_of(fleet.service.metrics()), registered);
+  fleet.service.run(40);
+  EXPECT_EQ(names_of(fleet.service.metrics()), registered);
 }
 
 TEST(ConstantFinderService, RepeatedRunContinuesTheCampaign) {
