@@ -29,9 +29,9 @@
 // library still builds for baseline x86-64; dispatch only enters them
 // after the cpuid check inside simd::active_level(). On aarch64 NEON
 // is baseline, and only the hottest bodies (gradient_step,
-// soft_threshold, extrapolate, the convergence norms) are written in
-// intrinsics — the remaining elementwise loops are left to the
-// auto-vectorizer, which already has NEON available.
+// soft_threshold, the convergence norms) are written in intrinsics —
+// the remaining elementwise loops are left to the auto-vectorizer,
+// which already has NEON available.
 
 namespace netconst::linalg {
 namespace {
@@ -49,95 +49,11 @@ bool use_vector_kernels() {
   return simd::active_level() != simd::Level::Scalar;
 }
 
-// ---- axpby: o[i] = alpha * x[i] + beta * y[i] ----
-
-void axpby_range_scalar(double alpha, const double* x, double beta,
-                        const double* y, double* o, std::size_t lo,
-                        std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = alpha * x[i] + beta * y[i];
-}
-
-#if defined(NETCONST_SIMD_X86)
-NETCONST_TARGET_AVX2 void axpby_range_vec(double alpha, const double* x,
-                                          double beta, const double* y,
-                                          double* o, std::size_t lo,
-                                          std::size_t hi) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  const __m256d vb = _mm256_set1_pd(beta);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    _mm256_storeu_pd(
-        o + i, _mm256_add_pd(_mm256_mul_pd(va, vx), _mm256_mul_pd(vb, vy)));
-  }
-  axpby_range_scalar(alpha, x, beta, y, o, i, hi);
-}
-#endif
-
-void axpby_range(double alpha, const double* x, double beta, const double* y,
-                 double* o, std::size_t lo, std::size_t hi) {
-#if defined(NETCONST_SIMD_X86)
-  if (use_vector_kernels()) {
-    axpby_range_vec(alpha, x, beta, y, o, lo, hi);
-    return;
-  }
-#endif
-  axpby_range_scalar(alpha, x, beta, y, o, lo, hi);
-}
-
-// ---- extrapolate: o[i] = x[i] + (x[i] - p[i]) * c ----
-
-void extrapolate_range_scalar(const double* x, const double* p, double c,
-                              double* o, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = x[i] + (x[i] - p[i]) * c;
-}
-
-#if defined(NETCONST_SIMD_X86)
-NETCONST_TARGET_AVX2 void extrapolate_range_vec(const double* x,
-                                                const double* p, double c,
-                                                double* o, std::size_t lo,
-                                                std::size_t hi) {
-  const __m256d vc = _mm256_set1_pd(c);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256d vx = _mm256_loadu_pd(x + i);
-    const __m256d vp = _mm256_loadu_pd(p + i);
-    _mm256_storeu_pd(
-        o + i, _mm256_add_pd(vx, _mm256_mul_pd(_mm256_sub_pd(vx, vp), vc)));
-  }
-  extrapolate_range_scalar(x, p, c, o, i, hi);
-}
-#elif defined(NETCONST_SIMD_NEON)
-void extrapolate_range_vec(const double* x, const double* p, double c,
-                           double* o, std::size_t lo, std::size_t hi) {
-  const float64x2_t vc = vdupq_n_f64(c);
-  std::size_t i = lo;
-  for (; i + 2 <= hi; i += 2) {
-    const float64x2_t vx = vld1q_f64(x + i);
-    const float64x2_t vp = vld1q_f64(p + i);
-    vst1q_f64(o + i, vaddq_f64(vx, vmulq_f64(vsubq_f64(vx, vp), vc)));
-  }
-  extrapolate_range_scalar(x, p, c, o, i, hi);
-}
-#endif
-
-void extrapolate_range(const double* x, const double* p, double c, double* o,
-                       std::size_t lo, std::size_t hi) {
-#if defined(NETCONST_SIMD_X86) || defined(NETCONST_SIMD_NEON)
-  if (use_vector_kernels()) {
-    extrapolate_range_vec(x, p, c, o, lo, hi);
-    return;
-  }
-#endif
-  extrapolate_range_scalar(x, p, c, o, lo, hi);
-}
-
 // ---- soft threshold: o[i] = sign(v) * max(|v| - tau, 0) ----
 //
 // The vector form evaluates both shifted values and blends by the two
-// compare masks. Requires tau >= 0 (asserted at every public entry
-// point: soft_threshold_into, gradient_step, soft_threshold_inplace):
+// compare masks. Requires tau >= 0 (asserted at both public entry
+// points, soft_threshold_into and gradient_step):
 // a negative tau would make v > tau and v < -tau overlap, and the AVX2
 // or-of-masked-values blend would combine both shrunk values into
 // bitwise garbage instead of taking the scalar chain's first branch.
@@ -315,7 +231,7 @@ void gradient_step_range(const double* ds, const double* dp, const double* es,
 
 // ---- three-operand elementwise forms ----
 
-enum class TriOp { SubAddScaled, SubSub, FusedResidual };
+enum class TriOp { SubAddScaled, SubSub };
 
 template <TriOp Op>
 void tri_range_scalar(const double* a, const double* b, const double* c,
@@ -324,10 +240,8 @@ void tri_range_scalar(const double* a, const double* b, const double* c,
   for (std::size_t i = lo; i < hi; ++i) {
     if constexpr (Op == TriOp::SubAddScaled) {
       o[i] = (a[i] - b[i]) + c[i] * alpha;
-    } else if constexpr (Op == TriOp::SubSub) {
-      o[i] = (a[i] - b[i]) - c[i];
     } else {
-      o[i] = (a[i] + b[i]) - c[i];
+      o[i] = (a[i] - b[i]) - c[i];
     }
   }
 }
@@ -347,10 +261,8 @@ NETCONST_TARGET_AVX2 void tri_range_vec(const double* a, const double* b,
     __m256d r;
     if constexpr (Op == TriOp::SubAddScaled) {
       r = _mm256_add_pd(_mm256_sub_pd(va, vb), _mm256_mul_pd(vcv, valpha));
-    } else if constexpr (Op == TriOp::SubSub) {
-      r = _mm256_sub_pd(_mm256_sub_pd(va, vb), vcv);
     } else {
-      r = _mm256_sub_pd(_mm256_add_pd(va, vb), vcv);
+      r = _mm256_sub_pd(_mm256_sub_pd(va, vb), vcv);
     }
     _mm256_storeu_pd(o + i, r);
   }
@@ -377,11 +289,6 @@ void sub_range_scalar(const double* a, const double* b, double* o,
   for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] - b[i];
 }
 
-void sub_scaled_range_scalar(const double* y, double alpha, const double* r,
-                             double* o, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = y[i] - r[i] * alpha;
-}
-
 void add_scaled_range_scalar(double alpha, const double* x, double* y,
                              std::size_t lo, std::size_t hi) {
   for (std::size_t i = lo; i < hi; ++i) y[i] += x[i] * alpha;
@@ -397,20 +304,6 @@ NETCONST_TARGET_AVX2 void sub_range_vec(const double* a, const double* b,
         o + i, _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   sub_range_scalar(a, b, o, i, hi);
-}
-
-NETCONST_TARGET_AVX2 void sub_scaled_range_vec(const double* y, double alpha,
-                                               const double* r, double* o,
-                                               std::size_t lo,
-                                               std::size_t hi) {
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    _mm256_storeu_pd(
-        o + i, _mm256_sub_pd(_mm256_loadu_pd(y + i),
-                             _mm256_mul_pd(_mm256_loadu_pd(r + i), valpha)));
-  }
-  sub_scaled_range_scalar(y, alpha, r, o, i, hi);
 }
 
 NETCONST_TARGET_AVX2 void add_scaled_range_vec(double alpha, const double* x,
@@ -436,17 +329,6 @@ void sub_range(const double* a, const double* b, double* o, std::size_t lo,
   }
 #endif
   sub_range_scalar(a, b, o, lo, hi);
-}
-
-void sub_scaled_range(const double* y, double alpha, const double* r,
-                      double* o, std::size_t lo, std::size_t hi) {
-#if defined(NETCONST_SIMD_X86)
-  if (use_vector_kernels()) {
-    sub_scaled_range_vec(y, alpha, r, o, lo, hi);
-    return;
-  }
-#endif
-  sub_scaled_range_scalar(y, alpha, r, o, lo, hi);
 }
 
 void add_scaled_range(double alpha, const double* x, double* y,
@@ -543,69 +425,6 @@ void change_norms_vec(const double* ds, const double* dp, const double* es,
 #endif
 
 }  // namespace
-
-void axpby(double alpha, const Matrix& x, double beta, const Matrix& y,
-           Matrix& out) {
-  check_same_shape(x, y, "axpby shape mismatch");
-  out.resize(x.rows(), x.cols());
-  const auto xs = x.data();
-  const auto ys = y.data();
-  const auto os = out.data();
-  parallel_for_chunked(
-      0, xs.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        axpby_range(alpha, xs.data(), beta, ys.data(), os.data(), lo, hi);
-      },
-      kElementGrain);
-}
-
-void extrapolate(const Matrix& x, const Matrix& x_prev, double c,
-                 Matrix& out) {
-  check_same_shape(x, x_prev, "extrapolate shape mismatch");
-  out.resize(x.rows(), x.cols());
-  const auto xs = x.data();
-  const auto ps = x_prev.data();
-  const auto os = out.data();
-  parallel_for_chunked(
-      0, xs.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        extrapolate_range(xs.data(), ps.data(), c, os.data(), lo, hi);
-      },
-      kElementGrain);
-}
-
-void fused_residual(const Matrix& yd, const Matrix& ye, const Matrix& a,
-                    Matrix& out) {
-  check_same_shape(yd, ye, "fused_residual shape mismatch");
-  check_same_shape(yd, a, "fused_residual shape mismatch");
-  out.resize(a.rows(), a.cols());
-  const auto ds = yd.data();
-  const auto es = ye.data();
-  const auto as = a.data();
-  const auto os = out.data();
-  parallel_for_chunked(
-      0, as.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        tri_range<TriOp::FusedResidual>(ds.data(), es.data(), as.data(), 0.0,
-                                        os.data(), lo, hi);
-      },
-      kElementGrain);
-}
-
-void sub_scaled(const Matrix& y, double alpha, const Matrix& r,
-                Matrix& out) {
-  check_same_shape(y, r, "sub_scaled shape mismatch");
-  out.resize(y.rows(), y.cols());
-  const auto ys = y.data();
-  const auto rs = r.data();
-  const auto os = out.data();
-  parallel_for_chunked(
-      0, ys.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        sub_scaled_range(ys.data(), alpha, rs.data(), os.data(), lo, hi);
-      },
-      kElementGrain);
-}
 
 void gradient_step(const Matrix& d, const Matrix& d_prev, const Matrix& e,
                    const Matrix& e_prev, const Matrix& a, double c,

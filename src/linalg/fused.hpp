@@ -19,30 +19,16 @@
 
 namespace netconst::linalg {
 
-/// out = alpha * x + beta * y, elementwise (general-purpose axpby).
-void axpby(double alpha, const Matrix& x, double beta, const Matrix& y,
-           Matrix& out);
-
-/// Momentum extrapolation out = x + c * (x - x_prev) in one pass —
-/// replaces {copy, subtract, scale, add} of the APG extrapolation step.
-void extrapolate(const Matrix& x, const Matrix& x_prev, double c,
-                 Matrix& out);
-
-/// out = (yd + ye) - a: the shared residual of the smooth RPCA term.
-void fused_residual(const Matrix& yd, const Matrix& ye, const Matrix& a,
-                    Matrix& out);
-
-/// out = y - alpha * r: the proximal gradient step.
-void sub_scaled(const Matrix& y, double alpha, const Matrix& r, Matrix& out);
-
 /// The whole APG / stable-PCP gradient step plus the sparse-block prox in
 /// one pass. With the extrapolated points yd = d + (d - d_prev) * c and
 /// ye = e + (e - e_prev) * c and the shared residual r = (yd + ye) - a,
 /// writes gd = yd - r * inv_lf and e_next = soft-threshold(ye - r *
 /// inv_lf, soft_tau) without materializing yd, ye, r, or the raw ge: six
 /// kernel launches (eighteen passes over m x n memory) become one launch
-/// with seven passes. The per-element operation order is exactly
-/// extrapolate + fused_residual + sub_scaled + soft_threshold_into.
+/// with seven passes. The per-element operation order is exactly that
+/// of the reference's Matrix operator chain (rpca/reference.cpp) — the
+/// extrapolation, the residual, both gradient steps, then the soft
+/// threshold — which is what keeps the proximal solvers bit-exact.
 void gradient_step(const Matrix& d, const Matrix& d_prev, const Matrix& e,
                    const Matrix& e_prev, const Matrix& a, double c,
                    double inv_lf, double soft_tau, Matrix& gd,

@@ -65,25 +65,6 @@ void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
   }
 }
 
-namespace {
-
-// Apply Q^T (product of reflectors in `work`/`tau`) to a vector in place.
-void apply_qt(const Matrix& work, const std::vector<double>& tau,
-              std::vector<double>& b) {
-  const std::size_t m = work.rows();
-  const std::size_t n = work.cols();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (tau[k] == 0.0) continue;
-    double s = b[k];
-    for (std::size_t i = k + 1; i < m; ++i) s += work(i, k) * b[i];
-    s *= tau[k];
-    b[k] -= s;
-    for (std::size_t i = k + 1; i < m; ++i) b[i] -= s * work(i, k);
-  }
-}
-
-}  // namespace
-
 QrResult qr_decompose(const Matrix& a) {
   NETCONST_CHECK(a.rows() >= a.cols(), "thin QR requires rows >= cols");
   const std::size_t n = a.cols();
@@ -98,36 +79,6 @@ QrResult qr_decompose(const Matrix& a) {
   }
   qr_thin_q_into(work, tau, result.q);
   return result;
-}
-
-std::vector<double> solve_upper_triangular(const Matrix& r,
-                                           std::vector<double> y) {
-  NETCONST_CHECK(r.rows() == r.cols(), "triangular solve needs square R");
-  NETCONST_CHECK(r.rows() == y.size(), "triangular solve size mismatch");
-  const std::size_t n = r.rows();
-  for (std::size_t i = n; i-- > 0;) {
-    double s = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) s -= r(i, j) * y[j];
-    NETCONST_CHECK(std::abs(r(i, i)) > 1e-300,
-                   "singular triangular system");
-    y[i] = s / r(i, i);
-  }
-  return y;
-}
-
-std::vector<double> least_squares(const Matrix& a, std::vector<double> b) {
-  NETCONST_CHECK(a.rows() == b.size(), "least_squares size mismatch");
-  NETCONST_CHECK(a.rows() >= a.cols(), "least_squares needs rows >= cols");
-  Matrix work = a;
-  std::vector<double> tau;
-  qr_factor_inplace(work, tau);
-  apply_qt(work, tau, b);
-  Matrix r(a.cols(), a.cols());
-  for (std::size_t i = 0; i < a.cols(); ++i) {
-    for (std::size_t j = i; j < a.cols(); ++j) r(i, j) = work(i, j);
-  }
-  b.resize(a.cols());
-  return solve_upper_triangular(r, std::move(b));
 }
 
 }  // namespace netconst::linalg

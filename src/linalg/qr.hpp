@@ -1,8 +1,8 @@
-// Householder QR factorization and least-squares solve.
+// Householder QR factorization.
 //
 // Used to precondition tall-skinny inputs before the one-sided Jacobi SVD
-// (SVD of the small R factor instead of the full matrix) and exposed on
-// its own for tests and downstream users.
+// (SVD of the small R factor instead of the full matrix) and to
+// re-orthonormalize the randomized SVD's sketch panel.
 #pragma once
 
 #include <vector>
@@ -36,14 +36,5 @@ void qr_factor_inplace(Matrix& work, std::vector<double>& tau);
 /// capacity-reusing, no allocation once warm).
 void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
                     Matrix& q);
-
-/// Solve min ||A x - b||_2 for full-column-rank A via QR. Throws Error if
-/// R is numerically singular.
-std::vector<double> least_squares(const Matrix& a,
-                                  std::vector<double> b);
-
-/// Back-substitution for upper-triangular R x = y.
-std::vector<double> solve_upper_triangular(const Matrix& r,
-                                           std::vector<double> y);
 
 }  // namespace netconst::linalg

@@ -361,59 +361,4 @@ RandomizedSvdInfo randomized_low_rank_into(
   return info;
 }
 
-SvdResult randomized_svd(const Matrix& a, std::size_t target_rank,
-                         Rng& rng, const RandomizedSvdOptions& options) {
-  NETCONST_CHECK(!a.empty(), "randomized SVD of an empty matrix");
-  NETCONST_CHECK(target_rank >= 1, "target rank must be >= 1");
-
-  // Keep the sketched side the tall one: recurse on the transpose and
-  // swap the factors.
-  if (a.rows() > a.cols()) {
-    SvdResult t = randomized_svd(a.transposed(), target_rank, rng, options);
-    SvdResult result;
-    result.u = std::move(t.v);
-    result.v = std::move(t.u);
-    result.singular_values = std::move(t.singular_values);
-    return result;
-  }
-
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  const std::size_t k = std::min(target_rank, m);
-  RandomizedSvdScratch scratch;
-  const SpectrumResult spec = sketch_spectrum(
-      a, std::min(m, k + options.oversampling), rng, options, scratch);
-
-  const std::size_t kept = std::min(k, spec.captured);
-  SvdResult result;
-  result.singular_values.assign(
-      scratch.singular_values.begin(),
-      scratch.singular_values.begin() + static_cast<std::ptrdiff_t>(kept));
-  result.u = Matrix(m, kept);
-  result.v = Matrix(n, kept);
-  // U = Q * U_B, V^T = diag(1/sigma) * U_B^T * B.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t c = 0; c < kept; ++c) {
-      double acc = 0.0;
-      for (std::size_t l = 0; l < spec.sketch; ++l) {
-        acc += scratch.q(i, l) * scratch.eig.eigenvectors(l, c);
-      }
-      result.u(i, c) = acc;
-    }
-  }
-  Matrix vt(kept, n);
-  for (std::size_t c = 0; c < kept; ++c) {
-    auto row = vt.row(c);
-    scaled_set(scratch.eig.eigenvectors(0, c), scratch.b.row(0), row);
-    for (std::size_t l = 1; l < spec.sketch; ++l) {
-      axpy(scratch.eig.eigenvectors(l, c), scratch.b.row(l), row);
-    }
-    scale(1.0 / result.singular_values[c], row);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t c = 0; c < kept; ++c) result.v(j, c) = vt(c, j);
-  }
-  return result;
-}
-
 }  // namespace netconst::linalg

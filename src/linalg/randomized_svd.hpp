@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "linalg/eigen_sym.hpp"
-#include "linalg/svd.hpp"
 #include "support/rng.hpp"
 
 namespace netconst::linalg {
@@ -128,14 +127,5 @@ RandomizedSvdInfo randomized_low_rank_into(const Matrix& a, std::size_t k,
                                            double acceptance_rel,
                                            RandomizedSvdScratch& scratch,
                                            Matrix& out);
-
-/// Rank-`target_rank` approximate SVD. Returns U (m x k), singular
-/// values (k) and V (n x k) with k = min(target_rank, min(m, n)),
-/// further capped by the numerically captured rank of the sketch. The
-/// sketch is drawn from `rng`, so results are deterministic given its
-/// state (and identical across thread counts and SIMD levels).
-SvdResult randomized_svd(const Matrix& a, std::size_t target_rank,
-                         Rng& rng,
-                         const RandomizedSvdOptions& options = {});
 
 }  // namespace netconst::linalg

@@ -306,14 +306,9 @@ void gram_spectrum(const Matrix& a, GramSvtScratch& scratch) {
 }  // namespace
 
 Matrix soft_threshold(const Matrix& a, double tau) {
-  Matrix out = a;
-  soft_threshold_inplace(out, tau);
-  return out;
-}
-
-void soft_threshold_inplace(Matrix& a, double tau) {
   NETCONST_CHECK(tau >= 0.0, "soft threshold must be non-negative");
-  for (auto& v : a.data()) {
+  Matrix out = a;
+  for (auto& v : out.data()) {
     if (v > tau) {
       v -= tau;
     } else if (v < -tau) {
@@ -322,6 +317,7 @@ void soft_threshold_inplace(Matrix& a, double tau) {
       v = 0.0;
     }
   }
+  return out;
 }
 
 SvtResult singular_value_threshold(const Matrix& a, double tau,

@@ -11,11 +11,10 @@
 
 namespace netconst::linalg {
 
-/// Elementwise soft thresholding: sign(a) * max(|a| - tau, 0).
+/// Elementwise soft thresholding: sign(a) * max(|a| - tau, 0). Requires
+/// tau >= 0. The allocating form rpca::reference uses; the solvers call
+/// the fused soft_threshold_into / gradient_step (linalg/fused.hpp).
 Matrix soft_threshold(const Matrix& a, double tau);
-
-/// In-place variant.
-void soft_threshold_inplace(Matrix& a, double tau);
 
 /// Result of the singular value thresholding operator.
 struct SvtResult {

@@ -3,6 +3,7 @@
 #include <ostream>
 #include <utility>
 
+#include "obs/export.hpp"
 #include "support/error.hpp"
 
 namespace netconst::online {
@@ -87,9 +88,10 @@ void EventLog::write_json(std::ostream& out) const {
     if (!first) out << ',';
     first = false;
     out << "{\"time\":" << format_double(event.time) << ",\"tenant\":\""
-        << event.tenant << "\",\"kind\":\"" << event_kind_name(event.kind)
+        << obs::json_escape(event.tenant) << "\",\"kind\":\""
+        << event_kind_name(event.kind)
         << "\",\"value\":" << format_double(event.value) << ",\"detail\":\""
-        << event.detail << "\"}";
+        << obs::json_escape(event.detail) << "\"}";
   }
   out << "]}";
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <ostream>
 #include <vector>
 
 #include "support/error.hpp"
@@ -185,26 +184,6 @@ CsvTable MetricsRegistry::to_csv() const {
     }
   }
   return table;
-}
-
-void MetricsRegistry::write_json(std::ostream& out) const {
-  const CsvTable table = to_csv();
-  out << "{\"metrics\":[";
-  for (std::size_t r = 0; r < table.rows.size(); ++r) {
-    const auto& row = table.rows[r];
-    if (r > 0) out << ',';
-    out << "{\"name\":\"" << row[0] << "\",\"type\":\"" << row[1] << '"';
-    if (row[1] == "histogram") {
-      out << ",\"count\":" << row[2] << ",\"sum\":" << row[4]
-          << ",\"min\":" << row[5] << ",\"max\":" << row[6]
-          << ",\"mean\":" << row[7] << ",\"p50\":" << row[8]
-          << ",\"p99\":" << row[9];
-    } else {
-      out << ",\"value\":" << row[3];
-    }
-    out << '}';
-  }
-  out << "]}";
 }
 
 ConsoleTable MetricsRegistry::to_table() const {

@@ -1,6 +1,7 @@
 // Lightweight metrics for the online service: named counters, gauges
 // and summary histograms behind one thread-safe registry, exportable to
-// CSV (support/csv), JSON, and the console (support/table).
+// CSV (support/csv) and the console (support/table), and through
+// samples() to the Prometheus and JSON exporters (obs/export.hpp).
 //
 // Design points:
 //  * metrics are cheap to update from tenant worker threads (atomics for
@@ -13,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,16 +102,15 @@ class MetricsRegistry {
   std::size_t metric_count() const;
 
   /// Neutral snapshot rows, sorted by metric name — the single source
-  /// every exporter (CSV/JSON/console here, Prometheus/JSON snapshot in
-  /// obs/export.hpp) renders from, so type names, units and label
+  /// every exporter (CSV/console here, Prometheus and the JSON snapshot
+  /// in obs/export.hpp) renders from, so type names, units and label
   /// spellings cannot drift between formats (see obs/naming.hpp).
   std::vector<obs::MetricSample> samples() const;
 
-  /// Snapshot exports; rows sorted by metric name.
+  /// Snapshot exports; rows sorted by metric name. For JSON, pass
+  /// samples() to obs::write_json_snapshot.
   /// CSV columns: metric,type,count,value,sum,min,max,mean.
   CsvTable to_csv() const;
-  /// {"metrics": [{"name": ..., "type": ..., ...}, ...]}
-  void write_json(std::ostream& out) const;
   ConsoleTable to_table() const;
 
  private:

@@ -16,13 +16,6 @@
 
 namespace netconst::rpca {
 
-Result solve_apg(const linalg::Matrix& a, const Options& options) {
-  SolverWorkspace ws;
-  Result result;
-  solve_apg(a, options, options.lambda, ws, result);
-  return result;
-}
-
 void solve_apg(const linalg::Matrix& a, const Options& options,
                double lambda, SolverWorkspace& ws, Result& result) {
   NETCONST_CHECK(lambda > 0.0, "APG requires lambda > 0");

@@ -16,17 +16,14 @@
 
 namespace netconst::rpca {
 
-/// See rpca::solve with Solver::Apg. `options.lambda` must be positive.
-Result solve_apg(const linalg::Matrix& a, const Options& options);
-
-/// Workspace variant: all iterates and factorization scratch live in
-/// `ws`, so repeated solves of same-shaped problems allocate nothing.
-/// `lambda` is pre-resolved by the caller (must be > 0); options.lambda
-/// is ignored so the dispatcher never has to copy Options. Numerically
-/// identical to reference::solve_apg, except that a warm seed carrying
-/// `mu > 0` always resumes its continuation (deriving the floor as
-/// 1e-9 * mu when the seed has none) instead of re-estimating the
-/// spectral norm only to discard it.
+/// The Solver::Apg body of rpca::solve. All iterates and factorization
+/// scratch live in `ws`, so repeated solves of same-shaped problems
+/// allocate nothing. `lambda` is pre-resolved by the caller (must be
+/// > 0); options.lambda is ignored so the dispatcher never has to copy
+/// Options. Numerically identical to reference::solve_apg, except that
+/// a warm seed carrying `mu > 0` always resumes its continuation
+/// (deriving the floor as 1e-9 * mu when the seed has none) instead of
+/// re-estimating the spectral norm only to discard it.
 void solve_apg(const linalg::Matrix& a, const Options& options,
                double lambda, SolverWorkspace& ws, Result& result);
 

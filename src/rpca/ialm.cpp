@@ -13,13 +13,6 @@
 
 namespace netconst::rpca {
 
-Result solve_ialm(const linalg::Matrix& a, const Options& options) {
-  SolverWorkspace ws;
-  Result result;
-  solve_ialm(a, options, options.lambda, ws, result);
-  return result;
-}
-
 void solve_ialm(const linalg::Matrix& a, const Options& options,
                 double lambda, SolverWorkspace& ws, Result& result) {
   NETCONST_CHECK(lambda > 0.0, "IALM requires lambda > 0");

@@ -10,10 +10,7 @@
 
 namespace netconst::rpca {
 
-/// See rpca::solve with Solver::Ialm. `options.lambda` must be positive.
-Result solve_ialm(const linalg::Matrix& a, const Options& options);
-
-/// Workspace variant (see solve_apg's workspace overload for the
+/// The Solver::Ialm body of rpca::solve (see solve_apg for the
 /// conventions). Numerically identical to reference::solve_ialm.
 void solve_ialm(const linalg::Matrix& a, const Options& options,
                 double lambda, SolverWorkspace& ws, Result& result);

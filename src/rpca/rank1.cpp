@@ -59,21 +59,6 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
   }
 }
 
-linalg::Matrix rank1_approximation(const linalg::Matrix& a,
-                                   int max_iterations, double tolerance) {
-  Rank1Scratch scratch;
-  linalg::Matrix out;
-  rank1_approximation_into(a, scratch, out, max_iterations, tolerance);
-  return out;
-}
-
-Result solve_rank1(const linalg::Matrix& a, const Options& options) {
-  SolverWorkspace ws;
-  Result result;
-  solve_rank1(a, options, options.lambda, ws, result);
-  return result;
-}
-
 void solve_rank1(const linalg::Matrix& a, const Options& options,
                  double lambda, SolverWorkspace& ws, Result& result) {
   NETCONST_CHECK(lambda > 0.0, "rank-1 solver requires lambda > 0");
@@ -115,12 +100,6 @@ void solve_rank1(const linalg::Matrix& a, const Options& options,
   result.low_rank.swap(ws.d);
   result.sparse.swap(ws.e);
   result.solve_seconds = clock.seconds();
-}
-
-void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
-                  int max_iterations, double tolerance) {
-  SolverWorkspace ws;
-  polish_rank1(a, result, lambda, max_iterations, tolerance, ws);
 }
 
 void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,

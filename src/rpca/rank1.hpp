@@ -14,25 +14,17 @@
 
 namespace netconst::rpca {
 
-/// See rpca::solve with Solver::RankOne. `options.lambda` is the sparse
-/// weight; the effective elementwise threshold is scaled by the mean
-/// absolute value of `a` so that lambda is comparable across solvers.
-Result solve_rank1(const linalg::Matrix& a, const Options& options);
-
-/// Workspace variant (see solve_apg's workspace overload for the
-/// conventions). Numerically identical to reference::solve_rank1.
+/// The Solver::RankOne body of rpca::solve (see solve_apg for the
+/// conventions). `lambda` is the sparse weight; the effective
+/// elementwise threshold is scaled by the mean absolute value of `a` so
+/// that lambda is comparable across solvers. Numerically identical to
+/// reference::solve_rank1.
 void solve_rank1(const linalg::Matrix& a, const Options& options,
                  double lambda, SolverWorkspace& ws, Result& result);
 
-/// Best rank-1 approximation sigma * u * v^T of `a` via power iteration.
-/// Returns the approximation as a matrix.
-linalg::Matrix rank1_approximation(const linalg::Matrix& a,
-                                   int max_iterations = 200,
-                                   double tolerance = 1e-12);
-
-/// rank1_approximation into caller-owned output and power-iteration
-/// scratch; numerically identical and allocation-free once `scratch` and
-/// `out` carry capacity.
+/// Best rank-1 approximation sigma * u * v^T of `a` via power iteration,
+/// written into caller-owned output with power-iteration scratch;
+/// allocation-free once `scratch` and `out` carry capacity.
 void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
                               linalg::Matrix& out, int max_iterations = 200,
                               double tolerance = 1e-12);
@@ -47,12 +39,9 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
 /// Updates low_rank/sparse/rank/residual and the polish_* diagnostics;
 /// leaves iterations/converged/solver_residual describing the original
 /// solve. `lambda` must be > 0 (each iteration is power-iteration
-/// matvecs, far cheaper than the solvers' full SVDs).
-void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
-                  int max_iterations, double tolerance);
-
-/// Workspace variant of the polish: the alternation's temporaries come
-/// from `ws`, so the online refresh loop polishes without allocating.
+/// matvecs, far cheaper than the solvers' full SVDs). The alternation's
+/// temporaries come from `ws`, so the online refresh loop polishes
+/// without allocating.
 void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                   int max_iterations, double tolerance, SolverWorkspace& ws);
 

@@ -70,16 +70,15 @@ struct WarmStart {
 /// against rpca::reference is pinned to, and the Gram fast path already
 /// serves paper-shaped windows (<= 64 snapshot rows) allocation-free.
 /// Enable for long windows, where the exact path would fall back to the
-/// allocating Jacobi SVD every iteration. Every randomized application
+/// allocating Jacobi SVD every iteration. Even when enabled, only wide
+/// inputs the Gram fast path cannot serve are sketched
+/// (randomized_eligible in rpca/svd_path.cpp). Every randomized application
 /// is verified: the truncation-error bound ||A - Q Q^T A||_F must stay
 /// within max(tau_safety * tau, error_budget_rel * ||A||_F) or the step
 /// is redone exactly (WorkspaceStats::randomized_fallbacks counts the
 /// trips). See docs/ALGORITHMS.md "Incremental RPCA & randomized SVD".
 struct RandomizedSvdPolicy {
   bool enabled = false;
-  /// Also sketch on shapes the Gram fast path serves (A/B tests and
-  /// ablations; never a win in production).
-  bool always = false;
   /// Seed of the workspace's sketch stream. Fixed default so identical
   /// call sequences through fresh workspaces reproduce bit-identically
   /// at any thread count and SIMD level.

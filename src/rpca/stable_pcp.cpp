@@ -14,11 +14,6 @@
 
 namespace netconst::rpca {
 
-double estimate_noise_sigma(const linalg::Matrix& a) {
-  SolverWorkspace ws;
-  return estimate_noise_sigma(a, ws);
-}
-
 double estimate_noise_sigma(const linalg::Matrix& a, SolverWorkspace& ws) {
   NETCONST_CHECK(!a.empty(), "noise estimate of an empty matrix");
   rank1_approximation_into(a, ws.rank1, ws.target);
@@ -33,18 +28,6 @@ double estimate_noise_sigma(const linalg::Matrix& a, SolverWorkspace& ws) {
                    ws.magnitudes.end());
   // MAD -> sigma for Gaussian noise.
   return 1.4826 * ws.magnitudes[mid];
-}
-
-Result solve_stable_pcp(const linalg::Matrix& a,
-                        const StablePcpOptions& options) {
-  NETCONST_CHECK(!a.empty(), "stable PCP of an empty matrix");
-  const double lambda = options.base.lambda > 0.0
-                            ? options.base.lambda
-                            : default_lambda(a.rows(), a.cols());
-  SolverWorkspace ws;
-  Result result;
-  solve_stable_pcp(a, options.base, lambda, options.noise_sigma, ws, result);
-  return result;
 }
 
 void solve_stable_pcp(const linalg::Matrix& a, const Options& base,

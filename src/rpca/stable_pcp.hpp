@@ -17,6 +17,8 @@
 
 namespace netconst::rpca {
 
+/// Inputs of reference::solve_stable_pcp. The production solver takes
+/// the same values as plain arguments (see solve_stable_pcp below).
 struct StablePcpOptions {
   Options base;
   /// Standard deviation of the dense noise. <= 0 = estimate from the
@@ -24,13 +26,10 @@ struct StablePcpOptions {
   double noise_sigma = 0.0;
 };
 
-/// Stable PCP decomposition; `result.residual` reports the dense-noise
-/// part ||A - D - E||_F / ||A||_F, which is *expected* to be nonzero.
-Result solve_stable_pcp(const linalg::Matrix& a,
-                        const StablePcpOptions& options = {});
-
-/// Workspace variant (see solve_apg's workspace overload for the
-/// conventions). `lambda` must be pre-resolved (> 0); `noise_sigma <= 0`
+/// Stable PCP decomposition, the Solver::StablePcp body of rpca::solve
+/// (see solve_apg for the conventions); `result.residual` reports the
+/// dense-noise part ||A - D - E||_F / ||A||_F, which is *expected* to
+/// be nonzero. `lambda` must be pre-resolved (> 0); `noise_sigma <= 0`
 /// estimates it from the data. Honors `base.probe`. A `band` that is on
 /// makes this TF stable PCP: D is band-limited after every SVT and once
 /// more after the debias refit. Numerically identical to
@@ -42,10 +41,8 @@ void solve_stable_pcp(const linalg::Matrix& a, const Options& base,
 
 /// Robust noise-level estimate: 1.4826 * MAD of the entries of
 /// A - rank1(A). Suitable when the low-rank component is (near) rank-1.
-double estimate_noise_sigma(const linalg::Matrix& a);
-
-/// estimate_noise_sigma through workspace scratch (allocation-free once
-/// the workspace is warm).
+/// Runs through workspace scratch (allocation-free once the workspace
+/// is warm).
 double estimate_noise_sigma(const linalg::Matrix& a, SolverWorkspace& ws);
 
 }  // namespace netconst::rpca

@@ -95,20 +95,6 @@ void shrink_high_frequencies(linalg::Matrix& coeffs, std::size_t keep_rows,
   }
 }
 
-Result solve_stable_pcp_tf(const linalg::Matrix& a,
-                           const StablePcpTfOptions& options) {
-  NETCONST_CHECK(!a.empty(), "TF stable PCP of an empty matrix");
-  const double lambda = options.base.lambda > 0.0
-                            ? options.base.lambda
-                            : default_lambda(a.rows(), a.cols());
-  SolverWorkspace ws;
-  Result result;
-  solve_stable_pcp_tf(a, options.base, lambda, options.noise_sigma,
-                      options.passband_fraction, options.tf_weight, ws,
-                      result);
-  return result;
-}
-
 void solve_stable_pcp_tf(const linalg::Matrix& a, const Options& base,
                          double lambda, double noise_sigma,
                          double passband_fraction, double tf_weight,

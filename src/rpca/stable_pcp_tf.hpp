@@ -33,6 +33,9 @@ inline constexpr double kDefaultTfPassband = 0.25;
 /// sparse component's lambda * mu threshold scale.
 inline constexpr double kDefaultTfWeight = 1.0;
 
+/// Inputs of reference::solve_stable_pcp_tf. The production solver
+/// takes the same values as plain arguments (see solve_stable_pcp_tf
+/// below).
 struct StablePcpTfOptions {
   Options base;
   /// Standard deviation of the dense noise. <= 0 = estimate from the
@@ -47,12 +50,9 @@ struct StablePcpTfOptions {
   double tf_weight = kDefaultTfWeight;
 };
 
-/// Time-frequency stable PCP decomposition; `result.residual` reports
-/// the dense-noise part ||A - D - E||_F / ||A||_F as with stable PCP.
-Result solve_stable_pcp_tf(const linalg::Matrix& a,
-                           const StablePcpTfOptions& options = {});
-
-/// Workspace variant: solve_stable_pcp with the band limit
+/// Time-frequency stable PCP, the Solver::StablePcpTf body of
+/// rpca::solve (with the default passband and weight): solve_stable_pcp
+/// with the band limit
 /// {tf_passband_rows(rows, passband_fraction), tf_weight}. `lambda` must
 /// be pre-resolved (> 0); `noise_sigma <= 0` estimates it from the data.
 /// Numerically identical to reference::solve_stable_pcp_tf.

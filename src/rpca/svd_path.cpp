@@ -9,12 +9,11 @@ namespace {
 
 // The sketch only pays off where the exact path would hit the
 // allocating general SVD: wide-enough inputs the Gram fast path cannot
-// serve. `always` overrides for A/B tests.
+// serve.
 bool randomized_eligible(const linalg::Matrix& a, const Options& options) {
   const RandomizedSvdPolicy& policy = options.randomized;
   if (!policy.enabled) return false;
   if (a.rows() > a.cols()) return false;
-  if (policy.always) return true;
   return !linalg::gram_fast_path_applies(a, options.svd);
 }
 

@@ -32,60 +32,50 @@ struct Shape {
 };
 constexpr Shape kShapes[] = {{1, 1}, {3, 7}, {10, 1024}};
 
-TEST(Fused, AxpbyMatchesOperatorChain) {
-  Rng rng(11);
-  for (const auto& s : kShapes) {
-    const Matrix x = random_matrix(s.rows, s.cols, rng);
-    const Matrix y = random_matrix(s.rows, s.cols, rng);
-    const double alpha = 1.7, beta = -0.3;
-    Matrix expected(s.rows, s.cols);
-    for (std::size_t i = 0; i < expected.data().size(); ++i) {
-      expected.data()[i] = alpha * x.data()[i] + beta * y.data()[i];
-    }
-    Matrix out;
-    axpby(alpha, x, beta, y, out);
-    EXPECT_EQ(out.max_abs_diff(expected), 0.0);
-  }
-}
-
+// Each stage of gradient_step against its elementwise form. With
+// inv_lf = 0 the gradient step is the identity, so gd is the momentum
+// extrapolation d + (d - d_prev) * c itself.
 TEST(Fused, ExtrapolateMatchesElementwiseForm) {
   Rng rng(12);
   for (const auto& s : kShapes) {
     const Matrix x = random_matrix(s.rows, s.cols, rng);
     const Matrix xp = random_matrix(s.rows, s.cols, rng);
+    const Matrix e = random_matrix(s.rows, s.cols, rng);
+    const Matrix a = random_matrix(s.rows, s.cols, rng);
     const double c = 0.61803;
     Matrix expected(s.rows, s.cols);
     for (std::size_t i = 0; i < expected.data().size(); ++i) {
       expected.data()[i] = x.data()[i] + (x.data()[i] - xp.data()[i]) * c;
     }
-    Matrix out;
-    extrapolate(x, xp, c, out);
-    EXPECT_EQ(out.max_abs_diff(expected), 0.0);
+    Matrix gd, en;
+    gradient_step(x, xp, e, e, a, c, /*inv_lf=*/0.0, 0.0, gd, en);
+    EXPECT_EQ(gd.max_abs_diff(expected), 0.0);
+    EXPECT_EQ(en.max_abs_diff(e), 0.0);
   }
 }
 
+// With c = 0 (APG's first iteration, where the momentum (t_prev - 1) / t
+// is zero) the extrapolation is the identity, leaving the shared
+// residual r = (d + e) - a and the two steps d - r * inv_lf and
+// soft-threshold(e - r * inv_lf).
 TEST(Fused, ResidualAndSubScaledMatch) {
   Rng rng(13);
   for (const auto& s : kShapes) {
-    const Matrix yd = random_matrix(s.rows, s.cols, rng);
-    const Matrix ye = random_matrix(s.rows, s.cols, rng);
+    const Matrix d = random_matrix(s.rows, s.cols, rng);
+    const Matrix e = random_matrix(s.rows, s.cols, rng);
     const Matrix a = random_matrix(s.rows, s.cols, rng);
-    Matrix r;
-    fused_residual(yd, ye, a, r);
-    Matrix expected_r(s.rows, s.cols);
-    for (std::size_t i = 0; i < r.data().size(); ++i) {
-      expected_r.data()[i] =
-          (yd.data()[i] + ye.data()[i]) - a.data()[i];
+    const Matrix prev = random_matrix(s.rows, s.cols, rng);
+    const double inv_lf = 0.5, tau = 0.3;
+    Matrix expected_gd(s.rows, s.cols), expected_ge(s.rows, s.cols);
+    for (std::size_t i = 0; i < expected_gd.data().size(); ++i) {
+      const double r = (d.data()[i] + e.data()[i]) - a.data()[i];
+      expected_gd.data()[i] = d.data()[i] - r * inv_lf;
+      expected_ge.data()[i] = e.data()[i] - r * inv_lf;
     }
-    EXPECT_EQ(r.max_abs_diff(expected_r), 0.0);
-
-    Matrix g;
-    sub_scaled(yd, 0.5, r, g);
-    Matrix expected_g(s.rows, s.cols);
-    for (std::size_t i = 0; i < g.data().size(); ++i) {
-      expected_g.data()[i] = yd.data()[i] - 0.5 * r.data()[i];
-    }
-    EXPECT_EQ(g.max_abs_diff(expected_g), 0.0);
+    Matrix gd, en;
+    gradient_step(d, prev, e, prev, a, /*c=*/0.0, inv_lf, tau, gd, en);
+    EXPECT_EQ(gd.max_abs_diff(expected_gd), 0.0);
+    EXPECT_EQ(en.max_abs_diff(soft_threshold(expected_ge, tau)), 0.0);
   }
 }
 
@@ -99,13 +89,14 @@ TEST(Fused, GradientStepMatchesKernelChain) {
     const Matrix a = random_matrix(s.rows, s.cols, rng);
     const double c = 0.8, inv_lf = 0.5, tau = 0.05;
 
-    Matrix yd, ye, r, gd_ref, ge_ref, en_ref;
-    extrapolate(d, dp, c, yd);
-    extrapolate(e, ep, c, ye);
-    fused_residual(yd, ye, a, r);
-    sub_scaled(yd, inv_lf, r, gd_ref);
-    sub_scaled(ye, inv_lf, r, ge_ref);
-    soft_threshold_into(ge_ref, tau, en_ref);
+    // The reference APG iteration's operator chain (rpca/reference.cpp):
+    // extrapolate both blocks, form the shared residual, take both
+    // gradient steps, then soft-threshold the sparse block.
+    const Matrix yd = d + (d - dp) * c;
+    const Matrix ye = e + (e - ep) * c;
+    const Matrix r = (yd + ye) - a;
+    const Matrix gd_ref = yd - r * inv_lf;
+    const Matrix en_ref = soft_threshold(ye - r * inv_lf, tau);
 
     Matrix gd, en;
     gradient_step(d, dp, e, ep, a, c, inv_lf, tau, gd, en);

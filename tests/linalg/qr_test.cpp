@@ -48,50 +48,5 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QrSweep,
                                            std::pair{20, 7},
                                            std::pair{50, 12}));
 
-TEST(Qr, SolveUpperTriangular) {
-  Matrix r{{2, 1}, {0, 4}};
-  const auto x = solve_upper_triangular(r, {4, 8});
-  EXPECT_NEAR(x[1], 2.0, 1e-14);
-  EXPECT_NEAR(x[0], 1.0, 1e-14);
-}
-
-TEST(Qr, SolveSingularThrows) {
-  Matrix r{{1, 1}, {0, 0}};
-  EXPECT_THROW(solve_upper_triangular(r, {1, 1}), ContractViolation);
-}
-
-TEST(Qr, LeastSquaresExactSystem) {
-  Matrix a{{1, 0}, {0, 2}, {0, 0}};
-  // b = A * [3, 4]^T = [3, 8, 0]^T.
-  const auto x = least_squares(a, {3, 8, 0});
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 4.0, 1e-12);
-}
-
-TEST(Qr, LeastSquaresRecoversPlantedSolution) {
-  Rng rng(22);
-  Matrix a = random_matrix(30, 6, rng);
-  std::vector<double> truth(6);
-  for (auto& v : truth) v = rng.uniform(-2.0, 2.0);
-  const auto b = multiply(a, truth);
-  const auto x = least_squares(a, b);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(x[i], truth[i], 1e-10);
-  }
-}
-
-TEST(Qr, LeastSquaresResidualOrthogonalToColumns) {
-  Rng rng(23);
-  Matrix a = random_matrix(20, 4, rng);
-  std::vector<double> b(20);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  const auto x = least_squares(a, b);
-  const auto ax = multiply(a, x);
-  std::vector<double> residual(20);
-  for (std::size_t i = 0; i < 20; ++i) residual[i] = b[i] - ax[i];
-  const auto at_r = multiply_transposed(a, residual);
-  for (double v : at_r) EXPECT_NEAR(v, 0.0, 1e-10);
-}
-
 }  // namespace
 }  // namespace netconst::linalg

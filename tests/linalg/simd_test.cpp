@@ -77,10 +77,6 @@ TEST(SimdKernels, ElementwiseKernelsAreBitIdenticalAcrossLevels) {
       EXPECT_EQ(scalar_out.max_abs_diff(vector_out), 0.0);
     };
 
-    run_both([&](Matrix& out) { axpby(1.7, x, -0.3, y, out); });
-    run_both([&](Matrix& out) { extrapolate(x, y, 0.8, out); });
-    run_both([&](Matrix& out) { fused_residual(x, y, z, out); });
-    run_both([&](Matrix& out) { sub_scaled(x, 0.5, y, out); });
     run_both([&](Matrix& out) { sub_add_scaled(x, y, 0.25, z, out); });
     run_both([&](Matrix& out) { sub(x, y, out); });
     run_both([&](Matrix& out) { sub_sub(x, y, z, out); });

@@ -1,10 +1,14 @@
 #include "online/events.hpp"
 
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "../support/json.hpp"
 
 namespace netconst::online {
 namespace {
@@ -86,6 +90,26 @@ TEST(EventLog, JsonExport) {
   EXPECT_NE(json.find("\"events\":["), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"snapshot_ingested\""), std::string::npos);
   EXPECT_NE(json.find("\"tenant\":\"t0\""), std::string::npos);
+}
+
+// Tenant names and details are free text (TenantConfig::name, fault
+// descriptions); quotes, backslashes and control characters must not
+// break the document.
+TEST(EventLog, JsonExportEscapesTenantAndDetail) {
+  EventLog log;
+  Event event = make_event(1.0, EventKind::Refresh);
+  event.tenant = "a\"b";
+  event.detail = std::string("c:\\tmp\nnext");
+  log.record(std::move(event));
+  std::ostringstream out;
+  log.write_json(out);
+  const std::string json = out.str();
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+  const testjson::Value doc = testjson::parse(json);
+  const testjson::Value& parsed = doc.at("events").at(0);
+  EXPECT_EQ(parsed.at("tenant").string, "a\"b");
+  EXPECT_EQ(parsed.at("detail").string, "c:\\tmp next");
+  EXPECT_EQ(parsed.at("kind").string, "refresh");
 }
 
 TEST(EventLog, ConcurrentRecordsAreLossless) {

@@ -7,6 +7,7 @@
 #include "linalg/norms.hpp"
 #include "rpca/rank1.hpp"
 #include "rpca/validation.hpp"
+#include "rpca/workspace.hpp"
 #include "support/error.hpp"
 
 namespace netconst::rpca {
@@ -49,12 +50,16 @@ TEST(Rpca, RelativeL0Clamped) {
 
 TEST(Rank1Approximation, ExactOnRankOneInput) {
   linalg::Matrix a{{2, 4}, {3, 6}, {1, 2}};
-  const linalg::Matrix d = rank1_approximation(a);
+  Rank1Scratch scratch;
+  linalg::Matrix d;
+  rank1_approximation_into(a, scratch, d);
   EXPECT_LT(a.max_abs_diff(d), 1e-9);
 }
 
 TEST(Rank1Approximation, ZeroMatrix) {
-  const linalg::Matrix d = rank1_approximation(linalg::Matrix(3, 4));
+  Rank1Scratch scratch;
+  linalg::Matrix d;
+  rank1_approximation_into(linalg::Matrix(3, 4), scratch, d);
   EXPECT_EQ(linalg::max_abs(d), 0.0);
 }
 

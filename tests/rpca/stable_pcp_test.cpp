@@ -6,6 +6,7 @@
 
 #include "linalg/norms.hpp"
 #include "rpca/validation.hpp"
+#include "rpca/workspace.hpp"
 #include "support/error.hpp"
 
 namespace netconst::rpca {
@@ -36,21 +37,23 @@ NoisyProblem make_noisy(std::size_t rows, std::size_t cols, double sigma,
 }
 
 TEST(StablePcp, Contracts) {
-  EXPECT_THROW(solve_stable_pcp(linalg::Matrix()), ContractViolation);
-  EXPECT_THROW(estimate_noise_sigma(linalg::Matrix()), ContractViolation);
+  EXPECT_THROW(solve(linalg::Matrix(), Solver::StablePcp), ContractViolation);
+  SolverWorkspace ws;
+  EXPECT_THROW(estimate_noise_sigma(linalg::Matrix(), ws), ContractViolation);
 }
 
 TEST(StablePcp, NoiseEstimateIsAccurate) {
   Rng rng(11);
   const NoisyProblem p = make_noisy(20, 200, 0.3, rng);
-  const double estimate = estimate_noise_sigma(p.data);
+  SolverWorkspace ws;
+  const double estimate = estimate_noise_sigma(p.data, ws);
   EXPECT_NEAR(estimate, 0.3, 0.15);
 }
 
 TEST(StablePcp, RecoversLowRankUnderDenseNoise) {
   Rng rng(12);
   const NoisyProblem p = make_noisy(15, 120, 0.2, rng);
-  const Result result = solve_stable_pcp(p.data);
+  const Result result = solve(p.data, Solver::StablePcp);
   const RecoveryError err =
       measure_recovery(p.clean, result.low_rank, result.sparse);
   EXPECT_LT(err.low_rank_error, 0.2);
@@ -61,7 +64,7 @@ TEST(StablePcp, RecoversLowRankUnderDenseNoise) {
 TEST(StablePcp, SparseComponentStaysSparseUnderNoise) {
   Rng rng(13);
   const NoisyProblem p = make_noisy(12, 144, 0.15, rng);
-  const Result result = solve_stable_pcp(p.data);
+  const Result result = solve(p.data, Solver::StablePcp);
   // E should hold roughly the corrupted fraction, not the dense noise.
   const double e_density = relative_l0(result.sparse, p.data, 1e-2);
   EXPECT_LT(e_density, 0.35);
@@ -78,9 +81,13 @@ TEST(StablePcp, SolverEnumDispatch) {
 TEST(StablePcp, ExplicitSigmaIsRespected) {
   Rng rng(15);
   const NoisyProblem p = make_noisy(10, 80, 0.1, rng);
-  StablePcpOptions huge_sigma;
-  huge_sigma.noise_sigma = 100.0;  // mu enormous -> D shrunk to ~zero
-  const Result result = solve_stable_pcp(p.data, huge_sigma);
+  // An explicit sigma bypasses the estimate: mu enormous -> D shrunk to
+  // ~zero.
+  SolverWorkspace ws;
+  Result result;
+  solve_stable_pcp(p.data, Options{},
+                   default_lambda(p.data.rows(), p.data.cols()),
+                   /*noise_sigma=*/100.0, ws, result);
   EXPECT_LT(linalg::frobenius_norm(result.low_rank),
             linalg::frobenius_norm(p.data) * 0.1);
 }

@@ -82,7 +82,8 @@ double high_frequency_energy(const linalg::Matrix& d,
 }
 
 TEST(StablePcpTf, Contracts) {
-  EXPECT_THROW(solve_stable_pcp_tf(linalg::Matrix()), ContractViolation);
+  EXPECT_THROW(solve(linalg::Matrix(), Solver::StablePcpTf),
+               ContractViolation);
   EXPECT_THROW(tf_passband_rows(0, 0.5), ContractViolation);
   linalg::Matrix basis;
   EXPECT_THROW(temporal_dct_basis_into(0, basis), ContractViolation);
@@ -181,7 +182,7 @@ TEST(StablePcpTf, MatchesReferenceBitExactly) {
 TEST(StablePcpTf, RecoversDiurnalLowRankUnderDenseNoise) {
   Rng rng(19);
   const DiurnalProblem p = make_diurnal(16, 90, 0.35, 0.2, rng);
-  const Result result = solve_stable_pcp_tf(p.data);
+  const Result result = solve(p.data, Solver::StablePcpTf);
   double diff = 0.0, norm = 0.0;
   for (std::size_t idx = 0; idx < p.data.data().size(); ++idx) {
     const double d = result.low_rank.data()[idx] - p.low_rank.data()[idx];
@@ -277,10 +278,13 @@ TEST(StablePcpTf, ZeroTfWeightReducesToStablePcp) {
   const linalg::simd::ScopedLevel scalar(linalg::simd::Level::Scalar);
   Rng rng(43);
   const DiurnalProblem p = make_diurnal(10, 42, 0.0, 0.15, rng);
-  StablePcpTfOptions tf_opts;
-  tf_opts.tf_weight = 0.0;
-  const Result tf = solve_stable_pcp_tf(p.data, tf_opts);
-  const Result plain = solve_stable_pcp(p.data);
+  const double lambda = default_lambda(p.data.rows(), p.data.cols());
+  SolverWorkspace tf_ws, plain_ws;
+  Result tf, plain;
+  solve_stable_pcp_tf(p.data, Options{}, lambda, /*noise_sigma=*/0.0,
+                      kDefaultTfPassband, /*tf_weight=*/0.0, tf_ws, tf);
+  solve_stable_pcp(p.data, Options{}, lambda, /*noise_sigma=*/0.0, plain_ws,
+                   plain);
   EXPECT_EQ(tf.low_rank.max_abs_diff(plain.low_rank), 0.0);
   EXPECT_EQ(tf.sparse.max_abs_diff(plain.sparse), 0.0);
   EXPECT_EQ(tf.iterations, plain.iterations);
