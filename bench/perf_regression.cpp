@@ -10,23 +10,30 @@
 // solver's transient memory footprint.
 //
 // Exit status is nonzero when any steady-state workspace solve performs
-// a heap allocation — CI runs this with --smoke as a regression gate.
+// a heap allocation, or when the online suite (the refresher's APG +
+// rank-1 polish solve on a noisy N=32 window) is slower than its
+// reference twin — CI runs this with --smoke as a regression gate. The
+// JSON opens with a host header: git sha, build type, compiler,
+// hardware_concurrency, pool threads and SIMD level.
 //
 // Usage: perf_regression [--smoke] [--out <path>]
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <malloc.h>  // malloc_usable_size (glibc)
 
+#include "linalg/simd.hpp"
 #include "rpca/incremental.hpp"
 #include "rpca/reference.hpp"
 #include "rpca/rpca.hpp"
@@ -34,6 +41,14 @@
 #include "rpca/workspace.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
+#include "support/thread_pool.hpp"
+
+#ifndef NETCONST_BUILD_TYPE
+#define NETCONST_BUILD_TYPE "unknown"
+#endif
+#ifndef NETCONST_COMPILER
+#define NETCONST_COMPILER "unknown"
+#endif
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator: counts every operator-new allocation in
@@ -187,22 +202,25 @@ void finish_section(SectionStats& stats, std::vector<double>& times) {
           : static_cast<double>(stats.allocs);
 }
 
-SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
-  const auto problem = tp_problem(cluster, 7 + cluster);
+/// One solve of `data` timed on both sides: rpca::reference::solve
+/// against the workspace rpca::solve, same solver and options.
+SuiteRow solve_suite(const char* suite, const std::string& solver_label,
+                     rpca::Solver solver, std::size_t cluster,
+                     const linalg::Matrix& data, const rpca::Options& options,
+                     int reps) {
   SuiteRow row;
-  row.suite = "batch";
-  row.solver = rpca::solver_name(solver);
+  row.suite = suite;
+  row.solver = solver_label;
   row.cluster = cluster;
-  row.rows = problem.data.rows();
-  row.cols = problem.data.cols();
+  row.rows = data.rows();
+  row.cols = data.cols();
 
-  const rpca::Options options;  // defaults: auto lambda, tol 1e-7
   rpca::SolverWorkspace ws;
   rpca::Result result;
   // Warm-up both paths: page the data in and let the workspace / result
   // buffers reach capacity.
-  rpca::reference::solve(problem.data, solver, options);
-  rpca::solve(problem.data, solver, options, ws, result);
+  rpca::reference::solve(data, solver, options);
+  rpca::solve(data, solver, options, ws, result);
 
   // Reference and workspace repetitions alternate so ambient load
   // perturbs both samples' distributions equally; timing the sections
@@ -213,10 +231,10 @@ SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
   ws_times.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     timed_rep(row.reference, ref_times, [&] {
-      return rpca::reference::solve(problem.data, solver, options).iterations;
+      return rpca::reference::solve(data, solver, options).iterations;
     });
     timed_rep(row.workspace, ws_times, [&] {
-      rpca::solve(problem.data, solver, options, ws, result);
+      rpca::solve(data, solver, options, ws, result);
       return result.iterations;
     });
   }
@@ -226,6 +244,45 @@ SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
                     ? row.reference.median_ms / row.workspace.median_ms
                     : 0.0;
   return row;
+}
+
+SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
+  const auto problem = tp_problem(cluster, 7 + cluster);
+  const rpca::Options options;  // defaults: auto lambda, tol 1e-7
+  return solve_suite("batch", rpca::solver_name(solver), solver, cluster,
+                     problem.data, options, reps);
+}
+
+/// Online suite: the refresher's solve (APG, then the 300-iteration
+/// rank-1 polish) on an N=32 window with dense noise on top of the
+/// rank-1 + sparse structure, the EC2-like case where the polish runs
+/// to its cap. Paired with its reference twin; the gate below fails the
+/// run when the workspace side is the slower one.
+SuiteRow online_suite(int reps) {
+  const std::size_t cluster = 32;
+  auto problem = tp_problem(cluster, 401);
+  Rng noise(402);
+  for (double& x : problem.data.data()) x += 0.1 * noise.normal();
+  rpca::Options options;
+  options.polish_iterations = 300;  // the online refresher default
+  return solve_suite("online", "APG+polish", rpca::Solver::Apg, cluster,
+                     problem.data, options, reps);
+}
+
+/// HEAD's sha with -dirty for a modified tree, as bench/e2e/run.py
+/// records it; "unknown" outside a git checkout.
+std::string git_sha() {
+  std::string sha;
+  if (FILE* pipe = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
+                         "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) sha += buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
 }
 
 /// Warm-start suite: a sliding-window trajectory solved with the online
@@ -531,6 +588,13 @@ int main(int argc, char** argv) {
               << "x, steady-state allocs " << r.workspace.allocs << "\n";
   }
 
+  rows.push_back(online_suite(reps));
+  const SuiteRow online = rows.back();
+  std::cout << "online APG+polish N=32: ref " << online.reference.median_ms
+            << " ms, ws " << online.workspace.median_ms << " ms, speedup "
+            << online.speedup << "x, steady-state allocs "
+            << online.workspace.allocs << "\n";
+
   // The regression gate: a warm workspace solve must not touch the heap.
   int violations = 0;
   for (const SuiteRow& r : rows) {
@@ -564,10 +628,25 @@ int main(int argc, char** argv) {
               << warm64_full << " ms\n";
   }
 
+  // Speed gate: the online solve must not be slower than its reference.
+  if (online.speedup < 1.0) {
+    ++violations;
+    std::cerr << "SPEED VIOLATION: online APG+polish N=32 workspace "
+              << online.workspace.median_ms << " ms is slower than the "
+              << "reference " << online.reference.median_ms << " ms\n";
+  }
+
   std::ostringstream json;
   json.precision(6);
   json << "{\n"
        << "  \"schema\": \"netconst-perf-regression-v1\",\n"
+       << "  \"host\": {\"git_sha\": \"" << git_sha()
+       << "\", \"build_type\": \"" << NETCONST_BUILD_TYPE
+       << "\", \"compiler\": \"" << NETCONST_COMPILER
+       << "\", \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency()
+       << ", \"pool_threads\": " << ThreadPool::global().thread_count()
+       << ", \"simd\": \"" << linalg::simd::active_level_name() << "\"},\n"
        << "  \"config\": {\"rows\": " << kRows << ", \"reps\": " << reps
        << ", \"warm_steps\": " << warm_steps
        << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n"

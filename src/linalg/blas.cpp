@@ -13,13 +13,14 @@
 #include <arm_neon.h>
 #endif
 
-// SIMD policy (see linalg/simd.hpp): axpy / scaled_set / scale are
-// elementwise, so their vector bodies are bit-identical to the scalar
-// loops at every level. dot (and the 4-wide dot block of
-// outer_gram_into) is an ordered reduction: the vector body splits the
-// accumulator across lanes and combines them left-to-right, which is
-// deterministic for a fixed level but not the scalar association — it
-// only runs when simd::active_level() is a vector level. Both the
+// SIMD policy (see linalg/simd.hpp): axpy / scaled_set / scale /
+// weighted_row_sum are elementwise, so their vector bodies are
+// bit-identical to the scalar loops at every level. dot (and the 4-wide
+// dot block of outer_gram_into and multiply_into) is an ordered
+// reduction: the vector body splits the accumulator across lanes and
+// combines them left-to-right, which is deterministic for a fixed level
+// but not the scalar association — it only runs when
+// simd::active_level() is a vector level. Both the
 // reference and workspace RPCA paths funnel through these same
 // entry points, so they shift together and their mutual bit-equality
 // holds at any level.
@@ -52,6 +53,38 @@ void dot4_scalar(const double* r1, const double* a0, const double* a1,
   out[1] = sb;
   out[2] = sc;
   out[3] = sd;
+}
+
+// y[j] = 0.0 + w_0 * r_0[j] + w_1 * r_1[j] + ... over the rows whose
+// weight is nonzero, in ascending row order: the per-element sequence of
+// a zero fill followed by one axpy per nonzero weight. Each strip of
+// columns stays in registers across all rows instead of making one pass
+// over y per row.
+void weighted_row_sum_scalar(const double* w, std::size_t w_stride,
+                             const double* rows, std::size_t row_stride,
+                             std::size_t count, double* y, std::size_t lo,
+                             std::size_t hi) {
+  constexpr std::size_t kStrip = 8;
+  std::size_t j = lo;
+  for (; j + kStrip <= hi; j += kStrip) {
+    double s[kStrip] = {};
+    for (std::size_t k = 0; k < count; ++k) {
+      const double wk = w[k * w_stride];
+      if (wk == 0.0) continue;
+      const double* r = rows + k * row_stride + j;
+      for (std::size_t t = 0; t < kStrip; ++t) s[t] += wk * r[t];
+    }
+    for (std::size_t t = 0; t < kStrip; ++t) y[j + t] = s[t];
+  }
+  for (; j < hi; ++j) {
+    double s = 0.0;
+    for (std::size_t k = 0; k < count; ++k) {
+      const double wk = w[k * w_stride];
+      if (wk == 0.0) continue;
+      s += wk * rows[k * row_stride + j];
+    }
+    y[j] = s;
+  }
 }
 
 #if defined(NETCONST_SIMD_X86)
@@ -129,6 +162,44 @@ NETCONST_TARGET_AVX2 void scaled_set_vec(double alpha, const double* x,
         y + i, _mm256_add_pd(vz, _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
   }
   for (; i < n; ++i) y[i] = 0.0 + alpha * x[i];
+}
+
+NETCONST_TARGET_AVX2 void weighted_row_sum_vec(
+    const double* w, std::size_t w_stride, const double* rows,
+    std::size_t row_stride, std::size_t count, double* y, std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256d s0 = _mm256_setzero_pd();
+    __m256d s1 = _mm256_setzero_pd();
+    __m256d s2 = _mm256_setzero_pd();
+    __m256d s3 = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < count; ++k) {
+      const double wk = w[k * w_stride];
+      if (wk == 0.0) continue;
+      const __m256d vw = _mm256_set1_pd(wk);
+      const double* r = rows + k * row_stride + j;
+      s0 = _mm256_add_pd(s0, _mm256_mul_pd(vw, _mm256_loadu_pd(r)));
+      s1 = _mm256_add_pd(s1, _mm256_mul_pd(vw, _mm256_loadu_pd(r + 4)));
+      s2 = _mm256_add_pd(s2, _mm256_mul_pd(vw, _mm256_loadu_pd(r + 8)));
+      s3 = _mm256_add_pd(s3, _mm256_mul_pd(vw, _mm256_loadu_pd(r + 12)));
+    }
+    _mm256_storeu_pd(y + j, s0);
+    _mm256_storeu_pd(y + j + 4, s1);
+    _mm256_storeu_pd(y + j + 8, s2);
+    _mm256_storeu_pd(y + j + 12, s3);
+  }
+  for (; j + 4 <= n; j += 4) {
+    __m256d s0 = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < count; ++k) {
+      const double wk = w[k * w_stride];
+      if (wk == 0.0) continue;
+      s0 = _mm256_add_pd(
+          s0, _mm256_mul_pd(_mm256_set1_pd(wk),
+                            _mm256_loadu_pd(rows + k * row_stride + j)));
+    }
+    _mm256_storeu_pd(y + j, s0);
+  }
+  weighted_row_sum_scalar(w, w_stride, rows, row_stride, count, y, j, n);
 }
 
 NETCONST_TARGET_AVX2 void scale_vec(double alpha, double* x, std::size_t n) {
@@ -277,7 +348,23 @@ void multiply_into(const Matrix& a, std::span<const double> x,
                    std::span<double> y) {
   NETCONST_CHECK(a.cols() == x.size(), "gemv dimension mismatch");
   NETCONST_CHECK(a.rows() == y.size(), "gemv output size mismatch");
-  for (std::size_t i = 0; i < a.rows(); ++i) y[i] = dot(a.row(i), x);
+  const std::size_t m = a.rows();
+#if defined(NETCONST_SIMD_NEON)
+  const bool blocked = !use_vector_kernels();  // dot4 has no NEON body
+#else
+  const bool blocked = true;
+#endif
+  // Four rows per pass over x. Each row keeps its own accumulator with
+  // dot()'s association at this level (products commute), so every y[i]
+  // is bit-identical to dot(a.row(i), x).
+  std::size_t i = 0;
+  for (; blocked && i + 4 <= m; i += 4) {
+    double s4[4];
+    dot4(x.data(), a.row(i).data(), a.row(i + 1).data(), a.row(i + 2).data(),
+         a.row(i + 3).data(), x.size(), s4);
+    for (std::size_t k = 0; k < 4; ++k) y[i + k] = s4[k];
+  }
+  for (; i < m; ++i) y[i] = dot(a.row(i), x);
 }
 
 std::vector<double> multiply_transposed(const Matrix& a,
@@ -291,12 +378,21 @@ void multiply_transposed_into(const Matrix& a, std::span<const double> x,
                               std::span<double> y) {
   NETCONST_CHECK(a.rows() == x.size(), "gemv^T dimension mismatch");
   NETCONST_CHECK(a.cols() == y.size(), "gemv^T output size mismatch");
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    axpy(xi, a.row(i), y);
+  weighted_row_sum(x.data(), 1, a.data().data(), a.cols(), a.rows(), y);
+}
+
+void weighted_row_sum(const double* weights, std::size_t weight_stride,
+                      const double* rows, std::size_t row_stride,
+                      std::size_t count, std::span<double> y) {
+#if defined(NETCONST_SIMD_X86)
+  if (use_vector_kernels()) {
+    weighted_row_sum_vec(weights, weight_stride, rows, row_stride, count,
+                         y.data(), y.size());
+    return;
   }
+#endif
+  weighted_row_sum_scalar(weights, weight_stride, rows, row_stride, count,
+                          y.data(), 0, y.size());
 }
 
 double dot(std::span<const double> x, std::span<const double> y) {

@@ -39,6 +39,17 @@ std::vector<double> multiply_transposed(const Matrix& a,
 void multiply_transposed_into(const Matrix& a, std::span<const double> x,
                               std::span<double> y);
 
+/// y = 0.0 + w_0 * r_0 + w_1 * r_1 + ... in ascending k, skipping every
+/// row whose weight is zero; a y with no nonzero weight is all +0.0.
+/// Row k is rows[k * row_stride .. + y.size()) and its weight is
+/// weights[k * weight_stride]. Per element this is exactly a zero fill
+/// followed by axpy(w_k, r_k, y) for each nonzero w_k, so it is
+/// bit-identical to that form at every SIMD level; the columns stay in
+/// registers across the rows instead of one pass over y per row.
+void weighted_row_sum(const double* weights, std::size_t weight_stride,
+                      const double* rows, std::size_t row_stride,
+                      std::size_t count, std::span<double> y);
+
 /// Dot product.
 double dot(std::span<const double> x, std::span<const double> y);
 

@@ -1,5 +1,7 @@
 #include "linalg/fused.hpp"
 
+#include <cmath>
+
 #include "linalg/simd.hpp"
 #include "support/error.hpp"
 #include "support/parallel_for.hpp"
@@ -21,9 +23,11 @@
 // the compiler to leave `a*b + c` uncontracted, so this translation
 // unit is built with -ffp-contract=off (see linalg/CMakeLists.txt);
 // without it GCC/Clang emit fmadd by default on aarch64 and the scalar
-// loops would diverge from the vector bodies. The one reduction kernel
-// (iterate_change_norms) lane-splits its accumulators under a vector
-// level; see its comment.
+// loops would diverge from the vector bodies. Of the reductions,
+// iterate_change_norms lane-splits its accumulators under a vector
+// level (see its comment); rank1_polish_pass and decomposition_sums add
+// their lane terms one at a time in index order, so they stay
+// bit-identical too.
 //
 // On x86-64 the vector bodies carry NETCONST_TARGET_AVX2 so the
 // library still builds for baseline x86-64; dispatch only enters them
@@ -228,6 +232,131 @@ void gradient_step_range(const double* ds, const double* dp, const double* es,
   gradient_step_range_scalar(ds, dp, es, ep, as, c, inv_lf, soft_tau, gds,
                              ens, lo, hi);
 }
+
+// ---- rank-1 polish pass ----
+//
+// Elements are visited in index order; the per-element terms are formed
+// in vector lanes, but the two sums take them lane by lane, so every
+// addition onto `change`/`scale` happens in the scalar loop's order.
+
+struct PolishRow {
+  const double* a;
+  const double* d_prev;
+  const double* e_prev;
+  double* d;
+  double* e;
+  double* target;
+};
+
+void polish_row_scalar(const PolishRow& r, double ui, const double* v,
+                       double tau, std::size_t lo, std::size_t hi,
+                       double& change, double& scale) {
+  for (std::size_t j = lo; j < hi; ++j) {
+    const double dn = ui * v[j];
+    const double x = r.a[j] - dn;
+    double en;
+    if (x > tau) {
+      en = x - tau;
+    } else if (x < -tau) {
+      en = x + tau;
+    } else {
+      en = 0.0;
+    }
+    r.d[j] = dn;
+    r.e[j] = en;
+    r.target[j] = r.a[j] - en;
+    const double dd = dn - r.d_prev[j];
+    const double de = en - r.e_prev[j];
+    change += dd * dd + de * de;
+    scale += dn * dn + en * en;
+  }
+}
+
+#if defined(NETCONST_SIMD_X86)
+/// s += v[0]; s += v[1]; s += v[2]; s += v[3] — the scalar loop's
+/// association for four consecutive elements' terms.
+NETCONST_TARGET_AVX2 inline void add_lanes_in_order(double& s, __m256d v) {
+  alignas(32) double l[4];
+  _mm256_store_pd(l, v);
+  s += l[0];
+  s += l[1];
+  s += l[2];
+  s += l[3];
+}
+
+NETCONST_TARGET_AVX2 void polish_row_vec(const PolishRow& r, double ui,
+                                         const double* v, double tau,
+                                         std::size_t n, double& change,
+                                         double& scale) {
+  const __m256d vu = _mm256_set1_pd(ui);
+  const __m256d vtau = _mm256_set1_pd(tau);
+  const __m256d vntau = _mm256_set1_pd(-tau);
+  double ch = change, sc = scale;
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d va = _mm256_loadu_pd(r.a + j);
+    const __m256d dn = _mm256_mul_pd(vu, _mm256_loadu_pd(v + j));
+    const __m256d en =
+        avx2_soft_threshold(_mm256_sub_pd(va, dn), vtau, vntau);
+    _mm256_storeu_pd(r.d + j, dn);
+    _mm256_storeu_pd(r.e + j, en);
+    _mm256_storeu_pd(r.target + j, _mm256_sub_pd(va, en));
+    const __m256d dd = _mm256_sub_pd(dn, _mm256_loadu_pd(r.d_prev + j));
+    const __m256d de = _mm256_sub_pd(en, _mm256_loadu_pd(r.e_prev + j));
+    add_lanes_in_order(
+        ch, _mm256_add_pd(_mm256_mul_pd(dd, dd), _mm256_mul_pd(de, de)));
+    add_lanes_in_order(
+        sc, _mm256_add_pd(_mm256_mul_pd(dn, dn), _mm256_mul_pd(en, en)));
+  }
+  polish_row_scalar(r, ui, v, tau, j, n, ch, sc);
+  change = ch;
+  scale = sc;
+}
+#endif
+
+// ---- decomposition sums (the convergence probe's statistics) ----
+
+void decomposition_sums_scalar(const double* a, const double* d,
+                               const double* e, std::size_t lo,
+                               std::size_t hi, double& residual_sq,
+                               double& e_l1, std::size_t& e_nonzero) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    const double r = (a[i] - d[i]) - e[i];
+    residual_sq += r * r;
+    e_l1 += std::abs(e[i]);
+    if (std::abs(e[i]) > 0.0) ++e_nonzero;
+  }
+}
+
+#if defined(NETCONST_SIMD_X86)
+NETCONST_TARGET_AVX2 void decomposition_sums_vec(const double* a,
+                                                 const double* d,
+                                                 const double* e,
+                                                 std::size_t n,
+                                                 double& residual_sq,
+                                                 double& e_l1,
+                                                 std::size_t& e_nonzero) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d zero = _mm256_setzero_pd();
+  double rs = 0.0, l1 = 0.0;
+  std::size_t nz = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d ve = _mm256_loadu_pd(e + i);
+    const __m256d r = _mm256_sub_pd(
+        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(d + i)), ve);
+    const __m256d abs_e = _mm256_andnot_pd(sign, ve);
+    add_lanes_in_order(rs, _mm256_mul_pd(r, r));
+    add_lanes_in_order(l1, abs_e);
+    nz += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(abs_e, zero, _CMP_GT_OQ)))));
+  }
+  decomposition_sums_scalar(a, d, e, i, n, rs, l1, nz);
+  residual_sq = rs;
+  e_l1 = l1;
+  e_nonzero = nz;
+}
+#endif
 
 // ---- three-operand elementwise forms ----
 
@@ -527,6 +656,59 @@ void soft_threshold_into(const Matrix& src, double tau, Matrix& out) {
         soft_threshold_range(ss.data(), tau, os.data(), lo, hi);
       },
       kElementGrain);
+}
+
+void rank1_polish_pass(const Matrix& a, std::span<const double> u,
+                       std::span<const double> v, double tau,
+                       const Matrix& d_prev, const Matrix& e_prev, Matrix& d,
+                       Matrix& e, Matrix& target, double& change_sq,
+                       double& scale_sq) {
+  check_same_shape(a, d_prev, "rank1_polish_pass shape mismatch");
+  check_same_shape(a, e_prev, "rank1_polish_pass shape mismatch");
+  NETCONST_CHECK(u.size() == a.rows() && v.size() == a.cols(),
+                 "rank1_polish_pass factor size mismatch");
+  NETCONST_CHECK(tau >= 0.0, "soft threshold must be non-negative");
+  const std::size_t n = a.cols();
+  d.resize(a.rows(), n);
+  e.resize(a.rows(), n);
+  target.resize(a.rows(), n);
+  double change = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const std::size_t off = i * n;
+    const PolishRow row{a.data().data() + off,      d_prev.data().data() + off,
+                        e_prev.data().data() + off, d.data().data() + off,
+                        e.data().data() + off,      target.data().data() + off};
+#if defined(NETCONST_SIMD_X86)
+    if (use_vector_kernels()) {
+      polish_row_vec(row, u[i], v.data(), tau, n, change, scale);
+      continue;
+    }
+#endif
+    polish_row_scalar(row, u[i], v.data(), tau, 0, n, change, scale);
+  }
+  change_sq = change;
+  scale_sq = scale;
+}
+
+void decomposition_sums(const Matrix& a, const Matrix& d, const Matrix& e,
+                        double& residual_sq, double& e_l1,
+                        std::size_t& e_nonzero) {
+  check_same_shape(a, d, "decomposition_sums shape mismatch");
+  check_same_shape(a, e, "decomposition_sums shape mismatch");
+  const double* as = a.data().data();
+  const double* ds = d.data().data();
+  const double* es = e.data().data();
+  const std::size_t n = a.data().size();
+#if defined(NETCONST_SIMD_X86)
+  if (use_vector_kernels()) {
+    decomposition_sums_vec(as, ds, es, n, residual_sq, e_l1, e_nonzero);
+    return;
+  }
+#endif
+  residual_sq = 0.0;
+  e_l1 = 0.0;
+  e_nonzero = 0;
+  decomposition_sums_scalar(as, ds, es, 0, n, residual_sq, e_l1, e_nonzero);
 }
 
 void iterate_change_norms(const Matrix& d, const Matrix& d_prev,

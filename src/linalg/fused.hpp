@@ -10,10 +10,13 @@
 // Bit-exactness contract: each kernel performs the same floating-point
 // operations, in the same per-element order, as the operator chain it
 // replaces — this is what lets the workspace solvers match the reference
-// solvers exactly (tests/rpca/workspace_equivalence_test.cpp). All
-// kernels parallelize over the shared pool with a coarse grain, which is
-// safe because every output element is computed independently.
+// solvers exactly (tests/rpca/workspace_equivalence_test.cpp). The
+// elementwise kernels parallelize over the shared pool with a coarse
+// grain, which is safe because every output element is computed
+// independently; the reductions run on the calling thread.
 #pragma once
+
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -50,6 +53,35 @@ void add_scaled(double alpha, const Matrix& x, Matrix& y);
 /// out = soft-threshold(src, tau): sign(v) * max(|v| - tau, 0) without
 /// the copy the out-of-place soft_threshold makes.
 void soft_threshold_into(const Matrix& src, double tau, Matrix& out);
+
+/// One iteration of the rank-1 polish after its power iteration, in a
+/// single pass: given the factors u (= A_t v, length rows) and v (length
+/// cols) of the new low-rank iterate, writes
+///   d      = u v^T                    (d(i, j) = u[i] * v[j])
+///   e      = soft-threshold(a - d, tau)
+///   target = a - e                    (the next power iteration's input)
+/// and the convergence sums change_sq = sum (d - d_prev)^2 + (e - e_prev)^2
+/// and scale_sq = sum d^2 + e^2. The elementwise work is vectorized, but
+/// both sums add their per-element terms one at a time in index order —
+/// the scalar loop's association — so unlike iterate_change_norms the
+/// result is bit-identical at every SIMD level, and so are the polish's
+/// convergence decisions. Requires tau >= 0; d, e and target must not
+/// alias a, d_prev or e_prev.
+void rank1_polish_pass(const Matrix& a, std::span<const double> u,
+                       std::span<const double> v, double tau,
+                       const Matrix& d_prev, const Matrix& e_prev, Matrix& d,
+                       Matrix& e, Matrix& target, double& change_sq,
+                       double& scale_sq);
+
+/// The convergence probe's per-iteration statistics in one pass:
+/// residual_sq = ||(a - d) - e||_F^2, e_l1 = ||e||_1 and e_nonzero =
+/// #{|e| > 0}. Each sum adds its per-element terms one at a time in
+/// index order, so the three values equal frobenius_norm(sub_sub(a, d,
+/// e))^2 (before the square root), l1_norm(e) and l0_count(e, 0.0)
+/// bitwise at every SIMD level — one latency-bound pass instead of four.
+void decomposition_sums(const Matrix& a, const Matrix& d, const Matrix& e,
+                        double& residual_sq, double& e_l1,
+                        std::size_t& e_nonzero);
 
 /// Fused convergence reduction of the proximal solvers: one pass
 /// computing change_sq = ||D - D_prev||_F^2 + ||E - E_prev||_F^2 and

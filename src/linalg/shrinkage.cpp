@@ -5,8 +5,13 @@
 #include <utility>
 
 #include "linalg/blas.hpp"
+#include "linalg/simd.hpp"
 #include "support/error.hpp"
 #include "support/parallel_for.hpp"
+
+#if defined(NETCONST_SIMD_X86)
+#include <immintrin.h>
+#endif
 
 namespace netconst::linalg {
 
@@ -33,8 +38,25 @@ constexpr std::size_t kMaxInterleavedRows = 64;
 // in L1 across the whole pass.
 constexpr std::size_t kJTile = 64;
 
+using TileWeights = double[kMaxInterleavedRows][kMaxInterleavedRows];
+
+/// Output rows [0, m) of one column tile: out(i, j) = 0.0 + sum over the
+/// kept ranks t, ascending, of w[t][i] * vtile[t][j], skipping zero
+/// weights (a row with none is +0.0). weighted_row_sum keeps each output
+/// strip in registers across the ranks; per element it is the fill-then-
+/// axpy order of gram_svd + reconstruct, at every SIMD level.
+void reconstruct_tile(const TileWeights& w, const double* vtile,
+                      std::size_t nk, Matrix& out, std::size_t m,
+                      std::size_t jb, std::size_t je) {
+  for (std::size_t i = 0; i < m; ++i) {
+    weighted_row_sum(&w[0][i], kMaxInterleavedRows, vtile, kJTile, nk,
+                     out.row(i).subspan(jb, je - jb));
+  }
+}
+
 /// One fused column tile of the scratch SVT tail, with the surviving
-/// rank as a compile-time constant. The compile-time bound lets the
+/// rank as a compile-time constant (the scalar and NEON levels; AVX2
+/// runs gram_svt_tile_vec below). The compile-time bound lets the
 /// accumulator arrays live in registers across the row loop (a runtime
 /// bound forces them through memory, which costs more than the
 /// multiplies at paper shapes) and processes two columns per strip so
@@ -44,8 +66,7 @@ constexpr std::size_t kJTile = 64;
 /// order — bit-identical to the one-column-at-a-time form.
 template <std::size_t NK>
 void gram_svt_tile(const Matrix& a, const Matrix& up, const double* sigma_kept,
-                   const double (&w)[kMaxInterleavedRows][kMaxInterleavedRows],
-                   const int* first_t, Matrix& out, std::size_t m,
+                   const TileWeights& w, Matrix& out, std::size_t m,
                    std::size_t jb, std::size_t je) {
   double vtile[NK][kJTile];
   std::size_t j = jb;
@@ -83,38 +104,16 @@ void gram_svt_tile(const Matrix& a, const Matrix& up, const double* sigma_kept,
       vtile[t][j - jb] = acc[t] / sigma_kept[t];
     }
   }
-  // Tile reconstruction goes through the shared axpy / scaled_set
-  // kernels: elementwise, so their SIMD paths are bit-identical to
-  // these loops' scalar form (see blas.cpp).
-  for (std::size_t t = 0; t < NK; ++t) {
-    const std::span<const double> vk(vtile[t], je - jb);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double us = w[t][i];
-      if (us == 0.0) continue;
-      const auto oi = out.row(i).subspan(jb, je - jb);
-      if (static_cast<int>(t) == first_t[i]) {
-        scaled_set(us, vk, oi);
-      } else {
-        axpy(us, vk, oi);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    if (first_t[i] >= 0) continue;
-    auto oi = out.row(i);
-    for (std::size_t jj = jb; jj < je; ++jj) oi[jj] = 0.0;
-  }
+  reconstruct_tile(w, vtile[0], NK, out, m, jb, je);
 }
 
 /// Runtime-rank variant of gram_svt_tile for ranks past the unroll
 /// cutoff: identical structure and operation order, accumulators in a
 /// fixed-capacity buffer.
 void gram_svt_tile_any(const Matrix& a, const Matrix& up,
-                       const double* sigma_kept,
-                       const double (&w)[kMaxInterleavedRows]
-                                        [kMaxInterleavedRows],
-                       const int* first_t, Matrix& out, std::size_t m,
-                       std::size_t nk, std::size_t jb, std::size_t je) {
+                       const double* sigma_kept, const TileWeights& w,
+                       Matrix& out, std::size_t m, std::size_t nk,
+                       std::size_t jb, std::size_t je) {
   double vtile[kMaxInterleavedRows][kJTile];
   double acc[kMaxInterleavedRows];
   for (std::size_t j = jb; j < je; ++j) {
@@ -128,31 +127,79 @@ void gram_svt_tile_any(const Matrix& a, const Matrix& up,
     for (std::size_t t = 0; t < nk; ++t) acc[t] /= sigma_kept[t];
     for (std::size_t t = 0; t < nk; ++t) vtile[t][j - jb] = acc[t];
   }
-  for (std::size_t t = 0; t < nk; ++t) {
-    const std::span<const double> vk(vtile[t], je - jb);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double us = w[t][i];
-      if (us == 0.0) continue;
-      const auto oi = out.row(i).subspan(jb, je - jb);
-      if (static_cast<int>(t) == first_t[i]) {
-        scaled_set(us, vk, oi);
-      } else {
-        axpy(us, vk, oi);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    if (first_t[i] >= 0) continue;
-    auto oi = out.row(i);
-    for (std::size_t jj = jb; jj < je; ++jj) oi[jj] = 0.0;
-  }
+  reconstruct_tile(w, vtile[0], nk, out, m, jb, je);
 }
 
+#if defined(NETCONST_SIMD_X86)
+/// AVX2 form of the tile pass for any kept rank: each vector lane is one
+/// column, so every right-vector entry is still its own ascending-i sum
+/// of a(i, j) * up(i, t) followed by one division, exactly as in the
+/// scalar tiles above — bit-identical to them. Strips of eight columns
+/// take four ranks at a time, eight independent accumulator chains.
+NETCONST_TARGET_AVX2 void gram_svt_tile_vec(const Matrix& a, const Matrix& up,
+                                            const double* sigma_kept,
+                                            const TileWeights& w, Matrix& out,
+                                            std::size_t m, std::size_t nk,
+                                            std::size_t jb, std::size_t je) {
+  double vtile[kMaxInterleavedRows][kJTile];
+  const std::size_t lda = a.cols();
+  const std::size_t ldu = up.cols();
+  const double* ad = a.data().data();
+  const double* ud = up.data().data();
+  std::size_t j = jb;
+  for (; j + 8 <= je; j += 8) {
+    std::size_t t = 0;
+    for (; t + 4 <= nk; t += 4) {
+      __m256d s[4][2];
+      for (auto& q : s) q[0] = q[1] = _mm256_setzero_pd();
+      for (std::size_t i = 0; i < m; ++i) {
+        const __m256d x0 = _mm256_loadu_pd(ad + i * lda + j);
+        const __m256d x1 = _mm256_loadu_pd(ad + i * lda + j + 4);
+        const double* ui = ud + i * ldu + t;
+        for (std::size_t q = 0; q < 4; ++q) {
+          const __m256d b = _mm256_set1_pd(ui[q]);
+          s[q][0] = _mm256_add_pd(s[q][0], _mm256_mul_pd(x0, b));
+          s[q][1] = _mm256_add_pd(s[q][1], _mm256_mul_pd(x1, b));
+        }
+      }
+      for (std::size_t q = 0; q < 4; ++q) {
+        const __m256d sig = _mm256_set1_pd(sigma_kept[t + q]);
+        _mm256_storeu_pd(&vtile[t + q][j - jb], _mm256_div_pd(s[q][0], sig));
+        _mm256_storeu_pd(&vtile[t + q][j - jb + 4],
+                         _mm256_div_pd(s[q][1], sig));
+      }
+    }
+    for (; t < nk; ++t) {
+      __m256d s0 = _mm256_setzero_pd();
+      __m256d s1 = _mm256_setzero_pd();
+      for (std::size_t i = 0; i < m; ++i) {
+        const __m256d b = _mm256_set1_pd(ud[i * ldu + t]);
+        s0 = _mm256_add_pd(
+            s0, _mm256_mul_pd(_mm256_loadu_pd(ad + i * lda + j), b));
+        s1 = _mm256_add_pd(
+            s1, _mm256_mul_pd(_mm256_loadu_pd(ad + i * lda + j + 4), b));
+      }
+      const __m256d sig = _mm256_set1_pd(sigma_kept[t]);
+      _mm256_storeu_pd(&vtile[t][j - jb], _mm256_div_pd(s0, sig));
+      _mm256_storeu_pd(&vtile[t][j - jb + 4], _mm256_div_pd(s1, sig));
+    }
+  }
+  for (; j < je; ++j) {
+    for (std::size_t t = 0; t < nk; ++t) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        acc += ad[i * lda + j] * ud[i * ldu + t];
+      }
+      vtile[t][j - jb] = acc / sigma_kept[t];
+    }
+  }
+  reconstruct_tile(w, vtile[0], nk, out, m, jb, je);
+}
+#endif
+
 using GramSvtTileFn = void (*)(const Matrix&, const Matrix&, const double*,
-                               const double (&)[kMaxInterleavedRows]
-                                               [kMaxInterleavedRows],
-                               const int*, Matrix&, std::size_t, std::size_t,
-                               std::size_t);
+                               const TileWeights&, Matrix&, std::size_t,
+                               std::size_t, std::size_t);
 
 /// Resolve the unrolled tile pass for a surviving rank (nullptr past the
 /// cutoff; callers fall back to gram_svt_tile_any).
@@ -248,20 +295,11 @@ void gram_reconstruct_shrunk(const Matrix& a, GramSvtScratch& scratch,
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t t = 0; t < nk; ++t) up(i, t) = u(i, kept[t]);
   }
-  // Per-(t, i) reconstruction weights and each row's first surviving
-  // term. The first term is stored as 0.0 + us * v instead of
-  // accumulating onto a separately zero-filled row (the explicit 0.0 +
-  // keeps the sum bit-identical — dropping it would flip the sign of a
-  // -0.0 product).
-  double w[kMaxInterleavedRows][kMaxInterleavedRows];
-  int first_t[kMaxInterleavedRows];
-  for (std::size_t i = 0; i < m; ++i) first_t[i] = -1;
+  // Per-(t, i) reconstruction weights.
+  TileWeights w;
   for (std::size_t t = 0; t < nk; ++t) {
     const std::size_t k = kept[t];
-    for (std::size_t i = 0; i < m; ++i) {
-      w[t][i] = u(i, k) * shrunk[k];
-      if (w[t][i] != 0.0 && first_t[i] < 0) first_t[i] = static_cast<int>(t);
-    }
+    for (std::size_t i = 0; i < m; ++i) w[t][i] = u(i, k) * shrunk[k];
   }
   // One fused pass in kJTile-column tiles: form the kept right-vector
   // slice for the tile in a per-thread stack buffer, then immediately
@@ -270,16 +308,24 @@ void gram_reconstruct_shrunk(const Matrix& a, GramSvtScratch& scratch,
   // straight back — at paper shapes that round trip was the largest
   // share of the SVT's memory traffic.
   const GramSvtTileFn tile = gram_svt_tile_for(nk);
+#if defined(NETCONST_SIMD_X86)
+  const bool vector_tile = simd::active_level() == simd::Level::Avx2;
+#endif
   parallel_for_chunked(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t jb = lo; jb < hi; jb += kJTile) {
           const std::size_t je = std::min(jb + kJTile, hi);
+#if defined(NETCONST_SIMD_X86)
+          if (vector_tile) {
+            gram_svt_tile_vec(a, up, sigma_kept, w, out, m, nk, jb, je);
+            continue;
+          }
+#endif
           if (tile != nullptr) {
-            tile(a, up, sigma_kept, w, first_t, out, m, jb, je);
+            tile(a, up, sigma_kept, w, out, m, jb, je);
           } else {
-            gram_svt_tile_any(a, up, sigma_kept, w, first_t, out, m, nk, jb,
-                              je);
+            gram_svt_tile_any(a, up, sigma_kept, w, out, m, nk, jb, je);
           }
         }
       },

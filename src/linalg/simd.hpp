@@ -14,9 +14,11 @@
 // elementwise kernels are bit-identical at every level — SIMD lanes
 // perform the same IEEE mul/add per element and no FMA contraction is
 // ever emitted. Reduction kernels (dot products, Gram accumulations,
-// the solvers' convergence norms) split the accumulator across lanes
-// under a vector level, which reassociates the sum: deterministic for a
-// fixed level, but not bit-identical to the scalar order. The bit-exact
+// iterate_change_norms) split the accumulator across lanes under a
+// vector level, which reassociates the sum: deterministic for a fixed
+// level, but not bit-identical to the scalar order. The ordered
+// reductions (rank1_polish_pass, decomposition_sums) add lane terms one
+// at a time in index order and are bit-identical at every level. The bit-exact
 // equivalence suites therefore pin Level::Scalar (ScopedLevel below),
 // and the frozen rpca::reference numerics are reproduced exactly by the
 // scalar level.

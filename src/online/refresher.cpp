@@ -23,6 +23,20 @@ void clear_seed(rpca::WarmStart& seed) {
 
 }  // namespace
 
+const char* fallback_cause_name(FallbackCause cause) {
+  switch (cause) {
+    case FallbackCause::None:
+      return "none";
+    case FallbackCause::ApgNotConverged:
+      return "apg_not_converged";
+    case FallbackCause::ApgDiverged:
+      return "apg_diverged";
+    case FallbackCause::PolishCap:
+      return "polish_cap";
+  }
+  return "unknown";
+}
+
 WindowRefresher::WindowRefresher(const RefresherOptions& options)
     : options_(options),
       latency_tracker_(options.incremental_options),
@@ -87,19 +101,29 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
   info.seed_ignored = result.warm_start_ignored;
   info.warm_used = result.warm_started;
 
-  if (result.warm_started &&
-      ((options_.fallback_on_nonconvergence && !result.converged) ||
-       result.solver_residual > options_.divergence_residual ||
-       (result.polished && !result.polish_converged))) {
+  FallbackCause cause = FallbackCause::None;
+  if (result.warm_started) {
+    if (options_.fallback_on_nonconvergence && !result.converged) {
+      cause = FallbackCause::ApgNotConverged;
+    } else if (result.solver_residual > options_.divergence_residual) {
+      cause = FallbackCause::ApgDiverged;
+    } else if (result.polished && !result.polish_converged) {
+      cause = FallbackCause::PolishCap;
+    }
+  }
+  if (cause != FallbackCause::None) {
     // The seed led the solve astray (window contents changed too much,
-    // or the iterate stalled): discard and solve from scratch.
+    // the iterate stalled, or the polish did not settle): discard and
+    // solve from scratch.
     info.cold_fallback = true;
+    info.fallback_cause = cause;
     info.warm_used = false;
     if (options_.collect_convergence) probe_.reset();
     rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
                 result);
   }
   if (options_.collect_convergence) info.trace = probe_.trace();
+  info.polish_capped = result.polished && !result.polish_converged;
   info.iterations = result.iterations;
   info.residual = result.solver_residual;
   info.randomized_steps =

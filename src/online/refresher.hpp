@@ -5,8 +5,9 @@
 // are an excellent seed: APG resumes at the small continuation mu it
 // ended with, skips the spectral-norm estimate and the whole mu-decay
 // phase, and only has to repair the replaced row. A warm solve that
-// fails to converge (or whose residual says it converged to the wrong
-// place) is redone cold — correctness never depends on the seed.
+// fails to converge, whose residual says it converged to the wrong
+// place, or whose polish hits its cap is redone cold (FallbackCause) —
+// correctness never depends on the seed.
 //
 // The online path runs the solver with the rank-1 polish on (see
 // rpca::polish_rank1): APG's continuation endpoint is path-dependent at
@@ -69,11 +70,25 @@ struct RefresherOptions {
   bool collect_support_stats = false;
 };
 
+/// Why a warm solve was rejected and redone cold. When several hold,
+/// the first in this order is recorded.
+enum class FallbackCause {
+  None,
+  ApgNotConverged,  // the warm solve hit max_iterations
+  ApgDiverged,      // its pre-polish residual exceeded divergence_residual
+  PolishCap,        // its rank-1 polish hit polish_iterations unsettled
+};
+
+/// "none", "apg_not_converged", "apg_diverged", "polish_cap".
+const char* fallback_cause_name(FallbackCause cause);
+
 /// Per-layer diagnostics of one refresh.
 struct LayerRefresh {
   bool warm_attempted = false;  // a seed was offered to the solver
   bool warm_used = false;       // the accepted result came from a warm solve
   bool cold_fallback = false;   // warm solve rejected, result is a cold redo
+  FallbackCause fallback_cause = FallbackCause::None;  // set with cold_fallback
+  bool polish_capped = false;   // the accepted solve's polish hit its cap
   bool seed_ignored = false;    // solver cannot seed (cold, not a fallback)
   int iterations = 0;           // of the accepted solve
   double residual = 0.0;        // of the accepted solve, pre-polish

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <string>
 #include <thread>
 
 #include "obs/export.hpp"
@@ -49,6 +50,28 @@ struct Rollup {
   }
   double value() const { return tenant.value(); }
 };
+
+/// ColdSolveFallback detail: which layers' warm solves were rejected and
+/// why, and whether the cold redo's polish hit its cap as well, e.g.
+/// "warm solve rejected (latency: polish_cap, cold polish capped too);
+/// solved cold".
+std::string fallback_detail(const RefreshReport& report) {
+  const LayerRefresh* layers[] = {&report.latency, &report.bandwidth};
+  const char* names[] = {"latency", "bandwidth"};
+  std::string detail = "warm solve rejected (";
+  bool first = true;
+  for (std::size_t k = 0; k < 2; ++k) {
+    if (!layers[k]->cold_fallback) continue;
+    if (!first) detail += "; ";
+    first = false;
+    detail += names[k];
+    detail += ": ";
+    detail += fallback_cause_name(layers[k]->fallback_cause);
+    if (layers[k]->polish_capped) detail += ", cold polish capped too";
+  }
+  detail += "); solved cold";
+  return detail;
+}
 
 }  // namespace
 
@@ -379,8 +402,7 @@ bool ConstantFinderService::account_refresh(Tenant& tenant,
   }
   if (report.any_cold_fallback()) {
     events_.record({provider.now(), tenant.config.name,
-                    EventKind::ColdSolveFallback,
-                    "warm solve diverged; solved cold",
+                    EventKind::ColdSolveFallback, fallback_detail(report),
                     report.component.error_norm});
     // A rejected warm solve is an anomaly worth a post-mortem: freeze
     // the flight recorder's view of the refresh that led here.

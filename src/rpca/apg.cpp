@@ -117,13 +117,15 @@ double accelerated_prox(const linalg::Matrix& a, double a_norm,
       // so probing never perturbs the solve.
       obs::IterationStats stats;
       stats.iteration = k + 1;
-      linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-      stats.residual = linalg::frobenius_norm(ws.residual) / a_norm;
+      double residual_sq = 0.0, e_l1 = 0.0;
+      std::size_t e_nonzero = 0;
+      linalg::decomposition_sums(a, ws.d, ws.e, residual_sq, e_l1,
+                                 e_nonzero);
+      stats.residual = std::sqrt(residual_sq) / a_norm;
       const double misfit = stats.residual * a_norm;
-      const double e_l1 = linalg::l1_norm(ws.e);
       stats.objective = misfit * misfit / (2.0 * mu) + lambda * e_l1;
       stats.rank = result.rank;
-      stats.sparsity = static_cast<double>(linalg::l0_count(ws.e, 0.0)) /
+      stats.sparsity = static_cast<double>(e_nonzero) /
                        static_cast<double>(a.rows() * a.cols());
       stats.mu = mu;
       stats.step = std::sqrt(change) / std::max(std::sqrt(scale), 1.0);

@@ -13,37 +13,36 @@
 
 namespace netconst::rpca {
 
-void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
-                              linalg::Matrix& out, int max_iterations,
-                              double tolerance) {
+namespace {
+
+/// Power iteration on A^T A for the dominant singular pair: leaves the
+/// right vector in scratch.v and A v (= sigma * u_hat) in scratch.u, so
+/// the rank-1 approximation is u v^T. A zero `a` leaves both all +0.0,
+/// whose outer product is the +0.0 matrix.
+void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch,
+                   int max_iterations, double tolerance) {
   NETCONST_CHECK(!a.empty(), "rank-1 approximation of an empty matrix");
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-
-  // Power iteration on A^T A for the dominant right singular vector.
   std::vector<double>& u = scratch.u;
   std::vector<double>& v = scratch.v;
   std::vector<double>& w = scratch.w;
   v.assign(n, 1.0 / std::sqrt(static_cast<double>(n)));
   u.resize(m);
   w.resize(n);
+  const auto zero = [&] {
+    u.assign(m, 0.0);
+    v.assign(n, 0.0);
+  };
   double sigma_prev = 0.0;
   for (int it = 0; it < max_iterations; ++it) {
     linalg::multiply_into(a, v, u);  // A v
     const double unorm = linalg::norm2(u);
-    if (unorm == 0.0) {  // A is zero
-      out.resize(m, n);
-      out.fill(0.0);
-      return;
-    }
+    if (unorm == 0.0) return zero();  // A is zero
     linalg::scale(1.0 / unorm, u);
     linalg::multiply_transposed_into(a, u, w);  // A^T u
     const double sigma = linalg::norm2(w);
-    if (sigma == 0.0) {
-      out.resize(m, n);
-      out.fill(0.0);
-      return;
-    }
+    if (sigma == 0.0) return zero();
     for (std::size_t j = 0; j < n; ++j) v[j] = w[j] / sigma;
     if (std::abs(sigma - sigma_prev) <=
         tolerance * std::max(sigma, 1.0)) {
@@ -51,11 +50,20 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
     }
     sigma_prev = sigma;
   }
-
   linalg::multiply_into(a, v, u);  // = sigma * u_hat
-  out.resize(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) out(i, j) = u[i] * v[j];
+}
+
+}  // namespace
+
+void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
+                              linalg::Matrix& out, int max_iterations,
+                              double tolerance) {
+  rank1_factors(a, scratch, max_iterations, tolerance);
+  const std::vector<double>& u = scratch.u;
+  const std::vector<double>& v = scratch.v;
+  out.resize(a.rows(), a.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) out(i, j) = u[i] * v[j];
   }
 }
 
@@ -119,26 +127,18 @@ void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
 
   result.polished = true;
   result.polish_converged = false;
+  // The power iteration's input A - E; each pass below leaves the next
+  // one in ws.target.
+  linalg::sub(a, result.sparse, ws.target);
   for (int k = 0; k < max_iterations; ++k) {
+    rank1_factors(ws.target, ws.rank1, kPowerIterations, kPowerTolerance);
     // Next iterates into ws.d / ws.e; current ones stay in the result
-    // until the swap below, so the change metric sees both.
-    linalg::sub(a, result.sparse, ws.target);
-    rank1_approximation_into(ws.target, ws.rank1, ws.d);
-
-    linalg::sub(a, ws.d, ws.target);
-    linalg::soft_threshold_into(ws.target, tau, ws.e);
-
+    // until the swap below, so the change sums see both. One pass forms
+    // D = u v^T, E = soft(A - D), the next A - E and both sums.
     double change = 0.0, scale = 0.0;
-    const auto dn = ws.d.data();
-    const auto dc = result.low_rank.data();
-    const auto en = ws.e.data();
-    const auto ec = result.sparse.data();
-    for (std::size_t idx = 0; idx < dn.size(); ++idx) {
-      const double dd = dn[idx] - dc[idx];
-      const double de = en[idx] - ec[idx];
-      change += dd * dd + de * de;
-      scale += dn[idx] * dn[idx] + en[idx] * en[idx];
-    }
+    linalg::rank1_polish_pass(a, ws.rank1.u, ws.rank1.v, tau,
+                              result.low_rank, result.sparse, ws.d, ws.e,
+                              ws.target, change, scale);
     result.low_rank.swap(ws.d);
     result.sparse.swap(ws.e);
     result.polish_iterations = k + 1;

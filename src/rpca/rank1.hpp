@@ -22,12 +22,18 @@ namespace netconst::rpca {
 void solve_rank1(const linalg::Matrix& a, const Options& options,
                  double lambda, SolverWorkspace& ws, Result& result);
 
+/// Power-iteration budget and sigma tolerance of every rank-1
+/// approximation (the polish uses the same ones).
+inline constexpr int kPowerIterations = 200;
+inline constexpr double kPowerTolerance = 1e-12;
+
 /// Best rank-1 approximation sigma * u * v^T of `a` via power iteration,
 /// written into caller-owned output with power-iteration scratch;
 /// allocation-free once `scratch` and `out` carry capacity.
 void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
-                              linalg::Matrix& out, int max_iterations = 200,
-                              double tolerance = 1e-12);
+                              linalg::Matrix& out,
+                              int max_iterations = kPowerIterations,
+                              double tolerance = kPowerTolerance);
 
 /// Rank-1 polish: refine `result`'s (D, E) in place by the solve_rank1
 /// alternation (D <- rank-1 of A - E, E <- soft-threshold of A - D)
@@ -38,10 +44,11 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
 /// warm-started and a cold APG run) polish to identical answers.
 /// Updates low_rank/sparse/rank/residual and the polish_* diagnostics;
 /// leaves iterations/converged/solver_residual describing the original
-/// solve. `lambda` must be > 0 (each iteration is power-iteration
-/// matvecs, far cheaper than the solvers' full SVDs). The alternation's
-/// temporaries come from `ws`, so the online refresh loop polishes
-/// without allocating.
+/// solve. `lambda` must be > 0. Each iteration is one power iteration
+/// plus one fused pass over the window (linalg::rank1_polish_pass),
+/// bit-identical to the sub / rank-1 / sub / soft-threshold chain it
+/// replaced at every SIMD level. The alternation's temporaries come from
+/// `ws`, so the online refresh loop polishes without allocating.
 void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                   int max_iterations, double tolerance, SolverWorkspace& ws);
 

@@ -14,7 +14,10 @@ void parallel_for_chunked(std::size_t begin, std::size_t end,
   const std::size_t max_chunks = pool.thread_count() * 4;
   std::size_t chunk = (n + max_chunks - 1) / max_chunks;
   if (chunk < grain) chunk = grain;
-  if (chunk >= n) {  // not worth forking
+  // A range that holds fewer than two whole chunks is not worth forking:
+  // splitting one grain plus a remainder costs the wake-up of an idle
+  // worker, which is more than the remainder's work.
+  if (n < 2 * chunk) {
     body(begin, end);
     return;
   }

@@ -2,7 +2,7 @@
 //
 // parallel_for(0, n, f) calls f(i) for every i in [0, n), partitioned into
 // contiguous chunks across workers. Falls back to serial execution for
-// small ranges (below `grain`) where fork/join overhead would dominate —
+// small ranges (under two grains) where fork/join overhead would dominate —
 // the usual HPC guidance of "parallelize outer loops, keep grains coarse".
 //
 // Both entry points take the body as a non-owning FunctionRef and dispatch
@@ -27,7 +27,8 @@ void parallel_for(std::size_t begin, std::size_t end,
                   std::size_t grain = 64);
 
 /// Chunked variant: body(chunk_begin, chunk_end) per contiguous chunk,
-/// which avoids per-index indirect-call overhead in tight kernels.
+/// which avoids per-index indirect-call overhead in tight kernels. A
+/// range shorter than two chunks is one inline body(begin, end) call.
 void parallel_for_chunked(std::size_t begin, std::size_t end,
                           FunctionRef<void(std::size_t, std::size_t)> body,
                           std::size_t grain = 64);

@@ -5,6 +5,7 @@
 // pass trivially, so the suite is portable.
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -13,10 +14,14 @@
 #include "linalg/blas.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/norms.hpp"
+#include "linalg/shrinkage.hpp"
 #include "linalg/simd.hpp"
+#include "rpca/rank1.hpp"
 #include "rpca/reference.hpp"
 #include "rpca/rpca.hpp"
 #include "rpca/validation.hpp"
+#include "rpca/workspace.hpp"
 #include "support/rng.hpp"
 
 namespace netconst::linalg {
@@ -29,6 +34,30 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, unsigned seed) {
   Matrix a(rows, cols);
   for (auto& v : a.data()) v = rng.uniform(-2.0, 2.0);
   return a;
+}
+
+// Every level this binary and CPU can run: Scalar, plus the best vector
+// level when there is one.
+std::vector<simd::Level> available_levels() {
+  std::vector<simd::Level> levels{simd::Level::Scalar};
+  if (simd::best_available_level() != simd::Level::Scalar) {
+    levels.push_back(simd::best_available_level());
+  }
+  return levels;
+}
+
+// Bitwise equality, so signed zeros and NaNs count too.
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+bool same_bits(std::span<const double> x, std::span<const double> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.same_shape(y) && same_bits(x.data(), y.data());
 }
 
 TEST(SimdDispatch, ScopedLevelOverridesAndRestores) {
@@ -172,6 +201,255 @@ TEST(SimdKernels, AxpyAndScaledSetAreBitIdenticalAcrossLevels) {
   }
 }
 
+// The polish pass against the chain it replaced, written out with the
+// unfused kernels and the polish's own scalar sum loop.
+struct PolishOutputs {
+  Matrix d, e, target;
+  double change = 0.0, scale = 0.0;
+};
+
+PolishOutputs polish_pass_by_chain(const Matrix& a, const Matrix& u,
+                                   const Matrix& v, double tau,
+                                   const Matrix& d_prev,
+                                   const Matrix& e_prev) {
+  PolishOutputs o;
+  o.d.resize(a.rows(), a.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) o.d(i, j) = u(0, i) * v(0, j);
+  }
+  Matrix shifted;
+  sub(a, o.d, shifted);
+  soft_threshold_into(shifted, tau, o.e);
+  sub(a, o.e, o.target);
+  const std::span<const double> dn = o.d.data(), dc = d_prev.data();
+  const std::span<const double> en = o.e.data(), ec = e_prev.data();
+  for (std::size_t idx = 0; idx < dn.size(); ++idx) {
+    const double dd = dn[idx] - dc[idx];
+    const double de = en[idx] - ec[idx];
+    o.change += dd * dd + de * de;
+    o.scale += dn[idx] * dn[idx] + en[idx] * en[idx];
+  }
+  return o;
+}
+
+PolishOutputs polish_pass_fused(const Matrix& a, const Matrix& u,
+                                const Matrix& v, double tau,
+                                const Matrix& d_prev, const Matrix& e_prev) {
+  PolishOutputs o;
+  rank1_polish_pass(a, u.data(), v.data(), tau, d_prev, e_prev, o.d, o.e,
+                    o.target, o.change, o.scale);
+  return o;
+}
+
+void expect_same_polish(const PolishOutputs& x, const PolishOutputs& y) {
+  EXPECT_TRUE(same_bits(x.d, y.d));
+  EXPECT_TRUE(same_bits(x.e, y.e));
+  EXPECT_TRUE(same_bits(x.target, y.target));
+  EXPECT_TRUE(same_bits(x.change, y.change)) << x.change << " " << y.change;
+  EXPECT_TRUE(same_bits(x.scale, y.scale)) << x.scale << " " << y.scale;
+}
+
+// The fused polish pass: scalar and vector bodies bit-identical to each
+// other and to the unfused chain, sums included, on widths that leave a
+// vector tail and on the awkward values — signed zeros, exact +-tau
+// after the subtraction, tau = 0, and NaN.
+TEST(SimdKernels, Rank1PolishPassIsBitIdenticalAcrossLevels) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t cols : {1u, 3u, 7u, 13u, 1027u}) {
+    for (const double tau : {0.0, 0.4}) {
+      for (const bool awkward : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "cols=" << cols << " tau=" << tau
+                                        << " awkward=" << awkward);
+        const std::size_t rows = 5;
+        Matrix a = random_matrix(rows, cols, 81);
+        Matrix u = random_matrix(1, rows, 82);
+        const Matrix v = random_matrix(1, cols, 83);
+        const Matrix d_prev = random_matrix(rows, cols, 84);
+        Matrix e_prev = random_matrix(rows, cols, 85);
+        if (awkward) {
+          // Rows 0 and 1 get d = +0 and -0, so a - d lands on exactly
+          // +-tau and on both signed zeros.
+          u(0, 0) = 0.0;
+          u(0, 1) = -0.0;
+          const double edge[6] = {tau, -tau, 0.0, -0.0, tau * 2.0, -tau};
+          for (std::size_t j = 0; j < cols; ++j) {
+            a(0, j) = edge[j % 6];
+            a(1, j) = edge[(j + 3) % 6];
+          }
+          e_prev(2, cols / 2) = -0.0;
+        }
+        std::vector<PolishOutputs> fused, chain;
+        for (const simd::Level level : available_levels()) {
+          simd::ScopedLevel lvl(level);
+          fused.push_back(polish_pass_fused(a, u, v, tau, d_prev, e_prev));
+          chain.push_back(polish_pass_by_chain(a, u, v, tau, d_prev, e_prev));
+        }
+        for (std::size_t k = 0; k < fused.size(); ++k) {
+          expect_same_polish(fused[k], chain[k]);
+          expect_same_polish(fused[k], fused[0]);
+        }
+      }
+    }
+  }
+  // NaN in the data or the previous iterate: a NaN shifted value
+  // thresholds to zero, and both sums turn NaN, at every level.
+  Matrix a = random_matrix(3, 9, 86);
+  Matrix e_prev = random_matrix(3, 9, 87);
+  a(1, 4) = nan;
+  e_prev(2, 8) = nan;
+  const Matrix u = random_matrix(1, 3, 88);
+  const Matrix v = random_matrix(1, 9, 89);
+  const Matrix d_prev = random_matrix(3, 9, 90);
+  for (const simd::Level level : available_levels()) {
+    simd::ScopedLevel lvl(level);
+    const PolishOutputs f = polish_pass_fused(a, u, v, 0.3, d_prev, e_prev);
+    const PolishOutputs c = polish_pass_by_chain(a, u, v, 0.3, d_prev, e_prev);
+    EXPECT_EQ(f.e(1, 4), 0.0);
+    EXPECT_TRUE(std::isnan(f.target(1, 4)));
+    EXPECT_TRUE(std::isnan(f.change));
+    EXPECT_FALSE(std::isnan(f.scale));
+    EXPECT_TRUE(same_bits(f.d, c.d));
+    EXPECT_TRUE(same_bits(f.e, c.e));
+    EXPECT_TRUE(same_bits(f.scale, c.scale));
+  }
+}
+
+// The probe's one-pass statistics equal the three separate reductions
+// bitwise at every level, on widths with a vector tail and with signed
+// zeros and a NaN in the sparse block (NaN is not counted as nonzero).
+TEST(SimdKernels, DecompositionSumsMatchSeparateReductions) {
+  for (const std::size_t cols : {1u, 6u, 1027u}) {
+    SCOPED_TRACE(testing::Message() << "cols=" << cols);
+    const Matrix a = random_matrix(3, cols, 101);
+    const Matrix d = random_matrix(3, cols, 102);
+    Matrix e = random_matrix(3, cols, 103);
+    e(0, 0) = 0.0;
+    e(1, cols - 1) = -0.0;
+    if (cols == 6) e(2, 3) = std::numeric_limits<double>::quiet_NaN();
+    for (const simd::Level level : available_levels()) {
+      simd::ScopedLevel lvl(level);
+      double residual_sq = -1.0, e_l1 = -1.0;
+      std::size_t e_nonzero = 0;
+      decomposition_sums(a, d, e, residual_sq, e_l1, e_nonzero);
+      Matrix residual;
+      sub_sub(a, d, e, residual);
+      EXPECT_TRUE(same_bits(std::sqrt(residual_sq), frobenius_norm(residual)));
+      EXPECT_TRUE(same_bits(e_l1, l1_norm(e)));
+      EXPECT_EQ(e_nonzero, l0_count(e, 0.0));
+    }
+  }
+}
+
+// multiply_into must give dot(a.row(i), x) per row, and
+// multiply_transposed_into the zero fill plus one axpy per nonzero
+// weight, at every level. Zero weights (both signs) are skipped, so an
+// infinity in a row with weight zero must not turn the output NaN.
+TEST(SimdKernels, GemvKernelsMatchTheirUnblockedForms) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 10u, 13u}) {
+    for (const std::size_t cols : {1u, 7u, 16u, 33u, 1024u}) {
+      SCOPED_TRACE(testing::Message() << rows << " x " << cols);
+      Matrix a = random_matrix(rows, cols, 91);
+      const Matrix x = random_matrix(1, cols, 92);
+      Matrix w = random_matrix(1, rows, 93);
+      w(0, 0) = 0.0;
+      if (rows > 2) {
+        w(0, 2) = -0.0;
+        a(2, cols - 1) = inf;
+      }
+      std::vector<std::vector<double>> transposed;
+      for (const simd::Level level : available_levels()) {
+        simd::ScopedLevel lvl(level);
+        std::vector<double> y(rows), y_rows(rows);
+        multiply_into(a, x.data(), y);
+        for (std::size_t i = 0; i < rows; ++i) {
+          y_rows[i] = dot(a.row(i), x.data());
+        }
+        EXPECT_TRUE(same_bits(y, y_rows));
+
+        std::vector<double> t(cols), t_axpy(cols, 0.0);
+        multiply_transposed_into(a, w.data(), t);
+        for (std::size_t i = 0; i < rows; ++i) {
+          if (w(0, i) == 0.0) continue;
+          axpy(w(0, i), a.row(i), t_axpy);
+        }
+        EXPECT_TRUE(same_bits(t, t_axpy));
+        for (const double ti : t) EXPECT_FALSE(std::isnan(ti));
+        transposed.push_back(t);
+      }
+      // Elementwise, so also identical across levels.
+      EXPECT_TRUE(same_bits(transposed.front(), transposed.back()));
+    }
+  }
+}
+
+// weighted_row_sum on strided weights and rows (the SVT tile's layout):
+// every level agrees with the fill-then-scaled_set/axpy form, a row set
+// whose weights are all zero gives +0.0, and a -0.0 product is +0.0.
+TEST(SimdKernels, WeightedRowSumMatchesFillThenAxpy) {
+  const std::size_t stride = 24;
+  for (const std::size_t count : {0u, 1u, 2u, 5u, 12u, 13u}) {
+    for (const std::size_t n : {1u, 4u, 15u, 16u, 21u}) {
+      SCOPED_TRACE(testing::Message() << "count=" << count << " n=" << n);
+      const Matrix rows = random_matrix(std::max<std::size_t>(count, 1),
+                                        stride, 94);
+      Matrix weights = random_matrix(std::max<std::size_t>(count, 1), 3, 95);
+      if (count > 1) weights(1, 0) = 0.0;
+      if (count > 4) weights(4, 0) = -0.0;
+      std::vector<double> expected(n, 0.0);
+      bool first = true;
+      for (std::size_t k = 0; k < count; ++k) {
+        const double wk = weights(k, 0);
+        if (wk == 0.0) continue;
+        const auto rk = rows.row(k).first(n);
+        first ? scaled_set(wk, rk, expected) : axpy(wk, rk, expected);
+        first = false;
+      }
+      for (const simd::Level level : available_levels()) {
+        simd::ScopedLevel lvl(level);
+        std::vector<double> y(n, 7.0);
+        weighted_row_sum(weights.data().data(), 3, rows.data().data(),
+                         stride, count, y);
+        EXPECT_TRUE(same_bits(y, expected));
+      }
+    }
+  }
+  const Matrix row = random_matrix(1, 9, 96);
+  for (const simd::Level level : available_levels()) {
+    simd::ScopedLevel lvl(level);
+    const double neg_zero = -0.0;
+    std::vector<double> y(9, 7.0);
+    weighted_row_sum(&neg_zero, 1, row.data().data(), 9, 1, y);
+    for (const double yi : y) EXPECT_FALSE(std::signbit(yi));
+  }
+}
+
+// The SVT reconstruction tile at every kept rank the compile-time
+// variants cover (1-12) and past them (the runtime-rank path), against
+// the allocating SVT (gram_svd + reconstruct) at the same level. The
+// column count leaves a partial 64-column tile and a strip tail.
+TEST(SimdKernels, SvtReconstructionTileMatchesAllocatingSvtAtEveryRank) {
+  const Matrix a = random_matrix(16, 203, 97);
+  for (const simd::Level level : available_levels()) {
+    simd::ScopedLevel lvl(level);
+    const SvdResult dec = svd(a);
+    GramSvtScratch scratch;
+    for (std::size_t keep = 1; keep <= 14; ++keep) {
+      SCOPED_TRACE(testing::Message() << "keep=" << keep);
+      const double tau = 0.5 * (dec.singular_values[keep - 1] +
+                                dec.singular_values[keep]);
+      const SvtResult expected = singular_value_threshold(a, tau);
+      ASSERT_EQ(expected.rank, keep);
+      Matrix out;
+      const SvtInfo info =
+          singular_value_threshold_into(a, tau, {}, scratch, out);
+      EXPECT_TRUE(info.used_scratch);
+      EXPECT_EQ(info.rank, keep);
+      EXPECT_TRUE(same_bits(out, expected.value));
+    }
+  }
+}
+
 // Reductions reassociate under a vector level: not bit-identical, but
 // they must agree with the scalar sum to rounding and be deterministic.
 TEST(SimdKernels, DotAgreesWithScalarToRounding) {
@@ -276,6 +554,79 @@ TEST(SimdSolve, VectorLevelMatchesScalarQuality) {
   EXPECT_LT(vector_result.low_rank.max_abs_diff(scalar_result.low_rank),
             1e-6);
   EXPECT_LT(std::abs(vector_result.residual - scalar_result.residual), 1e-8);
+}
+
+// The whole polish, fused, against the old kernel chain written out
+// inline, under every available level: a noisy 10 x 1024 window (the
+// paper's N = 32 shape) whose polish runs to its 300-iteration cap, so
+// every iteration's convergence decision is compared too.
+TEST(SimdSolve, FusedPolishMatchesKernelChainAtEveryLevel) {
+  Rng rng(98);
+  rpca::SyntheticSpec spec;
+  spec.rows = 10;
+  spec.cols = 1024;
+  spec.rank = 1;
+  spec.sparsity = 0.05;
+  Matrix a = rpca::make_synthetic(spec, rng).data;
+  for (auto& x : a.data()) x += 0.1 * rng.normal();
+  const double lambda = 1.0 / std::sqrt(1024.0);
+  const int cap = 300;
+  const double tol = 1e-10;
+
+  for (const simd::Level level : available_levels()) {
+    SCOPED_TRACE(simd::level_name(level));
+    simd::ScopedLevel lvl(level);
+    rpca::Options opts;
+    opts.max_iterations = 40;
+    rpca::SolverWorkspace ws;
+    rpca::Result start;
+    rpca::solve(a, rpca::Solver::Apg, opts, ws, start);
+
+    rpca::Result fused = start;
+    rpca::polish_rank1(a, fused, lambda, cap, tol, ws);
+
+    // Inline oracle: the pre-fusion loop body.
+    rpca::Result chain = start;
+    rpca::SolverWorkspace cws;
+    const double tau = lambda * (l1_norm(a) / static_cast<double>(a.size()));
+    chain.polished = true;
+    chain.polish_converged = false;
+    for (int k = 0; k < cap; ++k) {
+      sub(a, chain.sparse, cws.target);
+      rpca::rank1_approximation_into(cws.target, cws.rank1, cws.d);
+      sub(a, cws.d, cws.target);
+      soft_threshold_into(cws.target, tau, cws.e);
+      double change = 0.0, scale = 0.0;
+      const std::span<const double> dn = cws.d.data();
+      const std::span<const double> dc = chain.low_rank.data();
+      const std::span<const double> en = cws.e.data();
+      const std::span<const double> ec = chain.sparse.data();
+      for (std::size_t idx = 0; idx < dn.size(); ++idx) {
+        const double dd = dn[idx] - dc[idx];
+        const double de = en[idx] - ec[idx];
+        change += dd * dd + de * de;
+        scale += dn[idx] * dn[idx] + en[idx] * en[idx];
+      }
+      chain.low_rank.swap(cws.d);
+      chain.sparse.swap(cws.e);
+      chain.polish_iterations = k + 1;
+      if (std::sqrt(change) <= tol * std::sqrt(scale)) {
+        chain.polish_converged = true;
+        break;
+      }
+    }
+    sub_sub(a, chain.low_rank, chain.sparse, cws.residual);
+    chain.residual = frobenius_norm(cws.residual) / frobenius_norm(a);
+
+    EXPECT_EQ(chain.polish_iterations, cap);
+    EXPECT_FALSE(chain.polish_converged);
+    EXPECT_EQ(fused.polish_iterations, chain.polish_iterations);
+    EXPECT_EQ(fused.polish_converged, chain.polish_converged);
+    EXPECT_TRUE(same_bits(fused.low_rank, chain.low_rank));
+    EXPECT_TRUE(same_bits(fused.sparse, chain.sparse));
+    EXPECT_TRUE(same_bits(fused.residual, chain.residual));
+    EXPECT_EQ(fused.rank, 1u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "../support/json.hpp"
+#include "cloud/synthetic.hpp"
+#include "online/service.hpp"
 
 namespace netconst::online {
 namespace {
@@ -67,6 +69,49 @@ TEST(EventLog, KindNamesAreDistinct) {
   }
   EXPECT_STREQ(event_kind_name(EventKind::ColdSolveFallback),
                "cold_solve_fallback");
+}
+
+// A cold_solve_fallback event says which layers were rejected, by which
+// trigger, and whether the cold redo's polish hit its cap as well.
+TEST(EventLog, ColdSolveFallbackDetailNamesTheTrigger) {
+  cloud::SyntheticCloudConfig network;
+  network.cluster_size = 6;
+  network.datacenter_racks = 3;
+  network.seed = 21;
+  for (const bool polish_cap : {true, false}) {
+    cloud::SyntheticCloud cloud(network);
+    TenantConfig config;
+    config.name = "t0";
+    config.provider = &cloud;
+    config.window_capacity = 4;
+    config.snapshot_interval = 600.0;
+    config.operation_gap = 300.0;
+    config.scheduler.base_interval = 1500.0;
+    if (polish_cap) {
+      config.refresher.finder.rpca.polish_iterations = 1;
+      config.refresher.finder.rpca.polish_tolerance = 1e-300;
+    } else {
+      config.refresher.divergence_residual = 0.0;
+    }
+    ConstantFinderService service;
+    service.add_tenant(config);
+    service.run(12);
+
+    const std::string expected =
+        polish_cap ? "warm solve rejected (latency: polish_cap, cold polish "
+                     "capped too; bandwidth: polish_cap, cold polish capped "
+                     "too); solved cold"
+                   : "warm solve rejected (latency: apg_diverged; bandwidth: "
+                     "apg_diverged); solved cold";
+    std::size_t fallbacks = 0;
+    for (const Event& event : service.events().snapshot()) {
+      if (event.kind != EventKind::ColdSolveFallback) continue;
+      ++fallbacks;
+      EXPECT_EQ(event.detail, expected);
+    }
+    EXPECT_GT(fallbacks, 0u);
+    EXPECT_EQ(fallbacks, service.events().count(EventKind::ColdSolveFallback));
+  }
 }
 
 TEST(EventLog, CsvExport) {

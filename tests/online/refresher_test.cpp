@@ -1,5 +1,7 @@
 #include "online/refresher.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cloud/synthetic.hpp"
@@ -118,6 +120,8 @@ TEST(WindowRefresher, DivergenceGateForcesColdFallback) {
   EXPECT_FALSE(report.latency.warm_used);
   EXPECT_TRUE(report.bandwidth.cold_fallback);
   EXPECT_TRUE(report.any_cold_fallback());
+  EXPECT_EQ(report.latency.fallback_cause, FallbackCause::ApgDiverged);
+  EXPECT_EQ(report.bandwidth.fallback_cause, FallbackCause::ApgDiverged);
 
   // The fallback result is a plain cold solve.
   WindowRefresher cold_refresher;
@@ -125,6 +129,56 @@ TEST(WindowRefresher, DivergenceGateForcesColdFallback) {
   EXPECT_LT(relative_frobenius_diff(report.component.constant.bandwidth(),
                                     cold.component.constant.bandwidth()),
             1e-12);
+}
+
+// Each of the three rejection triggers is recorded as the layer's cause
+// (the first in check order when several hold), and polish_capped
+// describes the accepted (cold) solve's polish.
+TEST(WindowRefresher, FallbackRecordsWhichTriggerFired) {
+  struct Case {
+    FallbackCause cause;
+    RefresherOptions options;
+  };
+  std::vector<Case> cases(5);
+  cases[0].cause = FallbackCause::ApgNotConverged;
+  cases[0].options.finder.rpca.max_iterations = 1;
+  cases[1].cause = FallbackCause::ApgDiverged;
+  cases[1].options.divergence_residual = 0.0;
+  cases[2].cause = FallbackCause::PolishCap;
+  // Also both APG triggers at once, and the later ones with a polish cap.
+  cases[3].cause = FallbackCause::ApgNotConverged;
+  cases[3].options.finder.rpca.max_iterations = 1;
+  cases[3].options.divergence_residual = 0.0;
+  cases[4].cause = FallbackCause::ApgDiverged;
+  cases[4].options.divergence_residual = 0.0;
+  for (std::size_t k : {2u, 3u, 4u}) {
+    cases[k].options.finder.rpca.polish_iterations = 1;
+    cases[k].options.finder.rpca.polish_tolerance = 1e-300;
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(fallback_cause_name(c.cause));
+    cloud::SyntheticCloud cloud(small_cloud_config(5));
+    SlidingWindow window = filled_window(cloud, 6, 600.0);
+    WindowRefresher refresher(c.options);
+    const RefreshReport first = refresher.refresh(window);
+    EXPECT_EQ(first.latency.fallback_cause, FallbackCause::None);
+    cloud.advance(600.0);
+    window.push(cloud.now(), cloud.oracle_snapshot());
+
+    const RefreshReport report = refresher.refresh(window);
+    const bool capped = c.options.finder.rpca.polish_iterations == 1;
+    for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+      EXPECT_TRUE(layer->cold_fallback);
+      EXPECT_EQ(layer->fallback_cause, c.cause);
+      EXPECT_EQ(layer->polish_capped, capped);
+    }
+  }
+  EXPECT_STREQ(fallback_cause_name(FallbackCause::None), "none");
+  EXPECT_STREQ(fallback_cause_name(FallbackCause::ApgNotConverged),
+               "apg_not_converged");
+  EXPECT_STREQ(fallback_cause_name(FallbackCause::ApgDiverged),
+               "apg_diverged");
+  EXPECT_STREQ(fallback_cause_name(FallbackCause::PolishCap), "polish_cap");
 }
 
 TEST(WindowRefresher, SolverWithoutSeedingReportsIgnoredSeed) {

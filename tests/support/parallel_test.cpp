@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -159,6 +160,36 @@ TEST(ParallelForChunked, ZeroGrainIsTreatedAsOne) {
       },
       /*grain=*/0);
   EXPECT_EQ(count.load(), 100);
+}
+
+// An elementwise kernel over a 10 x 1024 window with an 8192-element
+// grain used to fork into 8192 + 2048; waking a worker for the
+// remainder cost more than it saved. Anything under two grains must be
+// one body call on the calling thread, and two grains may fork.
+TEST(ParallelForChunked, RangeUnderTwoGrainsIsOneInlineCall) {
+  const auto caller = std::this_thread::get_id();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{8192},
+                              std::size_t{10240}, std::size_t{16383}}) {
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    std::thread::id ran_on;
+    parallel_for_chunked(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          calls.emplace_back(lo, hi);
+          ran_on = std::this_thread::get_id();
+        },
+        /*grain=*/8192);
+    ASSERT_EQ(calls.size(), 1u) << "n=" << n;
+    EXPECT_EQ(calls[0].first, 0u);
+    EXPECT_EQ(calls[0].second, n);
+    EXPECT_EQ(ran_on, caller);
+  }
+  std::atomic<int> chunks{0};
+  parallel_for_chunked(
+      0, 16384,
+      [&](std::size_t, std::size_t) { chunks.fetch_add(1); },
+      /*grain=*/8192);
+  EXPECT_EQ(chunks.load(), 2);
 }
 
 TEST(RunChunked, EmptyRangeNeverInvokesBody) {
