@@ -10,9 +10,10 @@
 // solver's transient memory footprint.
 //
 // Exit status is nonzero when any steady-state workspace solve performs
-// a heap allocation, or when the online suite (the refresher's APG +
-// rank-1 polish solve on a noisy N=32 window) is slower than its
-// reference twin — CI runs this with --smoke as a regression gate. The
+// a heap allocation (the warm_fit suite — the refresher's warm attempt
+// with its Huber-fit polish — included), or when the online suite (the
+// refresher's APG + rank-1 polish solve on a noisy N=32 window) is
+// slower than its reference twin — CI runs this with --smoke as a regression gate. The
 // JSON opens with a host header: git sha, build type, compiler,
 // hardware_concurrency, pool threads and SIMD level.
 //
@@ -267,6 +268,75 @@ SuiteRow online_suite(int reps) {
   options.polish_iterations = 300;  // the online refresher default
   return solve_suite("online", "APG+polish", rpca::Solver::Apg, cluster,
                      problem.data, options, reps);
+}
+
+/// Warm-attempt suite: the online refresher's warm attempt along a
+/// noisy N=32 slide trajectory — seeded APG without its own polish,
+/// then rpca::polish opening the 300-step budget with the rank-1 Huber
+/// fit — against the reference twins (reference::solve, then
+/// reference::polish). Both sides start from a cold polished solve and
+/// feed each slide's factors forward as the next seed; the workspace
+/// side falls under the steady-state allocation gate.
+SuiteRow warm_fit_suite(int steps) {
+  SuiteRow row;
+  row.suite = "warm_fit";
+  row.solver = "APG+fit+polish";
+  row.cluster = 32;
+  auto problem = tp_problem(row.cluster, 501);
+  Rng noise(502);
+  for (double& x : problem.data.data()) x += 0.03 * noise.normal();
+  row.rows = problem.data.rows();
+  row.cols = problem.data.cols();
+
+  rpca::Options polish_opts;
+  polish_opts.polish_iterations = 300;  // the online refresher default
+  const rpca::Options solve_opts;       // the warm attempt's solve: no polish
+
+  {
+    linalg::Matrix data = problem.data;
+    Rng rng(11);
+    rpca::Options opts = solve_opts;
+    rpca::Result prev =
+        rpca::reference::solve(data, rpca::Solver::Apg, polish_opts);
+    std::vector<double> times;
+    for (int s = 0; s < steps; ++s) {
+      slide_row(data, static_cast<std::size_t>(s), rng);
+      opts.warm_start = {prev.low_rank, prev.sparse, prev.final_mu,
+                         prev.mu_floor};
+      timed_rep(row.reference, times, [&] {
+        prev = rpca::reference::solve(data, rpca::Solver::Apg, opts);
+        rpca::reference::polish(data, polish_opts, prev.warm_started, prev);
+        return prev.iterations;
+      });
+    }
+    finish_section(row.reference, times);
+  }
+  {
+    linalg::Matrix data = problem.data;
+    Rng rng(11);
+    rpca::Options opts = solve_opts;
+    rpca::SolverWorkspace ws;
+    rpca::Result result;
+    rpca::solve(data, rpca::Solver::Apg, polish_opts, ws, result);
+    std::vector<double> times;
+    for (int s = 0; s < steps; ++s) {
+      slide_row(data, static_cast<std::size_t>(s), rng);
+      opts.warm_start.low_rank = result.low_rank;
+      opts.warm_start.sparse = result.sparse;
+      opts.warm_start.mu = result.final_mu;
+      opts.warm_start.mu_floor = result.mu_floor;
+      timed_rep(row.workspace, times, [&] {
+        rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
+        rpca::polish(data, polish_opts, result.warm_started, ws, result);
+        return result.iterations;
+      });
+    }
+    finish_section(row.workspace, times);
+  }
+  row.speedup = row.workspace.median_ms > 0.0
+                    ? row.reference.median_ms / row.workspace.median_ms
+                    : 0.0;
+  return row;
 }
 
 /// HEAD's sha with -dirty for a modified tree, as bench/e2e/run.py
@@ -594,6 +664,15 @@ int main(int argc, char** argv) {
             << " ms, ws " << online.workspace.median_ms << " ms, speedup "
             << online.speedup << "x, steady-state allocs "
             << online.workspace.allocs << "\n";
+
+  rows.push_back(warm_fit_suite(warm_steps));
+  {
+    const SuiteRow& r = rows.back();
+    std::cout << "warm_fit APG+fit+polish N=32: ref "
+              << r.reference.median_ms << " ms, ws "
+              << r.workspace.median_ms << " ms, speedup " << r.speedup
+              << "x, steady-state allocs " << r.workspace.allocs << "\n";
+  }
 
   // The regression gate: a warm workspace solve must not touch the heap.
   int violations = 0;

@@ -93,10 +93,22 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
     solve_opts_.probe = nullptr;
   }
 
+  // The warm attempt polishes after the solve rather than inside it: a
+  // warm-started result opens its polish budget with the Huber fit
+  // (rpca::polish), which reaches the fixed point the alternation would
+  // crawl toward on a noisy window. The cold redo below keeps the
+  // solver's own plain polish.
+  const int polish_budget = solve_opts_.polish_iterations;
+  if (use_seed) solve_opts_.polish_iterations = 0;
   rpca::solve(data, options_.finder.solver, solve_opts_, workspace_, result);
+  solve_opts_.polish_iterations = polish_budget;
   if (use_seed) {
     seed = std::move(solve_opts_.warm_start);
     clear_seed(solve_opts_.warm_start);
+    if (polish_budget > 0) {
+      rpca::polish(data, solve_opts_, result.warm_started, workspace_,
+                   result);
+    }
   }
   info.seed_ignored = result.warm_start_ignored;
   info.warm_used = result.warm_started;

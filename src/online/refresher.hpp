@@ -14,8 +14,12 @@
 // the mu floor, so a warm and a cold solve of the same window would
 // otherwise land ~1% apart. The polish drives both onto the alternation
 // fixed point determined by the data alone, making a warm refresh
-// reproducible against a cold solve to ~1e-10 — which is also the
-// paper's model (rank(N_D) = 1) enforced exactly.
+// reproducible against a cold solve to ~1e-9 wherever the cold polish
+// settles — which is also the paper's model (rank(N_D) = 1) enforced
+// exactly. On a noisy window the plain alternation crawls toward that
+// point for thousands of steps, so a warm attempt opens its polish with
+// rpca::rank1_huber_fit, which reaches it in a few sweeps
+// (rpca::polish); the cold path keeps the plain alternation.
 #pragma once
 
 #include <cstdint>

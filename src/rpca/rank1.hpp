@@ -52,4 +52,37 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
 void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                   int max_iterations, double tolerance, SolverWorkspace& ws);
 
+/// Sweep budget and relative factor-change tolerance of rank1_huber_fit.
+/// The tolerance sits well under the polish's 1e-10 step test, so the
+/// polish that follows a converged fit settles in a step or two.
+inline constexpr int kHuberFitSweeps = 50;
+inline constexpr double kHuberFitTolerance = 1e-13;
+
+/// Rank-1 Huber fit: minimise the polish's own objective
+///   sum_ij h_tau(A_ij - u_i v_j),   tau = lambda * mean|A|,
+/// where h_tau is the Huber function (r^2/2 inside tau, tau|r| - tau^2/2
+/// outside) — eliminating E from ||A - D - E||^2/2 + tau||E||_1 leaves
+/// exactly this. polish_rank1's alternation is a unit-step projected
+/// gradient on it and crawls along the directions where entries sit in
+/// the soft threshold's linear part; this fit instead alternates exact
+/// 1-D minimisations, every v_j against u (rows() terms each), then
+/// every u_i against v (cols() terms each), so it reaches the same
+/// stationary point in a handful of sweeps. Each 1-D fit is a bracketed
+/// semismooth Newton that stops once a step lands on the piece of the
+/// piecewise-quadratic objective it was computed on (from a warm start,
+/// usually one evaluation and one pass that checks the pieces).
+///
+/// Starts from the rank-1 approximation of A - E (`result`'s E — the
+/// polish's own first D step) and stops when a sweep changes the
+/// factors by at most kHuberFitTolerance relative, or after
+/// `max_sweeps` (>= 0) sweeps; returns the sweeps run. Leaves
+/// low_rank = u v^T, sparse = soft_tau(A - u v^T), rank = 1 and the
+/// matching residual in `result`; the other diagnostics are untouched.
+/// Sequential scalar arithmetic apart from the starting power
+/// iteration, which runs on the active SIMD level's kernels exactly as
+/// the twin's does: bit-identical to reference::rank1_huber_fit at every
+/// level. Allocation-free once `ws` carries capacity.
+int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
+                    int max_sweeps, SolverWorkspace& ws);
+
 }  // namespace netconst::rpca

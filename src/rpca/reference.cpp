@@ -11,6 +11,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/shrinkage.hpp"
+#include "rpca/rank1.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
 
@@ -615,6 +616,179 @@ Result solve(const linalg::Matrix& a, Solver solver,
     result.solve_seconds += polish_clock.seconds();
   }
   return result;
+}
+
+namespace {
+
+/// Dominant singular pair of `a` by the power iteration of
+/// rank1_approximation above: {A v (= sigma * u_hat), v}.
+std::pair<std::vector<double>, std::vector<double>> rank1_factors(
+    const linalg::Matrix& a) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  std::vector<double> v(n, 1.0 / std::sqrt(static_cast<double>(n)));
+  double sigma_prev = 0.0;
+  for (int it = 0; it < kPowerIterations; ++it) {
+    std::vector<double> u = linalg::multiply(a, v);
+    const double unorm = linalg::norm2(u);
+    if (unorm == 0.0) return {std::vector<double>(m), std::vector<double>(n)};
+    linalg::scale(1.0 / unorm, u);
+    const std::vector<double> w = linalg::multiply_transposed(a, u);
+    const double sigma = linalg::norm2(w);
+    if (sigma == 0.0) return {std::vector<double>(m), std::vector<double>(n)};
+    for (std::size_t j = 0; j < n; ++j) v[j] = w[j] / sigma;
+    if (std::abs(sigma - sigma_prev) <=
+        kPowerTolerance * std::max(sigma, 1.0)) {
+      break;
+    }
+    sigma_prev = sigma;
+  }
+  return {linalg::multiply(a, v), v};
+}
+
+struct HuberPoint {
+  double slope = 0.0;
+  double curvature = 0.0;
+  std::vector<int> pieces;  // +1 / -1 linear parts, 0 quadratic
+};
+
+HuberPoint huber_point(const std::vector<double>& b,
+                       const std::vector<double>& c, double tau, double x) {
+  HuberPoint p;
+  for (std::size_t t = 0; t < b.size(); ++t) {
+    const double r = b[t] - c[t] * x;
+    if (r > tau) {
+      p.slope -= c[t] * tau;
+      p.pieces.push_back(1);
+    } else if (r < -tau) {
+      p.slope += c[t] * tau;
+      p.pieces.push_back(-1);
+    } else {
+      p.slope -= c[t] * r;
+      p.curvature += c[t] * c[t];
+      p.pieces.push_back(0);
+    }
+  }
+  return p;
+}
+
+double huber_fit_1d(const std::vector<double>& b,
+                    const std::vector<double>& c, double tau, double x) {
+  const double inf = std::numeric_limits<double>::infinity();
+  double lo = -inf, hi = inf;
+  HuberPoint here = huber_point(b, c, tau, x);
+  for (int e = 0; e < 200 && here.slope != 0.0; ++e) {
+    if (here.slope > 0.0) {
+      hi = x;
+    } else {
+      lo = x;
+    }
+    double next = x;
+    bool newton = false;
+    if (here.curvature > 0.0) {
+      next = x - here.slope / here.curvature;
+      newton = next > lo && next < hi;
+    }
+    if (!newton) {
+      if (lo == -inf || hi == inf) {
+        std::vector<double> kinks;
+        for (std::size_t t = 0; t < b.size(); ++t) {
+          if (c[t] == 0.0) continue;
+          kinks.push_back((b[t] - tau) / c[t]);
+          kinks.push_back((b[t] + tau) / c[t]);
+        }
+        lo = std::max(lo, *std::min_element(kinks.begin(), kinks.end()));
+        hi = std::min(hi, *std::max_element(kinks.begin(), kinks.end()));
+      }
+      next = 0.5 * lo + 0.5 * hi;
+      if (!(next > lo && next < hi)) break;
+    }
+    HuberPoint there = huber_point(b, c, tau, next);
+    const bool same_piece = there.pieces == here.pieces;
+    x = next;
+    here = std::move(there);
+    if (newton && same_piece) break;
+  }
+  return x;
+}
+
+}  // namespace
+
+int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
+                    int max_sweeps) {
+  NETCONST_CHECK(lambda > 0.0, "Huber fit requires lambda > 0");
+  const double a_fro = linalg::frobenius_norm(a);
+  NETCONST_CHECK(a_fro > 0.0, "Huber fit of an all-zero matrix");
+  const double tau =
+      lambda * (linalg::l1_norm(a) / static_cast<double>(a.size()));
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+
+  linalg::Matrix target = a;
+  target -= result.sparse;
+  auto [u, v] = reference::rank1_factors(target);
+  int sweeps = 0;
+  while (sweeps < max_sweeps) {
+    const std::vector<double> u_prev = u;
+    const std::vector<double> v_prev = v;
+    for (std::size_t j = 0; j < n; ++j) {
+      std::vector<double> column(m);
+      for (std::size_t i = 0; i < m; ++i) column[i] = a(i, j);
+      v[j] = reference::huber_fit_1d(column, u, tau, v[j]);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      std::vector<double> row(n);
+      for (std::size_t j = 0; j < n; ++j) row[j] = a(i, j);
+      u[i] = reference::huber_fit_1d(row, v, tau, u[i]);
+    }
+    ++sweeps;
+    double dv = 0.0, vv = 0.0, du = 0.0, uu = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      dv += (v[j] - v_prev[j]) * (v[j] - v_prev[j]);
+      vv += v[j] * v[j];
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      du += (u[i] - u_prev[i]) * (u[i] - u_prev[i]);
+      uu += u[i] * u[i];
+    }
+    if (std::sqrt(dv) <= kHuberFitTolerance * std::sqrt(vv) &&
+        std::sqrt(du) <= kHuberFitTolerance * std::sqrt(uu)) {
+      break;
+    }
+  }
+
+  linalg::Matrix d(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) d(i, j) = u[i] * v[j];
+  }
+  linalg::Matrix e_target = a;
+  e_target -= d;
+  result.sparse = linalg::soft_threshold(e_target, tau);
+  result.low_rank = std::move(d);
+  linalg::Matrix residual = a;
+  residual -= result.low_rank;
+  residual -= result.sparse;
+  result.residual = linalg::frobenius_norm(residual) / a_fro;
+  result.rank = 1;
+  return sweeps;
+}
+
+void polish(const linalg::Matrix& a, const Options& options,
+            bool huber_start, Result& result) {
+  const Stopwatch polish_clock;
+  const double lambda = options.lambda > 0.0
+                            ? options.lambda
+                            : default_lambda(a.rows(), a.cols());
+  const int budget = options.polish_iterations;
+  int fit_sweeps = 0;
+  if (huber_start && budget > 1) {
+    fit_sweeps = reference::rank1_huber_fit(
+        a, result, lambda, std::min(kHuberFitSweeps, budget - 1));
+  }
+  reference::polish_rank1(a, result, lambda, budget - fit_sweeps,
+                          options.polish_tolerance);
+  result.polish_iterations += fit_sweeps;
+  result.solve_seconds += polish_clock.seconds();
 }
 
 }  // namespace netconst::rpca::reference

@@ -11,6 +11,9 @@
 //    speedup against exactly this code, so the comparison cannot drift
 //    as the production solvers evolve.
 //
+// rank1_huber_fit and polish came later, written in the same
+// allocating style as twins of rpca::rank1_huber_fit and rpca::polish.
+//
 // Do not "optimize" anything in reference.cpp; its slowness is the point.
 #pragma once
 
@@ -36,5 +39,17 @@ Result solve_stable_pcp(const linalg::Matrix& a,
 // structural rather than a rewrite that has to be re-validated.
 Result solve_stable_pcp_tf(const linalg::Matrix& a,
                            const StablePcpTfOptions& options = {});
+
+/// Twin of rpca::rank1_huber_fit: copies every column and row it fits,
+/// compares pieces through per-term vectors and builds D and E with
+/// matrix temporaries. Returns the sweeps run.
+int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
+                    int max_sweeps);
+
+/// Twin of rpca::polish (the polish stage of rpca::solve; with
+/// `huber_start`, rank1_huber_fit opens the budget), on the allocating
+/// polish that reference::solve runs.
+void polish(const linalg::Matrix& a, const Options& options,
+            bool huber_start, Result& result);
 
 }  // namespace netconst::rpca::reference

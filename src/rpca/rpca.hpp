@@ -108,9 +108,13 @@ struct Options {
   /// Sparsity weight. <= 0 selects the standard 1/sqrt(max(m, n)).
   double lambda = 0.0;
   int max_iterations = 500;
-  /// Relative convergence tolerance on ||A - D - E||_F / ||A||_F
-  /// (Ialm/RankOne) or on the iterate change (Apg, StablePcp,
-  /// StablePcpTf).
+  /// Convergence tolerance. Ialm stops when ||A - D - E||_F / ||A||_F
+  /// is below it, RankOne when that ratio changes by less than it. Apg,
+  /// StablePcp and StablePcpTf stop when the iterate change satisfies
+  ///   ||(D, E) - (D, E)_prev||_F <= tolerance * max(||(D, E)||_F, 1),
+  /// which is relative only while ||(D, E)||_F >= 1 and absolute below:
+  /// on a latency layer (seconds) it is an absolute bound, on a
+  /// bandwidth layer (B/s) a relative one (docs/ALGORITHMS.md §1).
   double tolerance = 1e-7;
   linalg::SvdOptions svd;
   /// Randomized-SVT routing policy (default off = exact solves).
@@ -163,7 +167,8 @@ struct Result {
   double solver_residual = 0.0;
   /// True when the rank-1 polish ran on this result.
   bool polished = false;
-  /// Iterations the polish used (0 when it did not run).
+  /// Iterations the polish used (0 when it did not run), counting each
+  /// rank1_huber_fit sweep that opened it (rpca::polish).
   int polish_iterations = 0;
   /// True when the polish reached its tolerance (also true when the
   /// polish is off, so gating on !polish_converged only fires when the
@@ -184,6 +189,19 @@ Result solve(const linalg::Matrix& a, Solver solver,
 /// overload, which routes through this one.
 void solve(const linalg::Matrix& a, Solver solver, const Options& options,
            SolverWorkspace& workspace, Result& result);
+
+/// The rank-1 polish stage of solve(), in an `rpca.polish` span: run
+/// polish_rank1 on `result` with options' polish budget and tolerance
+/// (options.polish_iterations must be > 0) and add its time to
+/// solve_seconds. With `huber_start`, the budget opens with
+/// rank1_huber_fit (at most kHuberFitSweeps sweeps, each counted as a
+/// polish iteration) and polish_rank1 gets the rest, so its step test
+/// still decides polish_converged. The online refresher starts the
+/// polish of a warm-started solve this way: the fit reaches the
+/// alternation's fixed point where the plain alternation would crawl to
+/// its cap. solve() itself never does (huber_start = false).
+void polish(const linalg::Matrix& a, const Options& options,
+            bool huber_start, SolverWorkspace& workspace, Result& result);
 
 /// Standard lambda = 1 / sqrt(max(m, n)).
 double default_lambda(std::size_t rows, std::size_t cols);

@@ -4,11 +4,13 @@
 // campaign's trajectory.
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,17 +81,26 @@ TEST(TraceDumpChaos, PlacementShiftAutoDumpsAParseableTrace) {
             1u);
   ASSERT_GT(recorder.auto_dumps_written(), written_before);
 
-  // Find the dump, confirm the reason rode into the file name, and that
-  // the payload is a loadable Chrome trace with the service's spans.
-  std::vector<std::filesystem::path> dumps;
+  // Order the dumps by the <n> of netconst_trace_<n>_<reason>.json (the
+  // directory iterator's order is unspecified), confirm the first one's
+  // reason rode into its file name, and that its payload is a loadable
+  // Chrome trace with the service's spans.
+  const std::string prefix = "netconst_trace_";
+  std::vector<std::pair<unsigned long, std::filesystem::path>> dumps;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    dumps.push_back(entry.path());
+    const std::string name = entry.path().filename().string();
+    ASSERT_EQ(name.rfind(prefix, 0), 0u) << name;
+    dumps.emplace_back(std::stoul(name.substr(prefix.size())), entry.path());
   }
   ASSERT_FALSE(dumps.empty());
-  EXPECT_NE(dumps.front().filename().string().find("placement_shift"),
-            std::string::npos);
+  std::sort(dumps.begin(), dumps.end());
+  EXPECT_EQ(dumps.front().first, written_before);
+  const std::filesystem::path& first = dumps.front().second;
+  EXPECT_NE(first.filename().string().find("placement_shift"),
+            std::string::npos)
+      << first;
 
-  std::ifstream in(dumps.front());
+  std::ifstream in(first);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();

@@ -629,5 +629,67 @@ TEST(SimdSolve, FusedPolishMatchesKernelChainAtEveryLevel) {
   }
 }
 
+// The Huber fit and the polish it opens, against their allocating
+// reference twins, under every available level: the same noisy N = 32
+// window as above and one scalar-level APG start shared by every level.
+// The fit's own arithmetic is scalar; its starting power iteration uses
+// the level's dot/norm kernels (so does the twin's), so across levels
+// the fits agree to rounding, and reach the same fixed point.
+TEST(SimdSolve, HuberFitMatchesReferenceAtEveryLevel) {
+  Rng rng(98);
+  rpca::SyntheticSpec spec;
+  spec.rows = 10;
+  spec.cols = 1024;
+  spec.rank = 1;
+  spec.sparsity = 0.05;
+  Matrix a = rpca::make_synthetic(spec, rng).data;
+  for (auto& x : a.data()) x += 0.1 * rng.normal();
+  const double lambda = 1.0 / std::sqrt(1024.0);
+  rpca::Options opts;
+  opts.max_iterations = 40;
+  opts.polish_iterations = 300;
+  rpca::Result start;
+  {
+    simd::ScopedLevel lvl(simd::Level::Scalar);
+    rpca::Options solve_opts = opts;
+    solve_opts.polish_iterations = 0;
+    start = rpca::solve(a, rpca::Solver::Apg, solve_opts);
+  }
+
+  rpca::Result first_fit;
+  for (const simd::Level level : available_levels()) {
+    SCOPED_TRACE(simd::level_name(level));
+    simd::ScopedLevel lvl(level);
+    rpca::SolverWorkspace ws;
+
+    rpca::Result fit = start;
+    rpca::Result ref = start;
+    const int sweeps =
+        rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps, ws);
+    EXPECT_EQ(sweeps, rpca::reference::rank1_huber_fit(
+                          a, ref, lambda, rpca::kHuberFitSweeps));
+    EXPECT_TRUE(same_bits(fit.low_rank, ref.low_rank));
+    EXPECT_TRUE(same_bits(fit.sparse, ref.sparse));
+    EXPECT_TRUE(same_bits(fit.residual, ref.residual));
+    if (first_fit.low_rank.empty()) {
+      first_fit = fit;
+    } else {
+      EXPECT_LT(fit.low_rank.max_abs_diff(first_fit.low_rank),
+                1e-9 * max_abs(first_fit.low_rank));
+    }
+
+    rpca::Result polished = start;
+    rpca::Result ref_polished = start;
+    rpca::polish(a, opts, /*huber_start=*/true, ws, polished);
+    rpca::reference::polish(a, opts, /*huber_start=*/true, ref_polished);
+    EXPECT_TRUE(polished.polish_converged);
+    EXPECT_EQ(polished.polish_iterations, ref_polished.polish_iterations);
+    EXPECT_EQ(polished.polish_converged, ref_polished.polish_converged);
+    EXPECT_TRUE(same_bits(polished.low_rank, ref_polished.low_rank));
+    EXPECT_TRUE(same_bits(polished.sparse, ref_polished.sparse));
+    EXPECT_TRUE(same_bits(polished.residual, ref_polished.residual));
+  }
+}
+
 }  // namespace
 }  // namespace netconst::linalg

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/norms.hpp"
 #include "rpca/rank1.hpp"
 #include "rpca/validation.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace netconst::rpca {
 namespace {
@@ -184,6 +186,115 @@ TEST(Rpca, ReportsSolveTime) {
   const Result result = solve(problem.data, Solver::Ialm);
   EXPECT_GT(result.solve_seconds, 0.0);
   EXPECT_GT(result.iterations, 0);
+}
+
+/// A 10 x 1024 window (the paper's N = 32 shape): planted rank-1 +
+/// 5% sparse, plus dense N(0, noise^2) on every entry, and the APG
+/// solve the polish starts from.
+struct NoisyWindow {
+  linalg::Matrix a;
+  Result start;
+  double lambda = 0.0;
+
+  NoisyWindow(std::uint64_t seed, double noise) {
+    Rng rng(seed);
+    SyntheticSpec spec;
+    spec.rows = 10;
+    spec.cols = 1024;
+    spec.rank = 1;
+    spec.sparsity = 0.05;
+    a = make_synthetic(spec, rng).data;
+    for (double& x : a.data()) x += noise * rng.normal();
+    lambda = default_lambda(a.rows(), a.cols());
+    start = solve(a, Solver::Apg);
+  }
+};
+
+double relative_diff(const linalg::Matrix& x, const linalg::Matrix& y,
+                     double scale) {
+  linalg::Matrix d = x;
+  d -= y;
+  return linalg::frobenius_norm(d) / scale;
+}
+
+// Where the plain alternation crawls to its 300-step cap, the Huber fit
+// lands on a point that passes the alternation's own step test at once.
+TEST(Rank1HuberFit, PassesThePolishStepTestWherePlainPolishCaps) {
+  const NoisyWindow w(10, 0.03);
+  SolverWorkspace ws;
+  Result plain = w.start;
+  polish_rank1(w.a, plain, w.lambda, 300, 1e-10, ws);
+  ASSERT_EQ(plain.polish_iterations, 300);
+  ASSERT_FALSE(plain.polish_converged);
+
+  Result fit = w.start;
+  const int sweeps =
+      rank1_huber_fit(w.a, fit, w.lambda, kHuberFitSweeps, ws);
+  EXPECT_GT(sweeps, 0);
+  EXPECT_LT(sweeps, kHuberFitSweeps);  // stopped on its tolerance
+  EXPECT_EQ(fit.rank, 1u);
+  polish_rank1(w.a, fit, w.lambda, 1, 1e-10, ws);
+  EXPECT_TRUE(fit.polish_converged);
+}
+
+// Where the plain alternation settles inside its budget, the fitted
+// polish reaches the same fixed point to within 1e-8.
+TEST(Rank1HuberFit, MatchesTheFixedPointWherePlainPolishConverges) {
+  Options options;
+  options.polish_iterations = 300;
+  int compared = 0;
+  for (const std::uint64_t seed : {10u, 17u, 38u, 45u}) {
+    SCOPED_TRACE(seed);
+    const NoisyWindow w(seed, 0.01);
+    SolverWorkspace ws;
+    Result plain = w.start;
+    polish(w.a, options, /*huber_start=*/false, ws, plain);
+    if (!plain.polish_converged) continue;
+    ++compared;
+    Result fitted = w.start;
+    polish(w.a, options, /*huber_start=*/true, ws, fitted);
+    EXPECT_TRUE(fitted.polish_converged);
+    EXPECT_LT(fitted.polish_iterations, plain.polish_iterations);
+    const double a_norm = linalg::frobenius_norm(w.a);
+    EXPECT_LT(relative_diff(fitted.low_rank, plain.low_rank,
+                            linalg::frobenius_norm(plain.low_rank)),
+              1e-8);
+    EXPECT_LT(relative_diff(fitted.sparse, plain.sparse, a_norm), 1e-8);
+  }
+  EXPECT_GE(compared, 3);
+}
+
+// The fit on an exactly rank-1 window with no noise leaves E = 0 and
+// reproduces the window.
+TEST(Rank1HuberFit, RecoversAnExactRankOneWindow) {
+  linalg::Matrix a(6, 40);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      a(i, j) = (1.0 + 0.1 * static_cast<double>(i)) *
+                (2.0 + std::sin(static_cast<double>(j)));
+    }
+  }
+  SolverWorkspace ws;
+  Result result;
+  result.sparse.resize(a.rows(), a.cols());
+  result.sparse.fill(0.0);
+  rank1_huber_fit(a, result, default_lambda(a.rows(), a.cols()),
+                  kHuberFitSweeps, ws);
+  EXPECT_LT(result.low_rank.max_abs_diff(a), 1e-12);
+  EXPECT_EQ(linalg::max_abs(result.sparse), 0.0);
+  EXPECT_LT(result.residual, 1e-12);
+}
+
+TEST(Rank1HuberFit, RejectsBadArguments) {
+  const linalg::Matrix a{{1.0, 2.0}, {3.0, 4.0}};
+  SolverWorkspace ws;
+  Result result;
+  result.sparse.resize(2, 2);
+  result.sparse.fill(0.0);
+  EXPECT_THROW(rank1_huber_fit(a, result, 0.0, 5, ws), ContractViolation);
+  EXPECT_THROW(rank1_huber_fit(a, result, 0.5, -1, ws), ContractViolation);
+  result.sparse.resize(3, 2);
+  EXPECT_THROW(rank1_huber_fit(a, result, 0.5, 5, ws), ContractViolation);
 }
 
 }  // namespace
