@@ -16,6 +16,10 @@
 // constant), mean refresh ms per slide and cold fallbacks. The
 // huber_fit replica is checked bit for bit against a WindowRefresher
 // driven in lockstep; the run exits 1 if they differ.
+//
+// Usage: ablation_solvers [--smoke]
+//   --smoke  only the polish study, on one cloud per band x 10 slides:
+//            the replica gate in a few seconds (CI's bench-smoke job).
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -84,8 +88,12 @@ void solver_grid() {
 
 // ---- the warm-attempt polish study ----
 
-constexpr std::size_t kClouds = 8;
-constexpr int kSlides = 30;
+/// Clouds per noise band and slides per cloud.
+struct StudySize {
+  std::uint64_t clouds = 8;
+  int slides = 30;
+};
+
 constexpr std::size_t kWindow = 10;
 constexpr double kStepSeconds = 300.0;
 constexpr double kOperationBytes = 8.0 * 1024 * 1024;
@@ -153,9 +161,10 @@ struct CloudRun {
   bool matches_refresher = true;
 };
 
-/// Bootstrap a window on one cloud, then `kSlides` fixed steps, each
+/// Bootstrap a window on one cloud, then `slides` fixed steps, each
 /// refreshing both layers under `policy`.
-CloudRun run_cloud(double sigma, std::uint64_t seed, WarmPolish policy) {
+CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
+                   WarmPolish policy) {
   cloud::SyntheticCloudConfig config;
   config.cluster_size = 32;
   config.band_sigma = sigma;
@@ -171,7 +180,7 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, WarmPolish policy) {
   rpca::Result lat, bw;
   CloudRun run;
   std::vector<double> errors;
-  for (int step = 0; step < static_cast<int>(kWindow) + kSlides; ++step) {
+  for (int step = 0; step < static_cast<int>(kWindow) + slides; ++step) {
     window.push(cloud.now(), cloud.oracle_snapshot());
     cloud.advance(kStepSeconds);
     if (!window.full()) continue;
@@ -187,7 +196,7 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, WarmPolish policy) {
     if (step == static_cast<int>(kWindow) - 1) {
       run.fallbacks = 0;  // the bootstrap solve is not a slide
     } else {
-      run.refresh_ms += ms / kSlides;
+      run.refresh_ms += ms / slides;
       errors.push_back(const_error(component.constant, truth));
     }
     if (policy == WarmPolish::HuberFit) {
@@ -205,20 +214,21 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, WarmPolish policy) {
   return run;
 }
 
-bool warm_polish_study() {
+bool warm_polish_study(const StudySize& size) {
   print_banner(std::cout,
                "Warm-attempt polish: plain alternation vs Huber fit, "
-               "N=32 SyntheticClouds, 30 fixed 300 s slides");
+               "N=32 SyntheticClouds, " +
+                   std::to_string(size.slides) + " fixed 300 s slides");
   ConsoleTable table({"sigma", "cloud", "policy", "const_err_p50",
                       "const_err_p90", "refresh_ms", "cold_fallbacks"});
   bool replica_ok = true;
   int better_or_equal = 0, compared = 0;
   for (const double sigma : {0.04, 0.01}) {
-    for (std::uint64_t seed = 1; seed <= kClouds; ++seed) {
+    for (std::uint64_t seed = 1; seed <= size.clouds; ++seed) {
       CloudRun runs[2];
       for (const WarmPolish policy :
            {WarmPolish::Plain, WarmPolish::HuberFit}) {
-        const CloudRun run = run_cloud(sigma, seed, policy);
+        const CloudRun run = run_cloud(sigma, seed, size.slides, policy);
         runs[policy == WarmPolish::HuberFit] = run;
         replica_ok = replica_ok && run.matches_refresher;
         table.add_row({ConsoleTable::cell(sigma, 2), std::to_string(seed),
@@ -244,8 +254,21 @@ bool warm_polish_study() {
 
 }  // namespace
 
-int main() {
-  solver_grid();
-  std::cout << "\n";
-  return warm_polish_study() ? 0 : 1;
+int main(int argc, char** argv) {
+  StudySize size;
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--smoke") {
+      smoke = true;
+      size = {1, 10};
+    } else {
+      std::cerr << "usage: ablation_solvers [--smoke]\n";
+      return 2;
+    }
+  }
+  if (!smoke) {
+    solver_grid();
+    std::cout << "\n";
+  }
+  return warm_polish_study(size) ? 0 : 1;
 }

@@ -13,7 +13,8 @@
 // The regression gate: spans_per_refresh x disabled_span_ns must stay
 // under 1% of the refresh itself — i.e. instrumenting the pipeline and
 // leaving tracing OFF is free at the advertised < 1% level. CI runs
-// this with --smoke.
+// this with --smoke. The JSON opens with the host header of
+// bench_util.hpp.
 //
 // Usage: bench_obs [--smoke] [--out <path>]
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "cloud/synthetic.hpp"
 #include "obs/trace.hpp"
 #include "online/ingest.hpp"
@@ -171,6 +173,7 @@ int main(int argc, char** argv) {
   out.precision(6);
   out << "{\n"
       << "  \"schema\": \"netconst-bench-obs-v1\",\n"
+      << "  \"host\": " << bench::host_json() << ",\n"
       << "  \"config\": {\"smoke\": " << (smoke ? "true" : "false")
       << ", \"disabled_iters\": " << disabled_iters
       << ", \"enabled_iters\": " << enabled_iters

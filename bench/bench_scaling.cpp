@@ -12,10 +12,12 @@
 //     the vector kernels forced off vs the detected level, plus the
 //     bit-identity check of the scalar path against rpca::reference.
 //
-// Emits machine-readable JSON (BENCH_scaling.json by default). The
-// host's core count and detected SIMD level are recorded alongside the
-// numbers: on a 1-core or scalar-only machine the ratios legitimately
-// approach 1x, and the JSON says so instead of hiding it.
+// Emits machine-readable JSON (BENCH_scaling.json by default), opening
+// with the host header of bench_util.hpp. The host's core count and
+// detected SIMD level are recorded alongside the numbers (and kept in
+// `config` for readers of the older schema): on a 1-core or
+// scalar-only machine the ratios legitimately approach 1x, and the
+// JSON says so instead of hiding it.
 //
 // Usage: bench_scaling [--smoke] [--out <path>]
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "cloud/synthetic.hpp"
 #include "linalg/simd.hpp"
 #include "online/service.hpp"
@@ -281,6 +284,7 @@ int main(int argc, char** argv) {
   json.precision(6);
   json << "{\n"
        << "  \"schema\": \"netconst-scaling-v1\",\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"config\": {\"steps\": " << steps
        << ", \"smoke\": " << (smoke ? "true" : "false")
        << ", \"hardware_concurrency\": " << hw << ", \"simd_level\": \""

@@ -1,15 +1,58 @@
 // Shared helpers for the figure-reproduction harnesses.
 #pragma once
 
+#include <cstdio>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "linalg/simd.hpp"
 #include "support/statistics.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
+
+// Set per target by bench/CMakeLists.txt.
+#ifndef NETCONST_BUILD_TYPE
+#define NETCONST_BUILD_TYPE "unknown"
+#endif
+#ifndef NETCONST_COMPILER
+#define NETCONST_COMPILER "unknown"
+#endif
 
 namespace netconst::bench {
+
+/// HEAD's sha with -dirty for a modified tree, as bench/e2e/run.py
+/// records it; "unknown" outside a git checkout.
+inline std::string git_sha() {
+  std::string sha;
+  if (FILE* pipe = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
+                         "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) sha += buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
+/// The "host" object every BENCH_*.json opens with: git sha, build
+/// type, compiler, hardware_concurrency, pool threads and the active
+/// SIMD level.
+inline std::string host_json() {
+  std::ostringstream out;
+  out << "{\"git_sha\": \"" << git_sha() << "\", \"build_type\": \""
+      << NETCONST_BUILD_TYPE << "\", \"compiler\": \"" << NETCONST_COMPILER
+      << "\", \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency()
+      << ", \"pool_threads\": " << ThreadPool::global().thread_count()
+      << ", \"simd\": \"" << linalg::simd::active_level_name() << "\"}";
+  return out.str();
+}
 
 /// Print an empirical CDF as a two-column table (the paper's CDF plots).
 inline void print_cdf(const std::string& title,

@@ -11,29 +11,33 @@
 //
 // Exit status is nonzero when any steady-state workspace solve performs
 // a heap allocation (the warm_fit suite — the refresher's warm attempt
-// with its Huber-fit polish — included), or when the online suite (the
-// refresher's APG + rank-1 polish solve on a noisy N=32 window) is
-// slower than its reference twin — CI runs this with --smoke as a regression gate. The
-// JSON opens with a host header: git sha, build type, compiler,
-// hardware_concurrency, pool threads and SIMD level.
+// with its Huber-fit polish — included), when a warm_fit slide's
+// polish differs by a bit from reference::polish on the same input (at
+// the active SIMD level or replayed at Scalar), or when the online
+// suite (the refresher's APG + rank-1 polish solve on a noisy N=32
+// window) is slower than its reference twin — CI runs this with --smoke
+// as a regression gate. The JSON opens with the host header of
+// bench_util.hpp: git sha, build type, compiler, hardware_concurrency,
+// pool threads and SIMD level.
 //
 // Usage: perf_regression [--smoke] [--out <path>]
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <malloc.h>  // malloc_usable_size (glibc)
 
+#include "bench_util.hpp"
 #include "linalg/simd.hpp"
 #include "rpca/incremental.hpp"
 #include "rpca/reference.hpp"
@@ -42,14 +46,6 @@
 #include "rpca/workspace.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
-#include "support/thread_pool.hpp"
-
-#ifndef NETCONST_BUILD_TYPE
-#define NETCONST_BUILD_TYPE "unknown"
-#endif
-#ifndef NETCONST_COMPILER
-#define NETCONST_COMPILER "unknown"
-#endif
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator: counts every operator-new allocation in
@@ -152,7 +148,18 @@ struct SuiteRow {
   SectionStats reference;
   SectionStats workspace;
   double speedup = 0.0;
+  // The workspace side replayed at the Scalar SIMD level (warm_fit
+  // only), and whether the polish matched its reference twin bit for bit
+  // on every slide at both levels.
+  std::optional<SectionStats> scalar;
+  bool polish_matches_reference = true;
 };
+
+bool same_bits(const linalg::Matrix& x, const linalg::Matrix& y) {
+  return x.same_shape(y) &&
+         std::memcmp(x.data().data(), y.data().data(),
+                     x.size() * sizeof(double)) == 0;
+}
 
 double median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
@@ -276,7 +283,10 @@ SuiteRow online_suite(int reps) {
 /// fit — against the reference twins (reference::solve, then
 /// reference::polish). Both sides start from a cold polished solve and
 /// feed each slide's factors forward as the next seed; the workspace
-/// side falls under the steady-state allocation gate.
+/// side falls under the steady-state allocation gate. The workspace
+/// side runs twice, at the active SIMD level and at Scalar; the row
+/// records both medians and whether every slide's polish matched
+/// reference::polish bit for bit at both levels.
 SuiteRow warm_fit_suite(int steps) {
   SuiteRow row;
   row.suite = "warm_fit";
@@ -311,48 +321,53 @@ SuiteRow warm_fit_suite(int steps) {
     }
     finish_section(row.reference, times);
   }
-  {
+  // The workspace trajectory at the active SIMD level, then replayed at
+  // Scalar. On every slide of both, the polish (the Huber fit and the
+  // closing alternation) must match reference::polish run on the same
+  // APG output at the same level bit for bit. The two levels'
+  // trajectories are not compared with each other: the APG's dot
+  // products and change norms split their sums across lanes, so they
+  // differ in the last bits.
+  const auto replay = [&](SectionStats& stats) {
     linalg::Matrix data = problem.data;
     Rng rng(11);
     rpca::Options opts = solve_opts;
-    rpca::SolverWorkspace ws;
-    rpca::Result result;
+    rpca::SolverWorkspace ws, twin_ws;
+    rpca::Result result, twin;
     rpca::solve(data, rpca::Solver::Apg, polish_opts, ws, result);
     std::vector<double> times;
+    bool same = true;
     for (int s = 0; s < steps; ++s) {
       slide_row(data, static_cast<std::size_t>(s), rng);
       opts.warm_start.low_rank = result.low_rank;
       opts.warm_start.sparse = result.sparse;
       opts.warm_start.mu = result.final_mu;
       opts.warm_start.mu_floor = result.mu_floor;
-      timed_rep(row.workspace, times, [&] {
+      timed_rep(stats, times, [&] {
         rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
         rpca::polish(data, polish_opts, result.warm_started, ws, result);
         return result.iterations;
       });
+      rpca::solve(data, rpca::Solver::Apg, opts, twin_ws, twin);
+      rpca::reference::polish(data, polish_opts, twin.warm_started, twin);
+      same = same && twin.polish_iterations == result.polish_iterations &&
+             same_bits(twin.low_rank, result.low_rank) &&
+             same_bits(twin.sparse, result.sparse);
     }
-    finish_section(row.workspace, times);
+    finish_section(stats, times);
+    return same;
+  };
+  row.polish_matches_reference = replay(row.workspace);
+  {
+    const linalg::simd::ScopedLevel scalar(linalg::simd::Level::Scalar);
+    row.scalar = SectionStats{};
+    row.polish_matches_reference =
+        replay(*row.scalar) && row.polish_matches_reference;
   }
   row.speedup = row.workspace.median_ms > 0.0
                     ? row.reference.median_ms / row.workspace.median_ms
                     : 0.0;
   return row;
-}
-
-/// HEAD's sha with -dirty for a modified tree, as bench/e2e/run.py
-/// records it; "unknown" outside a git checkout.
-std::string git_sha() {
-  std::string sha;
-  if (FILE* pipe = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
-                         "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof buf, pipe) != nullptr) sha += buf;
-    pclose(pipe);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unknown" : sha;
 }
 
 /// Warm-start suite: a sliding-window trajectory solved with the online
@@ -670,18 +685,36 @@ int main(int argc, char** argv) {
     const SuiteRow& r = rows.back();
     std::cout << "warm_fit APG+fit+polish N=32: ref "
               << r.reference.median_ms << " ms, ws "
-              << r.workspace.median_ms << " ms, speedup " << r.speedup
-              << "x, steady-state allocs " << r.workspace.allocs << "\n";
+              << r.workspace.median_ms << " ms ("
+              << linalg::simd::active_level_name() << "), "
+              << r.scalar->median_ms << " ms (scalar), speedup "
+              << r.speedup << "x, steady-state allocs "
+              << r.workspace.allocs << ", polish vs reference twin "
+              << (r.polish_matches_reference ? "bit-identical" : "DIFFERS")
+              << "\n";
   }
 
   // The regression gate: a warm workspace solve must not touch the heap.
   int violations = 0;
   for (const SuiteRow& r : rows) {
-    if (r.workspace.allocs > 0) {
+    const std::uint64_t allocs =
+        r.workspace.allocs + (r.scalar ? r.scalar->allocs : 0);
+    if (allocs > 0) {
       ++violations;
       std::cerr << "ALLOC VIOLATION: " << r.suite << " " << r.solver
-                << " N=" << r.cluster << " performed "
-                << r.workspace.allocs << " steady-state allocations\n";
+                << " N=" << r.cluster << " performed " << allocs
+                << " steady-state allocations\n";
+    }
+  }
+
+  // Bit-identity gate: the warm attempt's polish against its twin.
+  for (const SuiteRow& r : rows) {
+    if (!r.polish_matches_reference) {
+      ++violations;
+      std::cerr << "BIT-IDENTITY VIOLATION: " << r.suite << " " << r.solver
+                << " N=" << r.cluster << " polish differs from "
+                << "reference::polish at the "
+                << linalg::simd::active_level_name() << " or scalar level\n";
     }
   }
 
@@ -719,13 +752,7 @@ int main(int argc, char** argv) {
   json.precision(6);
   json << "{\n"
        << "  \"schema\": \"netconst-perf-regression-v1\",\n"
-       << "  \"host\": {\"git_sha\": \"" << git_sha()
-       << "\", \"build_type\": \"" << NETCONST_BUILD_TYPE
-       << "\", \"compiler\": \"" << NETCONST_COMPILER
-       << "\", \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency()
-       << ", \"pool_threads\": " << ThreadPool::global().thread_count()
-       << ", \"simd\": \"" << linalg::simd::active_level_name() << "\"},\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"config\": {\"rows\": " << kRows << ", \"reps\": " << reps
        << ", \"warm_steps\": " << warm_steps
        << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n"
@@ -742,6 +769,12 @@ int main(int argc, char** argv) {
     emit_section(json, "reference", r.reference);
     json << ",\n";
     emit_section(json, "workspace", r.workspace);
+    if (r.scalar) {
+      json << ",\n";
+      emit_section(json, "workspace_scalar", *r.scalar);
+      json << ",\n      \"polish_matches_reference\": "
+           << (r.polish_matches_reference ? "true" : "false");
+    }
     json << ",\n      \"speedup\": " << r.speedup << "\n    }"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }

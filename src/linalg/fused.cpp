@@ -1,6 +1,8 @@
 #include "linalg/fused.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "linalg/simd.hpp"
 #include "support/error.hpp"
@@ -27,7 +29,8 @@
 // iterate_change_norms lane-splits its accumulators under a vector
 // level (see its comment); rank1_polish_pass and decomposition_sums add
 // their lane terms one at a time in index order, so they stay
-// bit-identical too.
+// bit-identical too. huber_fit_columns puts independent fits, not
+// elements, in the lanes: each lane is one scalar fit, step for step.
 //
 // On x86-64 the vector bodies carry NETCONST_TARGET_AVX2 so the
 // library still builds for baseline x86-64; dispatch only enters them
@@ -311,6 +314,243 @@ NETCONST_TARGET_AVX2 void polish_row_vec(const PolishRow& r, double ui,
   polish_row_scalar(r, ui, v, tau, j, n, ch, sc);
   change = ch;
   scale = sc;
+}
+#endif
+
+// ---- rank-1 Huber fit: 1-D fits ----
+//
+// g(x) = sum_t h_tau(b[t] - c[t] x) is convex and piecewise quadratic;
+// each fit finds its minimiser. The scalar body below is the fit; the
+// AVX2 body runs four of them in lockstep with the same operations per
+// lane and hands any fit that leaves the Newton path back to it.
+
+constexpr int kHuberMaxEvaluations = 200;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Which piece of h_tau the residual r is on: +1 / -1 on the linear
+/// parts, 0 on the quadratic one.
+int huber_piece(double r, double tau) {
+  return static_cast<int>(r > tau) - static_cast<int>(r < -tau);
+}
+
+/// Writes g'(x) and g''(x) (on x's piece). Branch-free: the pieces of a
+/// noisy window are a coin toss per term. Clamping r to [-tau, tau]
+/// gives the linear parts' -c tau and +c tau bit for bit, and adding
+/// 0.0 (c^2 times 0) to the non-negative curvature changes nothing.
+void huber_slope(const double* b, const double* c, std::size_t count,
+                 double tau, double x, double& slope, double& curvature) {
+  double g = 0.0, h = 0.0;
+  for (std::size_t t = 0; t < count; ++t) {
+    const double r = b[t] - c[t] * x;
+    g -= c[t] * std::min(std::max(r, -tau), tau);
+    h += c[t] * c[t] * static_cast<double>(huber_piece(r, tau) == 0);
+  }
+  slope = g;
+  curvature = h;
+}
+
+/// Whether every term of g sits on the same piece at x and at `from`.
+bool same_pieces(const double* b, const double* c, std::size_t count,
+                 double tau, double x, double from) {
+  for (std::size_t t = 0; t < count; ++t) {
+    if (huber_piece(b[t] - c[t] * x, tau) !=
+        huber_piece(b[t] - c[t] * from, tau)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A fit at the top of its loop: the iterate, its sign bracket, g' and
+/// g'' at the iterate, and the evaluations spent after the first.
+struct HuberFitState {
+  double x = 0.0;
+  double lo = -kInf;
+  double hi = kInf;
+  double slope = 0.0;
+  double curvature = 0.0;
+  int evaluations = 0;
+};
+
+/// Runs a fit from `s` to its end. g' is nondecreasing and piecewise
+/// linear, so a Newton step that stays on the piece it was computed on
+/// lands on g' = 0 and ends the fit. Every evaluation tightens the sign
+/// bracket, and a step that is not a Newton step into that bracket
+/// bisects it (seeded from the outermost kinks, outside which g' is
+/// -tau sum|c| and +tau sum|c|).
+double huber_fit_resume(const double* b, const double* c, std::size_t count,
+                        double tau, HuberFitState s) {
+  double x = s.x, lo = s.lo, hi = s.hi;
+  double slope = s.slope, curvature = s.curvature;
+  for (int e = s.evaluations; e < kHuberMaxEvaluations && slope != 0.0;
+       ++e) {
+    (slope > 0.0 ? hi : lo) = x;
+    double next = curvature > 0.0 ? x - slope / curvature : x;
+    const bool newton = curvature > 0.0 && next > lo && next < hi;
+    if (newton && same_pieces(b, c, count, tau, next, x)) return next;
+    if (!newton) {
+      if (lo == -kInf || hi == kInf) {
+        double kink_lo = kInf, kink_hi = -kInf;
+        for (std::size_t t = 0; t < count; ++t) {
+          if (c[t] == 0.0) continue;
+          const double k1 = (b[t] - tau) / c[t];
+          const double k2 = (b[t] + tau) / c[t];
+          kink_lo = std::min({kink_lo, k1, k2});
+          kink_hi = std::max({kink_hi, k1, k2});
+        }
+        lo = std::max(lo, kink_lo);
+        hi = std::min(hi, kink_hi);
+      }
+      next = 0.5 * lo + 0.5 * hi;
+      if (!(next > lo && next < hi)) break;  // bracket is two neighbours
+    }
+    x = next;
+    huber_slope(b, c, count, tau, x, slope, curvature);
+  }
+  return x;
+}
+
+/// Exact minimiser of g from `x`.
+double huber_fit_1d(const double* b, const double* c, std::size_t count,
+                    double tau, double x) {
+  HuberFitState s;
+  s.x = x;
+  huber_slope(b, c, count, tau, x, s.slope, s.curvature);
+  return huber_fit_resume(b, c, count, tau, s);
+}
+
+#if defined(NETCONST_SIMD_X86)
+/// huber_slope for four fits, lane k's terms at b[t * ld + k]: the
+/// scalar per-term sequence, with min(tau, max(-tau, r)) in the operand
+/// order that makes a NaN r pass through as std::max/std::min let it.
+NETCONST_TARGET_AVX2 void huber_slope_x4(const double* b, std::size_t ld,
+                                         const double* c, std::size_t count,
+                                         __m256d vtau, __m256d vntau,
+                                         __m256d x, __m256d& slope,
+                                         __m256d& curvature) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  __m256d g = _mm256_setzero_pd();
+  __m256d h = _mm256_setzero_pd();
+  for (std::size_t t = 0; t < count; ++t) {
+    const __m256d ct = _mm256_broadcast_sd(c + t);
+    const __m256d r =
+        _mm256_sub_pd(_mm256_loadu_pd(b + t * ld), _mm256_mul_pd(ct, x));
+    g = _mm256_sub_pd(
+        g, _mm256_mul_pd(ct, _mm256_min_pd(vtau, _mm256_max_pd(vntau, r))));
+    const __m256d linear = _mm256_or_pd(_mm256_cmp_pd(r, vtau, _CMP_GT_OQ),
+                                        _mm256_cmp_pd(r, vntau, _CMP_LT_OQ));
+    h = _mm256_add_pd(h, _mm256_mul_pd(_mm256_mul_pd(ct, ct),
+                                       _mm256_andnot_pd(linear, one)));
+  }
+  slope = g;
+  curvature = h;
+}
+
+/// Bitmask of the lanes in `lanes` whose terms all sit on the same piece
+/// at x and at `from` (same_pieces per lane). Stops once every lane in
+/// `lanes` has seen a change.
+NETCONST_TARGET_AVX2 int same_pieces_x4(const double* b, std::size_t ld,
+                                        const double* c, std::size_t count,
+                                        __m256d vtau, __m256d vntau,
+                                        __m256d x, __m256d from, int lanes) {
+  __m256d changed = _mm256_setzero_pd();
+  for (std::size_t t = 0; t < count; ++t) {
+    const __m256d ct = _mm256_broadcast_sd(c + t);
+    const __m256d bt = _mm256_loadu_pd(b + t * ld);
+    const __m256d r = _mm256_sub_pd(bt, _mm256_mul_pd(ct, x));
+    const __m256d r0 = _mm256_sub_pd(bt, _mm256_mul_pd(ct, from));
+    changed = _mm256_or_pd(
+        changed,
+        _mm256_or_pd(_mm256_xor_pd(_mm256_cmp_pd(r, vtau, _CMP_GT_OQ),
+                                   _mm256_cmp_pd(r0, vtau, _CMP_GT_OQ)),
+                     _mm256_xor_pd(_mm256_cmp_pd(r, vntau, _CMP_LT_OQ),
+                                   _mm256_cmp_pd(r0, vntau, _CMP_LT_OQ))));
+    if ((_mm256_movemask_pd(changed) & lanes) == lanes) return 0;
+  }
+  return lanes & ~_mm256_movemask_pd(changed);
+}
+
+/// The fits of columns k0 .. k0 + 3 of b (row stride ld) in lockstep:
+/// huber_fit_resume's loop, one lane per fit. A lane leaves the batch
+/// when its own fit ends; a lane whose step is not a Newton step into
+/// its bracket finishes in huber_fit_resume on row k0 + lane of bt,
+/// from the state it had at the top of that iteration.
+NETCONST_TARGET_AVX2 void huber_fit_x4(const double* b, std::size_t ld,
+                                       const Matrix& bt, std::size_t k0,
+                                       const double* c, std::size_t count,
+                                       double tau, const double* x0,
+                                       double* out) {
+  const __m256d vtau = _mm256_set1_pd(tau);
+  const __m256d vntau = _mm256_set1_pd(-tau);
+  const __m256d zero = _mm256_setzero_pd();
+  const double* bk = b + k0;
+  __m256d x = _mm256_loadu_pd(x0 + k0);
+  __m256d lo = _mm256_set1_pd(-kInf);
+  __m256d hi = _mm256_set1_pd(kInf);
+  __m256d slope = zero, curvature = zero;
+  huber_slope_x4(bk, ld, c, count, vtau, vntau, x, slope, curvature);
+  alignas(32) double lanes_x[4] = {};
+  int active = 0xF;  // lanes whose fit is still running in the batch
+  for (int e = 0; e < kHuberMaxEvaluations; ++e) {
+    if (const int settled =
+            active &
+            _mm256_movemask_pd(_mm256_cmp_pd(slope, zero, _CMP_EQ_OQ))) {
+      _mm256_store_pd(lanes_x, x);
+      for (int k = 0; k < 4; ++k) {
+        if ((settled >> k) & 1) out[k0 + k] = lanes_x[k];
+      }
+      active &= ~settled;
+      if (active == 0) return;
+    }
+    const __m256d up = _mm256_cmp_pd(slope, zero, _CMP_GT_OQ);
+    const __m256d new_hi = _mm256_blendv_pd(hi, x, up);
+    const __m256d new_lo = _mm256_blendv_pd(x, lo, up);
+    const __m256d curved = _mm256_cmp_pd(curvature, zero, _CMP_GT_OQ);
+    const __m256d next = _mm256_blendv_pd(
+        x, _mm256_sub_pd(x, _mm256_div_pd(slope, curvature)), curved);
+    const int newton =
+        active &
+        _mm256_movemask_pd(_mm256_and_pd(
+            curved, _mm256_and_pd(_mm256_cmp_pd(next, new_lo, _CMP_GT_OQ),
+                                  _mm256_cmp_pd(next, new_hi, _CMP_LT_OQ))));
+    if (const int handoff = active & ~newton) {
+      alignas(32) double s_lo[4] = {}, s_hi[4] = {}, s_slope[4] = {},
+                         s_curv[4] = {};
+      _mm256_store_pd(lanes_x, x);
+      _mm256_store_pd(s_lo, lo);
+      _mm256_store_pd(s_hi, hi);
+      _mm256_store_pd(s_slope, slope);
+      _mm256_store_pd(s_curv, curvature);
+      for (int k = 0; k < 4; ++k) {
+        if (((handoff >> k) & 1) == 0) continue;
+        const HuberFitState s{lanes_x[k], s_lo[k],   s_hi[k],
+                              s_slope[k], s_curv[k], e};
+        out[k0 + k] = huber_fit_resume(bt.row(k0 + k).data(), c, count, tau,
+                                       s);
+      }
+      active = newton;
+      if (active == 0) return;
+    }
+    const int landed =
+        same_pieces_x4(bk, ld, c, count, vtau, vntau, next, x, newton);
+    if (landed != 0) {
+      alignas(32) double lanes_next[4] = {};
+      _mm256_store_pd(lanes_next, next);
+      for (int k = 0; k < 4; ++k) {
+        if ((landed >> k) & 1) out[k0 + k] = lanes_next[k];
+      }
+      active &= ~landed;
+      if (active == 0) return;
+    }
+    hi = new_hi;
+    lo = new_lo;
+    x = next;
+    huber_slope_x4(bk, ld, c, count, vtau, vntau, x, slope, curvature);
+  }
+  _mm256_store_pd(lanes_x, x);
+  for (int k = 0; k < 4; ++k) {
+    if ((active >> k) & 1) out[k0 + k] = lanes_x[k];
+  }
 }
 #endif
 
@@ -688,6 +928,39 @@ void rank1_polish_pass(const Matrix& a, std::span<const double> u,
   }
   change_sq = change;
   scale_sq = scale;
+}
+
+void huber_fit_columns(const Matrix& b, const Matrix& bt,
+                       std::span<const double> c, double tau,
+                       std::span<const double> x, std::span<double> next) {
+  const std::size_t count = b.rows();
+  const std::size_t fits = b.cols();
+  NETCONST_CHECK(bt.rows() == fits && bt.cols() == count,
+                 "huber_fit_columns: bt is not the transpose of b");
+  NETCONST_CHECK(c.size() == count && x.size() == fits &&
+                     next.size() == fits,
+                 "huber_fit_columns size mismatch");
+  NETCONST_CHECK(tau >= 0.0, "Huber threshold must be non-negative");
+  std::size_t k = 0;
+#if defined(NETCONST_SIMD_X86)
+  if (use_vector_kernels()) {
+    for (; k + 4 <= fits; k += 4) {
+      huber_fit_x4(b.data().data(), fits, bt, k, c.data(), count, tau,
+                   x.data(), next.data());
+    }
+    // The count % 4 leftover fits ride in one more batch that ends at
+    // the last column; its lanes over columns already fitted recompute
+    // the same values, since a lane depends only on its own column.
+    if (k < fits && fits >= 4) {
+      huber_fit_x4(b.data().data(), fits, bt, fits - 4, c.data(), count, tau,
+                   x.data(), next.data());
+      k = fits;
+    }
+  }
+#endif
+  for (; k < fits; ++k) {
+    next[k] = huber_fit_1d(bt.row(k).data(), c.data(), count, tau, x[k]);
+  }
 }
 
 void decomposition_sums(const Matrix& a, const Matrix& d, const Matrix& e,

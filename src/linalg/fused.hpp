@@ -73,6 +73,27 @@ void rank1_polish_pass(const Matrix& a, std::span<const double> u,
                        Matrix& e, Matrix& target, double& change_sq,
                        double& scale_sq);
 
+/// One sweep of the rank-1 Huber fit's exact 1-D minimisations: for
+/// every column k of `b`, writes
+///   next[k] = argmin_x sum_t h_tau(b(t, k) - c[t] x),   started at x[k],
+/// where h_tau is the Huber function and `bt` holds b^T. Each fit is a
+/// bracketed semismooth Newton (rpca::rank1_huber_fit describes it).
+/// Under AVX2 the fits run four at a time, one per lane across four
+/// adjacent columns of `b` (lane k reads b[t * b.cols() + k]); every
+/// lane repeats the scalar fit's operations in the same order, leaves
+/// the batch at its own evaluation count, and hands a fit that needs a
+/// bisection step to the scalar code with its exact state. When the
+/// column count is not a multiple of 4, one last batch covers the final
+/// four columns and refits up to three of them to the same values. The
+/// scalar fits — every fit at the other levels, every fit of a b with
+/// fewer than four columns, and the handoffs — read the contiguous rows
+/// of `bt`. The result is therefore bit-identical at every SIMD level.
+/// Requires tau >= 0 and c.size() == b.rows(); `next` must not alias
+/// `x` or `c`.
+void huber_fit_columns(const Matrix& b, const Matrix& bt,
+                       std::span<const double> c, double tau,
+                       std::span<const double> x, std::span<double> next);
+
 /// The convergence probe's per-iteration statistics in one pass:
 /// residual_sq = ||(a - d) - e||_F^2, e_l1 = ||e||_1 and e_nonzero =
 /// #{|e| > 0}. Each sum adds its per-element terms one at a time in

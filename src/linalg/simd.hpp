@@ -17,8 +17,10 @@
 // iterate_change_norms) split the accumulator across lanes under a
 // vector level, which reassociates the sum: deterministic for a fixed
 // level, but not bit-identical to the scalar order. The ordered
-// reductions (rank1_polish_pass, decomposition_sums) add lane terms one
-// at a time in index order and are bit-identical at every level. The bit-exact
+// kernels are bit-identical at every level: the reductions
+// rank1_polish_pass and decomposition_sums add lane terms one at a time
+// in index order, and huber_fit_columns runs one whole scalar 1-D fit
+// per lane (four independent fits per AVX2 vector). The bit-exact
 // equivalence suites therefore pin Level::Scalar (ScopedLevel below),
 // and the frozen rpca::reference numerics are reproduced exactly by the
 // scalar level.

@@ -55,81 +55,6 @@ void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch,
   linalg::multiply_into(a, v, u);  // = sigma * u_hat
 }
 
-/// Which piece of h_tau the residual r is on: +1 / -1 on the linear
-/// parts, 0 on the quadratic one.
-int huber_piece(double r, double tau) {
-  return static_cast<int>(r > tau) - static_cast<int>(r < -tau);
-}
-
-/// g(x) = sum_t h_tau(b[t] - c[t] x): writes g'(x) and g''(x) (on x's
-/// piece). Branch-free: the pieces of a noisy window are a coin toss per
-/// term. Clamping r to [-tau, tau] gives the linear parts' -c tau and
-/// +c tau bit for bit, and adding 0.0 (c^2 times 0) to the non-negative
-/// curvature changes nothing.
-void huber_slope(const double* b, const double* c, std::size_t count,
-                 double tau, double x, double& slope, double& curvature) {
-  double g = 0.0, h = 0.0;
-  for (std::size_t t = 0; t < count; ++t) {
-    const double r = b[t] - c[t] * x;
-    g -= c[t] * std::min(std::max(r, -tau), tau);
-    h += c[t] * c[t] * static_cast<double>(huber_piece(r, tau) == 0);
-  }
-  slope = g;
-  curvature = h;
-}
-
-/// Whether every term of g sits on the same piece at x and at `from`.
-bool same_pieces(const double* b, const double* c, std::size_t count,
-                 double tau, double x, double from) {
-  for (std::size_t t = 0; t < count; ++t) {
-    if (huber_piece(b[t] - c[t] * x, tau) !=
-        huber_piece(b[t] - c[t] * from, tau)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Exact minimiser of g above, from `x`. g' is nondecreasing and
-/// piecewise linear, so a Newton step that stays on the piece it was
-/// computed on lands on g' = 0 and ends the fit. Every evaluation
-/// tightens a sign bracket, and a step that is not a Newton step into
-/// that bracket bisects it (seeded from the outermost kinks, outside
-/// which g' is -tau sum|c| and +tau sum|c|).
-double huber_fit_1d(const double* b, const double* c, std::size_t count,
-                    double tau, double x) {
-  constexpr int kMaxEvaluations = 200;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  double lo = -kInf, hi = kInf;
-  double slope = 0.0, curvature = 0.0;
-  huber_slope(b, c, count, tau, x, slope, curvature);
-  for (int e = 0; e < kMaxEvaluations && slope != 0.0; ++e) {
-    (slope > 0.0 ? hi : lo) = x;
-    double next = curvature > 0.0 ? x - slope / curvature : x;
-    const bool newton = curvature > 0.0 && next > lo && next < hi;
-    if (newton && same_pieces(b, c, count, tau, next, x)) return next;
-    if (!newton) {
-      if (lo == -kInf || hi == kInf) {
-        double kink_lo = kInf, kink_hi = -kInf;
-        for (std::size_t t = 0; t < count; ++t) {
-          if (c[t] == 0.0) continue;
-          const double k1 = (b[t] - tau) / c[t];
-          const double k2 = (b[t] + tau) / c[t];
-          kink_lo = std::min({kink_lo, k1, k2});
-          kink_hi = std::max({kink_hi, k1, k2});
-        }
-        lo = std::max(lo, kink_lo);
-        hi = std::min(hi, kink_hi);
-      }
-      next = 0.5 * lo + 0.5 * hi;
-      if (!(next > lo && next < hi)) break;  // bracket is two neighbours
-    }
-    x = next;
-    huber_slope(b, c, count, tau, x, slope, curvature);
-  }
-  return x;
-}
-
 }  // namespace
 
 void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
@@ -248,30 +173,34 @@ int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
   rank1_factors(ws.target, ws.rank1, kPowerIterations, kPowerTolerance);
   std::vector<double>& u = ws.rank1.u;
   std::vector<double>& v = ws.rank1.v;
-  // The v_j fits read columns: A^T in ws.target makes them contiguous
-  // (a strided column walk would put every row in one cache set).
+  std::vector<double>& next = ws.rank1.w;
+  // The v_j fits are the columns of A and the u_i fits those of A^T;
+  // linalg::huber_fit_columns takes both layouts, so A^T goes to
+  // ws.target once.
   linalg::Matrix& at = ws.target;
   at.resize(n, m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) at(j, i) = a(i, j);
   }
+  // x <- next (a sweep's fits), adding sum (next - x)^2 to `change` and
+  // sum next^2 to `scale` in index order.
+  const auto take = [&next](std::vector<double>& x, double& change,
+                            double& scale) {
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      change += (next[k] - x[k]) * (next[k] - x[k]);
+      scale += next[k] * next[k];
+      x[k] = next[k];
+    }
+  };
   int sweeps = 0;
   while (sweeps < max_sweeps) {
     double dv = 0.0, vv = 0.0, du = 0.0, uu = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double next =
-          huber_fit_1d(at.row(j).data(), u.data(), m, tau, v[j]);
-      dv += (next - v[j]) * (next - v[j]);
-      vv += next * next;
-      v[j] = next;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const double next =
-          huber_fit_1d(a.row(i).data(), v.data(), n, tau, u[i]);
-      du += (next - u[i]) * (next - u[i]);
-      uu += next * next;
-      u[i] = next;
-    }
+    next.resize(n);
+    linalg::huber_fit_columns(a, at, u, tau, v, next);
+    take(v, dv, vv);
+    next.resize(m);
+    linalg::huber_fit_columns(at, a, v, tau, u, next);
+    take(u, du, uu);
     ++sweeps;
     if (std::sqrt(dv) <= kHuberFitTolerance * std::sqrt(vv) &&
         std::sqrt(du) <= kHuberFitTolerance * std::sqrt(uu)) {

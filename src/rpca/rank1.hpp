@@ -78,10 +78,15 @@ inline constexpr double kHuberFitTolerance = 1e-13;
 /// `max_sweeps` (>= 0) sweeps; returns the sweeps run. Leaves
 /// low_rank = u v^T, sparse = soft_tau(A - u v^T), rank = 1 and the
 /// matching residual in `result`; the other diagnostics are untouched.
-/// Sequential scalar arithmetic apart from the starting power
-/// iteration, which runs on the active SIMD level's kernels exactly as
-/// the twin's does: bit-identical to reference::rank1_huber_fit at every
-/// level. Allocation-free once `ws` carries capacity.
+/// A sweep's 1-D fits go through linalg::huber_fit_columns: the v_j fits
+/// over the columns of A, the u_i fits over those of A^T (copied into
+/// ws.target once). Under AVX2 four fits share a vector, each lane
+/// repeating the scalar fit's operations; the factor-change sums add in
+/// index order after each sweep. The starting power iteration runs on
+/// the active SIMD level's kernels exactly as the twin's does, so the
+/// fit is bit-identical to reference::rank1_huber_fit at every level.
+/// Allocation-free once `ws` carries capacity (the next factor goes to
+/// ws.rank1.w).
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
                     int max_sweeps, SolverWorkspace& ws);
 

@@ -29,7 +29,7 @@ void SolverWorkspace::reserve(std::size_t rows, std::size_t cols) {
   spectral.t.reserve(large);
   rank1.u.reserve(rows);
   rank1.v.reserve(cols);
-  rank1.w.reserve(cols);
+  rank1.w.reserve(large);
   magnitudes.reserve(rows * cols);
   dct.basis.resize(rows, rows);
   dct.coeffs.resize(rows, cols);

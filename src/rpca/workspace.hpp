@@ -68,11 +68,14 @@ struct RandomizedSvtState {
   std::size_t next_rank = 0;
 };
 
-/// Power-iteration vectors for rank1_approximation_into.
+/// Power-iteration vectors for rank1_approximation_into, and the rank-1
+/// Huber fit's factors.
 struct Rank1Scratch {
   std::vector<double> u;  // left iterate, length m
   std::vector<double> v;  // right iterate, length n
-  std::vector<double> w;  // A^T u intermediate, length n
+  // A^T u intermediate (length n); the Huber fit's next factor
+  // (length n, then m).
+  std::vector<double> w;
 };
 
 /// Temporal-DCT working set for the time-frequency stable PCP solver:

@@ -632,9 +632,10 @@ TEST(SimdSolve, FusedPolishMatchesKernelChainAtEveryLevel) {
 // The Huber fit and the polish it opens, against their allocating
 // reference twins, under every available level: the same noisy N = 32
 // window as above and one scalar-level APG start shared by every level.
-// The fit's own arithmetic is scalar; its starting power iteration uses
-// the level's dot/norm kernels (so does the twin's), so across levels
-// the fits agree to rounding, and reach the same fixed point.
+// Under AVX2 the fit's 1-D fits run four to a vector, step for step as
+// the scalar ones; its starting power iteration uses the level's
+// dot/norm kernels (so does the twin's), so across levels the fits agree
+// to rounding, and reach the same fixed point.
 TEST(SimdSolve, HuberFitMatchesReferenceAtEveryLevel) {
   Rng rng(98);
   rpca::SyntheticSpec spec;
@@ -688,6 +689,111 @@ TEST(SimdSolve, HuberFitMatchesReferenceAtEveryLevel) {
     EXPECT_TRUE(same_bits(polished.low_rank, ref_polished.low_rank));
     EXPECT_TRUE(same_bits(polished.sparse, ref_polished.sparse));
     EXPECT_TRUE(same_bits(polished.residual, ref_polished.residual));
+  }
+}
+
+// A positive rank-1 window (every entry about 1 to 4, so no residual
+// sits near zero by accident) with dense noise and a few outliers.
+Matrix positive_rank1_window(std::size_t rows, std::size_t cols,
+                             unsigned seed) {
+  Rng rng(seed);
+  std::vector<double> u(rows), v(cols);
+  for (double& x : u) x = rng.uniform(1.0, 2.0);
+  for (double& x : v) x = rng.uniform(1.0, 2.0);
+  Matrix a(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      a(i, j) = u[i] * v[j] + 0.05 * rng.normal();
+      if (rng.uniform(0.0, 1.0) < 0.05) a(i, j) += rng.uniform(-0.9, 3.0);
+    }
+  }
+  return a;
+}
+
+// The vector fits' edges, against the reference twin at every level:
+// column counts that are not multiples of 4 (so a last batch overlaps
+// the one before it) and a 3-row window whose u_i fits are too few for
+// a batch, on both sweeps. The 7 x 37 window has a zero row and a zero
+// column, whose factors start at zero with zero slope: those lanes end
+// before their first step. The 10 x 1023 case also scales the start's
+// A - E by 10 in three columns, one of them in the overlapping last
+// batch: every residual of those columns then lies beyond tau, the
+// curvature is zero, and those lanes leave their batch for the
+// kink-seeded bisection while the other lanes take Newton steps.
+TEST(SimdSolve, HuberFitMatchesReferenceOnRaggedShapesAndKinkStarts) {
+  struct Case {
+    std::size_t rows, cols;
+    bool zero_lines;
+    std::vector<std::size_t> kink_columns;
+  };
+  const std::vector<Case> cases = {{7, 37, true, {}},
+                                   {3, 37, false, {}},
+                                   {10, 1023, false, {}},
+                                   {10, 1023, false, {1, 6, 1021}}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.rows) + "x" + std::to_string(c.cols) +
+                 (c.kink_columns.empty() ? "" : " with kink starts"));
+    Matrix a = positive_rank1_window(c.rows, c.cols, 17);
+    if (c.zero_lines) {
+      for (std::size_t j = 0; j < c.cols; ++j) a(2, j) = 0.0;
+      for (std::size_t i = 0; i < c.rows; ++i) a(i, 5) = 0.0;
+    }
+    const double lambda = 1.0 / std::sqrt(static_cast<double>(c.cols));
+    rpca::Result start;
+    {
+      simd::ScopedLevel lvl(simd::Level::Scalar);
+      rpca::Options opts;
+      opts.max_iterations = 40;
+      opts.polish_iterations = 0;
+      start = rpca::solve(a, rpca::Solver::Apg, opts);
+    }
+    if (c.zero_lines) {
+      for (std::size_t j = 0; j < c.cols; ++j) start.sparse(2, j) = 0.0;
+      for (std::size_t i = 0; i < c.rows; ++i) start.sparse(i, 5) = 0.0;
+    }
+    for (const std::size_t j : c.kink_columns) {
+      for (std::size_t i = 0; i < c.rows; ++i) {
+        start.sparse(i, j) = a(i, j) - 10.0 * (a(i, j) - start.sparse(i, j));
+      }
+    }
+    if (!c.kink_columns.empty()) {
+      // The precondition: the fit's start u v^T leaves every residual of
+      // a kink column beyond tau, and some residual of its neighbour
+      // inside it.
+      simd::ScopedLevel lvl(simd::Level::Scalar);
+      Matrix target(c.rows, c.cols), start_d;
+      sub(a, start.sparse, target);
+      rpca::Rank1Scratch scratch;
+      rpca::rank1_approximation_into(target, scratch, start_d);
+      const double tau = lambda * l1_norm(a) / static_cast<double>(a.size());
+      const auto beyond = [&](std::size_t j) {
+        std::size_t count = 0;
+        for (std::size_t i = 0; i < c.rows; ++i) {
+          count += std::abs(a(i, j) - start_d(i, j)) > tau;
+        }
+        return count;
+      };
+      for (const std::size_t j : c.kink_columns) {
+        EXPECT_EQ(beyond(j), c.rows) << "column " << j;
+        EXPECT_LT(beyond(j + 1), c.rows) << "column " << j + 1;
+      }
+    }
+
+    for (const simd::Level level : available_levels()) {
+      SCOPED_TRACE(simd::level_name(level));
+      simd::ScopedLevel lvl(level);
+      rpca::SolverWorkspace ws;
+      rpca::Result fit = start;
+      rpca::Result ref = start;
+      const int sweeps =
+          rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps, ws);
+      EXPECT_EQ(sweeps, rpca::reference::rank1_huber_fit(
+                            a, ref, lambda, rpca::kHuberFitSweeps));
+      EXPECT_GT(sweeps, 0);
+      EXPECT_TRUE(same_bits(fit.low_rank, ref.low_rank));
+      EXPECT_TRUE(same_bits(fit.sparse, ref.sparse));
+      EXPECT_TRUE(same_bits(fit.residual, ref.residual));
+    }
   }
 }
 
