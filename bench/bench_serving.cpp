@@ -15,6 +15,8 @@
 //                 writer thread keeps publishing new snapshot versions
 //                 (the ISSUE's headline serving number).
 //
+// The JSON opens with the host header of bench_util.hpp.
+//
 // Usage: bench_serving [--smoke] [--out <path>]
 #include <atomic>
 #include <chrono>
@@ -30,6 +32,7 @@
 
 #include <malloc.h>  // malloc_usable_size (glibc)
 
+#include "bench_util.hpp"
 #include "serving/epoch.hpp"
 #include "serving/plan.hpp"
 #include "serving/plan_cache.hpp"
@@ -301,6 +304,7 @@ int main(int argc, char** argv) {
   json.precision(6);
   json << "{\n"
        << "  \"schema\": \"netconst-bench-serving-v1\",\n"
+       << "  \"host\": " << bench::host_json() << ",\n"
        << "  \"config\": {\"smoke\": " << (smoke ? "true" : "false")
        << ", \"cluster_size\": " << kClusterSize
        << ", \"request_shapes\": " << requests.size()

@@ -153,6 +153,10 @@ struct SuiteRow {
   // on every slide at both levels.
   std::optional<SectionStats> scalar;
   bool polish_matches_reference = true;
+  // warm_fit only: medians of the polish alone (the Huber fit and the
+  // closing alternation, without the APG solve) at both levels.
+  double polish_median_ms = 0.0;
+  double polish_scalar_median_ms = 0.0;
 };
 
 bool same_bits(const linalg::Matrix& x, const linalg::Matrix& y) {
@@ -285,7 +289,8 @@ SuiteRow online_suite(int reps) {
 /// feed each slide's factors forward as the next seed; the workspace
 /// side falls under the steady-state allocation gate. The workspace
 /// side runs twice, at the active SIMD level and at Scalar; the row
-/// records both medians and whether every slide's polish matched
+/// records both medians, the polish's own median at each level (its
+/// share of the warm attempt), and whether every slide's polish matched
 /// reference::polish bit for bit at both levels.
 SuiteRow warm_fit_suite(int steps) {
   SuiteRow row;
@@ -328,14 +333,15 @@ SuiteRow warm_fit_suite(int steps) {
   // trajectories are not compared with each other: the APG's dot
   // products and change norms split their sums across lanes, so they
   // differ in the last bits.
-  const auto replay = [&](SectionStats& stats) {
+  const auto replay = [&](SectionStats& stats, double& polish_median_ms) {
     linalg::Matrix data = problem.data;
     Rng rng(11);
     rpca::Options opts = solve_opts;
     rpca::SolverWorkspace ws, twin_ws;
     rpca::Result result, twin;
     rpca::solve(data, rpca::Solver::Apg, polish_opts, ws, result);
-    std::vector<double> times;
+    std::vector<double> times, polish_times;
+    polish_times.reserve(static_cast<std::size_t>(steps));
     bool same = true;
     for (int s = 0; s < steps; ++s) {
       slide_row(data, static_cast<std::size_t>(s), rng);
@@ -345,7 +351,9 @@ SuiteRow warm_fit_suite(int steps) {
       opts.warm_start.mu_floor = result.mu_floor;
       timed_rep(stats, times, [&] {
         rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
+        const Stopwatch polish_clock;
         rpca::polish(data, polish_opts, result.warm_started, ws, result);
+        polish_times.push_back(polish_clock.milliseconds());
         return result.iterations;
       });
       rpca::solve(data, rpca::Solver::Apg, opts, twin_ws, twin);
@@ -355,14 +363,17 @@ SuiteRow warm_fit_suite(int steps) {
              same_bits(twin.sparse, result.sparse);
     }
     finish_section(stats, times);
+    polish_median_ms = median(std::move(polish_times));
     return same;
   };
-  row.polish_matches_reference = replay(row.workspace);
+  row.polish_matches_reference =
+      replay(row.workspace, row.polish_median_ms);
   {
     const linalg::simd::ScopedLevel scalar(linalg::simd::Level::Scalar);
     row.scalar = SectionStats{};
     row.polish_matches_reference =
-        replay(*row.scalar) && row.polish_matches_reference;
+        replay(*row.scalar, row.polish_scalar_median_ms) &&
+        row.polish_matches_reference;
   }
   row.speedup = row.workspace.median_ms > 0.0
                     ? row.reference.median_ms / row.workspace.median_ms
@@ -687,8 +698,10 @@ int main(int argc, char** argv) {
               << r.reference.median_ms << " ms, ws "
               << r.workspace.median_ms << " ms ("
               << linalg::simd::active_level_name() << "), "
-              << r.scalar->median_ms << " ms (scalar), speedup "
-              << r.speedup << "x, steady-state allocs "
+              << r.scalar->median_ms << " ms (scalar); polish alone "
+              << r.polish_median_ms << " ms, " << r.polish_scalar_median_ms
+              << " ms (scalar); speedup " << r.speedup
+              << "x, steady-state allocs "
               << r.workspace.allocs << ", polish vs reference twin "
               << (r.polish_matches_reference ? "bit-identical" : "DIFFERS")
               << "\n";
@@ -772,7 +785,10 @@ int main(int argc, char** argv) {
     if (r.scalar) {
       json << ",\n";
       emit_section(json, "workspace_scalar", *r.scalar);
-      json << ",\n      \"polish_matches_reference\": "
+      json << ",\n      \"polish_median_ms\": " << r.polish_median_ms
+           << ",\n      \"polish_scalar_median_ms\": "
+           << r.polish_scalar_median_ms
+           << ",\n      \"polish_matches_reference\": "
            << (r.polish_matches_reference ? "true" : "false");
     }
     json << ",\n      \"speedup\": " << r.speedup << "\n    }"

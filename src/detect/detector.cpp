@@ -44,15 +44,21 @@ SupportStats support_stats(const linalg::Matrix& sparse,
   SupportStats stats;
   std::vector<std::uint64_t> touches(cluster_size, 0);
   std::uint64_t total = 0;
+  // Column i * N + j is pair (i, j): walk each row as N blocks of N.
+  // An entry is support unless |e| <= cutoff, so a NaN counts.
   for (std::size_t r = 0; r < sparse.rows(); ++r) {
-    for (std::size_t c = 0; c < sparse.cols(); ++c) {
-      const std::size_t i = c / cluster_size;
-      const std::size_t j = c % cluster_size;
-      if (i == j) continue;  // diagonal is identically zero by layout
-      if (std::abs(sparse(r, c)) <= cutoff) continue;
-      ++total;
-      ++touches[i];
-      ++touches[j];
+    const double* row = sparse.row(r).data();
+    for (std::size_t i = 0; i < cluster_size; ++i) {
+      const double* block = row + i * cluster_size;
+      std::uint64_t from_i = 0;
+      for (std::size_t j = 0; j < cluster_size; ++j) {
+        // The diagonal is identically zero by layout.
+        if (j == i || std::abs(block[j]) <= cutoff) continue;
+        ++from_i;
+        ++touches[j];
+      }
+      total += from_i;
+      touches[i] += from_i;
     }
   }
   if (total == 0) return stats;

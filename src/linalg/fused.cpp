@@ -241,6 +241,8 @@ void gradient_step_range(const double* ds, const double* dp, const double* es,
 // Elements are visited in index order; the per-element terms are formed
 // in vector lanes, but the two sums take them lane by lane, so every
 // addition onto `change`/`scale` happens in the scalar loop's order.
+// kSums = false is the Huber fit's finishing pass: the same d, e and
+// target without the previous iterates or the sums.
 
 struct PolishRow {
   const double* a;
@@ -251,6 +253,7 @@ struct PolishRow {
   double* target;
 };
 
+template <bool kSums>
 void polish_row_scalar(const PolishRow& r, double ui, const double* v,
                        double tau, std::size_t lo, std::size_t hi,
                        double& change, double& scale) {
@@ -268,10 +271,12 @@ void polish_row_scalar(const PolishRow& r, double ui, const double* v,
     r.d[j] = dn;
     r.e[j] = en;
     r.target[j] = r.a[j] - en;
-    const double dd = dn - r.d_prev[j];
-    const double de = en - r.e_prev[j];
-    change += dd * dd + de * de;
-    scale += dn * dn + en * en;
+    if constexpr (kSums) {
+      const double dd = dn - r.d_prev[j];
+      const double de = en - r.e_prev[j];
+      change += dd * dd + de * de;
+      scale += dn * dn + en * en;
+    }
   }
 }
 
@@ -287,6 +292,7 @@ NETCONST_TARGET_AVX2 inline void add_lanes_in_order(double& s, __m256d v) {
   s += l[3];
 }
 
+template <bool kSums>
 NETCONST_TARGET_AVX2 void polish_row_vec(const PolishRow& r, double ui,
                                          const double* v, double tau,
                                          std::size_t n, double& change,
@@ -304,25 +310,63 @@ NETCONST_TARGET_AVX2 void polish_row_vec(const PolishRow& r, double ui,
     _mm256_storeu_pd(r.d + j, dn);
     _mm256_storeu_pd(r.e + j, en);
     _mm256_storeu_pd(r.target + j, _mm256_sub_pd(va, en));
-    const __m256d dd = _mm256_sub_pd(dn, _mm256_loadu_pd(r.d_prev + j));
-    const __m256d de = _mm256_sub_pd(en, _mm256_loadu_pd(r.e_prev + j));
-    add_lanes_in_order(
-        ch, _mm256_add_pd(_mm256_mul_pd(dd, dd), _mm256_mul_pd(de, de)));
-    add_lanes_in_order(
-        sc, _mm256_add_pd(_mm256_mul_pd(dn, dn), _mm256_mul_pd(en, en)));
+    if constexpr (kSums) {
+      const __m256d dd = _mm256_sub_pd(dn, _mm256_loadu_pd(r.d_prev + j));
+      const __m256d de = _mm256_sub_pd(en, _mm256_loadu_pd(r.e_prev + j));
+      add_lanes_in_order(
+          ch, _mm256_add_pd(_mm256_mul_pd(dd, dd), _mm256_mul_pd(de, de)));
+      add_lanes_in_order(
+          sc, _mm256_add_pd(_mm256_mul_pd(dn, dn), _mm256_mul_pd(en, en)));
+    }
   }
-  polish_row_scalar(r, ui, v, tau, j, n, ch, sc);
+  polish_row_scalar<kSums>(r, ui, v, tau, j, n, ch, sc);
   change = ch;
   scale = sc;
 }
 #endif
 
+/// Every row of the pass; d_prev / e_prev are read only when kSums.
+template <bool kSums>
+void polish_rows(const Matrix& a, std::span<const double> u,
+                 std::span<const double> v, double tau, const Matrix* d_prev,
+                 const Matrix* e_prev, Matrix& d, Matrix& e, Matrix& target,
+                 double& change_sq, double& scale_sq) {
+  NETCONST_CHECK(u.size() == a.rows() && v.size() == a.cols(),
+                 "rank-1 pass factor size mismatch");
+  NETCONST_CHECK(tau >= 0.0, "soft threshold must be non-negative");
+  const std::size_t n = a.cols();
+  d.resize(a.rows(), n);
+  e.resize(a.rows(), n);
+  target.resize(a.rows(), n);
+  double change = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const std::size_t off = i * n;
+    PolishRow row{a.data().data() + off, nullptr,
+                  nullptr,               d.data().data() + off,
+                  e.data().data() + off, target.data().data() + off};
+    if constexpr (kSums) {
+      row.d_prev = d_prev->data().data() + off;
+      row.e_prev = e_prev->data().data() + off;
+    }
+#if defined(NETCONST_SIMD_X86)
+    if (use_vector_kernels()) {
+      polish_row_vec<kSums>(row, u[i], v.data(), tau, n, change, scale);
+      continue;
+    }
+#endif
+    polish_row_scalar<kSums>(row, u[i], v.data(), tau, 0, n, change, scale);
+  }
+  change_sq = change;
+  scale_sq = scale;
+}
+
 // ---- rank-1 Huber fit: 1-D fits ----
 //
 // g(x) = sum_t h_tau(b[t] - c[t] x) is convex and piecewise quadratic;
 // each fit finds its minimiser. The scalar body below is the fit; the
-// AVX2 body runs four of them in lockstep with the same operations per
-// lane and hands any fit that leaves the Newton path back to it.
+// AVX2 body runs groups of them in lockstep, one fit per lane with the
+// same operations, and hands any fit that leaves the Newton path back
+// to it.
 
 constexpr int kHuberMaxEvaluations = 200;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -420,136 +464,236 @@ double huber_fit_1d(const double* b, const double* c, std::size_t count,
 }
 
 #if defined(NETCONST_SIMD_X86)
-/// huber_slope for four fits, lane k's terms at b[t * ld + k]: the
-/// scalar per-term sequence, with min(tau, max(-tau, r)) in the operand
-/// order that makes a NaN r pass through as std::max/std::min let it.
-NETCONST_TARGET_AVX2 void huber_slope_x4(const double* b, std::size_t ld,
-                                         const double* c, std::size_t count,
-                                         __m256d vtau, __m256d vntau,
-                                         __m256d x, __m256d& slope,
-                                         __m256d& curvature) {
+// A lane group is V vectors of four fits each, vector w's lane l being
+// the fit of column k[w] + l of b (row stride ld). Every pass over the
+// terms advances all V vectors, so the per-term work of V fits is in
+// flight at once instead of one latency-bound vector at a time.
+
+/// huber_slope for a lane group: the scalar per-term sequence, with
+/// min(tau, max(-tau, r)) in the operand order that makes a NaN r pass
+/// through as std::max/std::min let it, and c[t]^2 formed once per term
+/// for every vector. A lane is on a linear piece iff its clamped
+/// residual differs from r (cmp_neq_oq): that is !(r > tau) && !(r <
+/// -tau) negated for every r, NaN (clamp(NaN) is NaN, and an ordered
+/// compare with a NaN is false), infinities and signed zeros included.
+template <int V>
+NETCONST_TARGET_AVX2 void huber_slope_lanes(
+    const double* b, std::size_t ld, const std::size_t* k, const double* c,
+    std::size_t count, __m256d vtau, __m256d vntau, const __m256d* x,
+    __m256d* slope, __m256d* curvature) {
   const __m256d one = _mm256_set1_pd(1.0);
-  __m256d g = _mm256_setzero_pd();
-  __m256d h = _mm256_setzero_pd();
+  __m256d g[V], h[V];
+  for (int w = 0; w < V; ++w) g[w] = h[w] = _mm256_setzero_pd();
   for (std::size_t t = 0; t < count; ++t) {
+    const double* row = b + t * ld;
     const __m256d ct = _mm256_broadcast_sd(c + t);
-    const __m256d r =
-        _mm256_sub_pd(_mm256_loadu_pd(b + t * ld), _mm256_mul_pd(ct, x));
-    g = _mm256_sub_pd(
-        g, _mm256_mul_pd(ct, _mm256_min_pd(vtau, _mm256_max_pd(vntau, r))));
-    const __m256d linear = _mm256_or_pd(_mm256_cmp_pd(r, vtau, _CMP_GT_OQ),
-                                        _mm256_cmp_pd(r, vntau, _CMP_LT_OQ));
-    h = _mm256_add_pd(h, _mm256_mul_pd(_mm256_mul_pd(ct, ct),
-                                       _mm256_andnot_pd(linear, one)));
+    const __m256d c2 = _mm256_mul_pd(ct, ct);
+    for (int w = 0; w < V; ++w) {
+      const __m256d r =
+          _mm256_sub_pd(_mm256_loadu_pd(row + k[w]), _mm256_mul_pd(ct, x[w]));
+      const __m256d clamped = _mm256_min_pd(vtau, _mm256_max_pd(vntau, r));
+      g[w] = _mm256_sub_pd(g[w], _mm256_mul_pd(ct, clamped));
+      const __m256d linear = _mm256_cmp_pd(clamped, r, _CMP_NEQ_OQ);
+      h[w] = _mm256_add_pd(h[w],
+                           _mm256_mul_pd(c2, _mm256_andnot_pd(linear, one)));
+    }
   }
-  slope = g;
-  curvature = h;
+  for (int w = 0; w < V; ++w) {
+    slope[w] = g[w];
+    curvature[w] = h[w];
+  }
 }
 
-/// Bitmask of the lanes in `lanes` whose terms all sit on the same piece
-/// at x and at `from` (same_pieces per lane). Stops once every lane in
-/// `lanes` has seen a change.
-NETCONST_TARGET_AVX2 int same_pieces_x4(const double* b, std::size_t ld,
-                                        const double* c, std::size_t count,
-                                        __m256d vtau, __m256d vntau,
-                                        __m256d x, __m256d from, int lanes) {
-  __m256d changed = _mm256_setzero_pd();
-  for (std::size_t t = 0; t < count; ++t) {
-    const __m256d ct = _mm256_broadcast_sd(c + t);
-    const __m256d bt = _mm256_loadu_pd(b + t * ld);
-    const __m256d r = _mm256_sub_pd(bt, _mm256_mul_pd(ct, x));
-    const __m256d r0 = _mm256_sub_pd(bt, _mm256_mul_pd(ct, from));
-    changed = _mm256_or_pd(
-        changed,
-        _mm256_or_pd(_mm256_xor_pd(_mm256_cmp_pd(r, vtau, _CMP_GT_OQ),
-                                   _mm256_cmp_pd(r0, vtau, _CMP_GT_OQ)),
-                     _mm256_xor_pd(_mm256_cmp_pd(r, vntau, _CMP_LT_OQ),
-                                   _mm256_cmp_pd(r0, vntau, _CMP_LT_OQ))));
-    if ((_mm256_movemask_pd(changed) & lanes) == lanes) return 0;
+/// same_pieces for a lane group: same[w] gets the lanes of lanes[w]
+/// whose terms all sit on the same piece at x[w] and at from[w]. Stops
+/// early, checked every 8 terms, once every lane asked about has seen a
+/// change.
+template <int V>
+NETCONST_TARGET_AVX2 void same_pieces_lanes(
+    const double* b, std::size_t ld, const std::size_t* k, const double* c,
+    std::size_t count, __m256d vtau, __m256d vntau, const __m256d* x,
+    const __m256d* from, const int* lanes, int* same) {
+  __m256d changed[V];
+  for (int w = 0; w < V; ++w) changed[w] = _mm256_setzero_pd();
+  for (std::size_t t0 = 0; t0 < count; t0 += 8) {
+    const std::size_t t1 = std::min(count, t0 + 8);
+    for (std::size_t t = t0; t < t1; ++t) {
+      const double* row = b + t * ld;
+      const __m256d ct = _mm256_broadcast_sd(c + t);
+      for (int w = 0; w < V; ++w) {
+        const __m256d bt = _mm256_loadu_pd(row + k[w]);
+        const __m256d r = _mm256_sub_pd(bt, _mm256_mul_pd(ct, x[w]));
+        const __m256d r0 = _mm256_sub_pd(bt, _mm256_mul_pd(ct, from[w]));
+        changed[w] = _mm256_or_pd(
+            changed[w],
+            _mm256_or_pd(_mm256_xor_pd(_mm256_cmp_pd(r, vtau, _CMP_GT_OQ),
+                                       _mm256_cmp_pd(r0, vtau, _CMP_GT_OQ)),
+                         _mm256_xor_pd(_mm256_cmp_pd(r, vntau, _CMP_LT_OQ),
+                                       _mm256_cmp_pd(r0, vntau, _CMP_LT_OQ))));
+      }
+    }
+    bool all_changed = true;
+    for (int w = 0; w < V; ++w) {
+      all_changed = all_changed &&
+                    (_mm256_movemask_pd(changed[w]) & lanes[w]) == lanes[w];
+    }
+    if (all_changed) {
+      for (int w = 0; w < V; ++w) same[w] = 0;
+      return;
+    }
   }
-  return lanes & ~_mm256_movemask_pd(changed);
+  for (int w = 0; w < V; ++w) {
+    same[w] = lanes[w] & ~_mm256_movemask_pd(changed[w]);
+  }
 }
 
-/// The fits of columns k0 .. k0 + 3 of b (row stride ld) in lockstep:
-/// huber_fit_resume's loop, one lane per fit. A lane leaves the batch
-/// when its own fit ends; a lane whose step is not a Newton step into
-/// its bracket finishes in huber_fit_resume on row k0 + lane of bt,
-/// from the state it had at the top of that iteration.
-NETCONST_TARGET_AVX2 void huber_fit_x4(const double* b, std::size_t ld,
-                                       const Matrix& bt, std::size_t k0,
-                                       const double* c, std::size_t count,
-                                       double tau, const double* x0,
-                                       double* out) {
+/// out[l] = lane l of x for every lane l in `lanes`.
+NETCONST_TARGET_AVX2 inline void store_lanes(double* out, __m256d x,
+                                             int lanes) {
+  if (lanes == 0) return;
+  if (lanes == 0xF) return _mm256_storeu_pd(out, x);
+  alignas(32) double l[4];
+  _mm256_store_pd(l, x);
+  for (int i = 0; i < 4; ++i) {
+    if ((lanes >> i) & 1) out[i] = l[i];
+  }
+}
+
+/// The lanes of one vector (columns k0 ..) that leave the Newton path at
+/// the top of evaluation e finish in huber_fit_resume on their rows of
+/// bt, each from its exact state.
+NETCONST_TARGET_AVX2 void hand_off(const Matrix& bt, std::size_t k0,
+                                   const double* c, std::size_t count,
+                                   double tau, int lanes, int e, __m256d x,
+                                   __m256d lo, __m256d hi, __m256d slope,
+                                   __m256d curvature, double* out) {
+  alignas(32) double s_x[4], s_lo[4], s_hi[4], s_slope[4], s_curv[4];
+  _mm256_store_pd(s_x, x);
+  _mm256_store_pd(s_lo, lo);
+  _mm256_store_pd(s_hi, hi);
+  _mm256_store_pd(s_slope, slope);
+  _mm256_store_pd(s_curv, curvature);
+  for (int l = 0; l < 4; ++l) {
+    if (((lanes >> l) & 1) == 0) continue;
+    const HuberFitState s{s_x[l], s_lo[l], s_hi[l], s_slope[l], s_curv[l], e};
+    out[k0 + l] = huber_fit_resume(bt.row(k0 + l).data(), c, count, tau, s);
+  }
+}
+
+/// The fits of a lane group in lockstep: huber_fit_resume's loop, one
+/// lane per fit. A lane leaves the group when its own fit ends; a lane
+/// whose step is not a Newton step into its bracket finishes in the
+/// scalar code (hand_off) from the state it had at the top of that
+/// iteration. The whole group's vector arithmetic runs every
+/// evaluation; only lanes still active write or hand off.
+template <int V>
+NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
+                                          const Matrix& bt,
+                                          const std::size_t* k,
+                                          const double* c, std::size_t count,
+                                          double tau, const double* x0,
+                                          double* out) {
   const __m256d vtau = _mm256_set1_pd(tau);
   const __m256d vntau = _mm256_set1_pd(-tau);
   const __m256d zero = _mm256_setzero_pd();
-  const double* bk = b + k0;
-  __m256d x = _mm256_loadu_pd(x0 + k0);
-  __m256d lo = _mm256_set1_pd(-kInf);
-  __m256d hi = _mm256_set1_pd(kInf);
-  __m256d slope = zero, curvature = zero;
-  huber_slope_x4(bk, ld, c, count, vtau, vntau, x, slope, curvature);
-  alignas(32) double lanes_x[4] = {};
-  int active = 0xF;  // lanes whose fit is still running in the batch
-  for (int e = 0; e < kHuberMaxEvaluations; ++e) {
-    if (const int settled =
-            active &
-            _mm256_movemask_pd(_mm256_cmp_pd(slope, zero, _CMP_EQ_OQ))) {
-      _mm256_store_pd(lanes_x, x);
-      for (int k = 0; k < 4; ++k) {
-        if ((settled >> k) & 1) out[k0 + k] = lanes_x[k];
-      }
-      active &= ~settled;
-      if (active == 0) return;
-    }
-    const __m256d up = _mm256_cmp_pd(slope, zero, _CMP_GT_OQ);
-    const __m256d new_hi = _mm256_blendv_pd(hi, x, up);
-    const __m256d new_lo = _mm256_blendv_pd(x, lo, up);
-    const __m256d curved = _mm256_cmp_pd(curvature, zero, _CMP_GT_OQ);
-    const __m256d next = _mm256_blendv_pd(
-        x, _mm256_sub_pd(x, _mm256_div_pd(slope, curvature)), curved);
-    const int newton =
-        active &
-        _mm256_movemask_pd(_mm256_and_pd(
-            curved, _mm256_and_pd(_mm256_cmp_pd(next, new_lo, _CMP_GT_OQ),
-                                  _mm256_cmp_pd(next, new_hi, _CMP_LT_OQ))));
-    if (const int handoff = active & ~newton) {
-      alignas(32) double s_lo[4] = {}, s_hi[4] = {}, s_slope[4] = {},
-                         s_curv[4] = {};
-      _mm256_store_pd(lanes_x, x);
-      _mm256_store_pd(s_lo, lo);
-      _mm256_store_pd(s_hi, hi);
-      _mm256_store_pd(s_slope, slope);
-      _mm256_store_pd(s_curv, curvature);
-      for (int k = 0; k < 4; ++k) {
-        if (((handoff >> k) & 1) == 0) continue;
-        const HuberFitState s{lanes_x[k], s_lo[k],   s_hi[k],
-                              s_slope[k], s_curv[k], e};
-        out[k0 + k] = huber_fit_resume(bt.row(k0 + k).data(), c, count, tau,
-                                       s);
-      }
-      active = newton;
-      if (active == 0) return;
-    }
-    const int landed =
-        same_pieces_x4(bk, ld, c, count, vtau, vntau, next, x, newton);
-    if (landed != 0) {
-      alignas(32) double lanes_next[4] = {};
-      _mm256_store_pd(lanes_next, next);
-      for (int k = 0; k < 4; ++k) {
-        if ((landed >> k) & 1) out[k0 + k] = lanes_next[k];
-      }
-      active &= ~landed;
-      if (active == 0) return;
-    }
-    hi = new_hi;
-    lo = new_lo;
-    x = next;
-    huber_slope_x4(bk, ld, c, count, vtau, vntau, x, slope, curvature);
+  __m256d x[V], lo[V], hi[V], slope[V], curvature[V];
+  __m256d next[V], new_lo[V], new_hi[V];
+  int active[V];  // per vector, the lanes whose fit is still running
+  for (int w = 0; w < V; ++w) {
+    x[w] = _mm256_loadu_pd(x0 + k[w]);
+    lo[w] = _mm256_set1_pd(-kInf);
+    hi[w] = _mm256_set1_pd(kInf);
+    active[w] = 0xF;
   }
-  _mm256_store_pd(lanes_x, x);
-  for (int k = 0; k < 4; ++k) {
-    if ((active >> k) & 1) out[k0 + k] = lanes_x[k];
+  huber_slope_lanes<V>(b, ld, k, c, count, vtau, vntau, x, slope, curvature);
+  for (int e = 0; e < kHuberMaxEvaluations; ++e) {
+    int running = 0;
+    for (int w = 0; w < V; ++w) {
+      const int settled =
+          active[w] &
+          _mm256_movemask_pd(_mm256_cmp_pd(slope[w], zero, _CMP_EQ_OQ));
+      store_lanes(out + k[w], x[w], settled);
+      active[w] &= ~settled;
+      const __m256d up = _mm256_cmp_pd(slope[w], zero, _CMP_GT_OQ);
+      new_hi[w] = _mm256_blendv_pd(hi[w], x[w], up);
+      new_lo[w] = _mm256_blendv_pd(x[w], lo[w], up);
+      const __m256d curved = _mm256_cmp_pd(curvature[w], zero, _CMP_GT_OQ);
+      next[w] = _mm256_blendv_pd(
+          x[w], _mm256_sub_pd(x[w], _mm256_div_pd(slope[w], curvature[w])),
+          curved);
+      const int newton =
+          active[w] &
+          _mm256_movemask_pd(_mm256_and_pd(
+              curved,
+              _mm256_and_pd(_mm256_cmp_pd(next[w], new_lo[w], _CMP_GT_OQ),
+                            _mm256_cmp_pd(next[w], new_hi[w], _CMP_LT_OQ))));
+      if (const int handoff = active[w] & ~newton) {
+        hand_off(bt, k[w], c, count, tau, handoff, e, x[w], lo[w], hi[w],
+                 slope[w], curvature[w], out);
+      }
+      active[w] = newton;
+      running |= newton;
+    }
+    if (running == 0) return;
+    int landed[V];
+    same_pieces_lanes<V>(b, ld, k, c, count, vtau, vntau, next, x, active,
+                         landed);
+    running = 0;
+    for (int w = 0; w < V; ++w) {
+      store_lanes(out + k[w], next[w], landed[w]);
+      active[w] &= ~landed[w];
+      running |= active[w];
+      hi[w] = new_hi[w];
+      lo[w] = new_lo[w];
+      x[w] = next[w];
+    }
+    if (running == 0) return;
+    huber_slope_lanes<V>(b, ld, k, c, count, vtau, vntau, x, slope,
+                         curvature);
+  }
+  for (int w = 0; w < V; ++w) store_lanes(out + k[w], x[w], active[w]);
+}
+
+/// Every fit of b in lane groups. The vectors start at columns 0, 4,
+/// 8, ... and, when the count is not a multiple of 4, at fits - 4,
+/// overlapping the vector before it: a lane depends only on its own
+/// column, so the overlapped columns are refitted to the same bits. A
+/// sweep of at most kSinglePassVectors vectors runs as one group; a
+/// longer one runs in pairs, the last vector alone when their number is
+/// odd. Requires fits >= 4.
+constexpr std::size_t kSinglePassVectors = 4;
+
+void huber_fit_groups(const double* b, const Matrix& bt, const double* c,
+                      std::size_t count, double tau, const double* x,
+                      double* next) {
+  const std::size_t fits = bt.rows();
+  const std::size_t vectors = (fits + 3) / 4;
+  const auto start = [fits](std::size_t i) {
+    return std::min(4 * i, fits - 4);
+  };
+  std::size_t k[kSinglePassVectors];
+  if (vectors <= kSinglePassVectors) {
+    for (std::size_t i = 0; i < vectors; ++i) k[i] = start(i);
+    switch (vectors) {
+      case 1:
+        return huber_fit_lanes<1>(b, fits, bt, k, c, count, tau, x, next);
+      case 2:
+        return huber_fit_lanes<2>(b, fits, bt, k, c, count, tau, x, next);
+      case 3:
+        return huber_fit_lanes<3>(b, fits, bt, k, c, count, tau, x, next);
+      default:
+        return huber_fit_lanes<4>(b, fits, bt, k, c, count, tau, x, next);
+    }
+  }
+  std::size_t i = 0;
+  for (; i + 2 <= vectors; i += 2) {
+    k[0] = start(i);
+    k[1] = start(i + 1);
+    huber_fit_lanes<2>(b, fits, bt, k, c, count, tau, x, next);
+  }
+  if (i < vectors) {
+    k[0] = start(i);
+    huber_fit_lanes<1>(b, fits, bt, k, c, count, tau, x, next);
   }
 }
 #endif
@@ -905,29 +1049,16 @@ void rank1_polish_pass(const Matrix& a, std::span<const double> u,
                        double& scale_sq) {
   check_same_shape(a, d_prev, "rank1_polish_pass shape mismatch");
   check_same_shape(a, e_prev, "rank1_polish_pass shape mismatch");
-  NETCONST_CHECK(u.size() == a.rows() && v.size() == a.cols(),
-                 "rank1_polish_pass factor size mismatch");
-  NETCONST_CHECK(tau >= 0.0, "soft threshold must be non-negative");
-  const std::size_t n = a.cols();
-  d.resize(a.rows(), n);
-  e.resize(a.rows(), n);
-  target.resize(a.rows(), n);
-  double change = 0.0, scale = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const std::size_t off = i * n;
-    const PolishRow row{a.data().data() + off,      d_prev.data().data() + off,
-                        e_prev.data().data() + off, d.data().data() + off,
-                        e.data().data() + off,      target.data().data() + off};
-#if defined(NETCONST_SIMD_X86)
-    if (use_vector_kernels()) {
-      polish_row_vec(row, u[i], v.data(), tau, n, change, scale);
-      continue;
-    }
-#endif
-    polish_row_scalar(row, u[i], v.data(), tau, 0, n, change, scale);
-  }
-  change_sq = change;
-  scale_sq = scale;
+  polish_rows<true>(a, u, v, tau, &d_prev, &e_prev, d, e, target, change_sq,
+                    scale_sq);
+}
+
+void rank1_finish_pass(const Matrix& a, std::span<const double> u,
+                       std::span<const double> v, double tau, Matrix& d,
+                       Matrix& e, Matrix& target) {
+  double unused_change = 0.0, unused_scale = 0.0;
+  polish_rows<false>(a, u, v, tau, nullptr, nullptr, d, e, target,
+                     unused_change, unused_scale);
 }
 
 void huber_fit_columns(const Matrix& b, const Matrix& bt,
@@ -941,24 +1072,14 @@ void huber_fit_columns(const Matrix& b, const Matrix& bt,
                      next.size() == fits,
                  "huber_fit_columns size mismatch");
   NETCONST_CHECK(tau >= 0.0, "Huber threshold must be non-negative");
-  std::size_t k = 0;
 #if defined(NETCONST_SIMD_X86)
-  if (use_vector_kernels()) {
-    for (; k + 4 <= fits; k += 4) {
-      huber_fit_x4(b.data().data(), fits, bt, k, c.data(), count, tau,
-                   x.data(), next.data());
-    }
-    // The count % 4 leftover fits ride in one more batch that ends at
-    // the last column; its lanes over columns already fitted recompute
-    // the same values, since a lane depends only on its own column.
-    if (k < fits && fits >= 4) {
-      huber_fit_x4(b.data().data(), fits, bt, fits - 4, c.data(), count, tau,
-                   x.data(), next.data());
-      k = fits;
-    }
+  if (use_vector_kernels() && fits >= 4) {
+    huber_fit_groups(b.data().data(), bt, c.data(), count, tau, x.data(),
+                     next.data());
+    return;
   }
 #endif
-  for (; k < fits; ++k) {
+  for (std::size_t k = 0; k < fits; ++k) {
     next[k] = huber_fit_1d(bt.row(k).data(), c.data(), count, tau, x[k]);
   }
 }

@@ -73,23 +73,39 @@ void rank1_polish_pass(const Matrix& a, std::span<const double> u,
                        Matrix& e, Matrix& target, double& change_sq,
                        double& scale_sq);
 
+/// rank1_polish_pass without the previous iterates: one pass writing
+///   d      = u v^T
+///   e      = soft-threshold(a - d, tau)
+///   target = a - e
+/// and no sums. It is the rank-1 Huber fit's finishing pass: it leaves
+/// the fit's (D, E) and, in `target`, the power-iteration input the
+/// closing alternation opens with. Same row body and per-element
+/// operations as rank1_polish_pass, so bit-identical at every SIMD
+/// level. Requires tau >= 0; d, e and target must not alias a.
+void rank1_finish_pass(const Matrix& a, std::span<const double> u,
+                       std::span<const double> v, double tau, Matrix& d,
+                       Matrix& e, Matrix& target);
+
 /// One sweep of the rank-1 Huber fit's exact 1-D minimisations: for
 /// every column k of `b`, writes
 ///   next[k] = argmin_x sum_t h_tau(b(t, k) - c[t] x),   started at x[k],
 /// where h_tau is the Huber function and `bt` holds b^T. Each fit is a
 /// bracketed semismooth Newton (rpca::rank1_huber_fit describes it).
-/// Under AVX2 the fits run four at a time, one per lane across four
-/// adjacent columns of `b` (lane k reads b[t * b.cols() + k]); every
-/// lane repeats the scalar fit's operations in the same order, leaves
-/// the batch at its own evaluation count, and hands a fit that needs a
-/// bisection step to the scalar code with its exact state. When the
-/// column count is not a multiple of 4, one last batch covers the final
-/// four columns and refits up to three of them to the same values. The
-/// scalar fits — every fit at the other levels, every fit of a b with
-/// fewer than four columns, and the handoffs — read the contiguous rows
-/// of `bt`. The result is therefore bit-identical at every SIMD level.
-/// Requires tau >= 0 and c.size() == b.rows(); `next` must not alias
-/// `x` or `c`.
+/// Under AVX2 the fits run in lanes, four to a vector, lane l of a
+/// vector starting at column k reading b[t * b.cols() + k + l]. The
+/// vectors start at columns 0, 4, 8, ... and, when the column count is
+/// not a multiple of 4, at cols - 4, refitting up to three columns to
+/// the same values. A pass over the terms advances a group of vectors
+/// at once: all of them when there are at most four (the u-sweep of a
+/// 10-row window: vectors at columns 0, 4 and 6), otherwise two (the
+/// last one alone when their number is odd). Every lane repeats the
+/// scalar fit's operations in the same order, leaves its group at its
+/// own evaluation count, and hands a fit that needs a bisection step to
+/// the scalar code with its exact state. The scalar fits — every fit at
+/// the other levels, every fit of a b with fewer than four columns, and
+/// the handoffs — read the contiguous rows of `bt`. The result is
+/// therefore bit-identical at every SIMD level. Requires tau >= 0 and
+/// c.size() == b.rows(); `next` must not alias `x` or `c`.
 void huber_fit_columns(const Matrix& b, const Matrix& bt,
                        std::span<const double> c, double tau,
                        std::span<const double> x, std::span<double> next);

@@ -19,8 +19,10 @@
 // level, but not bit-identical to the scalar order. The ordered
 // kernels are bit-identical at every level: the reductions
 // rank1_polish_pass and decomposition_sums add lane terms one at a time
-// in index order, and huber_fit_columns runs one whole scalar 1-D fit
-// per lane (four independent fits per AVX2 vector). The bit-exact
+// in index order (rank1_finish_pass is the former's row body without
+// the sums), and huber_fit_columns runs one whole scalar 1-D fit per
+// lane (four independent fits per AVX2 vector, two to four vectors
+// advanced per pass over the terms). The bit-exact
 // equivalence suites therefore pin Level::Scalar (ScopedLevel below),
 // and the frozen rpca::reference numerics are reproduced exactly by the
 // scalar level.

@@ -193,31 +193,36 @@ core::ConstantComponent WindowRefresher::assemble_mixed(
   core::ConstantComponent component;
   component.solve_seconds =
       report.latency.solve_seconds + report.bandwidth.solve_seconds;
-  // The tracker's Norm(N_E) counts at the cutoff frozen at its anchor
-  // (see IncrementalTracker::error_norm); a full-path layer counts at
-  // the current window's cutoff exactly like assemble_component.
-  if (report.latency.incremental_used) {
-    component.latency_rank = latency_tracker_.rank();
-    component.latency_error_norm = latency_tracker_.error_norm();
-    latency_tracker_.constant_row_into(constant_scratch_);
-  } else {
-    component.latency_rank = latency_result_.rank;
-    component.latency_error_norm = rpca::relative_l0(
-        latency_result_.sparse, lat_data, options_.finder.l0_rel_tolerance);
-    constant_scratch_ = core::constant_row(latency_result_.low_rank,
-                                           cluster_size);
-  }
-  if (report.bandwidth.incremental_used) {
-    component.bandwidth_rank = bandwidth_tracker_.rank();
-    component.error_norm = bandwidth_tracker_.error_norm();
-    bandwidth_tracker_.constant_row_into(bandwidth_constant_scratch_);
-  } else {
-    component.bandwidth_rank = bandwidth_result_.rank;
-    component.error_norm = rpca::relative_l0(
-        bandwidth_result_.sparse, bw_data, options_.finder.l0_rel_tolerance);
-    bandwidth_constant_scratch_ =
-        core::constant_row(bandwidth_result_.low_rank, cluster_size);
-  }
+  // A tracker-served layer takes its rank, Norm(N_E) and constant from
+  // the tracker, whose counts sit at the cutoff frozen at its anchor
+  // (see IncrementalTracker::error_norm). A full-path layer counts at
+  // the current window's cutoff exactly like assemble_component; when
+  // it just anchored, the tracker counted E and A at that very cutoff,
+  // so its error_norm() is that count and nothing is recounted.
+  const auto layer = [&](const LayerRefresh& info,
+                         const rpca::IncrementalTracker& tracker,
+                         const rpca::Result& result,
+                         const linalg::Matrix& data, std::size_t& rank,
+                         double& error_norm, linalg::Matrix& constant) {
+    if (info.incremental_used) {
+      rank = tracker.rank();
+      error_norm = tracker.error_norm();
+      tracker.constant_row_into(constant);
+      return;
+    }
+    rank = result.rank;
+    error_norm = info.anchored
+                     ? tracker.error_norm()
+                     : rpca::relative_l0(result.sparse, data,
+                                         options_.finder.l0_rel_tolerance);
+    constant = core::constant_row(result.low_rank, cluster_size);
+  };
+  layer(report.latency, latency_tracker_, latency_result_, lat_data,
+        component.latency_rank, component.latency_error_norm,
+        constant_scratch_);
+  layer(report.bandwidth, bandwidth_tracker_, bandwidth_result_, bw_data,
+        component.bandwidth_rank, component.error_norm,
+        bandwidth_constant_scratch_);
   component.constant = netmodel::matrices_to_performance(
       constant_scratch_, bandwidth_constant_scratch_);
   return component;
@@ -295,7 +300,8 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
   if (options_.collect_support_stats) {
     // The accepted sparse factors live in the Result buffers (full
     // path) or the tracker (row update); either way the cutoff is the
-    // window's own, exactly as rpca::relative_l0 derives it.
+    // window's own, exactly as rpca::relative_l0 derives it. A layer
+    // that just anchored froze that same cutoff in its tracker.
     const auto layer_stats = [&](const LayerRefresh& info,
                                  const rpca::IncrementalTracker& tracker,
                                  const rpca::Result& result,
@@ -303,7 +309,9 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
       const linalg::Matrix& sparse =
           info.incremental_used ? tracker.sparse() : result.sparse;
       const double cutoff =
-          options_.finder.l0_rel_tolerance * linalg::max_abs(data);
+          info.anchored
+              ? tracker.cutoff()
+              : options_.finder.l0_rel_tolerance * linalg::max_abs(data);
       return detect::support_stats(sparse, window.cluster_size(), cutoff);
     };
     const detect::SupportStats lat_stats = layer_stats(
@@ -318,7 +326,8 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
     report.bandwidth.support_vm = bw_stats.vm;
   }
 
-  if (report.latency.incremental_used || report.bandwidth.incremental_used) {
+  if (report.latency.incremental_used || report.bandwidth.incremental_used ||
+      report.latency.anchored || report.bandwidth.anchored) {
     report.component = assemble_mixed(*lat_data, *bw_data,
                                       window.cluster_size(), report);
   } else {

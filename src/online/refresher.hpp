@@ -194,8 +194,9 @@ class WindowRefresher {
   void solve_layer(const linalg::Matrix& data, rpca::WarmStart& seed,
                    rpca::Result& result, LayerRefresh& info);
   /// Component assembly when at least one layer came from its tracker
-  /// (rank/Norm(N_E)/constant read from tracked state instead of a
-  /// Result).
+  /// or just anchored it (rank/Norm(N_E)/constant read from tracked
+  /// state instead of a Result; an anchored layer's Norm(N_E) is the
+  /// tracker's count at this window's cutoff).
   core::ConstantComponent assemble_mixed(const linalg::Matrix& lat_data,
                                          const linalg::Matrix& bw_data,
                                          std::size_t cluster_size,

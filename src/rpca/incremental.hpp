@@ -115,6 +115,9 @@ class IncrementalTracker {
   /// every anchor; between anchors the cutoff lags max|A| by design
   /// (recounting A at a moving cutoff would cost O(m n) per slide).
   double error_norm() const;
+  /// The l0 cutoff frozen at the anchor: l0_rel_tolerance * max|data|
+  /// of the anchored window, the cutoff rpca::relative_l0 derives.
+  double cutoff() const { return cutoff_; }
 
   /// Seed a warm full solve from the tracked state: D = c (outer) q,
   /// E as tracked, and the anchor solve's continuation state so APG

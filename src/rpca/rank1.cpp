@@ -9,6 +9,7 @@
 #include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/shrinkage.hpp"
+#include "obs/trace.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -112,60 +113,37 @@ void solve_rank1(const linalg::Matrix& a, const Options& options,
   result.solve_seconds = clock.seconds();
 }
 
-void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
-                  int max_iterations, double tolerance, SolverWorkspace& ws) {
+namespace {
+
+/// What the polish's two stages share about the window: ||A||_F (the
+/// residual's scale) and the soft threshold tau = lambda * mean|A| —
+/// solve_rank1's scaling, so a polished convex solve and a plain Rank1
+/// solve describe the same fixed point.
+struct WindowScalars {
+  double a_fro = 0.0;
+  double tau = 0.0;
+};
+
+WindowScalars window_scalars(const linalg::Matrix& a, double lambda) {
   NETCONST_CHECK(lambda > 0.0, "polish requires lambda > 0");
-  NETCONST_CHECK(max_iterations > 0 && tolerance > 0.0,
-                 "polish needs positive iteration budget and tolerance");
-  NETCONST_CHECK(result.low_rank.same_shape(a) && result.sparse.same_shape(a),
-                 "polish factors do not match the data shape");
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "polish of an all-zero matrix");
-  // Same threshold scaling as solve_rank1, so a polished convex solve
-  // and a plain Rank1 solve describe the same fixed point.
+  WindowScalars s;
+  s.a_fro = linalg::frobenius_norm(a);
+  NETCONST_CHECK(s.a_fro > 0.0, "polish of an all-zero matrix");
   const double mean_abs =
       linalg::l1_norm(a) / static_cast<double>(a.size());
-  const double tau = lambda * mean_abs;
-
-  result.polished = true;
-  result.polish_converged = false;
-  // The power iteration's input A - E; each pass below leaves the next
-  // one in ws.target.
-  linalg::sub(a, result.sparse, ws.target);
-  for (int k = 0; k < max_iterations; ++k) {
-    rank1_factors(ws.target, ws.rank1, kPowerIterations, kPowerTolerance);
-    // Next iterates into ws.d / ws.e; current ones stay in the result
-    // until the swap below, so the change sums see both. One pass forms
-    // D = u v^T, E = soft(A - D), the next A - E and both sums.
-    double change = 0.0, scale = 0.0;
-    linalg::rank1_polish_pass(a, ws.rank1.u, ws.rank1.v, tau,
-                              result.low_rank, result.sparse, ws.d, ws.e,
-                              ws.target, change, scale);
-    result.low_rank.swap(ws.d);
-    result.sparse.swap(ws.e);
-    result.polish_iterations = k + 1;
-    if (std::sqrt(change) <= tolerance * std::sqrt(scale)) {
-      result.polish_converged = true;
-      break;
-    }
-  }
-
-  linalg::sub_sub(a, result.low_rank, result.sparse, ws.residual);
-  result.residual = linalg::frobenius_norm(ws.residual) / a_fro;
-  result.rank = 1;
+  s.tau = lambda * mean_abs;
+  return s;
 }
 
-int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
-                    int max_sweeps, SolverWorkspace& ws) {
-  NETCONST_CHECK(lambda > 0.0, "Huber fit requires lambda > 0");
+/// The rank-1 Huber fit's sweeps (see rank1_huber_fit), then its
+/// finishing pass: leaves low_rank = u v^T, sparse = soft_tau(A - u v^T)
+/// and ws.target = A - sparse, the closing alternation's first input.
+/// Returns the sweeps run.
+int huber_fit(const linalg::Matrix& a, double tau, int max_sweeps,
+              SolverWorkspace& ws, Result& result) {
   NETCONST_CHECK(max_sweeps >= 0, "Huber fit needs a sweep budget >= 0");
   NETCONST_CHECK(result.sparse.same_shape(a),
                  "Huber fit start does not match the data shape");
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "Huber fit of an all-zero matrix");
-  const double mean_abs =
-      linalg::l1_norm(a) / static_cast<double>(a.size());
-  const double tau = lambda * mean_abs;
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
 
@@ -207,21 +185,91 @@ int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
       break;
     }
   }
+  linalg::rank1_finish_pass(a, u, v, tau, result.low_rank, result.sparse,
+                            ws.target);
+  return sweeps;
+}
 
-  result.low_rank.resize(m, n);
-  result.sparse.resize(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double d = u[i] * v[j];
-      const double x = a(i, j) - d;
-      result.low_rank(i, j) = d;
-      result.sparse(i, j) = x > tau ? x - tau : (x < -tau ? x + tau : 0.0);
+/// polish_rank1's alternation from ws.target = A - result.sparse.
+void alternate(const linalg::Matrix& a, double tau, int max_iterations,
+               double tolerance, SolverWorkspace& ws, Result& result) {
+  NETCONST_CHECK(max_iterations > 0 && tolerance > 0.0,
+                 "polish needs positive iteration budget and tolerance");
+  NETCONST_CHECK(result.low_rank.same_shape(a) && result.sparse.same_shape(a),
+                 "polish factors do not match the data shape");
+  result.polished = true;
+  result.polish_converged = false;
+  for (int k = 0; k < max_iterations; ++k) {
+    rank1_factors(ws.target, ws.rank1, kPowerIterations, kPowerTolerance);
+    // Next iterates into ws.d / ws.e; current ones stay in the result
+    // until the swap below, so the change sums see both. One pass forms
+    // D = u v^T, E = soft(A - D), the next A - E and both sums.
+    double change = 0.0, scale = 0.0;
+    linalg::rank1_polish_pass(a, ws.rank1.u, ws.rank1.v, tau,
+                              result.low_rank, result.sparse, ws.d, ws.e,
+                              ws.target, change, scale);
+    result.low_rank.swap(ws.d);
+    result.sparse.swap(ws.e);
+    result.polish_iterations = k + 1;
+    if (std::sqrt(change) <= tolerance * std::sqrt(scale)) {
+      result.polish_converged = true;
+      break;
     }
   }
+}
+
+/// The rank-1 result's residual ||A - D - E||_F / ||A||_F.
+void finish(const linalg::Matrix& a, double a_fro, SolverWorkspace& ws,
+            Result& result) {
   linalg::sub_sub(a, result.low_rank, result.sparse, ws.residual);
   result.residual = linalg::frobenius_norm(ws.residual) / a_fro;
   result.rank = 1;
+}
+
+}  // namespace
+
+void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
+                  int max_iterations, double tolerance, SolverWorkspace& ws) {
+  const WindowScalars s = window_scalars(a, lambda);
+  linalg::sub(a, result.sparse, ws.target);
+  alternate(a, s.tau, max_iterations, tolerance, ws, result);
+  finish(a, s.a_fro, ws, result);
+}
+
+int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
+                    int max_sweeps, SolverWorkspace& ws) {
+  const WindowScalars s = window_scalars(a, lambda);
+  const int sweeps = huber_fit(a, s.tau, max_sweeps, ws, result);
+  finish(a, s.a_fro, ws, result);
   return sweeps;
+}
+
+void polish(const linalg::Matrix& a, const Options& options,
+            bool huber_start, SolverWorkspace& workspace, Result& result) {
+  NETCONST_CHECK(options.polish_iterations > 0, "polish without a budget");
+  obs::Span polish_span("rpca.polish");
+  const Stopwatch polish_clock;
+  const double lambda = options.lambda > 0.0
+                            ? options.lambda
+                            : default_lambda(a.rows(), a.cols());
+  const WindowScalars s = window_scalars(a, lambda);
+  const int budget = options.polish_iterations;
+  // The fit leaves the alternation at least one step: that step's test
+  // is what certifies the fixed point. It also leaves the alternation's
+  // first input A - E in workspace.target.
+  int fit_sweeps = 0;
+  if (huber_start && budget > 1) {
+    fit_sweeps = huber_fit(a, s.tau, std::min(kHuberFitSweeps, budget - 1),
+                           workspace, result);
+  } else {
+    linalg::sub(a, result.sparse, workspace.target);
+  }
+  alternate(a, s.tau, budget - fit_sweeps, options.polish_tolerance,
+            workspace, result);
+  finish(a, s.a_fro, workspace, result);
+  result.polish_iterations += fit_sweeps;
+  result.solve_seconds += polish_clock.seconds();
+  polish_span.set_value(result.polish_iterations);
 }
 
 }  // namespace netconst::rpca

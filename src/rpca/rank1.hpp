@@ -48,7 +48,10 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
 /// plus one fused pass over the window (linalg::rank1_polish_pass),
 /// bit-identical to the sub / rank-1 / sub / soft-threshold chain it
 /// replaced at every SIMD level. The alternation's temporaries come from
-/// `ws`, so the online refresh loop polishes without allocating.
+/// `ws`, so the online refresh loop polishes without allocating. This
+/// and rank1_huber_fit are thin wrappers over the two stages that
+/// rpca::polish runs back to back; it computes ||A||_F and tau once for
+/// both.
 void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                   int max_iterations, double tolerance, SolverWorkspace& ws);
 
@@ -80,9 +83,14 @@ inline constexpr double kHuberFitTolerance = 1e-13;
 /// matching residual in `result`; the other diagnostics are untouched.
 /// A sweep's 1-D fits go through linalg::huber_fit_columns: the v_j fits
 /// over the columns of A, the u_i fits over those of A^T (copied into
-/// ws.target once). Under AVX2 four fits share a vector, each lane
-/// repeating the scalar fit's operations; the factor-change sums add in
-/// index order after each sweep. The starting power iteration runs on
+/// ws.target once). Under AVX2 the fits run in lane groups — the
+/// v-sweep's two vectors of four per pass, a 10-row window's u-sweep
+/// all three at once — each lane repeating the scalar fit's
+/// operations; the factor-change sums add in index order after each
+/// sweep. One finishing pass (linalg::rank1_finish_pass) then forms
+/// u v^T, the soft-thresholded E and A - E, which it leaves in
+/// ws.target for rpca::polish's closing alternation; only this public
+/// entry computes the residual. The starting power iteration runs on
 /// the active SIMD level's kernels exactly as the twin's does, so the
 /// fit is bit-identical to reference::rank1_huber_fit at every level.
 /// Allocation-free once `ws` carries capacity (the next factor goes to

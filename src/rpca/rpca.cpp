@@ -12,7 +12,6 @@
 #include "rpca/stable_pcp_tf.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
-#include "support/stopwatch.hpp"
 
 namespace netconst::rpca {
 
@@ -106,29 +105,6 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
     polish(a, options, /*huber_start=*/false, workspace, result);
   }
   solve_span.set_value(result.iterations);
-}
-
-void polish(const linalg::Matrix& a, const Options& options,
-            bool huber_start, SolverWorkspace& workspace, Result& result) {
-  NETCONST_CHECK(options.polish_iterations > 0, "polish without a budget");
-  obs::Span polish_span("rpca.polish");
-  const Stopwatch polish_clock;
-  const double lambda = options.lambda > 0.0
-                            ? options.lambda
-                            : default_lambda(a.rows(), a.cols());
-  const int budget = options.polish_iterations;
-  // The fit leaves the alternation at least one step: that step's test
-  // is what certifies the fixed point.
-  const int fit_sweeps =
-      huber_start && budget > 1
-          ? rank1_huber_fit(a, result, lambda,
-                            std::min(kHuberFitSweeps, budget - 1), workspace)
-          : 0;
-  polish_rank1(a, result, lambda, budget - fit_sweeps,
-               options.polish_tolerance, workspace);
-  result.polish_iterations += fit_sweeps;
-  result.solve_seconds += polish_clock.seconds();
-  polish_span.set_value(result.polish_iterations);
 }
 
 double relative_l0(const linalg::Matrix& e, const linalg::Matrix& a,

@@ -199,7 +199,11 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
 /// still decides polish_converged. The online refresher starts the
 /// polish of a warm-started solve this way: the fit reaches the
 /// alternation's fixed point where the plain alternation would crawl to
-/// its cap. solve() itself never does (huber_start = false).
+/// its cap. solve() itself never does (huber_start = false). Both
+/// stages share ||A||_F and the threshold, computed once, and the
+/// fit's finishing pass leaves the alternation its first input, so the
+/// pair costs no more window passes than it needs and stays
+/// bit-identical to reference::polish.
 void polish(const linalg::Matrix& a, const Options& options,
             bool huber_start, SolverWorkspace& workspace, Result& result);
 

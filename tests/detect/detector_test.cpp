@@ -1,7 +1,10 @@
 // Unit tests of the change-point detector: support geometry, CUSUM
 // mechanics, verdict classification, cooldown, and determinism of the
 // verdict stream.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -9,6 +12,7 @@
 
 #include "detect/detector.hpp"
 #include "linalg/matrix.hpp"
+#include "support/rng.hpp"
 
 namespace netconst::detect {
 namespace {
@@ -58,6 +62,44 @@ TEST(Detector, SupportStatsEmptyBelowCutoff) {
   EXPECT_DOUBLE_EQ(stats.fraction, 0.0);
   EXPECT_DOUBLE_EQ(stats.concentration, 0.0);
   EXPECT_EQ(stats.vm, 0u);
+}
+
+// The block walk against a brute-force count over flat column indices,
+// on a random layer with a NaN entry (support: it is not <= the cutoff)
+// and a non-zero diagonal entry (never support).
+TEST(Detector, SupportStatsMatchBruteForceCount) {
+  constexpr std::size_t kVms = 7;
+  constexpr double kCutoff = 0.6;
+  Rng rng(31);
+  linalg::Matrix e(5, kVms * kVms);
+  for (double& x : e.data()) x = rng.uniform(-1.0, 1.0);
+  e(1, 3 * kVms + 4) = std::numeric_limits<double>::quiet_NaN();
+  e(2, 5 * kVms + 5) = 9.0;
+
+  std::uint64_t total = 0;
+  std::vector<std::uint64_t> touches(kVms, 0);
+  for (std::size_t r = 0; r < e.rows(); ++r) {
+    for (std::size_t c = 0; c < e.cols(); ++c) {
+      const std::size_t i = c / kVms;
+      const std::size_t j = c % kVms;
+      const double x = e(r, c);
+      const bool support = std::isnan(x) || std::abs(x) > kCutoff;
+      if (i == j || !support) continue;
+      ++total;
+      ++touches[i];
+      ++touches[j];
+    }
+  }
+  const std::size_t vm = static_cast<std::size_t>(
+      std::max_element(touches.begin(), touches.end()) - touches.begin());
+
+  const SupportStats stats = support_stats(e, kVms, kCutoff);
+  ASSERT_GT(total, 0u);
+  EXPECT_EQ(stats.fraction, static_cast<double>(total) /
+                                static_cast<double>(5 * kVms * (kVms - 1)));
+  EXPECT_EQ(stats.vm, vm);
+  EXPECT_EQ(stats.concentration, static_cast<double>(touches[vm]) /
+                                     static_cast<double>(total));
 }
 
 /// A quiet refresh signal stream around fixed baselines.

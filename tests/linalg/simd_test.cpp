@@ -797,5 +797,117 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnRaggedShapesAndKinkStarts) {
   }
 }
 
+// The lane groups' edges, against the reference twin at every level:
+// the fit itself and the polish it opens (rpca::polish, whose closing
+// alternation starts from the fit's finishing pass). Fit counts 5 to 16
+// take one pass with an overlapping last vector; 1025 fits run in pairs
+// plus a lone, overlapping vector. In the 10 x 1025 window, kink columns
+// 9 and 21 make one vector of a pair hand off while its sibling lands
+// (9 in the first vector of pair 8/12, 21 in the second of pair 16/20),
+// and 1022 sits in the lone vector; kink rows 1 and 7 make the u-sweep
+// (vectors at rows 0, 4 and 6; row 7 is in two of them) hand off. The
+// last window carries one +inf entry.
+TEST(SimdSolve, HuberFitMatchesReferenceOnLaneGroupEdges) {
+  struct Case {
+    std::size_t rows, cols;
+    std::vector<std::size_t> kink_columns, kink_rows;
+    bool infinite_entry = false;
+  };
+  std::vector<Case> cases;
+  for (std::size_t cols = 5; cols <= 16; ++cols) cases.push_back({10, cols, {}, {}});
+  cases.push_back({10, 1025, {}, {}});
+  cases.push_back({10, 1025, {9, 21, 1022}, {}});
+  cases.push_back({10, 1025, {}, {1, 7}});
+  cases.push_back({10, 37, {}, {}, true});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.rows) + "x" + std::to_string(c.cols) +
+                 (c.kink_columns.empty() ? "" : " with kink columns") +
+                 (c.kink_rows.empty() ? "" : " with kink rows") +
+                 (c.infinite_entry ? " with an infinite entry" : ""));
+    Matrix a = positive_rank1_window(c.rows, c.cols, 23);
+    const double lambda = 1.0 / std::sqrt(static_cast<double>(c.cols));
+    rpca::Options opts;
+    opts.max_iterations = 40;
+    opts.polish_iterations = 300;
+    rpca::Result start;
+    {
+      simd::ScopedLevel lvl(simd::Level::Scalar);
+      rpca::Options solve_opts = opts;
+      solve_opts.polish_iterations = 0;
+      start = rpca::solve(a, rpca::Solver::Apg, solve_opts);
+    }
+    // Scale the start's A - E by 10 along a kink line: the fit's start
+    // u v^T then leaves every residual of that line beyond tau.
+    for (const std::size_t j : c.kink_columns) {
+      for (std::size_t i = 0; i < c.rows; ++i) {
+        start.sparse(i, j) = a(i, j) - 10.0 * (a(i, j) - start.sparse(i, j));
+      }
+    }
+    for (const std::size_t i : c.kink_rows) {
+      for (std::size_t j = 0; j < c.cols; ++j) {
+        start.sparse(i, j) = a(i, j) - 10.0 * (a(i, j) - start.sparse(i, j));
+      }
+    }
+    if (c.infinite_entry) a(3, 11) = std::numeric_limits<double>::infinity();
+    if (!c.kink_columns.empty() || !c.kink_rows.empty()) {
+      // The precondition: every residual of a kink line beyond tau, and
+      // some residual of the next line inside it.
+      simd::ScopedLevel lvl(simd::Level::Scalar);
+      Matrix target(c.rows, c.cols), start_d;
+      sub(a, start.sparse, target);
+      rpca::Rank1Scratch scratch;
+      rpca::rank1_approximation_into(target, scratch, start_d);
+      const double tau = lambda * l1_norm(a) / static_cast<double>(a.size());
+      const auto beyond = [&](std::size_t i, std::size_t j) {
+        return std::abs(a(i, j) - start_d(i, j)) > tau;
+      };
+      for (const std::size_t j : c.kink_columns) {
+        std::size_t in_kink = 0, in_next = 0;
+        for (std::size_t i = 0; i < c.rows; ++i) {
+          in_kink += beyond(i, j);
+          in_next += beyond(i, j + 1);
+        }
+        EXPECT_EQ(in_kink, c.rows) << "column " << j;
+        EXPECT_LT(in_next, c.rows) << "column " << j + 1;
+      }
+      for (const std::size_t i : c.kink_rows) {
+        std::size_t in_kink = 0, in_next = 0;
+        for (std::size_t j = 0; j < c.cols; ++j) {
+          in_kink += beyond(i, j);
+          in_next += beyond(i + 1, j);
+        }
+        EXPECT_EQ(in_kink, c.cols) << "row " << i;
+        EXPECT_LT(in_next, c.cols) << "row " << i + 1;
+      }
+    }
+
+    for (const simd::Level level : available_levels()) {
+      SCOPED_TRACE(simd::level_name(level));
+      simd::ScopedLevel lvl(level);
+      rpca::SolverWorkspace ws;
+      rpca::Result fit = start;
+      rpca::Result ref = start;
+      const int sweeps =
+          rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps, ws);
+      EXPECT_EQ(sweeps, rpca::reference::rank1_huber_fit(
+                            a, ref, lambda, rpca::kHuberFitSweeps));
+      EXPECT_GT(sweeps, 0);
+      EXPECT_TRUE(same_bits(fit.low_rank, ref.low_rank));
+      EXPECT_TRUE(same_bits(fit.sparse, ref.sparse));
+      EXPECT_TRUE(same_bits(fit.residual, ref.residual));
+
+      rpca::Result polished = start;
+      rpca::Result ref_polished = start;
+      rpca::polish(a, opts, /*huber_start=*/true, ws, polished);
+      rpca::reference::polish(a, opts, /*huber_start=*/true, ref_polished);
+      EXPECT_EQ(polished.polish_iterations, ref_polished.polish_iterations);
+      EXPECT_EQ(polished.polish_converged, ref_polished.polish_converged);
+      EXPECT_TRUE(same_bits(polished.low_rank, ref_polished.low_rank));
+      EXPECT_TRUE(same_bits(polished.sparse, ref_polished.sparse));
+      EXPECT_TRUE(same_bits(polished.residual, ref_polished.residual));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace netconst::linalg

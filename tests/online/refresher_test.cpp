@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/synthetic.hpp"
+#include "detect/detector.hpp"
 #include "linalg/norms.hpp"
 #include "support/error.hpp"
 
@@ -276,6 +277,75 @@ TEST(WindowRefresher, IncrementalSlideServesFromTracker) {
   EXPECT_LT(relative_frobenius_diff(second.component.constant.latency(),
                                     cold.component.constant.latency()),
             0.05);
+}
+
+// A full-path layer that just anchored takes its Norm(N_E) and its
+// support cutoff from the tracker instead of recounting. Both must equal
+// the recount bit for bit: rpca::relative_l0 of the accepted E, and a
+// refresher with the tracker off (same full-path solves, so the same
+// factors) that counts everything itself.
+TEST(WindowRefresher, AnchoredLayerCountsMatchRecount) {
+  cloud::SyntheticCloud cloud(small_cloud_config(24));
+  SlidingWindow window = filled_window(cloud, 6, 600.0);
+
+  RefresherOptions options;
+  options.incremental = true;
+  options.collect_support_stats = true;
+  WindowRefresher refresher(options);
+  RefresherOptions twin_options = options;
+  twin_options.incremental = false;
+  WindowRefresher twin(twin_options);
+  const double tol = options.finder.l0_rel_tolerance;
+
+  // A cold refresh, the same window again (warm) and a two-snapshot
+  // jump: every one takes the full path and re-anchors.
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(step);
+    if (step == 2) {
+      for (int k = 0; k < 2; ++k) {
+        cloud.advance(600.0);
+        window.push(cloud.now(), cloud.oracle_snapshot());
+      }
+    }
+    const RefreshReport report = refresher.refresh(window);
+    const RefreshReport recount = twin.refresh(window);
+    ASSERT_TRUE(report.latency.anchored);
+    ASSERT_TRUE(report.bandwidth.anchored);
+    ASSERT_FALSE(report.latency.incremental_used);
+    ASSERT_FALSE(report.bandwidth.incremental_used);
+    EXPECT_GT(report.component.latency_error_norm, 0.0);
+    EXPECT_GT(report.component.error_norm, 0.0);
+    EXPECT_GT(report.latency.support_fraction, 0.0);
+    EXPECT_GT(report.bandwidth.support_fraction, 0.0);
+
+    EXPECT_EQ(report.component.latency_error_norm,
+              rpca::relative_l0(refresher.latency_tracker().sparse(),
+                                window.latency_data(), tol));
+    EXPECT_EQ(report.component.error_norm,
+              rpca::relative_l0(refresher.bandwidth_tracker().sparse(),
+                                window.bandwidth_data(), tol));
+    EXPECT_EQ(report.component.latency_error_norm,
+              recount.component.latency_error_norm);
+    EXPECT_EQ(report.component.error_norm, recount.component.error_norm);
+    EXPECT_EQ(report.component.constant.latency().max_abs_diff(
+                  recount.component.constant.latency()),
+              0.0);
+    EXPECT_EQ(report.component.constant.bandwidth().max_abs_diff(
+                  recount.component.constant.bandwidth()),
+              0.0);
+
+    const detect::SupportStats lat = detect::support_stats(
+        refresher.latency_tracker().sparse(), window.cluster_size(),
+        tol * linalg::max_abs(window.latency_data()));
+    EXPECT_EQ(report.latency.support_fraction, lat.fraction);
+    EXPECT_EQ(report.latency.support_concentration, lat.concentration);
+    EXPECT_EQ(report.latency.support_vm, lat.vm);
+    EXPECT_EQ(report.bandwidth.support_fraction,
+              recount.bandwidth.support_fraction);
+    EXPECT_EQ(report.bandwidth.support_concentration,
+              recount.bandwidth.support_concentration);
+    EXPECT_EQ(report.bandwidth.support_vm, recount.bandwidth.support_vm);
+  }
 }
 
 TEST(WindowRefresher, IncrementalNeedsASingleSlide) {
