@@ -1,7 +1,8 @@
-// Ablation: RPCA solver choice (APG — the paper's — vs IALM vs the
-// hard rank-1 alternating solver) on synthetic low-rank + sparse
-// instances shaped like TP-matrices: recovery quality, Norm(N_E)
-// fidelity and runtime.
+// Ablation: RPCA solver choice (APG — the paper's — vs stable PCP vs
+// time-frequency stable PCP) on synthetic low-rank + sparse instances
+// shaped like TP-matrices: recovery quality, support fidelity and
+// runtime. The run exits 1 if a solver throws or returns a non-finite
+// D.
 //
 // Second study: the online refresher's warm-attempt polish on N=32
 // SyntheticClouds at fixed 300 s steps (8 clouds x 30 slides, band
@@ -18,10 +19,13 @@
 // driven in lockstep; the run exits 1 if they differ.
 //
 // Usage: ablation_solvers [--smoke]
-//   --smoke  only the polish study, on one cloud per band x 10 slides:
-//            the replica gate in a few seconds (CI's bench-smoke job).
+//   --smoke  the solver grid's 10x256 shape, then the polish study on
+//            one cloud per band x 10 slides: both gates in a few
+//            seconds (CI's bench-smoke job).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -40,16 +44,21 @@ using namespace netconst;
 
 namespace {
 
-void solver_grid() {
+/// The solver grid over `shapes` (rows x cols). Returns false, after
+/// printing the table, if any solve threw or left a non-finite entry in
+/// D.
+bool solver_grid(const std::vector<std::pair<int, int>>& shapes) {
   print_banner(std::cout,
                "Ablation: RPCA solvers on planted rank-1 + sparse "
                "TP-matrix instances");
   ConsoleTable table({"rows_x_cols", "sparsity", "solver", "low_rank_err",
                       "support_f1", "iterations", "seconds"});
 
+  bool ok = true;
   Rng rng(2718);
-  for (const auto& [rows, cols] :
-       {std::pair{10, 256}, std::pair{10, 1024}, std::pair{20, 4096}}) {
+  for (const auto& [rows, cols] : shapes) {
+    const std::string shape =
+        std::to_string(rows) + "x" + std::to_string(cols);
     for (const double sparsity : {0.02, 0.10}) {
       rpca::SyntheticSpec spec;
       spec.rows = static_cast<std::size_t>(rows);
@@ -61,13 +70,27 @@ void solver_grid() {
       const rpca::SyntheticProblem problem =
           rpca::make_synthetic(spec, instance_rng);
 
-      for (const auto solver : {rpca::Solver::Apg, rpca::Solver::Ialm,
-                                rpca::Solver::RankOne}) {
-        const rpca::Result result = rpca::solve(problem.data, solver);
+      for (const auto solver : {rpca::Solver::Apg, rpca::Solver::StablePcp,
+                                rpca::Solver::StablePcpTf}) {
+        rpca::Result result;
+        try {
+          result = rpca::solve(problem.data, solver);
+        } catch (const std::exception& error) {
+          ok = false;
+          std::cerr << "SOLVER FAILURE: " << rpca::solver_name(solver)
+                    << " on " << shape << " threw: " << error.what() << "\n";
+          continue;
+        }
+        const auto d = result.low_rank.data();
+        if (!std::all_of(d.begin(), d.end(),
+                         [](double x) { return std::isfinite(x); })) {
+          ok = false;
+          std::cerr << "SOLVER FAILURE: " << rpca::solver_name(solver)
+                    << " on " << shape << " left a non-finite D\n";
+        }
         const rpca::RecoveryError err = rpca::measure_recovery(
             problem, result.low_rank, result.sparse);
-        table.add_row({std::to_string(rows) + "x" + std::to_string(cols),
-                       ConsoleTable::cell(sparsity, 2),
+        table.add_row({shape, ConsoleTable::cell(sparsity, 2),
                        rpca::solver_name(solver),
                        ConsoleTable::cell(err.low_rank_error, 4),
                        ConsoleTable::cell(err.support_f1, 3),
@@ -77,13 +100,17 @@ void solver_grid() {
     }
   }
   table.print(std::cout);
-  std::cout << "\nExpected: all three recover the planted rank-1 "
-               "component; IALM converges in the fewest iterations; the "
-               "hard rank-1 solver — which gets the true rank as prior "
-               "knowledge, unlike the convex solvers — is both cheapest "
-               "(no SVD) and the most exact on these instances. The "
-               "paper's APG remains the safe default when the rank is "
-               "not known to be one.\n";
+  std::cout << "\nExpected: APG and StablePCP both recover the planted "
+               "rank-1 component (low-rank error 0.07-0.23 at 10 rows, "
+               "<= 0.05 at 20x4096), APG slightly better: StablePCP's "
+               "fixed mu leaves a noise band in the residual that these "
+               "instances do not have. Both run to the 500-iteration cap. "
+               "StablePCP-TF does not recover them (low-rank error "
+               "0.8-1.0): its band limit keeps only the slow temporal "
+               "frequencies of D, and these instances' row factor is "
+               "white over time, not the slow diurnal profile the solver "
+               "models.\n";
+  return ok;
 }
 
 // ---- the warm-attempt polish study ----
@@ -266,9 +293,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!smoke) {
-    solver_grid();
-    std::cout << "\n";
-  }
-  return warm_polish_study(size) ? 0 : 1;
+  std::vector<std::pair<int, int>> shapes = {{10, 256}};
+  if (!smoke) shapes.insert(shapes.end(), {{10, 1024}, {20, 4096}});
+  const bool grid_ok = solver_grid(shapes);
+  std::cout << "\n";
+  const bool replica_ok = warm_polish_study(size);
+  return grid_ok && replica_ok ? 0 : 1;
 }

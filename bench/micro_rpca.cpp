@@ -49,17 +49,6 @@ BENCHMARK_CAPTURE(BM_RpcaSolver, apg, netconst::rpca::Solver::Apg)
     ->Arg(32)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RpcaSolver, ialm, netconst::rpca::Solver::Ialm)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RpcaSolver, rank1, netconst::rpca::Solver::RankOne)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(196)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

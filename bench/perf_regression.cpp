@@ -642,8 +642,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> clusters = {16, 32, 64};
   const std::vector<rpca::Solver> solvers = {
-      rpca::Solver::Apg, rpca::Solver::Ialm, rpca::Solver::StablePcp,
-      rpca::Solver::StablePcpTf, rpca::Solver::RankOne};
+      rpca::Solver::Apg, rpca::Solver::StablePcp, rpca::Solver::StablePcpTf};
 
   std::vector<SuiteRow> rows;
   for (std::size_t cluster : clusters) {

@@ -742,69 +742,16 @@ NETCONST_TARGET_AVX2 void decomposition_sums_vec(const double* a,
 }
 #endif
 
-// ---- three-operand elementwise forms ----
-
-enum class TriOp { SubAddScaled, SubSub };
-
-template <TriOp Op>
-void tri_range_scalar(const double* a, const double* b, const double* c,
-                      double alpha, double* o, std::size_t lo,
-                      std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    if constexpr (Op == TriOp::SubAddScaled) {
-      o[i] = (a[i] - b[i]) + c[i] * alpha;
-    } else {
-      o[i] = (a[i] - b[i]) - c[i];
-    }
-  }
-}
-
-#if defined(NETCONST_SIMD_X86)
-template <TriOp Op>
-NETCONST_TARGET_AVX2 void tri_range_vec(const double* a, const double* b,
-                                        const double* c, double alpha,
-                                        double* o, std::size_t lo,
-                                        std::size_t hi) {
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    const __m256d vb = _mm256_loadu_pd(b + i);
-    const __m256d vcv = _mm256_loadu_pd(c + i);
-    __m256d r;
-    if constexpr (Op == TriOp::SubAddScaled) {
-      r = _mm256_add_pd(_mm256_sub_pd(va, vb), _mm256_mul_pd(vcv, valpha));
-    } else {
-      r = _mm256_sub_pd(_mm256_sub_pd(va, vb), vcv);
-    }
-    _mm256_storeu_pd(o + i, r);
-  }
-  tri_range_scalar<Op>(a, b, c, alpha, o, i, hi);
-}
-#endif
-
-template <TriOp Op>
-void tri_range(const double* a, const double* b, const double* c,
-               double alpha, double* o, std::size_t lo, std::size_t hi) {
-#if defined(NETCONST_SIMD_X86)
-  if (use_vector_kernels()) {
-    tri_range_vec<Op>(a, b, c, alpha, o, lo, hi);
-    return;
-  }
-#endif
-  tri_range_scalar<Op>(a, b, c, alpha, o, lo, hi);
-}
-
-// ---- two-operand elementwise forms ----
+// ---- elementwise differences ----
 
 void sub_range_scalar(const double* a, const double* b, double* o,
                       std::size_t lo, std::size_t hi) {
   for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] - b[i];
 }
 
-void add_scaled_range_scalar(double alpha, const double* x, double* y,
-                             std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) y[i] += x[i] * alpha;
+void sub_sub_range_scalar(const double* a, const double* b, const double* c,
+                          double* o, std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) o[i] = (a[i] - b[i]) - c[i];
 }
 
 #if defined(NETCONST_SIMD_X86)
@@ -819,17 +766,18 @@ NETCONST_TARGET_AVX2 void sub_range_vec(const double* a, const double* b,
   sub_range_scalar(a, b, o, i, hi);
 }
 
-NETCONST_TARGET_AVX2 void add_scaled_range_vec(double alpha, const double* x,
-                                               double* y, std::size_t lo,
-                                               std::size_t hi) {
-  const __m256d valpha = _mm256_set1_pd(alpha);
+NETCONST_TARGET_AVX2 void sub_sub_range_vec(const double* a, const double* b,
+                                            const double* c, double* o,
+                                            std::size_t lo, std::size_t hi) {
   std::size_t i = lo;
   for (; i + 4 <= hi; i += 4) {
     _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                             _mm256_mul_pd(_mm256_loadu_pd(x + i), valpha)));
+        o + i,
+        _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)),
+            _mm256_loadu_pd(c + i)));
   }
-  add_scaled_range_scalar(alpha, x, y, i, hi);
+  sub_sub_range_scalar(a, b, c, o, i, hi);
 }
 #endif
 
@@ -844,15 +792,15 @@ void sub_range(const double* a, const double* b, double* o, std::size_t lo,
   sub_range_scalar(a, b, o, lo, hi);
 }
 
-void add_scaled_range(double alpha, const double* x, double* y,
-                      std::size_t lo, std::size_t hi) {
+void sub_sub_range(const double* a, const double* b, const double* c,
+                   double* o, std::size_t lo, std::size_t hi) {
 #if defined(NETCONST_SIMD_X86)
   if (use_vector_kernels()) {
-    add_scaled_range_vec(alpha, x, y, lo, hi);
+    sub_sub_range_vec(a, b, c, o, lo, hi);
     return;
   }
 #endif
-  add_scaled_range_scalar(alpha, x, y, lo, hi);
+  sub_sub_range_scalar(a, b, c, o, lo, hi);
 }
 
 // ---- convergence norms (sequential reduction) ----
@@ -967,24 +915,6 @@ void gradient_step(const Matrix& d, const Matrix& d_prev, const Matrix& e,
       kElementGrain);
 }
 
-void sub_add_scaled(const Matrix& a, const Matrix& b, double alpha,
-                    const Matrix& c, Matrix& out) {
-  check_same_shape(a, b, "sub_add_scaled shape mismatch");
-  check_same_shape(a, c, "sub_add_scaled shape mismatch");
-  out.resize(a.rows(), a.cols());
-  const auto as = a.data();
-  const auto bs = b.data();
-  const auto cs = c.data();
-  const auto os = out.data();
-  parallel_for_chunked(
-      0, as.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        tri_range<TriOp::SubAddScaled>(as.data(), bs.data(), cs.data(), alpha,
-                                       os.data(), lo, hi);
-      },
-      kElementGrain);
-}
-
 void sub(const Matrix& a, const Matrix& b, Matrix& out) {
   check_same_shape(a, b, "sub shape mismatch");
   out.resize(a.rows(), a.cols());
@@ -1011,20 +941,7 @@ void sub_sub(const Matrix& a, const Matrix& b, const Matrix& c,
   parallel_for_chunked(
       0, as.size(),
       [&](std::size_t lo, std::size_t hi) {
-        tri_range<TriOp::SubSub>(as.data(), bs.data(), cs.data(), 0.0,
-                                 os.data(), lo, hi);
-      },
-      kElementGrain);
-}
-
-void add_scaled(double alpha, const Matrix& x, Matrix& y) {
-  check_same_shape(x, y, "add_scaled shape mismatch");
-  const auto xs = x.data();
-  const auto ys = y.data();
-  parallel_for_chunked(
-      0, xs.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        add_scaled_range(alpha, xs.data(), ys.data(), lo, hi);
+        sub_sub_range(as.data(), bs.data(), cs.data(), os.data(), lo, hi);
       },
       kElementGrain);
 }

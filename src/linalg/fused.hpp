@@ -4,7 +4,7 @@
 // operator+/-/* calls; each link allocated (and zero-faulted) a fresh
 // m x n temporary and made an extra pass over memory. Every kernel here
 // computes one full right-hand side in a single pass and writes into a
-// caller-owned output, so an APG/IALM/stable-PCP iteration touches each
+// caller-owned output, so an APG/stable-PCP iteration touches each
 // matrix exactly once and allocates nothing (see docs/PERFORMANCE.md).
 //
 // Bit-exactness contract: each kernel performs the same floating-point
@@ -37,21 +37,16 @@ void gradient_step(const Matrix& d, const Matrix& d_prev, const Matrix& e,
                    double inv_lf, double soft_tau, Matrix& gd,
                    Matrix& e_next);
 
-/// out = (a - b) + alpha * c: IALM's shrinkage target A - E + Y/mu.
-void sub_add_scaled(const Matrix& a, const Matrix& b, double alpha,
-                    const Matrix& c, Matrix& out);
-
 /// out = a - b.
 void sub(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = (a - b) - c: the final decomposition residual A - D - E.
 void sub_sub(const Matrix& a, const Matrix& b, const Matrix& c, Matrix& out);
 
-/// y += alpha * x (matrix axpy): IALM's multiplier update Y += mu * R.
-void add_scaled(double alpha, const Matrix& x, Matrix& y);
-
 /// out = soft-threshold(src, tau): sign(v) * max(|v| - tau, 0) without
-/// the copy the out-of-place soft_threshold makes.
+/// the copy the out-of-place soft_threshold makes. The solvers fuse the
+/// threshold into gradient_step and rank1_polish_pass; this one-kernel
+/// form is the oracle those passes are tested against.
 void soft_threshold_into(const Matrix& src, double tau, Matrix& out);
 
 /// One iteration of the rank-1 polish after its power iteration, in a

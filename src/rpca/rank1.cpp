@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
-#include "linalg/shrinkage.hpp"
 #include "obs/trace.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
@@ -70,55 +68,12 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
   }
 }
 
-void solve_rank1(const linalg::Matrix& a, const Options& options,
-                 double lambda, SolverWorkspace& ws, Result& result) {
-  NETCONST_CHECK(lambda > 0.0, "rank-1 solver requires lambda > 0");
-  const Stopwatch clock;
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "rank-1 RPCA of an all-zero matrix");
-  reset_result(result);
-  ++ws.stats.solves;
-
-  // Threshold scaled to the data so lambda is comparable to the convex
-  // solvers (their effective thresholds also scale with ||A||).
-  const double mean_abs =
-      linalg::l1_norm(a) / static_cast<double>(a.size());
-  const double tau = lambda * mean_abs;
-
-  ws.e.resize(a.rows(), a.cols());
-  ws.e.fill(0.0);
-  double prev_residual = std::numeric_limits<double>::infinity();
-  for (int k = 0; k < options.max_iterations; ++k) {
-    linalg::sub(a, ws.e, ws.target);
-    rank1_approximation_into(ws.target, ws.rank1, ws.d);
-
-    linalg::sub(a, ws.d, ws.target);
-    linalg::soft_threshold_into(ws.target, tau, ws.e);
-
-    linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-    result.residual = linalg::frobenius_norm(ws.residual) / a_fro;
-    result.iterations = k + 1;
-    // The soft threshold leaves a floor of magnitude-tau residual, so
-    // converge on the *change* of the residual rather than its value.
-    if (std::abs(prev_residual - result.residual) <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_residual = result.residual;
-  }
-
-  result.rank = 1;
-  result.low_rank.swap(ws.d);
-  result.sparse.swap(ws.e);
-  result.solve_seconds = clock.seconds();
-}
-
 namespace {
 
 /// What the polish's two stages share about the window: ||A||_F (the
-/// residual's scale) and the soft threshold tau = lambda * mean|A| —
-/// solve_rank1's scaling, so a polished convex solve and a plain Rank1
-/// solve describe the same fixed point.
+/// residual's scale) and the soft threshold tau = lambda * mean|A|,
+/// scaled to the data so one lambda means the same across windows
+/// (the convex solvers' thresholds scale with ||A|| too).
 struct WindowScalars {
   double a_fro = 0.0;
   double tau = 0.0;

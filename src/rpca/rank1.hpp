@@ -1,26 +1,21 @@
-// Rank-1 constrained robust decomposition.
+// The rank-1 stage of the pipeline.
 //
 // The paper's problem statement constrains the TC-matrix to rank exactly
-// one (all calibration rows share the same constant component). This
-// solver enforces that directly by alternating
+// one (all calibration rows share the same constant component). The
+// convex solvers reach it only through the nuclear-norm surrogate; the
+// rank-1 polish then enforces it directly by alternating
 //   D <- best rank-1 approximation of (A - E)      (power iteration)
-//   E <- soft-threshold of (A - D)                 (prox of lambda||.||_1)
-// which is a projected block-coordinate descent on the nonconvex set
-// {rank(D) <= 1}. It is cheap (no full SVD) and serves as the ablation
-// for "nuclear-norm surrogate vs hard rank-1 constraint".
+//   E <- soft-threshold of (A - D)                 (prox of tau||.||_1)
+// from the solver's (D, E), a projected block-coordinate descent on the
+// nonconvex set {rank(D) <= 1}. rank1_huber_fit reaches the same fixed
+// point in a few sweeps from a warm start; rpca::polish (rpca.hpp) runs
+// the two back to back. rank1_approximation_into is the power iteration
+// on its own (stable PCP's noise estimate uses it).
 #pragma once
 
 #include "rpca/rpca.hpp"
 
 namespace netconst::rpca {
-
-/// The Solver::RankOne body of rpca::solve (see solve_apg for the
-/// conventions). `lambda` is the sparse weight; the effective
-/// elementwise threshold is scaled by the mean absolute value of `a` so
-/// that lambda is comparable across solvers. Numerically identical to
-/// reference::solve_rank1.
-void solve_rank1(const linalg::Matrix& a, const Options& options,
-                 double lambda, SolverWorkspace& ws, Result& result);
 
 /// Power-iteration budget and sigma tolerance of every rank-1
 /// approximation (the polish uses the same ones).
@@ -35,9 +30,9 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
                               int max_iterations = kPowerIterations,
                               double tolerance = kPowerTolerance);
 
-/// Rank-1 polish: refine `result`'s (D, E) in place by the solve_rank1
-/// alternation (D <- rank-1 of A - E, E <- soft-threshold of A - D)
-/// until the relative iterate change drops below `tolerance` or
+/// Rank-1 polish: refine `result`'s (D, E) in place by the alternation
+/// (D <- rank-1 of A - E, E <- soft-threshold of A - D at tau = lambda *
+/// mean|A|) until the relative iterate change drops below `tolerance` or
 /// `max_iterations` is hit. The alternation's fixed point depends only
 /// on (A, lambda), not on the starting factors, as long as they lie in
 /// its attraction basin — so two solves that agree to ~1% (e.g. a

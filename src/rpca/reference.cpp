@@ -75,8 +75,8 @@ void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                  "polish factors do not match the data shape");
   const double a_fro = linalg::frobenius_norm(a);
   NETCONST_CHECK(a_fro > 0.0, "polish of an all-zero matrix");
-  // Same threshold scaling as solve_rank1, so a polished convex solve
-  // and a plain Rank1 solve describe the same fixed point.
+  // Threshold scaled to the data, so one lambda means the same across
+  // windows.
   const double mean_abs =
       linalg::l1_norm(a) / static_cast<double>(a.size());
   const double tau = lambda * mean_abs;
@@ -240,126 +240,6 @@ Result solve_apg(const linalg::Matrix& a, const Options& options) {
   result.sparse = std::move(e);
   result.final_mu = mu;
   result.mu_floor = mu_bar;
-  result.solve_seconds = clock.seconds();
-  return result;
-}
-
-Result solve_ialm(const linalg::Matrix& a, const Options& options) {
-  NETCONST_CHECK(options.lambda > 0.0, "IALM requires lambda > 0");
-  const Stopwatch clock;
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  const double lambda = options.lambda;
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "IALM of an all-zero matrix is trivial");
-
-  const double a_spec = std::max(linalg::spectral_norm(a), 1e-300);
-  // Multiplier initialization of the reference IALM implementation:
-  // Y = A / max(||A||_2, ||A||_inf / lambda).
-  const double dual_scale =
-      std::max(a_spec, linalg::max_abs(a) / lambda);
-  linalg::Matrix y = a;
-  y *= 1.0 / dual_scale;
-
-  double mu = 1.25 / a_spec;
-  const double mu_max = mu * 1e7;
-  const double rho = 1.5;
-
-  linalg::Matrix d(m, n);
-  linalg::Matrix e(m, n);
-
-  Result result;
-  for (int k = 0; k < options.max_iterations; ++k) {
-    // D-step: SVT of A - E + Y/mu at threshold 1/mu.
-    linalg::Matrix target = a;
-    target -= e;
-    {
-      linalg::Matrix yscaled = y;
-      yscaled *= 1.0 / mu;
-      target += yscaled;
-    }
-    const auto svt =
-        linalg::singular_value_threshold(target, 1.0 / mu, options.svd);
-    d = svt.value;
-    result.rank = svt.rank;
-
-    // E-step: soft threshold of A - D + Y/mu at lambda/mu.
-    linalg::Matrix etarget = a;
-    etarget -= d;
-    {
-      linalg::Matrix yscaled = y;
-      yscaled *= 1.0 / mu;
-      etarget += yscaled;
-    }
-    e = linalg::soft_threshold(etarget, lambda / mu);
-
-    // Multiplier update on the primal residual.
-    linalg::Matrix residual = a;
-    residual -= d;
-    residual -= e;
-    {
-      linalg::Matrix scaled = residual;
-      scaled *= mu;
-      y += scaled;
-    }
-    mu = std::min(mu * rho, mu_max);
-    result.iterations = k + 1;
-
-    result.residual = linalg::frobenius_norm(residual) / a_fro;
-    if (result.residual <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.low_rank = std::move(d);
-  result.sparse = std::move(e);
-  result.solve_seconds = clock.seconds();
-  return result;
-}
-
-Result solve_rank1(const linalg::Matrix& a, const Options& options) {
-  NETCONST_CHECK(options.lambda > 0.0, "rank-1 solver requires lambda > 0");
-  const Stopwatch clock;
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "rank-1 RPCA of an all-zero matrix");
-
-  // Threshold scaled to the data so lambda is comparable to the convex
-  // solvers (their effective thresholds also scale with ||A||).
-  const double mean_abs =
-      linalg::l1_norm(a) / static_cast<double>(a.size());
-  const double tau = options.lambda * mean_abs;
-
-  linalg::Matrix e(a.rows(), a.cols());
-  linalg::Matrix d;
-  Result result;
-  double prev_residual = std::numeric_limits<double>::infinity();
-  for (int k = 0; k < options.max_iterations; ++k) {
-    linalg::Matrix target = a;
-    target -= e;
-    d = reference::rank1_approximation(target);
-
-    linalg::Matrix etarget = a;
-    etarget -= d;
-    e = linalg::soft_threshold(etarget, tau);
-
-    linalg::Matrix residual = a;
-    residual -= d;
-    residual -= e;
-    result.residual = linalg::frobenius_norm(residual) / a_fro;
-    result.iterations = k + 1;
-    // The soft threshold leaves a floor of magnitude-tau residual, so
-    // converge on the *change* of the residual rather than its value.
-    if (std::abs(prev_residual - result.residual) <= options.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_residual = result.residual;
-  }
-
-  result.rank = 1;
-  result.low_rank = std::move(d);
-  result.sparse = std::move(e);
   result.solve_seconds = clock.seconds();
   return result;
 }
@@ -585,10 +465,6 @@ Result solve(const linalg::Matrix& a, Solver solver,
     switch (solver) {
       case Solver::Apg:
         return reference::solve_apg(a, opts);
-      case Solver::Ialm:
-        return reference::solve_ialm(a, opts);
-      case Solver::RankOne:
-        return reference::solve_rank1(a, opts);
       case Solver::StablePcp: {
         StablePcpOptions stable;
         stable.base = opts;

@@ -3,9 +3,10 @@
 // These are the original allocation-per-expression RPCA solvers, kept
 // verbatim for two jobs:
 //
-//  * equivalence testing — the workspace solvers in apg/ialm/rank1/
-//    stable_pcp must reproduce these bit for bit (the fused kernels and
-//    scratch SVD paths preserve floating-point operation order; see
+//  * equivalence testing — the workspace solvers in apg/stable_pcp/
+//    stable_pcp_tf and the polish in rank1 must reproduce these bit
+//    for bit (the fused kernels and scratch SVD paths preserve
+//    floating-point operation order; see
 //    tests/rpca/workspace_equivalence_test.cpp);
 //  * the perf baseline — bench/perf_regression.cpp reports workspace
 //    speedup against exactly this code, so the comparison cannot drift
@@ -29,8 +30,6 @@ Result solve(const linalg::Matrix& a, Solver solver,
              const Options& options = {});
 
 Result solve_apg(const linalg::Matrix& a, const Options& options);
-Result solve_ialm(const linalg::Matrix& a, const Options& options);
-Result solve_rank1(const linalg::Matrix& a, const Options& options);
 Result solve_stable_pcp(const linalg::Matrix& a,
                         const StablePcpOptions& options = {});
 // The TF-constrained variant's transform kernels (basis build, panel

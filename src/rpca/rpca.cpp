@@ -6,8 +6,6 @@
 #include "linalg/norms.hpp"
 #include "obs/trace.hpp"
 #include "rpca/apg.hpp"
-#include "rpca/ialm.hpp"
-#include "rpca/rank1.hpp"
 #include "rpca/stable_pcp.hpp"
 #include "rpca/stable_pcp_tf.hpp"
 #include "rpca/workspace.hpp"
@@ -19,10 +17,6 @@ std::string solver_name(Solver solver) {
   switch (solver) {
     case Solver::Apg:
       return "APG";
-    case Solver::Ialm:
-      return "IALM";
-    case Solver::RankOne:
-      return "Rank1";
     case Solver::StablePcp:
       return "StablePCP";
     case Solver::StablePcpTf:
@@ -50,10 +44,6 @@ const char* solve_span_name(Solver solver) {
   switch (solver) {
     case Solver::Apg:
       return "rpca.solve.apg";
-    case Solver::Ialm:
-      return "rpca.solve.ialm";
-    case Solver::RankOne:
-      return "rpca.solve.rank1";
     case Solver::StablePcp:
       return "rpca.solve.stable_pcp";
     case Solver::StablePcpTf:
@@ -76,12 +66,6 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
   switch (solver) {
     case Solver::Apg:
       solve_apg(a, options, lambda, workspace, result);
-      break;
-    case Solver::Ialm:
-      solve_ialm(a, options, lambda, workspace, result);
-      break;
-    case Solver::RankOne:
-      solve_rank1(a, options, lambda, workspace, result);
       break;
     case Solver::StablePcp:
       solve_stable_pcp(a, options, lambda, /*noise_sigma=*/0.0, workspace,

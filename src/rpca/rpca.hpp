@@ -4,25 +4,23 @@
 //
 // This is the mathematical core of the paper: the TP-matrix of a virtual
 // cluster is decomposed into the rank-one constant component (TC-matrix)
-// and the sparse error component (TE-matrix). Five solvers are provided:
+// and the sparse error component (TE-matrix). Three solvers are
+// provided, all running one accelerated proximal-gradient loop
+// (rpca/apg.hpp accelerated_prox) and so sharing one convergence test,
+// one probe contract and one iteration span:
 //
 //  * Apg     — accelerated proximal gradient (Ji & Ye), the paper's choice;
-//  * Ialm    — inexact augmented Lagrange multipliers, a faster alternative
-//              used as an ablation;
-//  * RankOne — alternating projection with a hard rank-1 constraint,
-//              matching the paper's problem statement (rank(N_D) = 1)
-//              exactly rather than through the nuclear-norm surrogate;
 //  * StablePcp — stable principal component pursuit, which additionally
 //              tolerates dense small noise (the volatility band) in the
-//              residual instead of forcing it into E;
+//              residual instead of forcing it into E; runs the loop with
+//              a fixed mu;
 //  * StablePcpTf — time-frequency constrained stable PCP (Hu/Wang/Yin),
 //              which further band-limits D along the time axis so slow
 //              diurnal/baseline structure stays in the constant
 //              component while fast churn is pushed out of it.
 //
-// Apg, StablePcp and StablePcpTf share one accelerated proximal-gradient
-// loop (rpca/apg.hpp accelerated_prox): the stable-PCP pair runs it with
-// a fixed mu, and StablePcpTf adds a band limit on D.
+// The paper's rank(N_D) = 1 constraint is imposed after any of them by
+// the optional rank-1 polish (Options::polish_iterations, rpca/rank1.hpp).
 #pragma once
 
 #include <cstddef>
@@ -38,7 +36,7 @@ class SolverProbe;  // per-iteration convergence observer (obs/convergence.hpp)
 
 namespace netconst::rpca {
 
-enum class Solver { Apg, Ialm, RankOne, StablePcp, StablePcpTf };
+enum class Solver { Apg, StablePcp, StablePcpTf };
 
 // Defined in workspace.hpp; forward-declared so the workspace-based
 // solve overloads below don't force every client through that header.
@@ -108,9 +106,8 @@ struct Options {
   /// Sparsity weight. <= 0 selects the standard 1/sqrt(max(m, n)).
   double lambda = 0.0;
   int max_iterations = 500;
-  /// Convergence tolerance. Ialm stops when ||A - D - E||_F / ||A||_F
-  /// is below it, RankOne when that ratio changes by less than it. Apg,
-  /// StablePcp and StablePcpTf stop when the iterate change satisfies
+  /// Convergence tolerance. Every solver stops when the iterate change
+  /// satisfies
   ///   ||(D, E) - (D, E)_prev||_F <= tolerance * max(||(D, E)||_F, 1),
   /// which is relative only while ||(D, E)||_F >= 1 and absolute below:
   /// on a latency layer (seconds) it is an absolute bound, on a
@@ -119,9 +116,9 @@ struct Options {
   linalg::SvdOptions svd;
   /// Randomized-SVT routing policy (default off = exact solves).
   RandomizedSvdPolicy randomized;
-  /// Optional warm-start seed. Currently honored by Apg; solvers that
-  /// do not support seeding run cold and report it via
-  /// Result::warm_start_ignored (never silently).
+  /// Optional warm-start seed. Honored by Apg only; StablePcp and
+  /// StablePcpTf run cold and report it via Result::warm_start_ignored
+  /// (never silently).
   WarmStart warm_start;
   /// > 0 runs the rank-1 polish after the solver (see polish_rank1):
   /// alternating hard rank-1 projection and soft-thresholding from the
@@ -135,10 +132,9 @@ struct Options {
   /// Relative iterate-change tolerance of the polish alternation.
   double polish_tolerance = 1e-10;
   /// Optional convergence observer, called once per solver iteration
-  /// with read-only diagnostics of the live iterates. Honored by Apg,
-  /// StablePcp and StablePcpTf (their shared loop); Ialm and RankOne do
-  /// not call it. Null — the default — costs the solver one branch per
-  /// iteration and computes nothing extra.
+  /// with read-only diagnostics of the live iterates, by every solver
+  /// (the shared loop calls it). Null — the default — costs the solver
+  /// one branch per iteration and computes nothing extra.
   /// Observation never alters an iterate: outputs are byte-identical
   /// with and without a probe.
   obs::SolverProbe* probe = nullptr;

@@ -99,8 +99,8 @@ struct SolverWorkspace {
   // extrapolated points and the smooth-term residual are never
   // materialized — linalg::gradient_step computes them on the fly).
   linalg::Matrix residual, gd, ge;
-  // IALM's Lagrange multiplier / generic shrinkage target.
-  linalg::Matrix y, target;
+  // Shrinkage target (A - E) and general m x n scratch.
+  linalg::Matrix target;
   // Gram-path SVT working set (Gram matrix, Jacobi scratch, V panel).
   linalg::GramSvtScratch svt;
   // Power-iteration vectors for continuation-schedule estimates.

@@ -1,6 +1,6 @@
 // Seeded property-based fuzzing of the masked decomposition path:
 // random window shapes (N rows x n(n-1) columns), random sparse
-// interference, and random fault masks, pushed through all five RPCA
+// interference, and random fault masks, pushed through all three RPCA
 // solvers. The invariants are the chaos contract, not exact values:
 // no solver may throw, D + E must reconstruct the observed entries,
 // and the error component must stay as sparse as the injected
@@ -23,9 +23,9 @@ using netconst::testing::run_property;
 
 // StablePcpTf's DCT band-limit prox assumes the constant's temporal
 // spectrum is DC-dominant — exactly what random_rank1_sparse windows
-// produce — so it rides the same fuzz loop as the unconstrained four.
-constexpr Solver kSolvers[] = {Solver::Apg, Solver::Ialm, Solver::RankOne,
-                               Solver::StablePcp, Solver::StablePcpTf};
+// produce — so it rides the same fuzz loop as the unconstrained two.
+constexpr Solver kSolvers[] = {Solver::Apg, Solver::StablePcp,
+                               Solver::StablePcpTf};
 
 TEST(ChaosProperty, MaskedSolvesNeverThrowAndReconstructObserved) {
   run_property(0xFA575EED, 6, [](Rng& rng) {

@@ -129,8 +129,8 @@ TEST(ConstantFinder, SpikesDoNotCorruptTheConstant) {
 TEST(ConstantFinder, SolverChoicesAllWork) {
   Rng rng(13);
   const auto series = synthetic_series(5, 8, 0.02, 0.05, rng);
-  for (const auto solver :
-       {rpca::Solver::Apg, rpca::Solver::Ialm, rpca::Solver::RankOne}) {
+  for (const auto solver : {rpca::Solver::Apg, rpca::Solver::StablePcp,
+                            rpca::Solver::StablePcpTf}) {
     ConstantFinderOptions options;
     options.solver = solver;
     const ConstantComponent component = find_constant(series, options);

@@ -123,28 +123,6 @@ TEST(Fused, SubVariantsMatchOperatorChain) {
     EXPECT_EQ(out.max_abs_diff(a - b), 0.0);
     sub_sub(a, b, c, out);
     EXPECT_EQ(out.max_abs_diff((a - b) - c), 0.0);
-    const double alpha = 0.25;
-    sub_add_scaled(a, b, alpha, c, out);
-    Matrix expected(s.rows, s.cols);
-    for (std::size_t i = 0; i < expected.data().size(); ++i) {
-      expected.data()[i] =
-          (a.data()[i] - b.data()[i]) + alpha * c.data()[i];
-    }
-    EXPECT_EQ(out.max_abs_diff(expected), 0.0);
-  }
-}
-
-TEST(Fused, AddScaledMatchesAxpy) {
-  Rng rng(16);
-  for (const auto& s : kShapes) {
-    const Matrix x = random_matrix(s.rows, s.cols, rng);
-    Matrix y = random_matrix(s.rows, s.cols, rng);
-    Matrix expected = y;
-    for (std::size_t i = 0; i < expected.data().size(); ++i) {
-      expected.data()[i] += 1.3 * x.data()[i];
-    }
-    add_scaled(1.3, x, y);
-    EXPECT_EQ(y.max_abs_diff(expected), 0.0);
   }
 }
 

@@ -106,14 +106,9 @@ TEST(SimdKernels, ElementwiseKernelsAreBitIdenticalAcrossLevels) {
       EXPECT_EQ(scalar_out.max_abs_diff(vector_out), 0.0);
     };
 
-    run_both([&](Matrix& out) { sub_add_scaled(x, y, 0.25, z, out); });
     run_both([&](Matrix& out) { sub(x, y, out); });
     run_both([&](Matrix& out) { sub_sub(x, y, z, out); });
     run_both([&](Matrix& out) { soft_threshold_into(x, 0.4, out); });
-    run_both([&](Matrix& out) {
-      out = y;
-      add_scaled(0.9, x, out);
-    });
   }
 }
 

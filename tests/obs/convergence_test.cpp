@@ -30,8 +30,8 @@ rpca::SyntheticProblem small_problem(std::uint64_t seed) {
   return rpca::make_synthetic(spec, rng);
 }
 
-// The solvers that run the shared accelerated proximal-gradient loop
-// and therefore honor Options::probe (IALM and RankOne do not).
+// Every solver runs the shared accelerated proximal-gradient loop and
+// therefore honors Options::probe.
 constexpr rpca::Solver kProbedSolvers[] = {
     rpca::Solver::Apg, rpca::Solver::StablePcp, rpca::Solver::StablePcpTf};
 

@@ -187,13 +187,13 @@ TEST(WindowRefresher, SolverWithoutSeedingReportsIgnoredSeed) {
   SlidingWindow window = filled_window(cloud, 6, 600.0);
 
   RefresherOptions options;
-  options.finder.solver = rpca::Solver::RankOne;
+  options.finder.solver = rpca::Solver::StablePcp;
   WindowRefresher refresher(options);
   refresher.refresh(window);
 
   const RefreshReport report = refresher.refresh(window);
   EXPECT_TRUE(report.latency.warm_attempted);
-  EXPECT_TRUE(report.latency.seed_ignored);   // Rank1 cannot seed
+  EXPECT_TRUE(report.latency.seed_ignored);   // StablePcp cannot seed
   EXPECT_FALSE(report.latency.warm_used);
   EXPECT_FALSE(report.latency.cold_fallback);  // cold, but not a fallback
 }

@@ -1,6 +1,6 @@
 // Masked (partial-observation) RPCA front-end: imputation priority
 // order, the observed-entry residual, and end-to-end recovery of the
-// rank-1 constant from masked data across all four solvers.
+// rank-1 constant from masked data across APG and stable PCP.
 #include "rpca/masked.hpp"
 
 #include <algorithm>
@@ -135,7 +135,7 @@ TEST(Masked, ResidualShapeMismatchThrows) {
 // true constant row and solving recovers the constant. Recovery error
 // is heavy-tailed per column — a column that lost rows to the mask AND
 // absorbed an outlier keeps a visible bias — so the contract is on the
-// distribution: for the exact solvers (Apg, Ialm, RankOne) the median
+// distribution: for the exact solver (Apg) the median
 // column error stays under 5% and the mean under 10%; StablePcp models
 // dense noise and is held to 15% median / 20% mean, and its D + E
 // deliberately differs from A by the noise term Z, relaxing its
@@ -153,8 +153,7 @@ TEST(Masked, TwentyPercentMaskRecoversConstantAcrossSolvers) {
     linalg::Matrix repaired = masked;
     impute_missing(repaired, &made.constant_row);
 
-    for (const Solver solver : {Solver::Apg, Solver::Ialm, Solver::RankOne,
-                                Solver::StablePcp}) {
+    for (const Solver solver : {Solver::Apg, Solver::StablePcp}) {
       SCOPED_TRACE(solver_name(solver));
       const bool noisy = solver == Solver::StablePcp;
       const Result result = solve(repaired, solver);

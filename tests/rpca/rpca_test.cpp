@@ -23,8 +23,8 @@ TEST(Rpca, DefaultLambda) {
 
 TEST(Rpca, SolverNames) {
   EXPECT_EQ(solver_name(Solver::Apg), "APG");
-  EXPECT_EQ(solver_name(Solver::Ialm), "IALM");
-  EXPECT_EQ(solver_name(Solver::RankOne), "Rank1");
+  EXPECT_EQ(solver_name(Solver::StablePcp), "StablePCP");
+  EXPECT_EQ(solver_name(Solver::StablePcpTf), "StablePCP-TF");
 }
 
 TEST(Rpca, EmptyInputThrows) {
@@ -110,27 +110,10 @@ TEST_P(SolverRecovery, CleanLowRankYieldsTinyErrorNorm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverRecovery,
-                         ::testing::Values(Solver::Apg, Solver::Ialm,
-                                           Solver::RankOne),
+                         ::testing::Values(Solver::Apg),
                          [](const auto& info) {
                            return solver_name(info.param);
                          });
-
-TEST(Rpca, IalmConvergesOnRank2) {
-  SyntheticSpec spec;
-  spec.rows = 40;
-  spec.cols = 40;
-  spec.rank = 2;
-  spec.sparsity = 0.05;
-  Rng rng(79);
-  const SyntheticProblem problem = make_synthetic(spec, rng);
-  const Result result = solve(problem.data, Solver::Ialm);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LE(result.residual, 1e-6);
-  const RecoveryError err =
-      measure_recovery(problem, result.low_rank, result.sparse);
-  EXPECT_LT(err.low_rank_error, 0.05);
-}
 
 TEST(Rpca, ApgSparseComponentIsSparse) {
   SyntheticSpec spec;
@@ -143,21 +126,6 @@ TEST(Rpca, ApgSparseComponentIsSparse) {
   const Result result = solve(problem.data, Solver::Apg);
   // The recovered E should not be dense.
   EXPECT_LT(relative_l0(result.sparse, problem.data, 1e-2), 0.35);
-}
-
-TEST(Rpca, RankOneEnforcesRankConstraint) {
-  SyntheticSpec spec;
-  spec.rows = 8;
-  spec.cols = 32;
-  spec.rank = 1;
-  spec.sparsity = 0.05;
-  Rng rng(81);
-  const SyntheticProblem problem = make_synthetic(spec, rng);
-  const Result result = solve(problem.data, Solver::RankOne);
-  EXPECT_EQ(result.rank, 1u);
-  // Numerical rank of the returned D is really 1.
-  const auto dec = linalg::svd(result.low_rank);
-  EXPECT_EQ(dec.rank(1e-8), 1u);
 }
 
 TEST(Rpca, LambdaControlsSparsity) {
@@ -173,8 +141,8 @@ TEST(Rpca, LambdaControlsSparsity) {
   loose.lambda = 0.02;  // cheap sparsity -> bigger support
   Options tight;
   tight.lambda = 1.0;  // expensive sparsity -> smaller support
-  const Result a = solve(problem.data, Solver::Ialm, loose);
-  const Result b = solve(problem.data, Solver::Ialm, tight);
+  const Result a = solve(problem.data, Solver::Apg, loose);
+  const Result b = solve(problem.data, Solver::Apg, tight);
   EXPECT_GT(relative_l0(a.sparse, problem.data, 1e-3),
             relative_l0(b.sparse, problem.data, 1e-3));
 }
@@ -183,7 +151,7 @@ TEST(Rpca, ReportsSolveTime) {
   SyntheticSpec spec;
   Rng rng(83);
   const SyntheticProblem problem = make_synthetic(spec, rng);
-  const Result result = solve(problem.data, Solver::Ialm);
+  const Result result = solve(problem.data, Solver::Apg);
   EXPECT_GT(result.solve_seconds, 0.0);
   EXPECT_GT(result.iterations, 0);
 }

@@ -160,7 +160,7 @@ TEST(StablePcpTf, ShrinkLeavesPassbandUntouched) {
 }
 
 // Workspace solver vs the frozen reference, bit for bit, on the scalar
-// operation order (the same contract the other four solvers pin in
+// operation order (the same contract the other two solvers pin in
 // workspace_equivalence_test.cpp).
 TEST(StablePcpTf, MatchesReferenceBitExactly) {
   const linalg::simd::ScopedLevel scalar(linalg::simd::Level::Scalar);
@@ -219,7 +219,7 @@ TEST(StablePcpTf, SolverEnumDispatchAndNames) {
 }
 
 // No warm-start support: a supplied seed must be reported as ignored,
-// never silently dropped (same contract as Ialm/RankOne/StablePcp).
+// never silently dropped (same contract as StablePcp).
 TEST(StablePcpTf, WarmStartIsReportedIgnored) {
   Rng rng(31);
   const DiurnalProblem p = make_diurnal(8, 30, 0.2, 0.1, rng);
@@ -256,7 +256,7 @@ TEST(StablePcpTf, WorkspaceReuseAcrossWindowLengths) {
 // Vector-level solves deliver the same decomposition quality as scalar
 // (full byte-identity across levels is pinned for the TF kernels above;
 // the shared convergence reductions are deterministic per level, as for
-// the other four solvers).
+// the other two solvers).
 TEST(StablePcpTf, VectorLevelMatchesScalarQuality) {
   Rng rng(41);
   const DiurnalProblem p = make_diurnal(12, 56, 0.3, 0.2, rng);

@@ -168,19 +168,16 @@ TEST(SvdPath, StarvedRankBudgetFallsBackExactly) {
   EXPECT_EQ(exact.sparse.max_abs_diff(fallback.sparse), 0.0);
 }
 
-TEST(SvdPath, IalmAndStablePcpAcceptSketches) {
+TEST(SvdPath, StablePcpAcceptsSketches) {
   const SyntheticProblem problem = tall_problem(7);
-  for (const Solver solver : {Solver::Ialm, Solver::StablePcp}) {
-    SolverWorkspace exact_ws, sketch_ws;
-    Result exact, sketched;
-    solve(problem.data, solver, exact_options(), exact_ws, exact);
-    solve(problem.data, solver, randomized_options(), sketch_ws, sketched);
-    EXPECT_GT(sketch_ws.stats.randomized_accepts, 0u)
-        << "solver " << static_cast<int>(solver);
-    const double scale = linalg::frobenius_norm(problem.data);
-    EXPECT_LT(exact.low_rank.max_abs_diff(sketched.low_rank), 1e-4 * scale)
-        << "solver " << static_cast<int>(solver);
-  }
+  SolverWorkspace exact_ws, sketch_ws;
+  Result exact, sketched;
+  solve(problem.data, Solver::StablePcp, exact_options(), exact_ws, exact);
+  solve(problem.data, Solver::StablePcp, randomized_options(), sketch_ws,
+        sketched);
+  EXPECT_GT(sketch_ws.stats.randomized_accepts, 0u);
+  const double scale = linalg::frobenius_norm(problem.data);
+  EXPECT_LT(exact.low_rank.max_abs_diff(sketched.low_rank), 1e-4 * scale);
 }
 
 TEST(SvdPath, ReserveRandomizedKeepsSolveIdentical) {

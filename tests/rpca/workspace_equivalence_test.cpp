@@ -64,8 +64,8 @@ TEST(WorkspaceEquivalence, AllSolversMatchReferenceBitExactly) {
   const linalg::Matrix a = tp_shaped_problem(10, 64, 7);
   Options opts;
   opts.max_iterations = 200;
-  for (const Solver solver : {Solver::Apg, Solver::Ialm, Solver::RankOne,
-                              Solver::StablePcp, Solver::StablePcpTf}) {
+  for (const Solver solver :
+       {Solver::Apg, Solver::StablePcp, Solver::StablePcpTf}) {
     SCOPED_TRACE(solver_name(solver));
     const Result ws = solve(a, solver, opts);
     const Result ref = reference::solve(a, solver, opts);
