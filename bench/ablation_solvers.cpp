@@ -4,18 +4,26 @@
 // runtime. The run exits 1 if a solver throws or returns a non-finite
 // D.
 //
-// Second study: the online refresher's warm-attempt polish on N=32
+// Second study: the online refresher's warm attempt on N=32
 // SyntheticClouds at fixed 300 s steps (8 clouds x 30 slides, band
 // sigma 0.04 and 0.01). Each slide re-solves both layers on the
-// refresher's full path — a warm attempt seeded from the last accepted
-// factors, redone cold when WindowRefresher's checks reject it — under
-// two warm-attempt polishes: "plain", the solver's own 300-step
-// alternation (the policy before the Huber fit), and "huber_fit",
-// rpca::polish opening with rpca::rank1_huber_fit (the refresher's).
+// refresher's full path — a warm attempt from the last accepted
+// factors, redone cold when it is rejected — under three warm-attempt
+// policies:
+//   "plain"    seeded APG with the solver's own 300-step alternation
+//              (the policy before the Huber fit);
+//   "apg_fit"  seeded APG, then rpca::polish opening with
+//              rpca::rank1_huber_fit (the policy before the fit started
+//              from the seed);
+//   "seed_fit" rpca::polish with the Huber fit started from the seed's
+//              E and no solver (WindowRefresher's).
+// The two APG policies are redone cold on the refresher's former
+// checks (APG not converged, pre-polish residual above 1e-3, polish
+// cap), seed_fit on a polish cap alone.
 // Reported per cloud: const_err p50/p90 over the slides (relative error
 // of the 8 MB transfer times against the cloud's ground-truth
 // constant), mean refresh ms per slide and cold fallbacks. The
-// huber_fit replica is checked bit for bit against a WindowRefresher
+// seed_fit replica is checked bit for bit against a WindowRefresher
 // driven in lockstep; the run exits 1 if they differ.
 //
 // Usage: ablation_solvers [--smoke]
@@ -125,15 +133,27 @@ constexpr std::size_t kWindow = 10;
 constexpr double kStepSeconds = 300.0;
 constexpr double kOperationBytes = 8.0 * 1024 * 1024;
 
-enum class WarmPolish { Plain, HuberFit };
+enum class WarmPolish { Plain, ApgFit, SeedFit };
 
 const char* policy_name(WarmPolish policy) {
-  return policy == WarmPolish::Plain ? "plain" : "huber_fit";
+  switch (policy) {
+    case WarmPolish::Plain:
+      return "plain";
+    case WarmPolish::ApgFit:
+      return "apg_fit";
+    case WarmPolish::SeedFit:
+      return "seed_fit";
+  }
+  return "unknown";
 }
 
+/// The pre-polish residual above which the former warm attempt's seeded
+/// APG counted as diverged.
+constexpr double kDivergenceResidual = 1e-3;
+
 /// One layer on WindowRefresher::solve_layer's full path: the warm
-/// attempt (when a seed exists) with `policy`'s polish, redone cold on
-/// the refresher's three checks. Returns whether it fell back cold.
+/// attempt (when a seed exists) under `policy`, redone cold when that
+/// policy's checks reject it. Returns whether it fell back cold.
 bool refresh_layer(const linalg::Matrix& data, WarmPolish policy,
                    const online::RefresherOptions& refresher,
                    rpca::SolverWorkspace& ws, rpca::WarmStart& seed,
@@ -144,18 +164,25 @@ bool refresh_layer(const linalg::Matrix& data, WarmPolish policy,
   if (seed.empty()) {
     rpca::solve(data, solver, options, ws, result);
   } else {
-    options.warm_start = seed;
-    if (policy == WarmPolish::HuberFit) {
-      options.polish_iterations = 0;
-      rpca::solve(data, solver, options, ws, result);
-      options.polish_iterations = refresher.finder.rpca.polish_iterations;
-      rpca::polish(data, options, result.warm_started, ws, result);
+    if (policy == WarmPolish::SeedFit) {
+      result.low_rank = seed.low_rank;
+      result.sparse = seed.sparse;
+      rpca::polish(data, options, /*huber_start=*/true, ws, result);
+      fallback = !result.polish_converged;
     } else {
-      rpca::solve(data, solver, options, ws, result);
+      options.warm_start = seed;
+      if (policy == WarmPolish::ApgFit) {
+        options.polish_iterations = 0;
+        rpca::solve(data, solver, options, ws, result);
+        options.polish_iterations = refresher.finder.rpca.polish_iterations;
+        rpca::polish(data, options, result.warm_started, ws, result);
+      } else {
+        rpca::solve(data, solver, options, ws, result);
+      }
+      fallback = !result.converged ||
+                 result.solver_residual > kDivergenceResidual ||
+                 (result.polished && !result.polish_converged);
     }
-    fallback = (refresher.fallback_on_nonconvergence && !result.converged) ||
-               result.solver_residual > refresher.divergence_residual ||
-               (result.polished && !result.polish_converged);
     if (fallback) {
       options.warm_start = rpca::WarmStart{};
       rpca::solve(data, solver, options, ws, result);
@@ -226,7 +253,7 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
       run.refresh_ms += ms / slides;
       errors.push_back(const_error(component.constant, truth));
     }
-    if (policy == WarmPolish::HuberFit) {
+    if (policy == WarmPolish::SeedFit) {
       const online::RefreshReport report = refresher.refresh(window);
       run.matches_refresher =
           run.matches_refresher &&
@@ -243,20 +270,23 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
 
 bool warm_polish_study(const StudySize& size) {
   print_banner(std::cout,
-               "Warm-attempt polish: plain alternation vs Huber fit, "
-               "N=32 SyntheticClouds, " +
+               "Warm attempt: plain alternation vs Huber fit after the "
+               "seeded APG vs Huber fit from the seed, N=32 "
+               "SyntheticClouds, " +
                    std::to_string(size.slides) + " fixed 300 s slides");
   ConsoleTable table({"sigma", "cloud", "policy", "const_err_p50",
                       "const_err_p90", "refresh_ms", "cold_fallbacks"});
+  constexpr WarmPolish kPolicies[] = {WarmPolish::Plain, WarmPolish::ApgFit,
+                                      WarmPolish::SeedFit};
   bool replica_ok = true;
-  int better_or_equal = 0, compared = 0;
+  int fit_no_worse = 0, compared = 0;
+  double max_seed_vs_apg = 0.0;
   for (const double sigma : {0.04, 0.01}) {
     for (std::uint64_t seed = 1; seed <= size.clouds; ++seed) {
-      CloudRun runs[2];
-      for (const WarmPolish policy :
-           {WarmPolish::Plain, WarmPolish::HuberFit}) {
+      CloudRun runs[3];
+      for (const WarmPolish policy : kPolicies) {
         const CloudRun run = run_cloud(sigma, seed, size.slides, policy);
-        runs[policy == WarmPolish::HuberFit] = run;
+        runs[static_cast<int>(policy)] = run;
         replica_ok = replica_ok && run.matches_refresher;
         table.add_row({ConsoleTable::cell(sigma, 2), std::to_string(seed),
                        policy_name(policy), ConsoleTable::cell(run.err_p50, 4),
@@ -264,16 +294,23 @@ bool warm_polish_study(const StudySize& size) {
                        ConsoleTable::cell(run.refresh_ms, 2),
                        std::to_string(run.fallbacks)});
       }
+      const CloudRun& plain = runs[static_cast<int>(WarmPolish::Plain)];
+      const CloudRun& apg = runs[static_cast<int>(WarmPolish::ApgFit)];
+      const CloudRun& fit = runs[static_cast<int>(WarmPolish::SeedFit)];
       ++compared;
-      better_or_equal += runs[1].err_p50 <= runs[0].err_p50 &&
-                         runs[1].err_p90 <= runs[0].err_p90;
+      fit_no_worse += fit.err_p50 <= plain.err_p50 &&
+                      fit.err_p90 <= plain.err_p90;
+      max_seed_vs_apg = std::max(
+          {max_seed_vs_apg, std::abs(fit.err_p50 - apg.err_p50) / apg.err_p50,
+           std::abs(fit.err_p90 - apg.err_p90) / apg.err_p90});
     }
   }
   table.print(std::cout);
-  std::cout << "\nhuber_fit const_err p50 and p90 both no worse than plain "
+  std::cout << "\nseed_fit const_err p50 and p90 both no worse than plain "
                "on "
-            << better_or_equal << " of " << compared
-            << " clouds; huber_fit replica "
+            << fit_no_worse << " of " << compared
+            << " clouds; largest relative difference from apg_fit "
+            << max_seed_vs_apg << "; seed_fit replica "
             << (replica_ok ? "matches" : "DIFFERS FROM")
             << " WindowRefresher bit for bit.\n";
   return replica_ok;

@@ -1,5 +1,5 @@
 // Observability overhead bench: the cost of the flight recorder, on and
-// off, measured where it matters — the warm APG refresh path.
+// off, measured where it matters — the warm refresh path.
 //
 // Three measurements, emitted as machine-readable JSON (BENCH_obs.json
 // by default):

@@ -21,15 +21,27 @@
 #ifndef NETCONST_COMPILER
 #define NETCONST_COMPILER "unknown"
 #endif
+#ifndef NETCONST_SOURCE_DIR
+#define NETCONST_SOURCE_DIR "."
+#endif
 
 namespace netconst::bench {
 
 /// HEAD's sha with -dirty for a modified tree, as bench/e2e/run.py
-/// records it; "unknown" outside a git checkout.
+/// records it, of the source tree the binary was built from (not of the
+/// working directory, so a run started anywhere records its own tree);
+/// "unknown" when that tree is not a git checkout.
 inline std::string git_sha() {
+  // Single-quoted for the shell; each ' in the path becomes '\''.
+  std::string dir = "'";
+  for (const char c : std::string(NETCONST_SOURCE_DIR)) {
+    dir += c == '\'' ? std::string("'\\''") : std::string(1, c);
+  }
+  dir += "'";
+  const std::string command =
+      "git -C " + dir + " describe --always --dirty --abbrev=40 2>/dev/null";
   std::string sha;
-  if (FILE* pipe = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
-                         "r")) {
+  if (FILE* pipe = popen(command.c_str(), "r")) {
     char buf[128];
     while (std::fgets(buf, sizeof buf, pipe) != nullptr) sha += buf;
     pclose(pipe);

@@ -10,15 +10,15 @@
 // solver's transient memory footprint.
 //
 // Exit status is nonzero when any steady-state workspace solve performs
-// a heap allocation (the warm_fit suite — the refresher's warm attempt
-// with its Huber-fit polish — included), when a warm_fit slide's
-// polish differs by a bit from reference::polish on the same input (at
-// the active SIMD level or replayed at Scalar), or when the online
-// suite (the refresher's APG + rank-1 polish solve on a noisy N=32
-// window) is slower than its reference twin — CI runs this with --smoke
-// as a regression gate. The JSON opens with the host header of
-// bench_util.hpp: git sha, build type, compiler, hardware_concurrency,
-// pool threads and SIMD level.
+// a heap allocation (the warm_fit suite — the refresher's warm attempt,
+// the Huber-fit polish from the seed — included), when a warm_fit
+// slide's polish differs by a bit from reference::polish from the same
+// seed (at the active SIMD level or replayed at Scalar), or when the
+// online suite (the refresher's cold solve, APG + rank-1 polish, on a
+// noisy N=32 window) is slower than its reference twin — CI runs this
+// with --smoke as a regression gate. The JSON opens with the host
+// header of bench_util.hpp: git sha, build type, compiler,
+// hardware_concurrency, pool threads and SIMD level.
 //
 // Usage: perf_regression [--smoke] [--out <path>]
 #include <algorithm>
@@ -153,10 +153,6 @@ struct SuiteRow {
   // on every slide at both levels.
   std::optional<SectionStats> scalar;
   bool polish_matches_reference = true;
-  // warm_fit only: medians of the polish alone (the Huber fit and the
-  // closing alternation, without the APG solve) at both levels.
-  double polish_median_ms = 0.0;
-  double polish_scalar_median_ms = 0.0;
 };
 
 bool same_bits(const linalg::Matrix& x, const linalg::Matrix& y) {
@@ -265,10 +261,10 @@ SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
                      problem.data, options, reps);
 }
 
-/// Online suite: the refresher's solve (APG, then the 300-iteration
-/// rank-1 polish) on an N=32 window with dense noise on top of the
-/// rank-1 + sparse structure, the EC2-like case where the polish runs
-/// to its cap. Paired with its reference twin; the gate below fails the
+/// Online suite: the refresher's cold solve (APG, then the
+/// 300-iteration rank-1 polish) on an N=32 window with dense noise on
+/// top of the rank-1 + sparse structure, the EC2-like case where the
+/// polish runs to its cap. Paired with its reference twin; the gate below fails the
 /// run when the workspace side is the slower one.
 SuiteRow online_suite(int reps) {
   const std::size_t cluster = 32;
@@ -282,20 +278,20 @@ SuiteRow online_suite(int reps) {
 }
 
 /// Warm-attempt suite: the online refresher's warm attempt along a
-/// noisy N=32 slide trajectory — seeded APG without its own polish,
-/// then rpca::polish opening the 300-step budget with the rank-1 Huber
-/// fit — against the reference twins (reference::solve, then
-/// reference::polish). Both sides start from a cold polished solve and
-/// feed each slide's factors forward as the next seed; the workspace
-/// side falls under the steady-state allocation gate. The workspace
-/// side runs twice, at the active SIMD level and at Scalar; the row
-/// records both medians, the polish's own median at each level (its
-/// share of the warm attempt), and whether every slide's polish matched
-/// reference::polish bit for bit at both levels.
+/// noisy N=32 slide trajectory — rpca::polish opening the 300-step
+/// budget with the rank-1 Huber fit, started from the previous slide's
+/// factors (the seed) with no solver in front — against its reference
+/// twin, reference::polish from the same seed. Both sides start from a
+/// cold polished solve and polish each slide's window in place, so each
+/// slide's result is the next seed; the workspace side falls under the
+/// steady-state allocation gate. The workspace side runs twice, at the
+/// active SIMD level and at Scalar; the row records both medians and
+/// whether every slide's polish matched reference::polish bit for bit
+/// at both levels.
 SuiteRow warm_fit_suite(int steps) {
   SuiteRow row;
   row.suite = "warm_fit";
-  row.solver = "APG+fit+polish";
+  row.solver = "fit+polish";
   row.cluster = 32;
   auto problem = tp_problem(row.cluster, 501);
   Rng noise(502);
@@ -303,77 +299,61 @@ SuiteRow warm_fit_suite(int steps) {
   row.rows = problem.data.rows();
   row.cols = problem.data.cols();
 
-  rpca::Options polish_opts;
-  polish_opts.polish_iterations = 300;  // the online refresher default
-  const rpca::Options solve_opts;       // the warm attempt's solve: no polish
+  rpca::Options options;
+  options.polish_iterations = 300;  // the online refresher default
 
   {
     linalg::Matrix data = problem.data;
     Rng rng(11);
-    rpca::Options opts = solve_opts;
     rpca::Result prev =
-        rpca::reference::solve(data, rpca::Solver::Apg, polish_opts);
+        rpca::reference::solve(data, rpca::Solver::Apg, options);
     std::vector<double> times;
     for (int s = 0; s < steps; ++s) {
       slide_row(data, static_cast<std::size_t>(s), rng);
-      opts.warm_start = {prev.low_rank, prev.sparse, prev.final_mu,
-                         prev.mu_floor};
       timed_rep(row.reference, times, [&] {
-        prev = rpca::reference::solve(data, rpca::Solver::Apg, opts);
-        rpca::reference::polish(data, polish_opts, prev.warm_started, prev);
-        return prev.iterations;
+        rpca::reference::polish(data, options, /*huber_start=*/true, prev);
+        return prev.polish_iterations;
       });
     }
     finish_section(row.reference, times);
   }
   // The workspace trajectory at the active SIMD level, then replayed at
   // Scalar. On every slide of both, the polish (the Huber fit and the
-  // closing alternation) must match reference::polish run on the same
-  // APG output at the same level bit for bit. The two levels'
-  // trajectories are not compared with each other: the APG's dot
-  // products and change norms split their sums across lanes, so they
-  // differ in the last bits.
-  const auto replay = [&](SectionStats& stats, double& polish_median_ms) {
+  // closing alternation) must match reference::polish run from the same
+  // seed at the same level bit for bit. The two levels' trajectories
+  // are not compared with each other: the power iteration's
+  // matrix-vector products and norms split their sums across lanes, so
+  // they differ in the last bits.
+  const auto replay = [&](SectionStats& stats) {
     linalg::Matrix data = problem.data;
     Rng rng(11);
-    rpca::Options opts = solve_opts;
-    rpca::SolverWorkspace ws, twin_ws;
+    rpca::SolverWorkspace ws;
     rpca::Result result, twin;
-    rpca::solve(data, rpca::Solver::Apg, polish_opts, ws, result);
-    std::vector<double> times, polish_times;
-    polish_times.reserve(static_cast<std::size_t>(steps));
+    rpca::solve(data, rpca::Solver::Apg, options, ws, result);
+    std::vector<double> times;
     bool same = true;
     for (int s = 0; s < steps; ++s) {
       slide_row(data, static_cast<std::size_t>(s), rng);
-      opts.warm_start.low_rank = result.low_rank;
-      opts.warm_start.sparse = result.sparse;
-      opts.warm_start.mu = result.final_mu;
-      opts.warm_start.mu_floor = result.mu_floor;
+      twin.low_rank = result.low_rank;
+      twin.sparse = result.sparse;
       timed_rep(stats, times, [&] {
-        rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
-        const Stopwatch polish_clock;
-        rpca::polish(data, polish_opts, result.warm_started, ws, result);
-        polish_times.push_back(polish_clock.milliseconds());
-        return result.iterations;
+        rpca::polish(data, options, /*huber_start=*/true, ws, result);
+        return result.polish_iterations;
       });
-      rpca::solve(data, rpca::Solver::Apg, opts, twin_ws, twin);
-      rpca::reference::polish(data, polish_opts, twin.warm_started, twin);
+      rpca::reference::polish(data, options, /*huber_start=*/true, twin);
       same = same && twin.polish_iterations == result.polish_iterations &&
              same_bits(twin.low_rank, result.low_rank) &&
              same_bits(twin.sparse, result.sparse);
     }
     finish_section(stats, times);
-    polish_median_ms = median(std::move(polish_times));
     return same;
   };
-  row.polish_matches_reference =
-      replay(row.workspace, row.polish_median_ms);
+  row.polish_matches_reference = replay(row.workspace);
   {
     const linalg::simd::ScopedLevel scalar(linalg::simd::Level::Scalar);
     row.scalar = SectionStats{};
     row.polish_matches_reference =
-        replay(*row.scalar, row.polish_scalar_median_ms) &&
-        row.polish_matches_reference;
+        replay(*row.scalar) && row.polish_matches_reference;
   }
   row.speedup = row.workspace.median_ms > 0.0
                     ? row.reference.median_ms / row.workspace.median_ms
@@ -693,13 +673,11 @@ int main(int argc, char** argv) {
   rows.push_back(warm_fit_suite(warm_steps));
   {
     const SuiteRow& r = rows.back();
-    std::cout << "warm_fit APG+fit+polish N=32: ref "
+    std::cout << "warm_fit fit+polish N=32: ref "
               << r.reference.median_ms << " ms, ws "
               << r.workspace.median_ms << " ms ("
               << linalg::simd::active_level_name() << "), "
-              << r.scalar->median_ms << " ms (scalar); polish alone "
-              << r.polish_median_ms << " ms, " << r.polish_scalar_median_ms
-              << " ms (scalar); speedup " << r.speedup
+              << r.scalar->median_ms << " ms (scalar); speedup " << r.speedup
               << "x, steady-state allocs "
               << r.workspace.allocs << ", polish vs reference twin "
               << (r.polish_matches_reference ? "bit-identical" : "DIFFERS")
@@ -784,10 +762,7 @@ int main(int argc, char** argv) {
     if (r.scalar) {
       json << ",\n";
       emit_section(json, "workspace_scalar", *r.scalar);
-      json << ",\n      \"polish_median_ms\": " << r.polish_median_ms
-           << ",\n      \"polish_scalar_median_ms\": "
-           << r.polish_scalar_median_ms
-           << ",\n      \"polish_matches_reference\": "
+      json << ",\n      \"polish_matches_reference\": "
            << (r.polish_matches_reference ? "true" : "false");
     }
     json << ",\n      \"speedup\": " << r.speedup << "\n    }"

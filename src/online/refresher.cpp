@@ -27,10 +27,6 @@ const char* fallback_cause_name(FallbackCause cause) {
   switch (cause) {
     case FallbackCause::None:
       return "none";
-    case FallbackCause::ApgNotConverged:
-      return "apg_not_converged";
-    case FallbackCause::ApgDiverged:
-      return "apg_diverged";
     case FallbackCause::PolishCap:
       return "polish_cap";
   }
@@ -43,8 +39,8 @@ WindowRefresher::WindowRefresher(const RefresherOptions& options)
       bandwidth_tracker_(options.incremental_options),
       probe_(options.convergence_trace_capacity),
       solve_opts_(options.finder.rpca) {
-  NETCONST_CHECK(options_.divergence_residual >= 0.0,
-                 "divergence residual must be >= 0");
+  // The refresher's own seeds are the only warm start it offers.
+  solve_opts_.warm_start = rpca::WarmStart{};
 }
 
 void WindowRefresher::solve_layer(const linalg::Matrix& data,
@@ -71,17 +67,14 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
     info.solve_seconds = clock.seconds();
     return;
   }
+  // Only a polish of two or more steps can certify a warm start (the
+  // Huber fit, then at least one alternation step whose test decides
+  // polish_converged), so without one every refresh solves cold.
+  const int polish_budget = solve_opts_.polish_iterations;
   const bool use_seed =
-      options_.warm_start && !seed.empty() &&
+      options_.warm_start && polish_budget > 1 && !seed.empty() &&
       seed.low_rank.rows() == data.rows() &&
       seed.low_rank.cols() == data.cols();
-  // Loan the seed's buffers to the solver: a copy into Options would
-  // duplicate both factor matrices on every refresh.
-  if (use_seed) {
-    solve_opts_.warm_start = std::move(seed);
-  } else {
-    clear_seed(solve_opts_.warm_start);
-  }
   info.warm_attempted = use_seed;
 
   // Reset the probe before every attempt so the retained trace always
@@ -93,47 +86,43 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
     solve_opts_.probe = nullptr;
   }
 
-  // The warm attempt polishes after the solve rather than inside it: a
-  // warm-started result opens its polish budget with the Huber fit
-  // (rpca::polish), which reaches the fixed point the alternation would
-  // crawl toward on a noisy window. The cold redo below keeps the
-  // solver's own plain polish.
-  const int polish_budget = solve_opts_.polish_iterations;
-  if (use_seed) solve_opts_.polish_iterations = 0;
-  rpca::solve(data, options_.finder.solver, solve_opts_, workspace_, result);
-  solve_opts_.polish_iterations = polish_budget;
-  if (use_seed) {
-    seed = std::move(solve_opts_.warm_start);
-    clear_seed(solve_opts_.warm_start);
-    if (polish_budget > 0) {
-      rpca::polish(data, solve_opts_, result.warm_started, workspace_,
-                   result);
+  if (use_seed && options_.finder.solver == rpca::Solver::Apg) {
+    // The warm attempt is the polish alone, opened with the Huber fit
+    // from the seed's E: the fit's fixed point is a function of the
+    // window, not of where it starts, so a seeded APG in front of it
+    // would only hand it a different start. The seed's buffers become
+    // the result's (swapped, not copied); no solver iteration runs.
+    rpca::reset_result(result);
+    result.low_rank.swap(seed.low_rank);
+    result.sparse.swap(seed.sparse);
+    result.warm_started = true;
+    result.final_mu = seed.mu;
+    result.mu_floor = seed.mu_floor;
+    rpca::polish(data, solve_opts_, /*huber_start=*/true, workspace_,
+                 result);
+    result.converged = result.polish_converged;
+    if (!result.polish_converged) {
+      // The fit and the alternation after it did not settle within the
+      // budget: solve from scratch.
+      info.cold_fallback = true;
+      info.fallback_cause = FallbackCause::PolishCap;
+      rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
+                  result);
+    }
+  } else {
+    // A cold solve with the solver's own polish. A seed offered to a
+    // solver that cannot use one is loaned (not copied) so the solve
+    // reports it ignored.
+    if (use_seed) solve_opts_.warm_start = std::move(seed);
+    rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
+                result);
+    if (use_seed) {
+      seed = std::move(solve_opts_.warm_start);
+      clear_seed(solve_opts_.warm_start);
     }
   }
   info.seed_ignored = result.warm_start_ignored;
   info.warm_used = result.warm_started;
-
-  FallbackCause cause = FallbackCause::None;
-  if (result.warm_started) {
-    if (options_.fallback_on_nonconvergence && !result.converged) {
-      cause = FallbackCause::ApgNotConverged;
-    } else if (result.solver_residual > options_.divergence_residual) {
-      cause = FallbackCause::ApgDiverged;
-    } else if (result.polished && !result.polish_converged) {
-      cause = FallbackCause::PolishCap;
-    }
-  }
-  if (cause != FallbackCause::None) {
-    // The seed led the solve astray (window contents changed too much,
-    // the iterate stalled, or the polish did not settle): discard and
-    // solve from scratch.
-    info.cold_fallback = true;
-    info.fallback_cause = cause;
-    info.warm_used = false;
-    if (options_.collect_convergence) probe_.reset();
-    rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
-                result);
-  }
   if (options_.collect_convergence) info.trace = probe_.trace();
   info.polish_capped = result.polished && !result.polish_converged;
   info.iterations = result.iterations;

@@ -2,24 +2,19 @@
 //
 // When the window slides by one snapshot, exactly one row of the ring-
 // ordered data matrices changes, so the previous solve's (D, E) factors
-// are an excellent seed: APG resumes at the small continuation mu it
-// ended with, skips the spectral-norm estimate and the whole mu-decay
-// phase, and only has to repair the replaced row. A warm solve that
-// fails to converge, whose residual says it converged to the wrong
-// place, or whose polish hits its cap is redone cold (FallbackCause) —
-// correctness never depends on the seed.
-//
-// The online path runs the solver with the rank-1 polish on (see
-// rpca::polish_rank1): APG's continuation endpoint is path-dependent at
-// the mu floor, so a warm and a cold solve of the same window would
-// otherwise land ~1% apart. The polish drives both onto the alternation
-// fixed point determined by the data alone, making a warm refresh
-// reproducible against a cold solve to ~1e-9 wherever the cold polish
-// settles — which is also the paper's model (rank(N_D) = 1) enforced
-// exactly. On a noisy window the plain alternation crawls toward that
-// point for thousands of steps, so a warm attempt opens its polish with
-// rpca::rank1_huber_fit, which reaches it in a few sweeps
-// (rpca::polish); the cold path keeps the plain alternation.
+// are an excellent seed. The online path runs the rank-1 polish
+// (rpca::polish_rank1): it drives any start in the basin onto the
+// alternation's fixed point, which the window alone determines — the
+// paper's model (rank(N_D) = 1) enforced exactly. A warm refresh
+// therefore runs no solver at all: it opens the polish with
+// rpca::rank1_huber_fit from the seed's E (rpca::polish), which reaches
+// that fixed point in a few sweeps where the plain alternation would
+// crawl toward it for thousands of steps on a noisy window. A warm
+// attempt whose polish hits its cap is redone cold (FallbackCause) —
+// correctness never depends on the seed. The cold path (first solve,
+// redo, StablePcp / StablePcpTf) runs the solver and its plain
+// alternation, so a warm and a cold refresh of the same window agree
+// to ~1e-9 wherever the cold polish settles.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +32,9 @@ struct RefresherOptions {
   /// Solver choice, RPCA options and the Norm(N_E) tolerance. The
   /// online default turns the rank-1 polish on (warm/cold equivalence —
   /// see the header comment); pass polish_iterations = 0 to study the
-  /// raw solver endpoints instead.
+  /// raw solver endpoints instead. A warm attempt needs a polish budget
+  /// of at least 2 (the fit, then one certifying alternation step);
+  /// with less, every refresh solves cold.
   core::ConstantFinderOptions finder = [] {
     core::ConstantFinderOptions f;
     f.rpca.polish_iterations = 300;
@@ -45,13 +42,6 @@ struct RefresherOptions {
   }();
   /// false = always solve cold (for A/B comparison and benchmarks).
   bool warm_start = true;
-  /// A warm solve whose pre-polish relative residual
-  /// ||A-D-E||_F/||A||_F exceeds this is declared diverged and redone
-  /// cold. Irrelevant for solvers whose residual is expected nonzero
-  /// (StablePcp ignores seeds anyway).
-  double divergence_residual = 1e-3;
-  /// Also redo cold when the warm solve hit max_iterations.
-  bool fallback_on_nonconvergence = true;
   /// Collect the accepted solve's per-iteration convergence trace into
   /// LayerRefresh::trace (see obs/convergence.hpp). Off by default: the
   /// probe computes extra per-iteration norms. The trace is capped at
@@ -74,28 +64,28 @@ struct RefresherOptions {
   bool collect_support_stats = false;
 };
 
-/// Why a warm solve was rejected and redone cold. When several hold,
-/// the first in this order is recorded.
+/// Why a warm attempt was rejected and redone cold.
 enum class FallbackCause {
   None,
-  ApgNotConverged,  // the warm solve hit max_iterations
-  ApgDiverged,      // its pre-polish residual exceeded divergence_residual
-  PolishCap,        // its rank-1 polish hit polish_iterations unsettled
+  PolishCap,  // its polish hit polish_iterations unsettled
 };
 
-/// "none", "apg_not_converged", "apg_diverged", "polish_cap".
+/// "none", "polish_cap".
 const char* fallback_cause_name(FallbackCause cause);
 
 /// Per-layer diagnostics of one refresh.
 struct LayerRefresh {
-  bool warm_attempted = false;  // a seed was offered to the solver
-  bool warm_used = false;       // the accepted result came from a warm solve
-  bool cold_fallback = false;   // warm solve rejected, result is a cold redo
+  bool warm_attempted = false;  // a usable seed existed
+  bool warm_used = false;       // the accepted result is the warm attempt
+  bool cold_fallback = false;   // warm attempt rejected, result is a cold redo
   FallbackCause fallback_cause = FallbackCause::None;  // set with cold_fallback
   bool polish_capped = false;   // the accepted solve's polish hit its cap
   bool seed_ignored = false;    // solver cannot seed (cold, not a fallback)
-  int iterations = 0;           // of the accepted solve
-  double residual = 0.0;        // of the accepted solve, pre-polish
+  /// Solver iterations and pre-polish residual of the accepted solve;
+  /// both 0 when the warm attempt (no solver runs) or the row update
+  /// served the layer.
+  int iterations = 0;
+  double residual = 0.0;
   double solve_seconds = 0.0;   // total, including a rejected warm attempt
   // Masked-path accounting: non-finite window entries repaired before
   // the solve (see rpca::impute_missing for the priority order).
@@ -103,12 +93,13 @@ struct LayerRefresh {
   std::size_t imputed_from_constant = 0;
   std::size_t imputed_from_column = 0;
   std::size_t imputed_from_global = 0;
-  /// Per-iteration trace of the ACCEPTED solve (a rejected warm attempt
-  /// is not retained). Empty unless RefresherOptions::collect_convergence.
+  /// Per-iteration solver trace of the ACCEPTED solve: empty when the
+  /// warm attempt served the layer (no solver ran) and unless
+  /// RefresherOptions::collect_convergence.
   std::vector<obs::IterationStats> trace;
   // Incremental-path accounting (RefresherOptions::incremental).
   bool incremental_used = false;   // the row update served this layer
-  bool drift_fallback = false;     // tracker breached; redone as a warm solve
+  bool drift_fallback = false;     // tracker breached; full path instead
   bool incremental_masked = false; // eligible slide had holes; full path
   bool anchored = false;           // this refresh re-anchored the tracker
   double drift = 0.0;              // instant drift statistic of the update
@@ -171,6 +162,12 @@ class WindowRefresher {
     return workspace_.stats;
   }
 
+  /// Each layer's last full-path result: the accepted factors of the
+  /// last refresh that did not serve the layer from its tracker
+  /// (inspection; empty before the first refresh).
+  const rpca::Result& latency_result() const { return latency_result_; }
+  const rpca::Result& bandwidth_result() const { return bandwidth_result_; }
+
   /// The per-layer subspace trackers (inspection; empty/not-ready until
   /// the first full solve anchors them under options().incremental).
   const rpca::IncrementalTracker& latency_tracker() const {
@@ -223,9 +220,10 @@ class WindowRefresher {
   // retained trace always belongs to the accepted solve).
   obs::TraceProbe probe_;
   // Persistent solver state: one workspace plus per-layer Result buffers
-  // and a mutable Options whose warm_start slot loans the seed to the
-  // solver (moved in and back out around each solve). Together these make
-  // a steady-state warm refresh allocation-free in the solver path.
+  // (a warm attempt swaps the seed's factors into them) and a mutable
+  // Options whose warm_start slot loans a seed to a solver that reports
+  // it ignored. Together these make a steady-state warm refresh
+  // allocation-free in the solver path.
   rpca::SolverWorkspace workspace_;
   rpca::Options solve_opts_;
   rpca::Result latency_result_;

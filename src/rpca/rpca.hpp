@@ -157,9 +157,9 @@ struct Result {
   double final_mu = 0.0;
   double mu_floor = 0.0;
   /// Residual of the raw solver output, before any polish. Equals
-  /// `residual` when the polish is off. This is the health signal for
-  /// warm-start divergence checks (the polished residual carries the
-  /// soft-threshold floor and says nothing about the solve itself).
+  /// `residual` when the polish is off. This is the solve's own health
+  /// signal (the polished residual carries the soft-threshold floor and
+  /// says nothing about the solve itself).
   double solver_residual = 0.0;
   /// True when the rank-1 polish ran on this result.
   bool polished = false;
@@ -192,14 +192,15 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
 /// solve_seconds. With `huber_start`, the budget opens with
 /// rank1_huber_fit (at most kHuberFitSweeps sweeps, each counted as a
 /// polish iteration) and polish_rank1 gets the rest, so its step test
-/// still decides polish_converged. The online refresher starts the
-/// polish of a warm-started solve this way: the fit reaches the
-/// alternation's fixed point where the plain alternation would crawl to
-/// its cap. solve() itself never does (huber_start = false). Both
-/// stages share ||A||_F and the threshold, computed once, and the
-/// fit's finishing pass leaves the alternation its first input, so the
-/// pair costs no more window passes than it needs and stays
-/// bit-identical to reference::polish.
+/// still decides polish_converged. The online refresher's warm attempt
+/// is this polish alone, run on the previous refresh's factors with no
+/// solver in front: the fit reaches the alternation's fixed point,
+/// which does not depend on the start, where the plain alternation
+/// would crawl to its cap. solve() itself never does
+/// (huber_start = false). Both stages share ||A||_F and the threshold,
+/// computed once, and the fit's finishing pass leaves the alternation
+/// its first input, so the pair costs no more window passes than it
+/// needs and stays bit-identical to reference::polish.
 void polish(const linalg::Matrix& a, const Options& options,
             bool huber_start, SolverWorkspace& workspace, Result& result);
 

@@ -1,12 +1,16 @@
 #include "online/refresher.hpp"
 
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cloud/synthetic.hpp"
+#include "core/constant_finder.hpp"
 #include "detect/detector.hpp"
 #include "linalg/norms.hpp"
+#include "linalg/simd.hpp"
+#include "rpca/reference.hpp"
 #include "support/error.hpp"
 
 namespace netconst::online {
@@ -28,6 +32,12 @@ SlidingWindow filled_window(cloud::SyntheticCloud& cloud,
     cloud.advance(interval);
   }
   return window;
+}
+
+bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
 }
 
 double relative_frobenius_diff(const linalg::Matrix& a,
@@ -101,17 +111,28 @@ TEST(WindowRefresher, WarmSlideMatchesColdWithinTolerance) {
   EXPECT_NEAR(warm.component.latency_error_norm,
               cold.component.latency_error_norm, one_cell);
 
-  // And the warm path must actually be cheaper in iterations.
-  EXPECT_LT(warm.bandwidth.iterations, cold.bandwidth.iterations);
-  EXPECT_LT(warm.latency.iterations, cold.latency.iterations);
+  // And the warm path runs no solver iterations at all.
+  EXPECT_EQ(warm.bandwidth.iterations, 0);
+  EXPECT_EQ(warm.latency.iterations, 0);
+  EXPECT_GT(cold.bandwidth.iterations, 0);
+  EXPECT_GT(cold.latency.iterations, 0);
 }
 
-TEST(WindowRefresher, DivergenceGateForcesColdFallback) {
+// Options whose warm attempt always caps: a two-step budget leaves the
+// Huber fit one sweep and the alternation one step, and no step passes
+// a 1e-300 tolerance.
+RefresherOptions polish_capping_options() {
+  RefresherOptions options;
+  options.finder.rpca.polish_iterations = 2;
+  options.finder.rpca.polish_tolerance = 1e-300;
+  return options;
+}
+
+TEST(WindowRefresher, PolishCapForcesColdFallback) {
   cloud::SyntheticCloud cloud(small_cloud_config(4));
   SlidingWindow window = filled_window(cloud, 6, 600.0);
 
-  RefresherOptions options;
-  options.divergence_residual = 0.0;  // any nonzero residual is "diverged"
+  const RefresherOptions options = polish_capping_options();
   WindowRefresher refresher(options);
   refresher.refresh(window);  // cold, builds seeds
 
@@ -121,65 +142,70 @@ TEST(WindowRefresher, DivergenceGateForcesColdFallback) {
   EXPECT_FALSE(report.latency.warm_used);
   EXPECT_TRUE(report.bandwidth.cold_fallback);
   EXPECT_TRUE(report.any_cold_fallback());
-  EXPECT_EQ(report.latency.fallback_cause, FallbackCause::ApgDiverged);
-  EXPECT_EQ(report.bandwidth.fallback_cause, FallbackCause::ApgDiverged);
+  EXPECT_EQ(report.latency.fallback_cause, FallbackCause::PolishCap);
+  EXPECT_EQ(report.bandwidth.fallback_cause, FallbackCause::PolishCap);
 
   // The fallback result is a plain cold solve.
-  WindowRefresher cold_refresher;
+  WindowRefresher cold_refresher(options);
   const RefreshReport cold = cold_refresher.refresh(window);
+  EXPECT_GT(report.latency.iterations, 0);
+  EXPECT_EQ(report.latency.iterations, cold.latency.iterations);
   EXPECT_LT(relative_frobenius_diff(report.component.constant.bandwidth(),
                                     cold.component.constant.bandwidth()),
             1e-12);
 }
 
-// Each of the three rejection triggers is recorded as the layer's cause
-// (the first in check order when several hold), and polish_capped
-// describes the accepted (cold) solve's polish.
+// A rejected warm attempt records its trigger, and polish_capped
+// describes the accepted (cold) solve's polish; an accepted one records
+// neither.
 TEST(WindowRefresher, FallbackRecordsWhichTriggerFired) {
-  struct Case {
-    FallbackCause cause;
-    RefresherOptions options;
-  };
-  std::vector<Case> cases(5);
-  cases[0].cause = FallbackCause::ApgNotConverged;
-  cases[0].options.finder.rpca.max_iterations = 1;
-  cases[1].cause = FallbackCause::ApgDiverged;
-  cases[1].options.divergence_residual = 0.0;
-  cases[2].cause = FallbackCause::PolishCap;
-  // Also both APG triggers at once, and the later ones with a polish cap.
-  cases[3].cause = FallbackCause::ApgNotConverged;
-  cases[3].options.finder.rpca.max_iterations = 1;
-  cases[3].options.divergence_residual = 0.0;
-  cases[4].cause = FallbackCause::ApgDiverged;
-  cases[4].options.divergence_residual = 0.0;
-  for (std::size_t k : {2u, 3u, 4u}) {
-    cases[k].options.finder.rpca.polish_iterations = 1;
-    cases[k].options.finder.rpca.polish_tolerance = 1e-300;
-  }
-  for (const Case& c : cases) {
-    SCOPED_TRACE(fallback_cause_name(c.cause));
+  for (const bool capping : {true, false}) {
+    SCOPED_TRACE(capping ? "capping" : "default");
+    const RefresherOptions options =
+        capping ? polish_capping_options() : RefresherOptions{};
     cloud::SyntheticCloud cloud(small_cloud_config(5));
     SlidingWindow window = filled_window(cloud, 6, 600.0);
-    WindowRefresher refresher(c.options);
+    WindowRefresher refresher(options);
     const RefreshReport first = refresher.refresh(window);
     EXPECT_EQ(first.latency.fallback_cause, FallbackCause::None);
     cloud.advance(600.0);
     window.push(cloud.now(), cloud.oracle_snapshot());
 
     const RefreshReport report = refresher.refresh(window);
-    const bool capped = c.options.finder.rpca.polish_iterations == 1;
     for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-      EXPECT_TRUE(layer->cold_fallback);
-      EXPECT_EQ(layer->fallback_cause, c.cause);
-      EXPECT_EQ(layer->polish_capped, capped);
+      EXPECT_TRUE(layer->warm_attempted);
+      EXPECT_EQ(layer->cold_fallback, capping);
+      EXPECT_EQ(layer->warm_used, !capping);
+      EXPECT_EQ(layer->fallback_cause,
+                capping ? FallbackCause::PolishCap : FallbackCause::None);
+      EXPECT_EQ(layer->polish_capped, capping);
     }
   }
   EXPECT_STREQ(fallback_cause_name(FallbackCause::None), "none");
-  EXPECT_STREQ(fallback_cause_name(FallbackCause::ApgNotConverged),
-               "apg_not_converged");
-  EXPECT_STREQ(fallback_cause_name(FallbackCause::ApgDiverged),
-               "apg_diverged");
   EXPECT_STREQ(fallback_cause_name(FallbackCause::PolishCap), "polish_cap");
+}
+
+// A warm attempt is the polish alone, and only a budget of two steps or
+// more (the fit, then one alternation step) can certify it: below that
+// every refresh solves cold and none counts as a fallback.
+TEST(WindowRefresher, WarmAttemptNeedsATwoStepPolish) {
+  for (const int budget : {0, 1}) {
+    SCOPED_TRACE(budget);
+    cloud::SyntheticCloud cloud(small_cloud_config(5));
+    SlidingWindow window = filled_window(cloud, 6, 600.0);
+    RefresherOptions options;
+    options.finder.rpca.polish_iterations = budget;
+    WindowRefresher refresher(options);
+    refresher.refresh(window);
+    EXPECT_TRUE(refresher.has_seed());
+    const RefreshReport report = refresher.refresh(window);
+    for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+      EXPECT_FALSE(layer->warm_attempted);
+      EXPECT_FALSE(layer->warm_used);
+      EXPECT_FALSE(layer->cold_fallback);
+      EXPECT_GT(layer->iterations, 0);
+    }
+  }
 }
 
 TEST(WindowRefresher, SolverWithoutSeedingReportsIgnoredSeed) {
@@ -484,6 +510,106 @@ TEST(WindowRefresher, ResetDropsTrackers) {
   const RefreshReport report = refresher.refresh(window);
   EXPECT_FALSE(report.latency.incremental_used);
   EXPECT_TRUE(report.latency.anchored);
+}
+
+// The warm attempt against its reference twin on a noisy N = 32 window
+// (the EC2-like band), with the seed taken from the last accepted
+// result (incremental off) or from the tracker after its row update
+// breached (incremental on). Every warm layer's D and E equal
+// reference::polish with the Huber start, run from the seed's E, bit for
+// bit at every SIMD level. Its constant also agrees with the seeded
+// reference APG followed by that polish (the warm attempt that ran the
+// APG first): the fit's fixed point does not depend on where it starts.
+TEST(WindowRefresher, WarmAttemptMatchesReferencePolishFromTheSeed) {
+  namespace simd = linalg::simd;
+  std::vector<simd::Level> levels{simd::Level::Scalar};
+  if (simd::best_available_level() != simd::Level::Scalar) {
+    levels.push_back(simd::best_available_level());
+  }
+  constexpr std::size_t kCluster = 32;
+  for (const simd::Level level : levels) {
+    const simd::ScopedLevel scoped(level);
+    for (const bool incremental : {false, true}) {
+      SCOPED_TRACE(std::string(simd::level_name(level)) +
+                   (incremental ? " incremental" : " full"));
+      cloud::SyntheticCloudConfig config;
+      config.cluster_size = kCluster;
+      config.seed = 31;
+      cloud::SyntheticCloud cloud(config);
+      SlidingWindow window = filled_window(cloud, 10, 300.0);
+      RefresherOptions options;
+      options.incremental = incremental;
+      WindowRefresher refresher(options);
+      refresher.refresh(window);  // cold: seeds and anchors
+      const rpca::Options& polish_opts = options.finder.rpca;
+
+      // The seed a layer's warm attempt starts from.
+      const auto seed_of = [&](const rpca::Result& last,
+                               const rpca::IncrementalTracker& tracker,
+                               const linalg::Matrix& data) {
+        rpca::WarmStart seed;
+        if (incremental) {
+          rpca::IncrementalTracker twin = tracker;
+          twin.update(data, window.slot_of_age(window.size() - 1));
+          twin.seed_warm_start(seed);
+        } else {
+          seed = {last.low_rank, last.sparse, last.final_mu, last.mu_floor};
+        }
+        return seed;
+      };
+      int warm_layers = 0;
+      const auto check = [&](const LayerRefresh& info,
+                             const rpca::Result& result,
+                             const rpca::WarmStart& seed,
+                             const linalg::Matrix& data) {
+        if (!info.warm_used) return;
+        ++warm_layers;
+        EXPECT_EQ(info.iterations, 0);
+        EXPECT_EQ(info.residual, 0.0);
+        rpca::Result twin;
+        twin.low_rank = seed.low_rank;
+        twin.sparse = seed.sparse;
+        rpca::reference::polish(data, polish_opts, /*huber_start=*/true,
+                                twin);
+        EXPECT_TRUE(twin.polish_converged);
+        EXPECT_EQ(result.polish_iterations, twin.polish_iterations);
+        EXPECT_TRUE(same_bits(result.low_rank, twin.low_rank));
+        EXPECT_TRUE(same_bits(result.sparse, twin.sparse));
+
+        rpca::Options apg_opts = polish_opts;
+        apg_opts.polish_iterations = 0;
+        apg_opts.warm_start = seed;
+        rpca::Result apg =
+            rpca::reference::solve(data, rpca::Solver::Apg, apg_opts);
+        rpca::reference::polish(data, polish_opts, apg.warm_started, apg);
+        EXPECT_LT(
+            relative_frobenius_diff(
+                core::constant_row(result.low_rank, kCluster),
+                core::constant_row(apg.low_rank, kCluster)),
+            1e-9);
+      };
+      for (int slide = 0; slide < 6; ++slide) {
+        cloud.advance(300.0);
+        window.push(cloud.now(), cloud.oracle_snapshot());
+        const rpca::WarmStart lat_seed =
+            seed_of(refresher.latency_result(), refresher.latency_tracker(),
+                    window.latency_data());
+        const rpca::WarmStart bw_seed = seed_of(
+            refresher.bandwidth_result(), refresher.bandwidth_tracker(),
+            window.bandwidth_data());
+        const RefreshReport report = refresher.refresh(window);
+        if (incremental) {
+          EXPECT_TRUE(report.latency.drift_fallback);
+          EXPECT_TRUE(report.bandwidth.drift_fallback);
+        }
+        check(report.latency, refresher.latency_result(), lat_seed,
+              window.latency_data());
+        check(report.bandwidth, refresher.bandwidth_result(), bw_seed,
+              window.bandwidth_data());
+      }
+      EXPECT_EQ(warm_layers, 12);
+    }
+  }
 }
 
 }  // namespace

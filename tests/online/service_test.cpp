@@ -59,8 +59,8 @@ struct ChaosFleet {
     for (const faults::FaultPlanConfig& plan : {lossy, shifted, stormy}) {
       cloud::SyntheticCloudConfig network = tiny_cloud(60 + t);
       if (t == 2) {
-        // Frequent heavy spikes, and a divergence gate that rejects any
-        // nonzero warm residual, so warm solves fall back cold.
+        // Frequent heavy spikes, and a two-step polish that never
+        // settles, so warm attempts fall back cold.
         network.mean_quiet_duration = 1200.0;
         network.mean_spike_duration = 600.0;
         network.max_spike_bandwidth_factor = 8.0;
@@ -72,7 +72,10 @@ struct ChaosFleet {
       TenantConfig config = tenant_config("chaos" + std::to_string(t),
                                           *providers.back(), 300 + t);
       config.refresher.incremental = true;
-      if (t == 2) config.refresher.divergence_residual = 0.0;
+      if (t == 2) {
+        config.refresher.finder.rpca.polish_iterations = 2;
+        config.refresher.finder.rpca.polish_tolerance = 1e-300;
+      }
       config.detector_enabled = true;
       config.ingest.calibration.max_retries = 0;
       config.forced_recalibration_after = 3;
