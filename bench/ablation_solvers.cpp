@@ -4,32 +4,35 @@
 // runtime. The run exits 1 if a solver throws or returns a non-finite
 // D.
 //
-// Second study: the online refresher's warm attempt on N=32
+// Second study: the online refresher's full path on N=32
 // SyntheticClouds at fixed 300 s steps (8 clouds x 30 slides, band
-// sigma 0.04 and 0.01). Each slide re-solves both layers on the
-// refresher's full path — a warm attempt from the last accepted
-// factors, redone cold when it is rejected — under three warm-attempt
-// policies:
+// sigma 0.04 and 0.01). A bootstrap solve of the first full window,
+// then each slide re-solves both layers from the last accepted factors
+// under three policies:
 //   "plain"    seeded APG with the solver's own 300-step alternation
-//              (the policy before the Huber fit);
+//              (the refresher before the Huber fit);
 //   "apg_fit"  seeded APG, then rpca::polish opening with
-//              rpca::rank1_huber_fit (the policy before the fit started
-//              from the seed);
-//   "seed_fit" rpca::polish with the Huber fit started from the seed's
-//              E and no solver (WindowRefresher's).
-// The two APG policies are redone cold on the refresher's former
-// checks (APG not converged, pre-polish residual above 1e-3, polish
-// cap), seed_fit on a polish cap alone.
-// Reported per cloud: const_err p50/p90 over the slides (relative error
-// of the 8 MB transfer times against the cloud's ground-truth
-// constant), mean refresh ms per slide and cold fallbacks. The
-// seed_fit replica is checked bit for bit against a WindowRefresher
-// driven in lockstep; the run exits 1 if they differ.
+//              rpca::rank1_huber_fit (the refresher before the fit ran
+//              without a solver);
+//   "seed_fit" rpca::polish with the Huber fit started from the last
+//              accepted E, and from E = 0 at bootstrap, with no solver
+//              (WindowRefresher's).
+// The two APG policies bootstrap with a cold APG plus the plain
+// alternation and redo a slide cold on the refresher's former checks
+// (APG not converged, pre-polish residual above 1e-3, polish cap);
+// seed_fit accepts every fit, capped or not.
+// Reported per cloud: const_err p50/p90 over the slides and boot_err
+// at bootstrap (relative error of the 8 MB transfer times against the
+// cloud's ground-truth constant), mean refresh ms per slide, cold
+// redos, and accepted layer solves whose polish capped (bootstrap
+// included). The seed_fit replica is checked bit for bit against a
+// WindowRefresher driven in lockstep; the run exits 1 if they differ
+// or if seed_fit caps on any layer.
 //
 // Usage: ablation_solvers [--smoke]
-//   --smoke  the solver grid's 10x256 shape, then the polish study on
-//            one cloud per band x 10 slides: both gates in a few
-//            seconds (CI's bench-smoke job).
+//   --smoke  the solver grid's 10x256 shape, then the study on one
+//            cloud per band x 10 slides: every gate in a few seconds
+//            (CI's bench-smoke job).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -121,7 +124,7 @@ bool solver_grid(const std::vector<std::pair<int, int>>& shapes) {
   return ok;
 }
 
-// ---- the warm-attempt polish study ----
+// ---- the full-path study ----
 
 /// Clouds per noise band and slides per cloud.
 struct StudySize {
@@ -151,45 +154,56 @@ const char* policy_name(WarmPolish policy) {
 /// APG counted as diverged.
 constexpr double kDivergenceResidual = 1e-3;
 
-/// One layer on WindowRefresher::solve_layer's full path: the warm
-/// attempt (when a seed exists) under `policy`, redone cold when that
-/// policy's checks reject it. Returns whether it fell back cold.
-bool refresh_layer(const linalg::Matrix& data, WarmPolish policy,
+/// One layer's state across slides: its last accepted factors and the
+/// APG policies' seed.
+struct LayerState {
+  rpca::Result result;
+  rpca::WarmStart seed;
+};
+
+/// One layer on the full path under `policy`. seed_fit is
+/// WindowRefresher::solve_layer's: the fit from the last E, or from
+/// zero when there is none. The APG policies solve cold without a seed
+/// and redo a rejected warm attempt cold. Counts the redo and whether
+/// the accepted polish capped.
+void refresh_layer(const linalg::Matrix& data, WarmPolish policy,
                    const online::RefresherOptions& refresher,
-                   rpca::SolverWorkspace& ws, rpca::WarmStart& seed,
-                   rpca::Result& result) {
+                   rpca::SolverWorkspace& ws, LayerState& layer,
+                   int& redos, int& caps) {
   const rpca::Solver solver = refresher.finder.solver;
   rpca::Options options = refresher.finder.rpca;
-  bool fallback = false;
-  if (seed.empty()) {
+  rpca::Result& result = layer.result;
+  rpca::WarmStart& seed = layer.seed;
+  if (policy == WarmPolish::SeedFit) {
+    if (result.sparse.empty()) {
+      result.low_rank.resize(data.rows(), data.cols());
+      result.sparse.resize(data.rows(), data.cols());
+      result.sparse.fill(0.0);
+    }
+    rpca::polish(data, options, /*huber_start=*/true, ws, result);
+  } else if (seed.empty()) {
     rpca::solve(data, solver, options, ws, result);
   } else {
-    if (policy == WarmPolish::SeedFit) {
-      result.low_rank = seed.low_rank;
-      result.sparse = seed.sparse;
-      rpca::polish(data, options, /*huber_start=*/true, ws, result);
-      fallback = !result.polish_converged;
+    options.warm_start = seed;
+    if (policy == WarmPolish::ApgFit) {
+      options.polish_iterations = 0;
+      rpca::solve(data, solver, options, ws, result);
+      options.polish_iterations = refresher.finder.rpca.polish_iterations;
+      rpca::polish(data, options, result.warm_started, ws, result);
     } else {
-      options.warm_start = seed;
-      if (policy == WarmPolish::ApgFit) {
-        options.polish_iterations = 0;
-        rpca::solve(data, solver, options, ws, result);
-        options.polish_iterations = refresher.finder.rpca.polish_iterations;
-        rpca::polish(data, options, result.warm_started, ws, result);
-      } else {
-        rpca::solve(data, solver, options, ws, result);
-      }
-      fallback = !result.converged ||
-                 result.solver_residual > kDivergenceResidual ||
-                 (result.polished && !result.polish_converged);
+      rpca::solve(data, solver, options, ws, result);
     }
-    if (fallback) {
+    if (!result.converged || result.solver_residual > kDivergenceResidual ||
+        !result.polish_converged) {
+      ++redos;
       options.warm_start = rpca::WarmStart{};
       rpca::solve(data, solver, options, ws, result);
     }
   }
-  seed = {result.low_rank, result.sparse, result.final_mu, result.mu_floor};
-  return fallback;
+  caps += !result.polish_converged;
+  if (policy != WarmPolish::SeedFit) {
+    seed = {result.low_rank, result.sparse, result.final_mu, result.mu_floor};
+  }
 }
 
 double const_error(const netmodel::PerformanceMatrix& estimate,
@@ -210,8 +224,10 @@ double const_error(const netmodel::PerformanceMatrix& estimate,
 struct CloudRun {
   double err_p50 = 0.0;
   double err_p90 = 0.0;
+  double boot_err = 0.0;
   double refresh_ms = 0.0;
-  int fallbacks = 0;
+  int redos = 0;
+  int caps = 0;
   bool matches_refresher = true;
 };
 
@@ -230,8 +246,7 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
   const online::RefresherOptions options;  // incremental path off
   online::WindowRefresher refresher(options);
   rpca::SolverWorkspace ws;
-  rpca::WarmStart lat_seed, bw_seed;
-  rpca::Result lat, bw;
+  LayerState lat, bw;
   CloudRun run;
   std::vector<double> errors;
   for (int step = 0; step < static_cast<int>(kWindow) + slides; ++step) {
@@ -239,19 +254,20 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
     cloud.advance(kStepSeconds);
     if (!window.full()) continue;
     const Stopwatch clock;
-    run.fallbacks += refresh_layer(window.latency_data(), policy, options,
-                                   ws, lat_seed, lat);
-    run.fallbacks += refresh_layer(window.bandwidth_data(), policy, options,
-                                   ws, bw_seed, bw);
+    refresh_layer(window.latency_data(), policy, options, ws, lat, run.redos,
+                  run.caps);
+    refresh_layer(window.bandwidth_data(), policy, options, ws, bw,
+                  run.redos, run.caps);
     const core::ConstantComponent component = core::assemble_component(
-        window.latency_data(), lat, window.bandwidth_data(), bw,
-        window.cluster_size(), options.finder.l0_rel_tolerance);
+        window.latency_data(), lat.result, window.bandwidth_data(),
+        bw.result, window.cluster_size(), options.finder.l0_rel_tolerance);
     const double ms = clock.milliseconds();
+    const double err = const_error(component.constant, truth);
     if (step == static_cast<int>(kWindow) - 1) {
-      run.fallbacks = 0;  // the bootstrap solve is not a slide
+      run.boot_err = err;  // the bootstrap solve is not a slide
     } else {
       run.refresh_ms += ms / slides;
-      errors.push_back(const_error(component.constant, truth));
+      errors.push_back(err);
     }
     if (policy == WarmPolish::SeedFit) {
       const online::RefreshReport report = refresher.refresh(window);
@@ -268,18 +284,22 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
   return run;
 }
 
-bool warm_polish_study(const StudySize& size) {
+/// Prints the study's table and summary. Returns false if the seed_fit
+/// replica differs from WindowRefresher or seed_fit capped anywhere.
+bool full_path_study(const StudySize& size) {
   print_banner(std::cout,
-               "Warm attempt: plain alternation vs Huber fit after the "
-               "seeded APG vs Huber fit from the seed, N=32 "
-               "SyntheticClouds, " +
+               "Full path: plain alternation vs Huber fit after the "
+               "seeded APG vs Huber fit from the last E (from zero at "
+               "bootstrap), N=32 SyntheticClouds, " +
                    std::to_string(size.slides) + " fixed 300 s slides");
   ConsoleTable table({"sigma", "cloud", "policy", "const_err_p50",
-                      "const_err_p90", "refresh_ms", "cold_fallbacks"});
+                      "const_err_p90", "boot_err", "refresh_ms", "redos",
+                      "caps"});
   constexpr WarmPolish kPolicies[] = {WarmPolish::Plain, WarmPolish::ApgFit,
                                       WarmPolish::SeedFit};
   bool replica_ok = true;
-  int fit_no_worse = 0, compared = 0;
+  int fit_caps = 0;
+  int fit_no_worse = 0, boot_lower = 0, compared = 0;
   double max_seed_vs_apg = 0.0;
   for (const double sigma : {0.04, 0.01}) {
     for (std::uint64_t seed = 1; seed <= size.clouds; ++seed) {
@@ -287,19 +307,22 @@ bool warm_polish_study(const StudySize& size) {
       for (const WarmPolish policy : kPolicies) {
         const CloudRun run = run_cloud(sigma, seed, size.slides, policy);
         runs[static_cast<int>(policy)] = run;
-        replica_ok = replica_ok && run.matches_refresher;
         table.add_row({ConsoleTable::cell(sigma, 2), std::to_string(seed),
                        policy_name(policy), ConsoleTable::cell(run.err_p50, 4),
                        ConsoleTable::cell(run.err_p90, 4),
+                       ConsoleTable::cell(run.boot_err, 4),
                        ConsoleTable::cell(run.refresh_ms, 2),
-                       std::to_string(run.fallbacks)});
+                       std::to_string(run.redos), std::to_string(run.caps)});
       }
       const CloudRun& plain = runs[static_cast<int>(WarmPolish::Plain)];
       const CloudRun& apg = runs[static_cast<int>(WarmPolish::ApgFit)];
       const CloudRun& fit = runs[static_cast<int>(WarmPolish::SeedFit)];
+      replica_ok = replica_ok && fit.matches_refresher;
+      fit_caps += fit.caps;
       ++compared;
       fit_no_worse += fit.err_p50 <= plain.err_p50 &&
                       fit.err_p90 <= plain.err_p90;
+      boot_lower += fit.boot_err < plain.boot_err;
       max_seed_vs_apg = std::max(
           {max_seed_vs_apg, std::abs(fit.err_p50 - apg.err_p50) / apg.err_p50,
            std::abs(fit.err_p90 - apg.err_p90) / apg.err_p90});
@@ -310,10 +333,12 @@ bool warm_polish_study(const StudySize& size) {
                "on "
             << fit_no_worse << " of " << compared
             << " clouds; largest relative difference from apg_fit "
-            << max_seed_vs_apg << "; seed_fit replica "
+            << max_seed_vs_apg << "; boot_err below the cold bootstrap's on "
+            << boot_lower << " of " << compared << " clouds; seed_fit caps "
+            << fit_caps << "; seed_fit replica "
             << (replica_ok ? "matches" : "DIFFERS FROM")
             << " WindowRefresher bit for bit.\n";
-  return replica_ok;
+  return replica_ok && fit_caps == 0;
 }
 
 }  // namespace
@@ -334,6 +359,6 @@ int main(int argc, char** argv) {
   if (!smoke) shapes.insert(shapes.end(), {{10, 1024}, {20, 4096}});
   const bool grid_ok = solver_grid(shapes);
   std::cout << "\n";
-  const bool replica_ok = warm_polish_study(size);
-  return grid_ok && replica_ok ? 0 : 1;
+  const bool study_ok = full_path_study(size);
+  return grid_ok && study_ok ? 0 : 1;
 }

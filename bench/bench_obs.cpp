@@ -63,11 +63,11 @@ struct RefreshBench {
 /// Paired design: TWO independent refreshers consume the same window
 /// sequence, one timed with tracing off and one with tracing on. The
 /// solver is deterministic, so at every rep both do byte-identical
-/// work (same warm seed lineage, same iteration counts) — the only
-/// difference is the instrumentation. Timing the same refresher twice
-/// would not work (the second solve warm-starts off the first), and
-/// splitting reps between phases would not either (refresh cost swings
-/// ~10x with window position whenever a warm attempt falls back cold).
+/// work (same factor lineage, same fit sweeps) — the only difference is
+/// the instrumentation. Timing the same refresher twice would not work
+/// (the second fit starts from the first's E), and splitting reps
+/// between phases would not either (refresh cost moves with window
+/// position).
 /// Within a rep the off/on order alternates to cancel cache effects.
 RefreshBench warm_refresh_cost(int reps) {
   cloud::SyntheticCloudConfig config;

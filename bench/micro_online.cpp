@@ -60,18 +60,18 @@ double offdiag_relative_frobenius(const linalg::Matrix& a,
   return den == 0.0 ? std::sqrt(num) : std::sqrt(num / den);
 }
 
-/// The representative online cycle: a refresher seeded by the solve of
+/// The representative online cycle: a refresher holding the fit of
 /// window W1 refreshes after the window slid by one snapshot to W2.
 struct SlideFixture {
   online::SlidingWindow window;        // W2 contents
-  online::WindowRefresher seeded;      // holds the W1 seeds
+  online::WindowRefresher seeded;      // holds W1's factors
   core::ConstantFinderOptions finder;  // same options for the cold path
 
   SlideFixture() : window(2) {
     cloud::SyntheticCloud cloud(cloud_config(kCluster));
     window = filled_window(cloud, kRows);
     online::WindowRefresher refresher;
-    refresher.refresh(window);  // cold solve of W1 -> seeds
+    refresher.refresh(window);  // W1 fit from zero; its E starts W2
     cloud.advance(600.0);
     window.push(cloud.now(), cloud.oracle_snapshot());
     seeded = refresher;
@@ -89,7 +89,7 @@ int equivalence_report() {
   SlideFixture& f = fixture();
 
   Stopwatch warm_clock;
-  online::WindowRefresher warm_refresher = f.seeded;  // keep seeds reusable
+  online::WindowRefresher warm_refresher = f.seeded;  // keep W1 reusable
   const online::RefreshReport warm = warm_refresher.refresh(f.window);
   const double warm_seconds = warm_clock.seconds();
 
@@ -176,8 +176,8 @@ BENCHMARK(BM_ColdFindConstant)->Unit(benchmark::kMillisecond);
 void BM_WarmRefresh(benchmark::State& state) {
   SlideFixture& f = fixture();
   for (auto _ : state) {
-    // Copy the pre-seeded refresher so every iteration performs the
-    // same W1-seed -> W2-data solve (a refresh mutates the seeds).
+    // Copy the refresher so every iteration performs the same fit from
+    // W1's E on W2's data (a refresh overwrites the factors).
     online::WindowRefresher refresher = f.seeded;
     benchmark::DoNotOptimize(refresher.refresh(f.window));
   }

@@ -10,12 +10,12 @@
 // solver's transient memory footprint.
 //
 // Exit status is nonzero when any steady-state workspace solve performs
-// a heap allocation (the warm_fit suite — the refresher's warm attempt,
-// the Huber-fit polish from the seed — included), when a warm_fit
+// a heap allocation (the warm_fit suite — the refresher's full-path fit,
+// the Huber-fit polish from the last E — included), when a warm_fit
 // slide's polish differs by a bit from reference::polish from the same
-// seed (at the active SIMD level or replayed at Scalar), or when the
-// online suite (the refresher's cold solve, APG + rank-1 polish, on a
-// noisy N=32 window) is slower than its reference twin — CI runs this
+// start (at the active SIMD level or replayed at Scalar), or when the
+// online suite (APG + the plain rank-1 polish, rpca::solve on a noisy
+// N=32 window) is slower than its reference twin — CI runs this
 // with --smoke as a regression gate. The JSON opens with the host
 // header of bench_util.hpp: git sha, build type, compiler,
 // hardware_concurrency, pool threads and SIMD level.
@@ -261,11 +261,12 @@ SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
                      problem.data, options, reps);
 }
 
-/// Online suite: the refresher's cold solve (APG, then the
-/// 300-iteration rank-1 polish) on an N=32 window with dense noise on
-/// top of the rank-1 + sparse structure, the EC2-like case where the
-/// polish runs to its cap. Paired with its reference twin; the gate below fails the
-/// run when the workspace side is the slower one.
+/// Online suite: rpca::solve with APG, then the 300-iteration plain
+/// rank-1 polish (the refresher's cold solve until its bootstrap became
+/// the fit from zero), on an N=32 window with dense noise on top of the
+/// rank-1 + sparse structure, the EC2-like case where the polish runs
+/// to its cap. Paired with its reference twin; the gate below fails
+/// the run when the workspace side is the slower one.
 SuiteRow online_suite(int reps) {
   const std::size_t cluster = 32;
   auto problem = tp_problem(cluster, 401);
@@ -277,13 +278,13 @@ SuiteRow online_suite(int reps) {
                      problem.data, options, reps);
 }
 
-/// Warm-attempt suite: the online refresher's warm attempt along a
-/// noisy N=32 slide trajectory — rpca::polish opening the 300-step
+/// Fit suite: the online refresher's steady-state full-path layer along
+/// a noisy N=32 slide trajectory — rpca::polish opening the 300-step
 /// budget with the rank-1 Huber fit, started from the previous slide's
-/// factors (the seed) with no solver in front — against its reference
-/// twin, reference::polish from the same seed. Both sides start from a
+/// E with no solver in front — against its reference twin,
+/// reference::polish from the same start. Both sides start from a
 /// cold polished solve and polish each slide's window in place, so each
-/// slide's result is the next seed; the workspace side falls under the
+/// slide's result is the next start; the workspace side falls under the
 /// steady-state allocation gate. The workspace side runs twice, at the
 /// active SIMD level and at Scalar; the row records both medians and
 /// whether every slide's polish matched reference::polish bit for bit
@@ -320,7 +321,7 @@ SuiteRow warm_fit_suite(int steps) {
   // The workspace trajectory at the active SIMD level, then replayed at
   // Scalar. On every slide of both, the polish (the Huber fit and the
   // closing alternation) must match reference::polish run from the same
-  // seed at the same level bit for bit. The two levels' trajectories
+  // start at the same level bit for bit. The two levels' trajectories
   // are not compared with each other: the power iteration's
   // matrix-vector products and norms split their sums across lanes, so
   // they differ in the last bits.
@@ -361,8 +362,9 @@ SuiteRow warm_fit_suite(int steps) {
   return row;
 }
 
-/// Warm-start suite: a sliding-window trajectory solved with the online
-/// configuration (seeded APG + rank-1 polish). Reference and workspace
+/// Warm-start suite: a sliding-window trajectory of seeded APG solves
+/// with the plain rank-1 polish (the online configuration before the
+/// refresher ran the fit alone). Reference and workspace
 /// paths see identical data and identical seeds.
 SuiteRow warm_suite(std::size_t cluster, int steps) {
   SuiteRow row;
@@ -697,7 +699,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bit-identity gate: the warm attempt's polish against its twin.
+  // Bit-identity gate: the refresher's fit and polish against its twin.
   for (const SuiteRow& r : rows) {
     if (!r.polish_matches_reference) {
       ++violations;

@@ -72,7 +72,7 @@ struct SolveConvergence {
   double time = 0.0;              // tenant provider time (simulated s)
   std::string layer;              // "latency" / "bandwidth"
   bool warm = false;              // accepted result came from a warm solve
-  bool cold_fallback = false;     // warm attempt rejected, redone cold
+  bool cold_fallback = false;     // always false: the refresher redoes nothing
   int iterations = 0;             // of the accepted solve
   double residual = 0.0;          // pre-polish, of the accepted solve
   double solve_seconds = 0.0;

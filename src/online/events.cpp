@@ -14,8 +14,8 @@ const char* event_kind_name(EventKind kind) {
       return "snapshot_ingested";
     case EventKind::Refresh:
       return "refresh";
-    case EventKind::ColdSolveFallback:
-      return "cold_solve_fallback";
+    case EventKind::PolishCapped:
+      return "polish_capped";
     case EventKind::ThresholdBreach:
       return "threshold_breach";
     case EventKind::Recalibration:

@@ -20,7 +20,7 @@ namespace netconst::online {
 enum class EventKind {
   SnapshotIngested,         // one calibration row entered the window
   Refresh,                  // RPCA refresh completed (value = Norm(N_E))
-  ColdSolveFallback,        // warm attempt rejected, redone cold
+  PolishCapped,             // an accepted fit's polish hit its cap
   ThresholdBreach,          // |t - t'| / t' crossed the threshold
   Recalibration,            // maintenance actually ran
   RecalibrationSuppressed,  // base-interval probe skipped by the advisor

@@ -1,7 +1,5 @@
 #include "online/refresher.hpp"
 
-#include <utility>
-
 #include "detect/detector.hpp"
 #include "linalg/norms.hpp"
 #include "obs/trace.hpp"
@@ -10,28 +8,6 @@
 #include "support/stopwatch.hpp"
 
 namespace netconst::online {
-namespace {
-
-/// Empty a WarmStart without releasing its matrix capacity (resize(0, 0)
-/// keeps the buffers; assignment of a fresh WarmStart would free them).
-void clear_seed(rpca::WarmStart& seed) {
-  seed.low_rank.resize(0, 0);
-  seed.sparse.resize(0, 0);
-  seed.mu = 0.0;
-  seed.mu_floor = 0.0;
-}
-
-}  // namespace
-
-const char* fallback_cause_name(FallbackCause cause) {
-  switch (cause) {
-    case FallbackCause::None:
-      return "none";
-    case FallbackCause::PolishCap:
-      return "polish_cap";
-  }
-  return "unknown";
-}
 
 WindowRefresher::WindowRefresher(const RefresherOptions& options)
     : options_(options),
@@ -39,13 +15,13 @@ WindowRefresher::WindowRefresher(const RefresherOptions& options)
       bandwidth_tracker_(options.incremental_options),
       probe_(options.convergence_trace_capacity),
       solve_opts_(options.finder.rpca) {
-  // The refresher's own seeds are the only warm start it offers.
-  solve_opts_.warm_start = rpca::WarmStart{};
+  NETCONST_CHECK(options.finder.solver != rpca::Solver::Apg ||
+                     options.finder.rpca.polish_iterations > 1,
+                 "the online fit needs a polish budget of at least 2");
 }
 
-void WindowRefresher::solve_layer(const linalg::Matrix& data,
-                                  rpca::WarmStart& seed, rpca::Result& result,
-                                  LayerRefresh& info) {
+void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
+                                  rpca::Result& result, LayerRefresh& info) {
   const Stopwatch clock;
   const std::size_t accepts_before = workspace_.stats.randomized_accepts;
   if (linalg::frobenius_norm(data) == 0.0) {
@@ -54,31 +30,20 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
     // contract-check against a zero matrix, and its decomposition is
     // known anyway: D = E = 0. Synthesize it so a degraded service never
     // throws; downstream the zero constant is floored to a valid (if
-    // uninformative) PerformanceMatrix.
-    result = rpca::Result{};
+    // uninformative) PerformanceMatrix. Its rank stays 0, so the next
+    // refresh does not count this E as a prior.
+    rpca::reset_result(result);
     result.low_rank.resize(data.rows(), data.cols());
     result.sparse.resize(data.rows(), data.cols());
     result.low_rank.fill(0.0);
     result.sparse.fill(0.0);
     result.converged = true;
-    clear_seed(seed);
-    info.warm_attempted = false;
-    info.warm_used = false;
     info.solve_seconds = clock.seconds();
     return;
   }
-  // Only a polish of two or more steps can certify a warm start (the
-  // Huber fit, then at least one alternation step whose test decides
-  // polish_converged), so without one every refresh solves cold.
-  const int polish_budget = solve_opts_.polish_iterations;
-  const bool use_seed =
-      options_.warm_start && polish_budget > 1 && !seed.empty() &&
-      seed.low_rank.rows() == data.rows() &&
-      seed.low_rank.cols() == data.cols();
-  info.warm_attempted = use_seed;
 
-  // Reset the probe before every attempt so the retained trace always
-  // belongs to the solve whose result is accepted.
+  // Reset the probe before every solve so the retained trace always
+  // belongs to it.
   if (options_.collect_convergence) {
     probe_.reset();
     solve_opts_.probe = &probe_;
@@ -86,43 +51,24 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
     solve_opts_.probe = nullptr;
   }
 
-  if (use_seed && options_.finder.solver == rpca::Solver::Apg) {
-    // The warm attempt is the polish alone, opened with the Huber fit
-    // from the seed's E: the fit's fixed point is a function of the
-    // window, not of where it starts, so a seeded APG in front of it
-    // would only hand it a different start. The seed's buffers become
-    // the result's (swapped, not copied); no solver iteration runs.
+  if (options_.finder.solver == rpca::Solver::Apg) {
+    // The fit reads only E: from the prior E it is the warm refresh,
+    // from zero the cold one. Either way its result is accepted.
     rpca::reset_result(result);
-    result.low_rank.swap(seed.low_rank);
-    result.sparse.swap(seed.sparse);
-    result.warm_started = true;
-    result.final_mu = seed.mu;
-    result.mu_floor = seed.mu_floor;
+    if (!prior_e) {
+      result.low_rank.resize(data.rows(), data.cols());
+      result.sparse.resize(data.rows(), data.cols());
+      result.sparse.fill(0.0);
+    }
     rpca::polish(data, solve_opts_, /*huber_start=*/true, workspace_,
                  result);
     result.converged = result.polish_converged;
-    if (!result.polish_converged) {
-      // The fit and the alternation after it did not settle within the
-      // budget: solve from scratch.
-      info.cold_fallback = true;
-      info.fallback_cause = FallbackCause::PolishCap;
-      rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
-                  result);
-    }
+    info.warm_attempted = prior_e;
   } else {
-    // A cold solve with the solver's own polish. A seed offered to a
-    // solver that cannot use one is loaned (not copied) so the solve
-    // reports it ignored.
-    if (use_seed) solve_opts_.warm_start = std::move(seed);
     rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
                 result);
-    if (use_seed) {
-      seed = std::move(solve_opts_.warm_start);
-      clear_seed(solve_opts_.warm_start);
-    }
   }
-  info.seed_ignored = result.warm_start_ignored;
-  info.warm_used = result.warm_started;
+  info.warm_used = info.warm_attempted;
   if (options_.collect_convergence) info.trace = probe_.trace();
   info.polish_capped = result.polished && !result.polish_converged;
   info.iterations = result.iterations;
@@ -134,8 +80,8 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data,
 
 const linalg::Matrix& WindowRefresher::refresh_layer(
     const linalg::Matrix& raw, bool slide_by_one, std::size_t slot,
-    rpca::WarmStart& seed, rpca::IncrementalTracker& tracker,
-    rpca::Result& result, linalg::Matrix& repaired, LayerRefresh& info) {
+    rpca::IncrementalTracker& tracker, rpca::Result& result,
+    linalg::Matrix& repaired, LayerRefresh& info) {
   const bool trackable = options_.incremental && tracker.ready() &&
                          tracker.sparse().same_shape(raw);
   if (slide_by_one && trackable) {
@@ -158,17 +104,16 @@ const linalg::Matrix& WindowRefresher::refresh_layer(
       info.incremental_masked = true;
     }
   }
-  // Full path. A tracker that advanced past its anchor holds fresher
-  // factors than the last full solve — seed from it instead.
-  if (trackable && tracker.updates() > 0) tracker.seed_warm_start(seed);
-  const linalg::Matrix& data = repair_layer(raw, seed, repaired, info);
-  solve_layer(data, seed, result, info);
-  // The accepted factors seed the next refresh; copy-assignment reuses
-  // the seeds' existing capacity (zero allocations in steady state).
-  seed.low_rank = result.low_rank;
-  seed.sparse = result.sparse;
-  seed.mu = result.final_mu;
-  seed.mu_floor = result.mu_floor;
+  // Full path. A tracker that advanced past its anchor holds a fresher
+  // E than the last full solve: the fit starts from it instead (copy-
+  // assignment reuses the buffer's capacity, so nothing allocates).
+  const bool tracked = trackable && tracker.updates() > 0;
+  const linalg::Matrix& data =
+      repair_layer(raw, tracked ? &tracker : nullptr, result, repaired, info);
+  if (tracked) result.sparse = tracker.sparse();
+  // A zero-synthesized result has rank 0: its E is no prior.
+  const bool prior_e = result.rank > 0 && result.sparse.same_shape(data);
+  solve_layer(data, prior_e, result, info);
   if (options_.incremental) {
     tracker.anchor(data, result, options_.finder.l0_rel_tolerance);
     info.anchored = tracker.ready();
@@ -218,24 +163,25 @@ core::ConstantComponent WindowRefresher::assemble_mixed(
 }
 
 const linalg::Matrix& WindowRefresher::repair_layer(
-    const linalg::Matrix& data, const rpca::WarmStart& seed,
-    linalg::Matrix& repaired, LayerRefresh& info) {
+    const linalg::Matrix& data, const rpca::IncrementalTracker* tracked,
+    rpca::Result& result, linalg::Matrix& repaired, LayerRefresh& info) {
   if (rpca::count_missing(data) == 0) return data;
 
   repaired = data;  // copy-assignment reuses the scratch capacity
+  // The layer's D is overwritten by the fit that follows, so it can
+  // hold the tracker's fresher D until the column means are taken.
+  if (tracked != nullptr) tracked->materialize_low_rank(result.low_rank);
   const linalg::Matrix* constant = nullptr;
-  if (!seed.empty() && seed.low_rank.cols() == data.cols()) {
-    // The previous refresh's low-rank factor IS the current rank-1
-    // constant (its rows agree up to numerical noise); its column means
-    // are the model's belief about each link.
+  const linalg::Matrix& prior = result.low_rank;
+  if (result.rank > 0 && prior.cols() == data.cols()) {
+    // The last accepted low-rank factor IS the rank-1 constant (its
+    // rows agree up to numerical noise); its column means are the
+    // model's belief about each link.
     constant_scratch_.resize(1, data.cols());
     for (std::size_t j = 0; j < data.cols(); ++j) {
       double sum = 0.0;
-      for (std::size_t i = 0; i < seed.low_rank.rows(); ++i) {
-        sum += seed.low_rank(i, j);
-      }
-      constant_scratch_(0, j) =
-          sum / static_cast<double>(seed.low_rank.rows());
+      for (std::size_t i = 0; i < prior.rows(); ++i) sum += prior(i, j);
+      constant_scratch_(0, j) = sum / static_cast<double>(prior.rows());
     }
     constant = &constant_scratch_;
   }
@@ -264,25 +210,23 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
       window.full() ? window.slot_of_age(window.size() - 1) : 0;
   last_pushes_ = window.pushes();
 
-  // Each layer routes independently: row update, warm full solve, or
-  // masked repair + solve (see refresh_layer). The masked front-end
+  // Each layer routes independently: row update, or (masked repair +)
+  // full-path fit (see refresh_layer). The masked front-end
   // runs inside the layer so a clean incremental refresh never copies.
   const linalg::Matrix* lat_data = nullptr;
   const linalg::Matrix* bw_data = nullptr;
   {
     obs::Span layer_span("online.refresh.latency");
     lat_data = &refresh_layer(window.latency_data(), slide_by_one, slot,
-                              latency_seed_, latency_tracker_,
-                              latency_result_, latency_repaired_,
-                              report.latency);
+                              latency_tracker_, latency_result_,
+                              latency_repaired_, report.latency);
     layer_span.set_value(report.latency.iterations);
   }
   {
     obs::Span layer_span("online.refresh.bandwidth");
     bw_data = &refresh_layer(window.bandwidth_data(), slide_by_one, slot,
-                             bandwidth_seed_, bandwidth_tracker_,
-                             bandwidth_result_, bandwidth_repaired_,
-                             report.bandwidth);
+                             bandwidth_tracker_, bandwidth_result_,
+                             bandwidth_repaired_, report.bandwidth);
     layer_span.set_value(report.bandwidth.iterations);
   }
 
@@ -330,8 +274,12 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
 }
 
 void WindowRefresher::reset() {
-  latency_seed_ = rpca::WarmStart{};
-  bandwidth_seed_ = rpca::WarmStart{};
+  // Empty shapes (capacity kept) leave no prior E or constant.
+  for (rpca::Result* result : {&latency_result_, &bandwidth_result_}) {
+    rpca::reset_result(*result);
+    result->low_rank.resize(0, 0);
+    result->sparse.resize(0, 0);
+  }
   latency_tracker_.reset();
   bandwidth_tracker_.reset();
   last_pushes_ = 0;

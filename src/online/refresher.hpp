@@ -1,20 +1,21 @@
-// Warm-started incremental RPCA refresh of a sliding window.
+// Incremental RPCA refresh of a sliding window.
 //
-// When the window slides by one snapshot, exactly one row of the ring-
-// ordered data matrices changes, so the previous solve's (D, E) factors
-// are an excellent seed. The online path runs the rank-1 polish
-// (rpca::polish_rank1): it drives any start in the basin onto the
-// alternation's fixed point, which the window alone determines — the
-// paper's model (rank(N_D) = 1) enforced exactly. A warm refresh
-// therefore runs no solver at all: it opens the polish with
-// rpca::rank1_huber_fit from the seed's E (rpca::polish), which reaches
-// that fixed point in a few sweeps where the plain alternation would
-// crawl toward it for thousands of steps on a noisy window. A warm
-// attempt whose polish hits its cap is redone cold (FallbackCause) —
-// correctness never depends on the seed. The cold path (first solve,
-// redo, StablePcp / StablePcpTf) runs the solver and its plain
-// alternation, so a warm and a cold refresh of the same window agree
-// to ~1e-9 wherever the cold polish settles.
+// Every full-path layer refresh is the rank-1 Huber fit
+// (rpca::polish with the Huber start, rpca/rank1.hpp): the paper's
+// model (rank(N_D) = 1) enforced exactly, with no solver in front.
+// The fit reads only E, and starts from the layer's last accepted E
+// (the Result buffers persist), from the tracker's E when the
+// incremental tracker has advanced past its anchor, or from E = 0 at
+// bootstrap, after reset() or after a shape change. When the window
+// slides by one row, the last E is an excellent start and the fit
+// settles in a few sweeps. A fit that hits its polish cap is still
+// accepted and reported by LayerRefresh::polish_capped; nothing is
+// redone. The fit's fixed point is not unique: on ~6% of noisy
+// windows different starts (the last E, zero, a cold APG's E) settle
+// on different near-degenerate minima, whose Huber objectives agree to
+// ~2.5e-6 relative (docs/ALGORITHMS.md §7). StablePcp / StablePcpTf
+// layers run their solver, with the plain polish when configured,
+// always cold.
 #pragma once
 
 #include <cstdint>
@@ -29,19 +30,16 @@
 namespace netconst::online {
 
 struct RefresherOptions {
-  /// Solver choice, RPCA options and the Norm(N_E) tolerance. The
-  /// online default turns the rank-1 polish on (warm/cold equivalence —
-  /// see the header comment); pass polish_iterations = 0 to study the
-  /// raw solver endpoints instead. A warm attempt needs a polish budget
-  /// of at least 2 (the fit, then one certifying alternation step);
-  /// with less, every refresh solves cold.
+  /// Solver choice, RPCA options and the Norm(N_E) tolerance. With
+  /// Solver::Apg the polish budget must be at least 2 (the Huber fit,
+  /// then one alternation step whose test decides polish_converged):
+  /// that fit is all a full-path layer runs. The other solvers run
+  /// with their polish as configured (0 = off).
   core::ConstantFinderOptions finder = [] {
     core::ConstantFinderOptions f;
     f.rpca.polish_iterations = 300;
     return f;
   }();
-  /// false = always solve cold (for A/B comparison and benchmarks).
-  bool warm_start = true;
   /// Collect the accepted solve's per-iteration convergence trace into
   /// LayerRefresh::trace (see obs/convergence.hpp). Off by default: the
   /// probe computes extra per-iteration norms. The trace is capped at
@@ -53,8 +51,8 @@ struct RefresherOptions {
   /// refresh, serve the refresh by re-fitting only the replaced row
   /// against the tracker's frozen constant direction — O(N^2) instead
   /// of a full re-solve. A drift breach, a masked window, or any
-  /// non-single-slide refresh falls back to the full solver path
-  /// (warm-seeded from the tracked state) and re-anchors the tracker.
+  /// non-single-slide refresh falls back to the full path (the fit
+  /// starts from the tracked E) and re-anchors the tracker.
   bool incremental = false;
   rpca::IncrementalOptions incremental_options;
   /// Fill LayerRefresh's sparse-support geometry (fraction,
@@ -64,37 +62,29 @@ struct RefresherOptions {
   bool collect_support_stats = false;
 };
 
-/// Why a warm attempt was rejected and redone cold.
-enum class FallbackCause {
-  None,
-  PolishCap,  // its polish hit polish_iterations unsettled
-};
-
-/// "none", "polish_cap".
-const char* fallback_cause_name(FallbackCause cause);
-
 /// Per-layer diagnostics of one refresh.
 struct LayerRefresh {
-  bool warm_attempted = false;  // a usable seed existed
-  bool warm_used = false;       // the accepted result is the warm attempt
-  bool cold_fallback = false;   // warm attempt rejected, result is a cold redo
-  FallbackCause fallback_cause = FallbackCause::None;  // set with cold_fallback
-  bool polish_capped = false;   // the accepted solve's polish hit its cap
-  bool seed_ignored = false;    // solver cannot seed (cold, not a fallback)
+  // The path counters keep their names (bench/e2e recounts them): a fit
+  // from a prior E is "warm", a fit from zero or a StablePcp solve
+  // "cold" (bootstrap included).
+  bool warm_attempted = false;  // the fit started from a prior E
+  bool warm_used = false;       // same as warm_attempted: nothing is redone
+  bool cold_fallback = false;   // always false: a capped fit is accepted
+  bool polish_capped = false;   // the accepted fit's polish hit its cap
   /// Solver iterations and pre-polish residual of the accepted solve;
-  /// both 0 when the warm attempt (no solver runs) or the row update
-  /// served the layer.
+  /// both 0 when the fit (no solver runs) or the row update served the
+  /// layer.
   int iterations = 0;
   double residual = 0.0;
-  double solve_seconds = 0.0;   // total, including a rejected warm attempt
+  double solve_seconds = 0.0;
   // Masked-path accounting: non-finite window entries repaired before
   // the solve (see rpca::impute_missing for the priority order).
   std::size_t missing_entries = 0;
   std::size_t imputed_from_constant = 0;
   std::size_t imputed_from_column = 0;
   std::size_t imputed_from_global = 0;
-  /// Per-iteration solver trace of the ACCEPTED solve: empty when the
-  /// warm attempt served the layer (no solver ran) and unless
+  /// Per-iteration solver trace of the accepted solve: empty when the
+  /// fit or the row update served the layer (no solver ran) and unless
   /// RefresherOptions::collect_convergence.
   std::vector<obs::IterationStats> trace;
   // Incremental-path accounting (RefresherOptions::incremental).
@@ -118,12 +108,9 @@ struct RefreshReport {
   core::ConstantComponent component;
   LayerRefresh latency;
   LayerRefresh bandwidth;
-  /// Wall-clock of the whole refresh (both layers, fallbacks included).
+  /// Wall-clock of the whole refresh (both layers).
   double total_seconds = 0.0;
 
-  bool any_cold_fallback() const {
-    return latency.cold_fallback || bandwidth.cold_fallback;
-  }
   bool fully_warm() const {
     return latency.warm_used && bandwidth.warm_used;
   }
@@ -142,18 +129,19 @@ struct RefreshReport {
 
 class WindowRefresher {
  public:
+  /// Throws ContractViolation when options.finder.solver is Apg and
+  /// the polish budget is below 2: there would be nothing to run.
   explicit WindowRefresher(const RefresherOptions& options = {});
 
   /// Decompose the window's current contents (requires >= 2 rows),
-  /// seeding each layer from the previous refresh when possible. The
-  /// accepted factors become the seeds for the next call.
+  /// starting each layer's fit from its previous E when one exists.
   RefreshReport refresh(const SlidingWindow& window);
 
-  /// Drop the seeds; the next refresh solves cold. Call after replacing
-  /// the window contents wholesale (e.g. a from-scratch recalibration).
+  /// Drop every layer's prior E, its constant and the trackers; the
+  /// next refresh fits from zero. Call after replacing the window
+  /// contents wholesale (e.g. a from-scratch recalibration).
   void reset();
 
-  bool has_seed() const { return !latency_seed_.empty(); }
   const RefresherOptions& options() const { return options_; }
 
   /// Counters of the persistent solver workspace (solves served,
@@ -163,8 +151,9 @@ class WindowRefresher {
   }
 
   /// Each layer's last full-path result: the accepted factors of the
-  /// last refresh that did not serve the layer from its tracker
-  /// (inspection; empty before the first refresh).
+  /// last refresh that did not serve the layer from its tracker, and
+  /// the next fit's start (inspection; empty before the first refresh
+  /// and after reset()).
   const rpca::Result& latency_result() const { return latency_result_; }
   const rpca::Result& bandwidth_result() const { return bandwidth_result_; }
 
@@ -183,12 +172,14 @@ class WindowRefresher {
   /// re-anchor. Returns the matrix the accepted path consumed.
   const linalg::Matrix& refresh_layer(const linalg::Matrix& raw,
                                       bool slide_by_one, std::size_t slot,
-                                      rpca::WarmStart& seed,
                                       rpca::IncrementalTracker& tracker,
                                       rpca::Result& result,
                                       linalg::Matrix& repaired,
                                       LayerRefresh& info);
-  void solve_layer(const linalg::Matrix& data, rpca::WarmStart& seed,
+  /// The full-path solve of one layer into `result`. With Solver::Apg
+  /// it is the Huber fit from `result.sparse` when `prior_e` (the
+  /// caller checked its shape), otherwise from E = 0.
+  void solve_layer(const linalg::Matrix& data, bool prior_e,
                    rpca::Result& result, LayerRefresh& info);
   /// Component assembly when at least one layer came from its tracker
   /// or just anchored it (rank/Norm(N_E)/constant read from tracked
@@ -199,18 +190,19 @@ class WindowRefresher {
                                          std::size_t cluster_size,
                                          const RefreshReport& report);
   /// Masked front-end of one layer: when `data` has non-finite entries,
-  /// copy it into `repaired`, impute the holes (preferring the rank-1
-  /// constant derived from `seed`) and return the repaired matrix;
-  /// otherwise return `data` untouched. Fills the masked-path fields of
-  /// `info`.
+  /// copy it into `repaired`, impute the holes (preferring the prior
+  /// rank-1 constant: the column means of `tracked`'s D when the
+  /// tracker advanced past its anchor, materialized into result.low_rank
+  /// first, else of the last accepted result.low_rank) and return the
+  /// repaired matrix; otherwise return `data` untouched. Fills the
+  /// masked-path fields of `info`.
   const linalg::Matrix& repair_layer(const linalg::Matrix& data,
-                                     const rpca::WarmStart& seed,
+                                     const rpca::IncrementalTracker* tracked,
+                                     rpca::Result& result,
                                      linalg::Matrix& repaired,
                                      LayerRefresh& info);
 
   RefresherOptions options_;
-  rpca::WarmStart latency_seed_;
-  rpca::WarmStart bandwidth_seed_;
   // Incremental hot path: per-layer subspace trackers plus the push
   // watermark that detects "slid by exactly one since last refresh".
   rpca::IncrementalTracker latency_tracker_;
@@ -219,11 +211,10 @@ class WindowRefresher {
   // Convergence probe, reused across solves (reset per attempt so the
   // retained trace always belongs to the accepted solve).
   obs::TraceProbe probe_;
-  // Persistent solver state: one workspace plus per-layer Result buffers
-  // (a warm attempt swaps the seed's factors into them) and a mutable
-  // Options whose warm_start slot loans a seed to a solver that reports
-  // it ignored. Together these make a steady-state warm refresh
-  // allocation-free in the solver path.
+  // Persistent solver state: one workspace plus per-layer Result buffers,
+  // which hold each layer's last accepted factors and so the next fit's
+  // start, and a mutable Options for the probe slot. Together these make
+  // a steady-state refresh allocation-free in the solver path.
   rpca::SolverWorkspace workspace_;
   rpca::Options solve_opts_;
   rpca::Result latency_result_;

@@ -51,25 +51,29 @@ struct Rollup {
   double value() const { return tenant.value(); }
 };
 
-/// ColdSolveFallback detail: which layers' warm solves were rejected and
-/// why, and whether the cold redo's polish hit its cap as well, e.g.
-/// "warm solve rejected (latency: polish_cap, cold polish capped too);
-/// solved cold".
-std::string fallback_detail(const RefreshReport& report) {
+/// PolishCapped detail: each layer whose accepted fit hit its polish
+/// cap, with the polish iterations it ran, e.g. "polish capped
+/// (latency: 300 iterations; bandwidth: 300 iterations)". The Result
+/// buffers hold this refresh's fit for every capped layer (a capped
+/// layer took the full path).
+std::string polish_capped_detail(const RefreshReport& report,
+                                 const WindowRefresher& refresher) {
   const LayerRefresh* layers[] = {&report.latency, &report.bandwidth};
+  const rpca::Result* results[] = {&refresher.latency_result(),
+                                   &refresher.bandwidth_result()};
   const char* names[] = {"latency", "bandwidth"};
-  std::string detail = "warm solve rejected (";
+  std::string detail = "polish capped (";
   bool first = true;
   for (std::size_t k = 0; k < 2; ++k) {
-    if (!layers[k]->cold_fallback) continue;
+    if (!layers[k]->polish_capped) continue;
     if (!first) detail += "; ";
     first = false;
     detail += names[k];
     detail += ": ";
-    detail += fallback_cause_name(layers[k]->fallback_cause);
-    if (layers[k]->polish_capped) detail += ", cold polish capped too";
+    detail += std::to_string(results[k]->polish_iterations);
+    detail += " iterations";
   }
-  detail += "); solved cold";
+  detail += ")";
   return detail;
 }
 
@@ -99,8 +103,6 @@ struct ConstantFinderService::Tenant {
                     metrics.counter("online.warm_solves")},
         cold_solves{metrics.counter(prefix() + "cold_solves"),
                     metrics.counter("online.cold_solves")},
-        cold_fallbacks{metrics.counter(prefix() + "cold_fallbacks"),
-                       metrics.counter("online.cold_fallbacks")},
         recalibrations{metrics.counter(prefix() + "recalibrations"),
                        metrics.counter("online.recalibrations")},
         suppressed{metrics.counter(prefix() + "recalibrations_suppressed"),
@@ -169,7 +171,6 @@ struct ConstantFinderService::Tenant {
   Rollup<Counter> refreshes;
   Rollup<Counter> warm_solves;
   Rollup<Counter> cold_solves;
-  Rollup<Counter> cold_fallbacks;
   Rollup<Counter> recalibrations;
   Rollup<Counter> suppressed;
   Rollup<Counter> dropped_probes;
@@ -398,15 +399,15 @@ bool ConstantFinderService::account_refresh(Tenant& tenant,
     if (layer->incremental_masked) masked_fallbacks_.increment();
     if (layer->anchored) anchors_.increment();
     (layer->warm_used ? tenant.warm_solves : tenant.cold_solves).increment();
-    if (layer->cold_fallback) tenant.cold_fallbacks.increment();
   }
-  if (report.any_cold_fallback()) {
+  if (report.latency.polish_capped || report.bandwidth.polish_capped) {
     events_.record({provider.now(), tenant.config.name,
-                    EventKind::ColdSolveFallback, fallback_detail(report),
+                    EventKind::PolishCapped,
+                    polish_capped_detail(report, tenant.refresher),
                     report.component.error_norm});
-    // A rejected warm solve is an anomaly worth a post-mortem: freeze
-    // the flight recorder's view of the refresh that led here.
-    obs::FlightRecorder::instance().maybe_auto_dump("cold_fallback");
+    // An accepted fit that did not settle is an anomaly worth a
+    // post-mortem: freeze the flight recorder's view of the refresh.
+    obs::FlightRecorder::instance().maybe_auto_dump("polish_capped");
   }
   tenant.refresh_seconds.observe(report.total_seconds);
   error_norm_.observe(report.component.error_norm);
@@ -425,8 +426,8 @@ void ConstantFinderService::bootstrap(Tenant& tenant) {
   calibration_seconds_.observe(fill_seconds);
   sync_ingest_totals(tenant);
 
-  // No seed and no tracker yet: both layers solve cold, and the first
-  // record_refresh never reports a level change.
+  // No prior E and no tracker yet: both layers fit from zero (cold),
+  // and the first record_refresh never reports a level change.
   RefreshReport report = tenant.refresher.refresh(tenant.window);
   account_refresh(tenant, report);
   events_.record({provider.now(), tenant.config.name, EventKind::Refresh,
@@ -690,7 +691,6 @@ TenantStatus ConstantFinderService::status(std::size_t tenant_index) const {
   status.refreshes = count(tenant.refreshes);
   status.warm_solves = count(tenant.warm_solves);
   status.cold_solves = count(tenant.cold_solves);
-  status.cold_fallbacks = count(tenant.cold_fallbacks);
   status.breaches = tenant.scheduler.breaches();
   status.interval_recalibrations = tenant.scheduler.interval_triggers();
   status.suppressed_recalibrations = tenant.scheduler.suppressed();
@@ -734,7 +734,7 @@ void ConstantFinderService::write_json_snapshot(std::ostream& out) const {
 void ConstantFinderService::print_report(std::ostream& out) const {
   print_banner(out, "ConstantFinderService report");
   ConsoleTable table({"tenant", "steps", "Norm(N_E)", "level", "snapshots",
-                      "refreshes", "warm rate", "fallbacks", "breaches",
+                      "refreshes", "warm rate", "breaches",
                       "interval", "suppressed", "dropped", "stale",
                       "forced"});
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
@@ -745,7 +745,6 @@ void ConstantFinderService::print_report(std::ostream& out) const {
                    std::to_string(s.snapshots_ingested),
                    std::to_string(s.refreshes),
                    ConsoleTable::cell_percent(s.warm_hit_rate()),
-                   std::to_string(s.cold_fallbacks),
                    std::to_string(s.breaches),
                    std::to_string(s.interval_recalibrations),
                    std::to_string(s.suppressed_recalibrations),

@@ -143,9 +143,9 @@ struct TenantStatus {
   core::Effectiveness level = core::Effectiveness::Stable;
   std::uint64_t snapshots_ingested = 0;
   std::uint64_t refreshes = 0;
-  std::uint64_t warm_solves = 0;  // layers accepted from a warm solve
-  std::uint64_t cold_solves = 0;  // layers accepted from a cold solve
-  std::uint64_t cold_fallbacks = 0;
+  std::uint64_t warm_solves = 0;  // full-path layers fit from a prior E
+  std::uint64_t cold_solves = 0;  // fit from zero or StablePcp (bootstrap too)
+  std::uint64_t cold_fallbacks = 0;  // always 0: nothing is redone
   std::uint64_t breaches = 0;
   std::uint64_t interval_recalibrations = 0;
   std::uint64_t suppressed_recalibrations = 0;

@@ -38,8 +38,6 @@ void IncrementalTracker::reset() {
   updates_ = 0;
   lambda_ = 0.0;
   cutoff_ = 0.0;
-  anchor_mu_ = 0.0;
-  anchor_mu_floor_ = 0.0;
   drift_ = DriftStats{};
 }
 
@@ -100,8 +98,6 @@ void IncrementalTracker::anchor(const linalg::Matrix& data, const Result& full,
   // instead of ramping from zero.
   drift_.ewma =
       support / (static_cast<double>(m) * static_cast<double>(n));
-  anchor_mu_ = full.final_mu;
-  anchor_mu_floor_ = full.mu_floor;
   ready_ = true;
 }
 
@@ -200,14 +196,6 @@ double IncrementalTracker::error_norm() const {
   const double ratio =
       static_cast<double>(e_count) / static_cast<double>(a_count);
   return std::clamp(ratio, 0.0, 1.0);
-}
-
-void IncrementalTracker::seed_warm_start(WarmStart& seed) const {
-  NETCONST_CHECK(ready_, "seed_warm_start before anchor");
-  materialize_low_rank(seed.low_rank);
-  seed.sparse = e_;
-  seed.mu = anchor_mu_;
-  seed.mu_floor = anchor_mu_floor_;
 }
 
 }  // namespace netconst::rpca

@@ -22,9 +22,9 @@
 // sparse part — a per-row Norm(N_E) at threshold tau). Sparse outliers
 // keep it near the window's sparsity; a placement change makes it jump
 // because the row's new constant lands wholesale in E. On breach the
-// caller runs a warm full solve seeded from the tracker
-// (seed_warm_start) and re-anchors — so the fallback path reuses the
-// exact machinery whose bit-exactness is pinned against
+// caller runs its full path (the online refresher's rank-1 Huber fit
+// starts from the tracked E, sparse()) and re-anchors — so the fallback
+// reuses the machinery whose bit-exactness is pinned against
 // rpca::reference.
 //
 // Determinism: every update is sequential scalar arithmetic in fixed
@@ -119,11 +119,6 @@ class IncrementalTracker {
   /// of the anchored window, the cutoff rpca::relative_l0 derives.
   double cutoff() const { return cutoff_; }
 
-  /// Seed a warm full solve from the tracked state: D = c (outer) q,
-  /// E as tracked, and the anchor solve's continuation state so APG
-  /// resumes where the anchor left off.
-  void seed_warm_start(WarmStart& seed) const;
-
   void reset();
 
  private:
@@ -132,8 +127,6 @@ class IncrementalTracker {
   std::uint64_t updates_ = 0;
   double lambda_ = 0.0;
   double cutoff_ = 0.0;        // frozen l0 cutoff from the anchor
-  double anchor_mu_ = 0.0;     // anchor solve's continuation state
-  double anchor_mu_floor_ = 0.0;
   linalg::Matrix q_;           // 1 x n unit constant direction
   linalg::Matrix e_;           // m x n tracked sparse component
   std::vector<double> c_;      // m coefficients onto q

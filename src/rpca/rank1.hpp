@@ -7,8 +7,8 @@
 //   D <- best rank-1 approximation of (A - E)      (power iteration)
 //   E <- soft-threshold of (A - D)                 (prox of tau||.||_1)
 // from the solver's (D, E), a projected block-coordinate descent on the
-// nonconvex set {rank(D) <= 1}. rank1_huber_fit reaches the same fixed
-// point in a few sweeps from a warm start; rpca::polish (rpca.hpp) runs
+// nonconvex set {rank(D) <= 1}. rank1_huber_fit reaches a fixed point
+// of the same alternation in a few sweeps; rpca::polish (rpca.hpp) runs
 // the two back to back. rank1_approximation_into is the power iteration
 // on its own (stable PCP's noise estimate uses it).
 #pragma once
@@ -33,10 +33,12 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
 /// Rank-1 polish: refine `result`'s (D, E) in place by the alternation
 /// (D <- rank-1 of A - E, E <- soft-threshold of A - D at tau = lambda *
 /// mean|A|) until the relative iterate change drops below `tolerance` or
-/// `max_iterations` is hit. The alternation's fixed point depends only
-/// on (A, lambda), not on the starting factors, as long as they lie in
-/// its attraction basin — so two solves that agree to ~1% (e.g. a
-/// warm-started and a cold APG run) polish to identical answers.
+/// `max_iterations` is hit. Starting factors in one attraction basin
+/// polish to the same fixed point, so two solves that agree to ~1% (e.g.
+/// a warm-started and a cold APG run) usually polish to identical
+/// answers. The fixed point is not unique, though: on noisy windows
+/// starts in different basins settle on different near-degenerate
+/// minima (docs/ALGORITHMS.md §7).
 /// Updates low_rank/sparse/rank/residual and the polish_* diagnostics;
 /// leaves iterations/converged/solver_residual describing the original
 /// solve. `lambda` must be > 0. Each iteration is one power iteration

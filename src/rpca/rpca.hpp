@@ -123,11 +123,10 @@ struct Options {
   /// > 0 runs the rank-1 polish after the solver (see polish_rank1):
   /// alternating hard rank-1 projection and soft-thresholding from the
   /// solver's (D, E) until the iterate change drops below
-  /// polish_tolerance or this many iterations. The alternation has a
-  /// strongly attracting fixed point determined by the data alone, so
-  /// polished solves land on the same answer regardless of the path the
-  /// solver took to the basin — this is what makes a warm-started solve
-  /// exactly reproducible against a cold one. 0 = off (default).
+  /// polish_tolerance or this many iterations. Solves that end near
+  /// each other usually polish to the same fixed point, but it is not
+  /// unique: on noisy windows different starts can settle on different
+  /// near-degenerate minima (docs/ALGORITHMS.md §7). 0 = off (default).
   int polish_iterations = 0;
   /// Relative iterate-change tolerance of the polish alternation.
   double polish_tolerance = 1e-10;
@@ -192,12 +191,13 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
 /// solve_seconds. With `huber_start`, the budget opens with
 /// rank1_huber_fit (at most kHuberFitSweeps sweeps, each counted as a
 /// polish iteration) and polish_rank1 gets the rest, so its step test
-/// still decides polish_converged. The online refresher's warm attempt
-/// is this polish alone, run on the previous refresh's factors with no
-/// solver in front: the fit reaches the alternation's fixed point,
-/// which does not depend on the start, where the plain alternation
-/// would crawl to its cap. solve() itself never does
-/// (huber_start = false). Both stages share ||A||_F and the threshold,
+/// still decides polish_converged. Every full-path layer of the online
+/// refresher (Solver::Apg) is this polish alone, with no solver in
+/// front: the fit from the layer's last E, or from E = 0, reaches a
+/// stationary point of the alternation where the plain alternation
+/// would crawl to its cap. Which stationary point can depend on the
+/// start on noisy windows (docs/ALGORITHMS.md §7). solve() itself
+/// never opens with the fit (huber_start = false). Both stages share ||A||_F and the threshold,
 /// computed once, and the fit's finishing pass leaves the alternation
 /// its first input, so the pair costs no more window passes than it
 /// needs and stays bit-identical to reference::polish.

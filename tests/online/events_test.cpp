@@ -67,16 +67,15 @@ TEST(EventLog, KindNamesAreDistinct) {
                    event_kind_name(static_cast<EventKind>(j)));
     }
   }
-  EXPECT_STREQ(event_kind_name(EventKind::ColdSolveFallback),
-               "cold_solve_fallback");
+  EXPECT_STREQ(event_kind_name(EventKind::PolishCapped), "polish_capped");
 }
 
-// A cold_solve_fallback event says which layers were rejected, by which
-// trigger, and whether the cold redo's polish hit its cap as well. A
-// two-step budget leaves the warm attempt one fit sweep and one
-// alternation step, which never pass a 1e-300 tolerance; the cold
-// redo's two plain steps cap too.
-TEST(EventLog, ColdSolveFallbackDetailNamesTheTrigger) {
+// A polish_capped event names each layer whose accepted fit hit its
+// cap, with the polish iterations it ran, once per refresh. A two-step
+// budget leaves the fit one sweep and the alternation one step, which
+// never pass a 1e-300 tolerance, so every refresh (bootstrap included)
+// caps both layers and raises exactly one event.
+TEST(EventLog, PolishCappedDetailNamesTheLayers) {
   cloud::SyntheticCloudConfig network;
   network.cluster_size = 6;
   network.datacenter_racks = 3;
@@ -96,16 +95,16 @@ TEST(EventLog, ColdSolveFallbackDetailNamesTheTrigger) {
   service.run(12);
 
   const std::string expected =
-      "warm solve rejected (latency: polish_cap, cold polish capped too; "
-      "bandwidth: polish_cap, cold polish capped too); solved cold";
-  std::size_t fallbacks = 0;
+      "polish capped (latency: 2 iterations; bandwidth: 2 iterations)";
+  std::size_t capped = 0;
   for (const Event& event : service.events().snapshot()) {
-    if (event.kind != EventKind::ColdSolveFallback) continue;
-    ++fallbacks;
+    if (event.kind != EventKind::PolishCapped) continue;
+    ++capped;
     EXPECT_EQ(event.detail, expected);
   }
-  EXPECT_GT(fallbacks, 0u);
-  EXPECT_EQ(fallbacks, service.events().count(EventKind::ColdSolveFallback));
+  EXPECT_GT(capped, 1u);
+  EXPECT_EQ(capped, service.events().count(EventKind::PolishCapped));
+  EXPECT_EQ(capped, service.status(0).refreshes);
 }
 
 TEST(EventLog, CsvExport) {

@@ -1,6 +1,7 @@
 #include "online/refresher.hpp"
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "detect/detector.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/simd.hpp"
+#include "rpca/masked.hpp"
 #include "rpca/reference.hpp"
 #include "support/error.hpp"
 
@@ -61,20 +63,21 @@ TEST(WindowRefresher, FirstRefreshIsColdAndSeedsTheNext) {
   cloud::SyntheticCloud cloud(small_cloud_config(2));
   SlidingWindow window = filled_window(cloud, 6, 600.0);
   WindowRefresher refresher;
-  EXPECT_FALSE(refresher.has_seed());
+  EXPECT_TRUE(refresher.latency_result().sparse.empty());
 
   const RefreshReport first = refresher.refresh(window);
   EXPECT_FALSE(first.latency.warm_attempted);
   EXPECT_FALSE(first.bandwidth.warm_attempted);
-  EXPECT_TRUE(refresher.has_seed());
+  EXPECT_FALSE(refresher.latency_result().sparse.empty());
   EXPECT_GT(first.component.constant.size(), 0u);
 
-  // Same window again: the warm solve must be accepted.
+  // Same window again: the fit starts from the last E.
   const RefreshReport second = refresher.refresh(window);
   EXPECT_TRUE(second.latency.warm_attempted);
   EXPECT_TRUE(second.bandwidth.warm_attempted);
   EXPECT_TRUE(second.fully_warm());
-  EXPECT_FALSE(second.any_cold_fallback());
+  EXPECT_FALSE(second.latency.cold_fallback);
+  EXPECT_FALSE(second.bandwidth.cold_fallback);
 }
 
 TEST(WindowRefresher, WarmSlideMatchesColdWithinTolerance) {
@@ -111,16 +114,19 @@ TEST(WindowRefresher, WarmSlideMatchesColdWithinTolerance) {
   EXPECT_NEAR(warm.component.latency_error_norm,
               cold.component.latency_error_norm, one_cell);
 
-  // And the warm path runs no solver iterations at all.
-  EXPECT_EQ(warm.bandwidth.iterations, 0);
-  EXPECT_EQ(warm.latency.iterations, 0);
-  EXPECT_GT(cold.bandwidth.iterations, 0);
-  EXPECT_GT(cold.latency.iterations, 0);
+  // Neither path runs a solver: both are the fit alone, from the last
+  // E or from zero.
+  EXPECT_FALSE(cold.latency.warm_used);
+  EXPECT_FALSE(cold.bandwidth.warm_used);
+  for (const RefreshReport* report : {&warm, &cold}) {
+    EXPECT_EQ(report->bandwidth.iterations, 0);
+    EXPECT_EQ(report->latency.iterations, 0);
+  }
 }
 
-// Options whose warm attempt always caps: a two-step budget leaves the
-// Huber fit one sweep and the alternation one step, and no step passes
-// a 1e-300 tolerance.
+// Options whose fit always caps: a two-step budget leaves the Huber fit
+// one sweep and the alternation one step, and no step passes a 1e-300
+// tolerance.
 RefresherOptions polish_capping_options() {
   RefresherOptions options;
   options.finder.rpca.polish_iterations = 2;
@@ -128,36 +134,49 @@ RefresherOptions polish_capping_options() {
   return options;
 }
 
+// A forced polish cap. The test keeps the name it had when a capped fit
+// was redone cold; now the capped fit is accepted as it is: nothing is
+// redone, no solver iteration runs, and each layer's factors are the
+// capped fit's, bit for bit reference::polish from the same prior E.
 TEST(WindowRefresher, PolishCapForcesColdFallback) {
   cloud::SyntheticCloud cloud(small_cloud_config(4));
   SlidingWindow window = filled_window(cloud, 6, 600.0);
 
   const RefresherOptions options = polish_capping_options();
   WindowRefresher refresher(options);
-  refresher.refresh(window);  // cold, builds seeds
+  refresher.refresh(window);  // bootstrap, leaves the prior E
+  rpca::Result latency_start = refresher.latency_result();
+  rpca::Result bandwidth_start = refresher.bandwidth_result();
 
   const RefreshReport report = refresher.refresh(window);
-  EXPECT_TRUE(report.latency.warm_attempted);
-  EXPECT_TRUE(report.latency.cold_fallback);
-  EXPECT_FALSE(report.latency.warm_used);
-  EXPECT_TRUE(report.bandwidth.cold_fallback);
-  EXPECT_TRUE(report.any_cold_fallback());
-  EXPECT_EQ(report.latency.fallback_cause, FallbackCause::PolishCap);
-  EXPECT_EQ(report.bandwidth.fallback_cause, FallbackCause::PolishCap);
+  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+    EXPECT_TRUE(layer->warm_attempted);
+    EXPECT_TRUE(layer->warm_used);
+    EXPECT_FALSE(layer->cold_fallback);
+    EXPECT_TRUE(layer->polish_capped);
+    EXPECT_EQ(layer->iterations, 0);
+  }
 
-  // The fallback result is a plain cold solve.
-  WindowRefresher cold_refresher(options);
-  const RefreshReport cold = cold_refresher.refresh(window);
-  EXPECT_GT(report.latency.iterations, 0);
-  EXPECT_EQ(report.latency.iterations, cold.latency.iterations);
-  EXPECT_LT(relative_frobenius_diff(report.component.constant.bandwidth(),
-                                    cold.component.constant.bandwidth()),
-            1e-12);
+  rpca::reference::polish(window.latency_data(), options.finder.rpca,
+                          /*huber_start=*/true, latency_start);
+  rpca::reference::polish(window.bandwidth_data(), options.finder.rpca,
+                          /*huber_start=*/true, bandwidth_start);
+  const std::pair<const rpca::Result*, const rpca::Result*> layers[] = {
+      {&refresher.latency_result(), &latency_start},
+      {&refresher.bandwidth_result(), &bandwidth_start}};
+  for (const auto& [accepted, expected] : layers) {
+    EXPECT_FALSE(accepted->polish_converged);
+    EXPECT_EQ(accepted->polish_iterations, 2);
+    EXPECT_EQ(accepted->polish_iterations, expected->polish_iterations);
+    EXPECT_TRUE(same_bits(accepted->low_rank, expected->low_rank));
+    EXPECT_TRUE(same_bits(accepted->sparse, expected->sparse));
+  }
 }
 
-// A rejected warm attempt records its trigger, and polish_capped
-// describes the accepted (cold) solve's polish; an accepted one records
-// neither.
+// What each layer records, with and without a forced cap: the fit from
+// the prior E is attempted and used either way, cold_fallback never
+// fires, and polish_capped alone tells the two apart, on the bootstrap
+// fit from E = 0 as on the slide after it.
 TEST(WindowRefresher, FallbackRecordsWhichTriggerFired) {
   for (const bool capping : {true, false}) {
     SCOPED_TRACE(capping ? "capping" : "default");
@@ -167,48 +186,46 @@ TEST(WindowRefresher, FallbackRecordsWhichTriggerFired) {
     SlidingWindow window = filled_window(cloud, 6, 600.0);
     WindowRefresher refresher(options);
     const RefreshReport first = refresher.refresh(window);
-    EXPECT_EQ(first.latency.fallback_cause, FallbackCause::None);
+    for (const LayerRefresh* layer : {&first.latency, &first.bandwidth}) {
+      EXPECT_FALSE(layer->warm_attempted);
+      EXPECT_FALSE(layer->warm_used);
+      EXPECT_FALSE(layer->cold_fallback);
+      EXPECT_EQ(layer->polish_capped, capping);
+    }
     cloud.advance(600.0);
     window.push(cloud.now(), cloud.oracle_snapshot());
 
     const RefreshReport report = refresher.refresh(window);
     for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
       EXPECT_TRUE(layer->warm_attempted);
-      EXPECT_EQ(layer->cold_fallback, capping);
-      EXPECT_EQ(layer->warm_used, !capping);
-      EXPECT_EQ(layer->fallback_cause,
-                capping ? FallbackCause::PolishCap : FallbackCause::None);
+      EXPECT_TRUE(layer->warm_used);
+      EXPECT_FALSE(layer->cold_fallback);
       EXPECT_EQ(layer->polish_capped, capping);
+      EXPECT_EQ(layer->iterations, 0);
     }
+    EXPECT_EQ(refresher.latency_result().polish_converged, !capping);
+    EXPECT_EQ(refresher.bandwidth_result().polish_converged, !capping);
   }
-  EXPECT_STREQ(fallback_cause_name(FallbackCause::None), "none");
-  EXPECT_STREQ(fallback_cause_name(FallbackCause::PolishCap), "polish_cap");
 }
 
-// A warm attempt is the polish alone, and only a budget of two steps or
-// more (the fit, then one alternation step) can certify it: below that
-// every refresh solves cold and none counts as a fallback.
+// With Solver::Apg the fit is all a full-path layer runs, and it needs a
+// polish budget of two steps or more (the fit, then one alternation
+// step): a smaller budget is a contract violation. Other solvers still
+// take any budget.
 TEST(WindowRefresher, WarmAttemptNeedsATwoStepPolish) {
   for (const int budget : {0, 1}) {
     SCOPED_TRACE(budget);
-    cloud::SyntheticCloud cloud(small_cloud_config(5));
-    SlidingWindow window = filled_window(cloud, 6, 600.0);
     RefresherOptions options;
     options.finder.rpca.polish_iterations = budget;
-    WindowRefresher refresher(options);
-    refresher.refresh(window);
-    EXPECT_TRUE(refresher.has_seed());
-    const RefreshReport report = refresher.refresh(window);
-    for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-      EXPECT_FALSE(layer->warm_attempted);
-      EXPECT_FALSE(layer->warm_used);
-      EXPECT_FALSE(layer->cold_fallback);
-      EXPECT_GT(layer->iterations, 0);
-    }
+    EXPECT_THROW(WindowRefresher{options}, ContractViolation);
+    options.finder.solver = rpca::Solver::StablePcp;
+    EXPECT_NO_THROW(WindowRefresher{options});
   }
 }
 
-TEST(WindowRefresher, SolverWithoutSeedingReportsIgnoredSeed) {
+// StablePcp cannot start from a prior E: every refresh runs its solver
+// (and polish) cold, and none counts as warm or as a fallback.
+TEST(WindowRefresher, StablePcpSolvesColdEveryRefresh) {
   cloud::SyntheticCloud cloud(small_cloud_config(5));
   SlidingWindow window = filled_window(cloud, 6, 600.0);
 
@@ -218,35 +235,35 @@ TEST(WindowRefresher, SolverWithoutSeedingReportsIgnoredSeed) {
   refresher.refresh(window);
 
   const RefreshReport report = refresher.refresh(window);
-  EXPECT_TRUE(report.latency.warm_attempted);
-  EXPECT_TRUE(report.latency.seed_ignored);   // StablePcp cannot seed
-  EXPECT_FALSE(report.latency.warm_used);
-  EXPECT_FALSE(report.latency.cold_fallback);  // cold, but not a fallback
+  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+    EXPECT_FALSE(layer->warm_attempted);
+    EXPECT_FALSE(layer->warm_used);
+    EXPECT_FALSE(layer->cold_fallback);
+    EXPECT_GT(layer->iterations, 0);
+  }
 }
 
-TEST(WindowRefresher, WarmStartCanBeDisabled) {
-  cloud::SyntheticCloud cloud(small_cloud_config(6));
-  SlidingWindow window = filled_window(cloud, 6, 600.0);
-
-  RefresherOptions options;
-  options.warm_start = false;
-  WindowRefresher refresher(options);
-  refresher.refresh(window);
-  const RefreshReport report = refresher.refresh(window);
-  EXPECT_FALSE(report.latency.warm_attempted);
-  EXPECT_FALSE(report.bandwidth.warm_attempted);
-}
-
+// reset() drops each layer's prior E: the next refresh fits from zero,
+// exactly as a fresh refresher does.
 TEST(WindowRefresher, ResetDropsSeeds) {
   cloud::SyntheticCloud cloud(small_cloud_config(7));
   SlidingWindow window = filled_window(cloud, 6, 600.0);
   WindowRefresher refresher;
   refresher.refresh(window);
-  EXPECT_TRUE(refresher.has_seed());
+  refresher.refresh(window);
+  EXPECT_FALSE(refresher.latency_result().sparse.empty());
   refresher.reset();
-  EXPECT_FALSE(refresher.has_seed());
+  EXPECT_TRUE(refresher.latency_result().sparse.empty());
+  EXPECT_TRUE(refresher.bandwidth_result().sparse.empty());
   const RefreshReport report = refresher.refresh(window);
   EXPECT_FALSE(report.latency.warm_attempted);
+  EXPECT_FALSE(report.bandwidth.warm_attempted);
+  WindowRefresher fresh;
+  fresh.refresh(window);
+  EXPECT_TRUE(same_bits(refresher.latency_result().low_rank,
+                        fresh.latency_result().low_rank));
+  EXPECT_TRUE(same_bits(refresher.bandwidth_result().sparse,
+                        fresh.bandwidth_result().sparse));
 }
 
 TEST(WindowRefresher, SeedInvalidatedByShapeChange) {
@@ -512,103 +529,172 @@ TEST(WindowRefresher, ResetDropsTrackers) {
   EXPECT_TRUE(report.latency.anchored);
 }
 
-// The warm attempt against its reference twin on a noisy N = 32 window
-// (the EC2-like band), with the seed taken from the last accepted
-// result (incremental off) or from the tracker after its row update
-// breached (incremental on). Every warm layer's D and E equal
-// reference::polish with the Huber start, run from the seed's E, bit for
-// bit at every SIMD level. Its constant also agrees with the seeded
-// reference APG followed by that polish (the warm attempt that ran the
-// APG first): the fit's fixed point does not depend on where it starts.
+// Every full-path layer against its reference twin on a noisy N = 32
+// window (the EC2-like band). The bootstrap layer is reference::polish
+// with the Huber start from E = 0; every later layer starts from the
+// last accepted E (incremental off) or from the tracker's E after its
+// row update breached (incremental on). D and E match the twin bit for
+// bit at every SIMD level, and no solver iteration runs.
 TEST(WindowRefresher, WarmAttemptMatchesReferencePolishFromTheSeed) {
   namespace simd = linalg::simd;
   std::vector<simd::Level> levels{simd::Level::Scalar};
   if (simd::best_available_level() != simd::Level::Scalar) {
     levels.push_back(simd::best_available_level());
   }
-  constexpr std::size_t kCluster = 32;
   for (const simd::Level level : levels) {
     const simd::ScopedLevel scoped(level);
     for (const bool incremental : {false, true}) {
       SCOPED_TRACE(std::string(simd::level_name(level)) +
                    (incremental ? " incremental" : " full"));
       cloud::SyntheticCloudConfig config;
-      config.cluster_size = kCluster;
+      config.cluster_size = 32;
       config.seed = 31;
       cloud::SyntheticCloud cloud(config);
       SlidingWindow window = filled_window(cloud, 10, 300.0);
       RefresherOptions options;
       options.incremental = incremental;
       WindowRefresher refresher(options);
-      refresher.refresh(window);  // cold: seeds and anchors
       const rpca::Options& polish_opts = options.finder.rpca;
 
-      // The seed a layer's warm attempt starts from.
-      const auto seed_of = [&](const rpca::Result& last,
-                               const rpca::IncrementalTracker& tracker,
-                               const linalg::Matrix& data) {
-        rpca::WarmStart seed;
-        if (incremental) {
+      // The E a layer's fit starts from: zero at bootstrap, else the
+      // last accepted E or the tracker's after its row update.
+      const auto start_of = [&](const rpca::Result& last,
+                                const rpca::IncrementalTracker& tracker,
+                                const linalg::Matrix& data) {
+        rpca::Result start;
+        start.low_rank.resize(data.rows(), data.cols());
+        start.low_rank.fill(0.0);
+        if (last.sparse.empty()) {
+          start.sparse = start.low_rank;
+        } else if (incremental) {
           rpca::IncrementalTracker twin = tracker;
           twin.update(data, window.slot_of_age(window.size() - 1));
-          twin.seed_warm_start(seed);
+          start.sparse = twin.sparse();
         } else {
-          seed = {last.low_rank, last.sparse, last.final_mu, last.mu_floor};
+          start.sparse = last.sparse;
         }
-        return seed;
+        return start;
       };
-      int warm_layers = 0;
+      int warm_layers = 0, cold_layers = 0;
       const auto check = [&](const LayerRefresh& info,
-                             const rpca::Result& result,
-                             const rpca::WarmStart& seed,
+                             const rpca::Result& result, rpca::Result twin,
                              const linalg::Matrix& data) {
-        if (!info.warm_used) return;
-        ++warm_layers;
+        (info.warm_used ? warm_layers : cold_layers) += 1;
+        EXPECT_EQ(info.warm_attempted, info.warm_used);
+        EXPECT_FALSE(info.cold_fallback);
+        EXPECT_FALSE(info.polish_capped);
         EXPECT_EQ(info.iterations, 0);
         EXPECT_EQ(info.residual, 0.0);
-        rpca::Result twin;
-        twin.low_rank = seed.low_rank;
-        twin.sparse = seed.sparse;
         rpca::reference::polish(data, polish_opts, /*huber_start=*/true,
                                 twin);
         EXPECT_TRUE(twin.polish_converged);
         EXPECT_EQ(result.polish_iterations, twin.polish_iterations);
         EXPECT_TRUE(same_bits(result.low_rank, twin.low_rank));
         EXPECT_TRUE(same_bits(result.sparse, twin.sparse));
-
-        rpca::Options apg_opts = polish_opts;
-        apg_opts.polish_iterations = 0;
-        apg_opts.warm_start = seed;
-        rpca::Result apg =
-            rpca::reference::solve(data, rpca::Solver::Apg, apg_opts);
-        rpca::reference::polish(data, polish_opts, apg.warm_started, apg);
-        EXPECT_LT(
-            relative_frobenius_diff(
-                core::constant_row(result.low_rank, kCluster),
-                core::constant_row(apg.low_rank, kCluster)),
-            1e-9);
       };
-      for (int slide = 0; slide < 6; ++slide) {
-        cloud.advance(300.0);
-        window.push(cloud.now(), cloud.oracle_snapshot());
-        const rpca::WarmStart lat_seed =
-            seed_of(refresher.latency_result(), refresher.latency_tracker(),
-                    window.latency_data());
-        const rpca::WarmStart bw_seed = seed_of(
-            refresher.bandwidth_result(), refresher.bandwidth_tracker(),
-            window.bandwidth_data());
+      for (int slide = 0; slide < 7; ++slide) {
+        if (slide > 0) {
+          cloud.advance(300.0);
+          window.push(cloud.now(), cloud.oracle_snapshot());
+        }
+        const rpca::Result lat_start =
+            start_of(refresher.latency_result(), refresher.latency_tracker(),
+                     window.latency_data());
+        const rpca::Result bw_start = start_of(refresher.bandwidth_result(),
+                                               refresher.bandwidth_tracker(),
+                                               window.bandwidth_data());
         const RefreshReport report = refresher.refresh(window);
-        if (incremental) {
+        EXPECT_EQ(report.latency.warm_used, slide > 0);
+        EXPECT_EQ(report.bandwidth.warm_used, slide > 0);
+        if (incremental && slide > 0) {
           EXPECT_TRUE(report.latency.drift_fallback);
           EXPECT_TRUE(report.bandwidth.drift_fallback);
         }
-        check(report.latency, refresher.latency_result(), lat_seed,
+        check(report.latency, refresher.latency_result(), lat_start,
               window.latency_data());
-        check(report.bandwidth, refresher.bandwidth_result(), bw_seed,
+        check(report.bandwidth, refresher.bandwidth_result(), bw_start,
               window.bandwidth_data());
       }
       EXPECT_EQ(warm_layers, 12);
+      EXPECT_EQ(cold_layers, 2);
     }
+  }
+}
+
+// The masked repair imputes holes from the prior rank-1 constant: the
+// column means of the last accepted D after a full-path refresh, of the
+// tracker's D after an incremental stretch, and none after reset(). The
+// repaired window then takes the fit, so the layer's factors equal
+// reference::polish of the window imputed from that constant.
+TEST(WindowRefresher, MaskedRepairImputesFromThePriorConstant) {
+  enum class Prior { FullPath, Tracker, None };
+  for (const Prior prior : {Prior::FullPath, Prior::Tracker, Prior::None}) {
+    SCOPED_TRACE(static_cast<int>(prior));
+    cloud::SyntheticCloud cloud(small_cloud_config(26));
+    SlidingWindow window = filled_window(cloud, 6, 600.0);
+    RefresherOptions options;
+    options.incremental = true;
+    WindowRefresher refresher(options);
+    refresher.refresh(window);  // full path: anchors
+    const auto slide = [&](bool hole) {
+      cloud.advance(600.0);
+      netmodel::PerformanceMatrix snapshot = cloud.oracle_snapshot();
+      if (hole) snapshot.mark_link_missing(1, 3);
+      window.push(cloud.now(), snapshot);
+    };
+    if (prior == Prior::Tracker) {
+      for (int k = 0; k < 3; ++k) {
+        slide(false);
+        ASSERT_TRUE(refresher.refresh(window).fully_incremental());
+      }
+    }
+    if (prior == Prior::None) refresher.reset();
+
+    // The expected repair and fit of the latency layer.
+    const rpca::IncrementalTracker& tracker = refresher.latency_tracker();
+    rpca::Result expected;
+    const linalg::Matrix* constant = nullptr;
+    linalg::Matrix prior_d, constant_row;
+    if (prior != Prior::None) {
+      if (prior == Prior::Tracker) {
+        tracker.materialize_low_rank(prior_d);
+        expected.sparse = tracker.sparse();
+      } else {
+        prior_d = refresher.latency_result().low_rank;
+        expected.sparse = refresher.latency_result().sparse;
+      }
+      constant_row.resize(1, prior_d.cols());
+      for (std::size_t j = 0; j < prior_d.cols(); ++j) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < prior_d.rows(); ++i) sum += prior_d(i, j);
+        constant_row(0, j) = sum / static_cast<double>(prior_d.rows());
+      }
+      constant = &constant_row;
+    }
+    slide(true);
+    linalg::Matrix repaired = window.latency_data();
+    const rpca::ImputeStats stats = rpca::impute_missing(repaired, constant);
+    ASSERT_GT(stats.missing, 0u);
+    if (prior == Prior::None) {
+      expected.sparse.resize(repaired.rows(), repaired.cols());
+      expected.sparse.fill(0.0);
+    }
+    expected.low_rank.resize(repaired.rows(), repaired.cols());
+    rpca::reference::polish(repaired, options.finder.rpca,
+                            /*huber_start=*/true, expected);
+
+    const RefreshReport report = refresher.refresh(window);
+    for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
+      EXPECT_EQ(layer->missing_entries, stats.missing);
+      EXPECT_EQ(layer->imputed_from_constant,
+                prior == Prior::None ? 0u : stats.missing);
+      EXPECT_EQ(layer->warm_used, prior != Prior::None);
+    }
+    EXPECT_EQ(report.latency.incremental_masked, prior != Prior::None);
+    EXPECT_TRUE(same_bits(refresher.latency_result().low_rank,
+                          expected.low_rank));
+    EXPECT_TRUE(same_bits(refresher.latency_result().sparse,
+                          expected.sparse));
   }
 }
 

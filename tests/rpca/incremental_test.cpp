@@ -1,20 +1,19 @@
 // IncrementalTracker: subspace tracking against full solves.
 //
-// The tracker's contract has three legs, each pinned here:
+// The tracker's contract has three legs. Two are pinned here:
 //  * at the anchor it reproduces the full solve (rank-1 factors and the
-//    cached Norm(N_E) counts are exactly the anchor solve's),
+//    cached Norm(N_E) counts are exactly the anchor solve's), and
 //  * across single-row slides it stays within the soft-threshold
-//    resolution of a cold re-solve while drift stays quiet, and
-//  * its drift-breach fallback (a warm solve seeded from tracked state)
-//    is the ordinary solver path — bit-exact against rpca::reference.
+//    resolution of a cold re-solve while drift stays quiet.
+// The third, that a drift breach hands the refresher's ordinary full
+// path (the Huber fit from the tracked E) bit-exactly against
+// rpca::reference, is pinned in tests/online/refresher_test.cpp.
 #include "rpca/incremental.hpp"
 
 #include <gtest/gtest.h>
 
 #include "../support/proptest.hpp"
 #include "linalg/norms.hpp"
-#include "rpca/reference.hpp"
-#include "rpca/workspace.hpp"
 #include "support/error.hpp"
 
 namespace netconst::rpca {
@@ -59,8 +58,6 @@ TEST(IncrementalTracker, ContractsBeforeAnchor) {
   data.fill(1.0);
   EXPECT_THROW(tracker.update(data, 0), ContractViolation);
   EXPECT_THROW(tracker.error_norm(), ContractViolation);
-  WarmStart seed;
-  EXPECT_THROW(tracker.seed_warm_start(seed), ContractViolation);
 }
 
 TEST(IncrementalTracker, AnchorReproducesTheFullSolve) {
@@ -141,36 +138,6 @@ TEST(IncrementalTracker, PlacementShiftBreaches) {
   EXPECT_GT(drift.instant, tracker.options().drift_threshold);
 }
 
-TEST(IncrementalTracker, DriftFallbackIsBitExactAgainstReference) {
-  Rng rng(14);
-  const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
-  linalg::Matrix data = problem.data;
-  const Result full = solve(data, Solver::Apg, online_options());
-
-  IncrementalTracker tracker;
-  tracker.anchor(data, full, kL0Tol);
-  slide_row(data, 2, problem.constant_row, 3, rng);
-  tracker.update(data, 2);
-
-  // The breach path: a warm full solve seeded from the tracked state.
-  // Run it through the production workspace solver and the frozen
-  // reference with the identical seed — they must agree bitwise.
-  Options ws_opts = online_options();
-  Options ref_opts = online_options();
-  tracker.seed_warm_start(ws_opts.warm_start);
-  tracker.seed_warm_start(ref_opts.warm_start);
-
-  SolverWorkspace ws;
-  Result ws_result;
-  solve(data, Solver::Apg, ws_opts, ws, ws_result);
-  const Result ref_result = reference::solve(data, Solver::Apg, ref_opts);
-
-  EXPECT_TRUE(ws_result.warm_started);
-  EXPECT_EQ(ws_result.iterations, ref_result.iterations);
-  EXPECT_EQ(ws_result.low_rank.max_abs_diff(ref_result.low_rank), 0.0);
-  EXPECT_EQ(ws_result.sparse.max_abs_diff(ref_result.sparse), 0.0);
-}
-
 TEST(IncrementalTracker, ResetRequiresReanchor) {
   Rng rng(15);
   const auto problem = testing::random_rank1_sparse(rng, 6, 32, 0.05);
@@ -194,43 +161,6 @@ TEST(IncrementalTracker, ZeroConstantLeavesTrackerNotReady) {
   IncrementalTracker tracker;
   tracker.anchor(data, synthetic, kL0Tol);
   EXPECT_FALSE(tracker.ready());
-}
-
-// The satellite property: incremental updates followed by a (forced)
-// full-solve fallback land on the same decomposition a cold solve of
-// the final window finds — the tracker can drift the *seed*, never the
-// *answer*.
-TEST(IncrementalTracker, PropertyIncrementalThenFallbackMatchesCold) {
-  testing::run_property(0xFACADE, 8, [](Rng& rng) {
-    const std::size_t rows = testing::random_size(rng, 6, 10);
-    const std::size_t cols = testing::random_size(rng, 32, 96);
-    const auto problem =
-        testing::random_rank1_sparse(rng, rows, cols, 0.05);
-    linalg::Matrix data = problem.data;
-    const Result full = solve(data, Solver::Apg, online_options());
-
-    IncrementalTracker tracker;
-    tracker.anchor(data, full, kL0Tol);
-    ASSERT_TRUE(tracker.ready());
-
-    const std::size_t slides = testing::random_size(rng, 1, 4);
-    for (std::size_t s = 0; s < slides; ++s) {
-      const std::size_t slot = s % rows;
-      slide_row(data, slot, problem.constant_row, 2, rng);
-      tracker.update(data, slot);
-    }
-
-    // Forced fallback: warm solve of the final window seeded from the
-    // tracker, against a cold solve of the same window.
-    Options warm_opts = online_options();
-    tracker.seed_warm_start(warm_opts.warm_start);
-    const Result warm = solve(data, Solver::Apg, warm_opts);
-    const Result cold = solve(data, Solver::Apg, online_options());
-
-    const double scale = linalg::frobenius_norm(data);
-    EXPECT_LT(warm.low_rank.max_abs_diff(cold.low_rank), 1e-6 * scale);
-    EXPECT_LT(warm.sparse.max_abs_diff(cold.sparse), 1e-6 * scale);
-  });
 }
 
 }  // namespace
