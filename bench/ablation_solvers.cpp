@@ -6,28 +6,24 @@
 //
 // Second study: the online refresher's full path on N=32
 // SyntheticClouds at fixed 300 s steps (8 clouds x 30 slides, band
-// sigma 0.04 and 0.01). A bootstrap solve of the first full window,
-// then each slide re-solves both layers from the last accepted factors
-// under three policies:
-//   "plain"    seeded APG with the solver's own 300-step alternation
-//              (the refresher before the Huber fit);
-//   "apg_fit"  seeded APG, then rpca::polish opening with
-//              rpca::rank1_huber_fit (the refresher before the fit ran
-//              without a solver);
+// sigma 0.04 and 0.01). Every full window, the first (the bootstrap)
+// included, is solved both ways under three policies:
 //   "seed_fit" rpca::polish with the Huber fit started from the last
-//              accepted E, and from E = 0 at bootstrap, with no solver
-//              (WindowRefresher's).
-// The two APG policies bootstrap with a cold APG plus the plain
-// alternation and redo a slide cold on the refresher's former checks
-// (APG not converged, pre-polish residual above 1e-3, polish cap);
-// seed_fit accepts every fit, capped or not.
+//              E, and from E = 0 at bootstrap, with no solver
+//              (WindowRefresher's);
+//   "cfit"     a cold APG with the polish off, then rpca::polish
+//              opening with the Huber fit from its E;
+//   "raw"      the same cold APG with no polish: what
+//              core::find_constant publishes for the window.
+// cfit and raw share one APG solve per layer; raw's constant is
+// assembled before the polish runs.
 // Reported per cloud: const_err p50/p90 over the slides and boot_err
 // at bootstrap (relative error of the 8 MB transfer times against the
-// cloud's ground-truth constant), mean refresh ms per slide, cold
-// redos, and accepted layer solves whose polish capped (bootstrap
-// included). The seed_fit replica is checked bit for bit against a
-// WindowRefresher driven in lockstep; the run exits 1 if they differ
-// or if seed_fit caps on any layer.
+// cloud's ground-truth constant), mean refresh ms per slide (raw: the
+// APG alone; cfit: APG and fit), and layer solves whose polish capped
+// (bootstrap included). The seed_fit replica is checked bit for bit
+// against a WindowRefresher driven in lockstep; the run exits 1 if they
+// differ or if seed_fit caps on any layer.
 //
 // Usage: ablation_solvers [--smoke]
 //   --smoke  the solver grid's 10x256 shape, then the study on one
@@ -136,74 +132,20 @@ constexpr std::size_t kWindow = 10;
 constexpr double kStepSeconds = 300.0;
 constexpr double kOperationBytes = 8.0 * 1024 * 1024;
 
-enum class WarmPolish { Plain, ApgFit, SeedFit };
+/// Policies in table order.
+enum class Policy { SeedFit, ColdFit, Raw };
+constexpr const char* kPolicyNames[] = {"seed_fit", "cfit", "raw"};
 
-const char* policy_name(WarmPolish policy) {
-  switch (policy) {
-    case WarmPolish::Plain:
-      return "plain";
-    case WarmPolish::ApgFit:
-      return "apg_fit";
-    case WarmPolish::SeedFit:
-      return "seed_fit";
+/// seed_fit on one layer: WindowRefresher::solve_layer's fit from the
+/// last E, or from E = 0 when there is none.
+void seed_fit_layer(const linalg::Matrix& data, const rpca::Options& options,
+                    rpca::SolverWorkspace& ws, rpca::Result& result) {
+  if (result.sparse.empty()) {
+    result.low_rank.resize(data.rows(), data.cols());
+    result.sparse.resize(data.rows(), data.cols());
+    result.sparse.fill(0.0);
   }
-  return "unknown";
-}
-
-/// The pre-polish residual above which the former warm attempt's seeded
-/// APG counted as diverged.
-constexpr double kDivergenceResidual = 1e-3;
-
-/// One layer's state across slides: its last accepted factors and the
-/// APG policies' seed.
-struct LayerState {
-  rpca::Result result;
-  rpca::WarmStart seed;
-};
-
-/// One layer on the full path under `policy`. seed_fit is
-/// WindowRefresher::solve_layer's: the fit from the last E, or from
-/// zero when there is none. The APG policies solve cold without a seed
-/// and redo a rejected warm attempt cold. Counts the redo and whether
-/// the accepted polish capped.
-void refresh_layer(const linalg::Matrix& data, WarmPolish policy,
-                   const online::RefresherOptions& refresher,
-                   rpca::SolverWorkspace& ws, LayerState& layer,
-                   int& redos, int& caps) {
-  const rpca::Solver solver = refresher.finder.solver;
-  rpca::Options options = refresher.finder.rpca;
-  rpca::Result& result = layer.result;
-  rpca::WarmStart& seed = layer.seed;
-  if (policy == WarmPolish::SeedFit) {
-    if (result.sparse.empty()) {
-      result.low_rank.resize(data.rows(), data.cols());
-      result.sparse.resize(data.rows(), data.cols());
-      result.sparse.fill(0.0);
-    }
-    rpca::polish(data, options, /*huber_start=*/true, ws, result);
-  } else if (seed.empty()) {
-    rpca::solve(data, solver, options, ws, result);
-  } else {
-    options.warm_start = seed;
-    if (policy == WarmPolish::ApgFit) {
-      options.polish_iterations = 0;
-      rpca::solve(data, solver, options, ws, result);
-      options.polish_iterations = refresher.finder.rpca.polish_iterations;
-      rpca::polish(data, options, result.warm_started, ws, result);
-    } else {
-      rpca::solve(data, solver, options, ws, result);
-    }
-    if (!result.converged || result.solver_residual > kDivergenceResidual ||
-        !result.polish_converged) {
-      ++redos;
-      options.warm_start = rpca::WarmStart{};
-      rpca::solve(data, solver, options, ws, result);
-    }
-  }
-  caps += !result.polish_converged;
-  if (policy != WarmPolish::SeedFit) {
-    seed = {result.low_rank, result.sparse, result.final_mu, result.mu_floor};
-  }
+  rpca::polish(data, options, /*huber_start=*/true, ws, result);
 }
 
 double const_error(const netmodel::PerformanceMatrix& estimate,
@@ -226,15 +168,16 @@ struct CloudRun {
   double err_p90 = 0.0;
   double boot_err = 0.0;
   double refresh_ms = 0.0;
-  int redos = 0;
   int caps = 0;
   bool matches_refresher = true;
+  std::vector<double> errors;  // per slide
 };
 
 /// Bootstrap a window on one cloud, then `slides` fixed steps, each
-/// refreshing both layers under `policy`.
-CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
-                   WarmPolish policy) {
+/// refreshing both layers under every policy. Returns one run per
+/// Policy.
+std::vector<CloudRun> run_cloud(double sigma, std::uint64_t seed,
+                                int slides) {
   cloud::SyntheticCloudConfig config;
   config.cluster_size = 32;
   config.band_sigma = sigma;
@@ -245,96 +188,125 @@ CloudRun run_cloud(double sigma, std::uint64_t seed, int slides,
 
   const online::RefresherOptions options;  // incremental path off
   online::WindowRefresher refresher(options);
-  rpca::SolverWorkspace ws;
-  LayerState lat, bw;
-  CloudRun run;
-  std::vector<double> errors;
+  const rpca::Options& fit = options.finder.rpca;
+  rpca::Options apg = fit;
+  apg.polish_iterations = 0;
+  const double tol = options.finder.l0_rel_tolerance;
+  rpca::SolverWorkspace ws, cold_ws;
+  rpca::Result seed_lat, seed_bw, cold_lat, cold_bw;
+  std::vector<CloudRun> runs(3);
   for (int step = 0; step < static_cast<int>(kWindow) + slides; ++step) {
     window.push(cloud.now(), cloud.oracle_snapshot());
     cloud.advance(kStepSeconds);
     if (!window.full()) continue;
-    const Stopwatch clock;
-    refresh_layer(window.latency_data(), policy, options, ws, lat, run.redos,
-                  run.caps);
-    refresh_layer(window.bandwidth_data(), policy, options, ws, bw,
-                  run.redos, run.caps);
-    const core::ConstantComponent component = core::assemble_component(
-        window.latency_data(), lat.result, window.bandwidth_data(),
-        bw.result, window.cluster_size(), options.finder.l0_rel_tolerance);
-    const double ms = clock.milliseconds();
-    const double err = const_error(component.constant, truth);
-    if (step == static_cast<int>(kWindow) - 1) {
-      run.boot_err = err;  // the bootstrap solve is not a slide
-    } else {
-      run.refresh_ms += ms / slides;
-      errors.push_back(err);
-    }
-    if (policy == WarmPolish::SeedFit) {
-      const online::RefreshReport report = refresher.refresh(window);
-      run.matches_refresher =
-          run.matches_refresher &&
-          report.component.constant.bandwidth().max_abs_diff(
-              component.constant.bandwidth()) == 0.0 &&
-          report.component.constant.latency().max_abs_diff(
-              component.constant.latency()) == 0.0;
-    }
+    const linalg::Matrix& lat = window.latency_data();
+    const linalg::Matrix& bw = window.bandwidth_data();
+    const bool bootstrap = step == static_cast<int>(kWindow) - 1;
+    const auto record = [&](Policy policy, double ms,
+                            const core::ConstantComponent& component) {
+      CloudRun& run = runs[static_cast<int>(policy)];
+      const double err = const_error(component.constant, truth);
+      if (bootstrap) {
+        run.boot_err = err;  // the bootstrap solve is not a slide
+      } else {
+        run.refresh_ms += ms / slides;
+        run.errors.push_back(err);
+      }
+    };
+
+    Stopwatch clock;
+    seed_fit_layer(lat, fit, ws, seed_lat);
+    seed_fit_layer(bw, fit, ws, seed_bw);
+    const core::ConstantComponent seed_fit = core::assemble_component(
+        lat, seed_lat, bw, seed_bw, window.cluster_size(), tol);
+    record(Policy::SeedFit, clock.milliseconds(), seed_fit);
+    runs[0].caps += !seed_lat.polish_converged + !seed_bw.polish_converged;
+    const online::RefreshReport report = refresher.refresh(window);
+    runs[0].matches_refresher =
+        runs[0].matches_refresher &&
+        report.component.constant.bandwidth().max_abs_diff(
+            seed_fit.constant.bandwidth()) == 0.0 &&
+        report.component.constant.latency().max_abs_diff(
+            seed_fit.constant.latency()) == 0.0;
+
+    clock.restart();
+    rpca::solve(lat, rpca::Solver::Apg, apg, cold_ws, cold_lat);
+    rpca::solve(bw, rpca::Solver::Apg, apg, cold_ws, cold_bw);
+    const double apg_ms = clock.milliseconds();
+    record(Policy::Raw, apg_ms,
+           core::assemble_component(lat, cold_lat, bw, cold_bw,
+                                    window.cluster_size(), tol));
+    clock.restart();
+    rpca::polish(lat, fit, /*huber_start=*/true, cold_ws, cold_lat);
+    rpca::polish(bw, fit, /*huber_start=*/true, cold_ws, cold_bw);
+    const double fit_ms = clock.milliseconds();
+    record(Policy::ColdFit, apg_ms + fit_ms,
+           core::assemble_component(lat, cold_lat, bw, cold_bw,
+                                    window.cluster_size(), tol));
+    runs[1].caps += !cold_lat.polish_converged + !cold_bw.polish_converged;
   }
-  run.err_p50 = percentile(errors, 0.5);
-  run.err_p90 = percentile(errors, 0.9);
-  return run;
+  for (CloudRun& run : runs) {
+    run.err_p50 = percentile(run.errors, 0.5);
+    run.err_p90 = percentile(run.errors, 0.9);
+  }
+  return runs;
 }
 
 /// Prints the study's table and summary. Returns false if the seed_fit
 /// replica differs from WindowRefresher or seed_fit capped anywhere.
 bool full_path_study(const StudySize& size) {
   print_banner(std::cout,
-               "Full path: plain alternation vs Huber fit after the "
-               "seeded APG vs Huber fit from the last E (from zero at "
-               "bootstrap), N=32 SyntheticClouds, " +
+               "Full path: Huber fit from the last E (from zero at "
+               "bootstrap) vs cold APG then the fit vs raw cold APG, "
+               "N=32 SyntheticClouds, " +
                    std::to_string(size.slides) + " fixed 300 s slides");
   ConsoleTable table({"sigma", "cloud", "policy", "const_err_p50",
-                      "const_err_p90", "boot_err", "refresh_ms", "redos",
-                      "caps"});
-  constexpr WarmPolish kPolicies[] = {WarmPolish::Plain, WarmPolish::ApgFit,
-                                      WarmPolish::SeedFit};
+                      "const_err_p90", "boot_err", "refresh_ms", "caps"});
   bool replica_ok = true;
   int fit_caps = 0;
-  int fit_no_worse = 0, boot_lower = 0, compared = 0;
-  double max_seed_vs_apg = 0.0;
+  int equal_4 = 0, boot_equal = 0, boot_lower = 0, compared = 0;
+  double max_seed_vs_cfit = 0.0;
   for (const double sigma : {0.04, 0.01}) {
     for (std::uint64_t seed = 1; seed <= size.clouds; ++seed) {
-      CloudRun runs[3];
-      for (const WarmPolish policy : kPolicies) {
-        const CloudRun run = run_cloud(sigma, seed, size.slides, policy);
-        runs[static_cast<int>(policy)] = run;
+      const std::vector<CloudRun> runs = run_cloud(sigma, seed, size.slides);
+      for (std::size_t p = 0; p < runs.size(); ++p) {
+        const CloudRun& run = runs[p];
         table.add_row({ConsoleTable::cell(sigma, 2), std::to_string(seed),
-                       policy_name(policy), ConsoleTable::cell(run.err_p50, 4),
+                       kPolicyNames[p], ConsoleTable::cell(run.err_p50, 4),
                        ConsoleTable::cell(run.err_p90, 4),
                        ConsoleTable::cell(run.boot_err, 4),
                        ConsoleTable::cell(run.refresh_ms, 2),
-                       std::to_string(run.redos), std::to_string(run.caps)});
+                       p == static_cast<std::size_t>(Policy::Raw)
+                           ? std::string("-")
+                           : std::to_string(run.caps)});
       }
-      const CloudRun& plain = runs[static_cast<int>(WarmPolish::Plain)];
-      const CloudRun& apg = runs[static_cast<int>(WarmPolish::ApgFit)];
-      const CloudRun& fit = runs[static_cast<int>(WarmPolish::SeedFit)];
+      const CloudRun& fit = runs[static_cast<int>(Policy::SeedFit)];
+      const CloudRun& cfit = runs[static_cast<int>(Policy::ColdFit)];
       replica_ok = replica_ok && fit.matches_refresher;
       fit_caps += fit.caps;
       ++compared;
-      fit_no_worse += fit.err_p50 <= plain.err_p50 &&
-                      fit.err_p90 <= plain.err_p90;
-      boot_lower += fit.boot_err < plain.boot_err;
-      max_seed_vs_apg = std::max(
-          {max_seed_vs_apg, std::abs(fit.err_p50 - apg.err_p50) / apg.err_p50,
-           std::abs(fit.err_p90 - apg.err_p90) / apg.err_p90});
+      // "Equal" means equal as printed, to 4 digits.
+      const auto same = [](double x, double y) {
+        return ConsoleTable::cell(x, 4) == ConsoleTable::cell(y, 4);
+      };
+      equal_4 += same(fit.err_p50, cfit.err_p50) &&
+                 same(fit.err_p90, cfit.err_p90);
+      const bool boot_same = same(fit.boot_err, cfit.boot_err);
+      boot_equal += boot_same;
+      boot_lower += !boot_same && fit.boot_err < cfit.boot_err;
+      max_seed_vs_cfit = std::max(
+          {max_seed_vs_cfit, std::abs(fit.err_p50 - cfit.err_p50) / cfit.err_p50,
+           std::abs(fit.err_p90 - cfit.err_p90) / cfit.err_p90});
     }
   }
   table.print(std::cout);
-  std::cout << "\nseed_fit const_err p50 and p90 both no worse than plain "
+  std::cout << "\nseed_fit const_err p50 and p90 equal cfit's to 4 digits "
                "on "
-            << fit_no_worse << " of " << compared
-            << " clouds; largest relative difference from apg_fit "
-            << max_seed_vs_apg << "; boot_err below the cold bootstrap's on "
-            << boot_lower << " of " << compared << " clouds; seed_fit caps "
+            << equal_4 << " of " << compared
+            << " clouds; largest relative difference from cfit "
+            << max_seed_vs_cfit << "; seed_fit boot_err equal to cfit's on "
+            << boot_equal << " and lower on " << boot_lower << " of "
+            << compared << " clouds; seed_fit caps "
             << fit_caps << "; seed_fit replica "
             << (replica_ok ? "matches" : "DIFFERS FROM")
             << " WindowRefresher bit for bit.\n";

@@ -1,9 +1,10 @@
 // Perf-regression harness for the allocation-free RPCA hot path.
 //
-// Runs batch and warm-start solve suites at the paper's TP-matrix shapes
+// Runs cold batch solve suites at the paper's TP-matrix shapes
 // (time-step rows x N^2 columns, N in {16, 32, 64}), timing the frozen
 // allocating baselines (rpca::reference) against the workspace solvers,
-// and emits machine-readable JSON (BENCH_rpca.json by default) with
+// then the online refresher's full-path fit and the subspace tracker's
+// row update along sliding-window trajectories, and emits machine-readable JSON (BENCH_rpca.json by default) with
 // median wall times, iteration counts, and heap-allocation counters from
 // the instrumented global allocator below. The allocation counters
 // double as a peak-RSS proxy: peak live bytes during a solve bound the
@@ -13,10 +14,11 @@
 // a heap allocation (the warm_fit suite — the refresher's full-path fit,
 // the Huber-fit polish from the last E — included), when a warm_fit
 // slide's polish differs by a bit from reference::polish from the same
-// start (at the active SIMD level or replayed at Scalar), or when the
-// online suite (APG + the plain rank-1 polish, rpca::solve on a noisy
-// N=32 window) is slower than its reference twin — CI runs this
-// with --smoke as a regression gate. The JSON opens with the host
+// start (at the active SIMD level or replayed at Scalar), when the
+// tracker's row update is not faster than the full-path fit at some
+// grid N (64, 128, 256, 512), or when the online suite (APG + the plain
+// rank-1 polish, rpca::solve on a noisy N=32 window) is slower than its
+// reference twin — CI runs this with --smoke as a regression gate. The JSON opens with the host
 // header of bench_util.hpp: git sha, build type, compiler,
 // hardware_concurrency, pool threads and SIMD level.
 //
@@ -140,7 +142,7 @@ struct SectionStats {
 };
 
 struct SuiteRow {
-  std::string suite;  // "batch" | "warm"
+  std::string suite;  // "batch" | "incremental" | "online" | "warm_fit"
   std::string solver;
   std::size_t cluster = 0;
   std::size_t rows = 0;
@@ -362,109 +364,14 @@ SuiteRow warm_fit_suite(int steps) {
   return row;
 }
 
-/// Warm-start suite: a sliding-window trajectory of seeded APG solves
-/// with the plain rank-1 polish (the online configuration before the
-/// refresher ran the fit alone). Reference and workspace
-/// paths see identical data and identical seeds.
-SuiteRow warm_suite(std::size_t cluster, int steps) {
-  SuiteRow row;
-  row.suite = "warm";
-  row.solver = "APG";
-  row.cluster = cluster;
-
-  rpca::Options options;
-  options.polish_iterations = 300;  // the online refresher default
-
-  const auto problem = tp_problem(cluster, 101 + cluster);
-  row.rows = problem.data.rows();
-  row.cols = problem.data.cols();
-
-  // Reference trajectory.
-  {
-    linalg::Matrix data = problem.data;
-    Rng rng(11);
-    rpca::Options opts = options;
-    rpca::Result prev = rpca::reference::solve(data, rpca::Solver::Apg, opts);
-    std::vector<double> times;
-    std::uint64_t allocs = 0, bytes = 0, peak = 0;
-    int iterations = 0;
-    for (int s = 0; s < steps; ++s) {
-      slide_row(data, static_cast<std::size_t>(s), rng);
-      opts.warm_start = {prev.low_rank, prev.sparse, prev.final_mu,
-                         prev.mu_floor};
-      g_peak_live_bytes.store(g_live_bytes.load());
-      const std::uint64_t allocs0 = g_allocs.load();
-      const std::uint64_t bytes0 = g_total_bytes.load();
-      const Stopwatch clock;
-      prev = rpca::reference::solve(data, rpca::Solver::Apg, opts);
-      times.push_back(clock.milliseconds());
-      allocs = g_allocs.load() - allocs0;
-      bytes = g_total_bytes.load() - bytes0;
-      peak = g_peak_live_bytes.load();
-      iterations = prev.iterations;
-    }
-    row.reference.median_ms = median(times);
-    row.reference.iterations = iterations;
-    row.reference.allocs = allocs;
-    row.reference.alloc_bytes = bytes;
-    row.reference.peak_live_bytes = peak;
-    row.reference.allocs_per_iteration =
-        iterations > 0 ? static_cast<double>(allocs) / iterations
-                       : static_cast<double>(allocs);
-  }
-
-  // Workspace trajectory: persistent workspace, seed buffers recycled by
-  // copy-assignment (the refresher's steady state).
-  {
-    linalg::Matrix data = problem.data;
-    Rng rng(11);
-    rpca::Options opts = options;
-    rpca::SolverWorkspace ws;
-    rpca::Result result;
-    rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
-    std::vector<double> times;
-    std::uint64_t allocs = 0, bytes = 0, peak = 0;
-    int iterations = 0;
-    for (int s = 0; s < steps; ++s) {
-      slide_row(data, static_cast<std::size_t>(s), rng);
-      opts.warm_start.low_rank = result.low_rank;
-      opts.warm_start.sparse = result.sparse;
-      opts.warm_start.mu = result.final_mu;
-      opts.warm_start.mu_floor = result.mu_floor;
-      g_peak_live_bytes.store(g_live_bytes.load());
-      const std::uint64_t allocs0 = g_allocs.load();
-      const std::uint64_t bytes0 = g_total_bytes.load();
-      const Stopwatch clock;
-      rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
-      times.push_back(clock.milliseconds());
-      allocs = g_allocs.load() - allocs0;
-      bytes = g_total_bytes.load() - bytes0;
-      peak = g_peak_live_bytes.load();
-      iterations = result.iterations;
-    }
-    row.workspace.median_ms = median(times);
-    row.workspace.iterations = iterations;
-    row.workspace.allocs = allocs;
-    row.workspace.alloc_bytes = bytes;
-    row.workspace.peak_live_bytes = peak;
-    row.workspace.allocs_per_iteration =
-        iterations > 0 ? static_cast<double>(allocs) / iterations
-                       : static_cast<double>(allocs);
-  }
-
-  row.speedup = row.workspace.median_ms > 0.0
-                    ? row.reference.median_ms / row.workspace.median_ms
-                    : 0.0;
-  return row;
-}
-
 /// Incremental suite: a sliding-window trajectory at scale. The
-/// `reference` section is the pre-PR hot path (warm workspace full
-/// solve per slide); the `workspace` section is the subspace tracker's
-/// row update on the identical trajectory. This is the grid behind the
-/// N-scaling claim: the tracker's per-slide cost is O(sweeps * N^2)
-/// against the full solve's O(iterations * rows * N^2), so N=512
-/// refreshes fit inside the old N=64 budget.
+/// `reference` section is the refresher's full path on every slide:
+/// rpca::polish opening with the Huber fit from the last E, after a
+/// bootstrap fit from E = 0. The `workspace` section is the subspace
+/// tracker's row update on the identical trajectory, anchored on that
+/// same bootstrap. This is the grid behind the N-scaling claim: the
+/// update's per-slide cost is O(sweeps * N^2) against the fit's
+/// O(sweeps * rows * N^2).
 SuiteRow incremental_suite(std::size_t cluster, int slides) {
   SuiteRow row;
   row.suite = "incremental";
@@ -478,41 +385,37 @@ SuiteRow incremental_suite(std::size_t cluster, int slides) {
   row.rows = problem.data.rows();
   row.cols = problem.data.cols();
 
-  // Full-solve side: the warm workspace trajectory (what every slide
-  // cost before the tracker existed).
+  rpca::SolverWorkspace ws;
+  rpca::Result bootstrap;
+  bootstrap.low_rank.resize(row.rows, row.cols);
+  bootstrap.sparse.resize(row.rows, row.cols);
+  bootstrap.sparse.fill(0.0);
+  rpca::polish(problem.data, options, /*huber_start=*/true, ws, bootstrap);
+
+  // Full-path side: the fit from the last E on every slide.
   {
     linalg::Matrix data = problem.data;
     Rng rng(11);
-    rpca::Options opts = options;
-    rpca::SolverWorkspace ws;
-    rpca::Result result;
-    rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
+    rpca::Result result = bootstrap;
     std::vector<double> times;
     for (int s = 0; s < slides; ++s) {
       slide_row(data, static_cast<std::size_t>(s), rng);
-      opts.warm_start.low_rank = result.low_rank;
-      opts.warm_start.sparse = result.sparse;
-      opts.warm_start.mu = result.final_mu;
-      opts.warm_start.mu_floor = result.mu_floor;
       timed_rep(row.reference, times, [&] {
-        rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
-        return result.iterations;
+        rpca::polish(data, options, /*huber_start=*/true, ws, result);
+        return result.polish_iterations;
       });
     }
     finish_section(row.reference, times);
   }
 
   // Tracker side: identical trajectory (same slide Rng), served by the
-  // row update. Anchoring is the one-off full solve the online path
-  // pays at bootstrap; the steady state is the timed update.
+  // row update. Anchoring is the one-off the online path pays at
+  // bootstrap; the steady state is the timed update.
   {
     linalg::Matrix data = problem.data;
     Rng rng(11);
-    rpca::SolverWorkspace ws;
-    rpca::Result result;
-    rpca::solve(data, rpca::Solver::Apg, options, ws, result);
     rpca::IncrementalTracker tracker;
-    tracker.anchor(data, result, 1e-3);
+    tracker.anchor(data, bootstrap, 1e-3);
     std::vector<double> times;
     for (int s = 0; s < slides; ++s) {
       const std::size_t slot = static_cast<std::size_t>(s) % data.rows();
@@ -525,65 +428,6 @@ SuiteRow incremental_suite(std::size_t cluster, int slides) {
     finish_section(row.workspace, times);
   }
 
-  row.speedup = row.workspace.median_ms > 0.0
-                    ? row.reference.median_ms / row.workspace.median_ms
-                    : 0.0;
-  return row;
-}
-
-/// Randomized-SVT suite at a Gram-ineligible shape (96 snapshot rows:
-/// small side > 64, so the exact path pays the allocating Jacobi SVD
-/// every iteration while the sketch stays in workspace scratch). Warm
-/// sliding trajectory — the long-window refresh this policy exists
-/// for; warm iterates are near the low-rank solution, so every SVT
-/// step's sketch is verified and accepted. The `reference` section is
-/// the exact warm solve, the `workspace` section the sketched one —
-/// the alloc gate below binds the sketched side, which must hold zero
-/// (sketch, QR and subspace scratch all pre-sized in the workspace)
-/// even though the exact side cannot at this shape.
-SuiteRow randomized_suite(int slides) {
-  SuiteRow row;
-  row.suite = "randomized";
-  row.solver = "APG";
-  row.cluster = 32;
-
-  rpca::SyntheticSpec spec;
-  spec.rows = 96;
-  spec.cols = 32 * 32;
-  spec.rank = 1;
-  spec.sparsity = 0.05;
-  Rng rng(317);
-  const auto problem = rpca::make_synthetic(spec, rng);
-  row.rows = problem.data.rows();
-  row.cols = problem.data.cols();
-
-  rpca::Options base;
-  base.polish_iterations = 300;  // the online refresher default
-
-  for (const bool randomized : {false, true}) {
-    rpca::Options opts = base;
-    opts.randomized.enabled = randomized;
-    SectionStats& stats = randomized ? row.workspace : row.reference;
-
-    linalg::Matrix data = problem.data;
-    Rng slide_rng(11);
-    rpca::SolverWorkspace ws;
-    rpca::Result result;
-    rpca::solve(data, rpca::Solver::Apg, opts, ws, result);  // anchor
-    std::vector<double> times;
-    for (int s = 0; s < slides; ++s) {
-      slide_row(data, static_cast<std::size_t>(s), slide_rng);
-      opts.warm_start.low_rank = result.low_rank;
-      opts.warm_start.sparse = result.sparse;
-      opts.warm_start.mu = result.final_mu;
-      opts.warm_start.mu_floor = result.mu_floor;
-      timed_rep(stats, times, [&] {
-        rpca::solve(data, rpca::Solver::Apg, opts, ws, result);
-        return result.iterations;
-      });
-    }
-    finish_section(stats, times);
-  }
   row.speedup = row.workspace.median_ms > 0.0
                     ? row.reference.median_ms / row.workspace.median_ms
                     : 0.0;
@@ -636,31 +480,16 @@ int main(int argc, char** argv) {
                 << r.workspace.median_ms << " ms, speedup " << r.speedup
                 << "x, steady-state allocs " << r.workspace.allocs << "\n";
     }
-    rows.push_back(warm_suite(cluster, warm_steps));
-    const SuiteRow& r = rows.back();
-    std::cout << "warm APG N=" << cluster << ": ref "
-              << r.reference.median_ms << " ms, ws "
-              << r.workspace.median_ms << " ms, speedup " << r.speedup
-              << "x, steady-state allocs " << r.workspace.allocs << "\n";
   }
 
-  // The N-scaling grid: tracker row update vs warm full solve.
+  // The N-scaling grid: tracker row update vs the full-path fit.
   const std::vector<std::size_t> grid = {64, 128, 256, 512};
   const int slides = smoke ? 4 : 8;
   for (std::size_t cluster : grid) {
     rows.push_back(incremental_suite(cluster, slides));
     const SuiteRow& r = rows.back();
     std::cout << "incremental N=" << cluster << ": full "
-              << r.reference.median_ms << " ms, update "
-              << r.workspace.median_ms << " ms, speedup " << r.speedup
-              << "x, steady-state allocs " << r.workspace.allocs << "\n";
-  }
-
-  rows.push_back(randomized_suite(slides));
-  {
-    const SuiteRow& r = rows.back();
-    std::cout << "randomized APG rows=" << r.rows << ": exact "
-              << r.reference.median_ms << " ms, sketch "
+              << r.reference.median_ms << " ms (fit), update "
               << r.workspace.median_ms << " ms, speedup " << r.speedup
               << "x, steady-state allocs " << r.workspace.allocs << "\n";
   }
@@ -710,26 +539,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Scaling gates: the tracker must beat the full solve where both are
-  // cheap (N=128), and its N=512 refresh must fit inside the budget the
-  // pre-PR hot path spent at N=64 (warm full solve, same trajectory).
-  double warm64_full = 0.0, inc128_speedup = 0.0, inc512_ms = -1.0;
+  // Scaling gate: at every grid N the tracker's row update must beat the
+  // full-path fit it replaces on the same trajectory.
   for (const SuiteRow& r : rows) {
-    if (r.suite != "incremental") continue;
-    if (r.cluster == 64) warm64_full = r.reference.median_ms;
-    if (r.cluster == 128) inc128_speedup = r.speedup;
-    if (r.cluster == 512) inc512_ms = r.workspace.median_ms;
-  }
-  if (inc128_speedup < 1.0) {
-    ++violations;
-    std::cerr << "SCALING VIOLATION: incremental N=128 speedup "
-              << inc128_speedup << " < 1.0\n";
-  }
-  if (inc512_ms > warm64_full) {
-    ++violations;
-    std::cerr << "SCALING VIOLATION: incremental N=512 update "
-              << inc512_ms << " ms exceeds the N=64 full-solve budget of "
-              << warm64_full << " ms\n";
+    if (r.suite == "incremental" && r.speedup <= 1.0) {
+      ++violations;
+      std::cerr << "SCALING VIOLATION: incremental N=" << r.cluster
+                << " update " << r.workspace.median_ms
+                << " ms does not beat the fit's " << r.reference.median_ms
+                << " ms\n";
+    }
   }
 
   // Speed gate: the online solve must not be slower than its reference.

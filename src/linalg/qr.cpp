@@ -1,12 +1,17 @@
 #include "linalg/qr.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "support/error.hpp"
 
 namespace netconst::linalg {
+namespace {
 
+// In-place Householder factorization of `work` (m x n, m >= n): on
+// return the upper triangle holds R and the essential parts of the
+// reflectors sit below the diagonal with scaling factors in `tau`.
 void qr_factor_inplace(Matrix& work, std::vector<double>& tau) {
   NETCONST_CHECK(work.rows() >= work.cols(),
                  "Householder factorization requires rows >= cols");
@@ -39,6 +44,8 @@ void qr_factor_inplace(Matrix& work, std::vector<double>& tau) {
   }
 }
 
+// Form the thin Q (m x n, orthonormal columns) of a factorization
+// produced by qr_factor_inplace into `q`.
 void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
                     Matrix& q) {
   const std::size_t m = work.rows();
@@ -64,6 +71,8 @@ void qr_thin_q_into(const Matrix& work, const std::vector<double>& tau,
     }
   }
 }
+
+}  // namespace
 
 QrResult qr_decompose(const Matrix& a) {
   NETCONST_CHECK(a.rows() >= a.cols(), "thin QR requires rows >= cols");

@@ -15,6 +15,11 @@
 
 namespace netconst::linalg {
 
+namespace {
+
+// True when singular_value_threshold_into takes the allocation-free
+// Gram fast path for this shape (mirror of svd()'s Auto resolution,
+// plus rows <= cols).
 bool gram_fast_path_applies(const Matrix& a, const SvdOptions& options) {
   if (a.empty()) return false;  // let the general path report the error
   SvdMethod method = options.method;
@@ -26,8 +31,6 @@ bool gram_fast_path_applies(const Matrix& a, const SvdOptions& options) {
   }
   return method == SvdMethod::Gram && a.rows() <= a.cols();
 }
-
-namespace {
 
 // Auto method resolution never takes the Gram route above this many
 // rows; a larger row count only appears when the caller forces

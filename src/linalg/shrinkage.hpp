@@ -40,13 +40,6 @@ struct GramSvtScratch {
   Matrix u_kept;  // m x rank panel of the kept U columns, packed
 };
 
-/// True when singular_value_threshold_into would take the allocation-
-/// free Gram fast path for this shape (mirror of svd()'s Auto
-/// resolution, plus rows <= cols). Exposed so the RPCA SVT dispatch can
-/// tell which shapes the exact path already serves cheaply — the
-/// randomized sketch only pays off where this is false.
-bool gram_fast_path_applies(const Matrix& a, const SvdOptions& options);
-
 /// Diagnostics of one scratch-based SVT application.
 struct SvtInfo {
   std::size_t rank = 0;  // singular values that survived the threshold

@@ -76,7 +76,7 @@ PrometheusSeries prometheus_series(const std::string& dotted_name) {
   if (dotted_name.compare(0, kSvdPathPrefixLen, kSvdPathPrefix) == 0 &&
       dotted_name.size() > kSvdPathPrefixLen) {
     // The decomposition-path counters fold into one labeled series so
-    // dashboards can stack full/randomized/incremental shares.
+    // dashboards can stack full/incremental shares.
     const std::string path = dotted_name.substr(kSvdPathPrefixLen);
     series.name = "netconst_rpca_svd_path";
     series.labels = "path=\"" + escape_label_value(path) + '"';

@@ -23,7 +23,6 @@ WindowRefresher::WindowRefresher(const RefresherOptions& options)
 void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
                                   rpca::Result& result, LayerRefresh& info) {
   const Stopwatch clock;
-  const std::size_t accepts_before = workspace_.stats.randomized_accepts;
   if (linalg::frobenius_norm(data) == 0.0) {
     // A fully-unobserved window imputes to all zeros when no constant is
     // known yet (fresh bootstrap under total probe loss). The solvers
@@ -42,18 +41,10 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
     return;
   }
 
-  // Reset the probe before every solve so the retained trace always
-  // belongs to it.
-  if (options_.collect_convergence) {
-    probe_.reset();
-    solve_opts_.probe = &probe_;
-  } else {
-    solve_opts_.probe = nullptr;
-  }
-
   if (options_.finder.solver == rpca::Solver::Apg) {
     // The fit reads only E: from the prior E it is the warm refresh,
-    // from zero the cold one. Either way its result is accepted.
+    // from zero the cold one. Either way its result is accepted. No
+    // solver runs, so there is no convergence trace to collect.
     rpca::reset_result(result);
     if (!prior_e) {
       result.low_rank.resize(data.rows(), data.cols());
@@ -65,16 +56,18 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
     result.converged = result.polish_converged;
     info.warm_attempted = prior_e;
   } else {
+    // Reset the probe before every solve so the retained trace always
+    // belongs to it.
+    solve_opts_.probe = options_.collect_convergence ? &probe_ : nullptr;
+    if (options_.collect_convergence) probe_.reset();
     rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
                 result);
+    if (options_.collect_convergence) info.trace = probe_.trace();
   }
   info.warm_used = info.warm_attempted;
-  if (options_.collect_convergence) info.trace = probe_.trace();
   info.polish_capped = result.polished && !result.polish_converged;
   info.iterations = result.iterations;
   info.residual = result.solver_residual;
-  info.randomized_steps =
-      workspace_.stats.randomized_accepts - accepts_before;
   info.solve_seconds = clock.seconds();
 }
 

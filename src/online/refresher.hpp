@@ -43,7 +43,8 @@ struct RefresherOptions {
   /// Collect the accepted solve's per-iteration convergence trace into
   /// LayerRefresh::trace (see obs/convergence.hpp). Off by default: the
   /// probe computes extra per-iteration norms. The trace is capped at
-  /// convergence_trace_capacity samples.
+  /// convergence_trace_capacity samples. Only StablePcp / StablePcpTf
+  /// layers run a solver; with Apg the trace stays empty.
   bool collect_convergence = false;
   std::size_t convergence_trace_capacity = 512;
   /// Incremental subspace-tracking hot path (rpca/incremental.hpp):
@@ -93,8 +94,7 @@ struct LayerRefresh {
   bool incremental_masked = false; // eligible slide had holes; full path
   bool anchored = false;           // this refresh re-anchored the tracker
   double drift = 0.0;              // instant drift statistic of the update
-  /// Accepted randomized-SVT steps inside this layer's solve (0 when
-  /// the exact path or the row update served it).
+  /// Always 0: every SVT step is exact. Kept because bench/e2e recounts it.
   std::size_t randomized_steps = 0;
   // Sparse-support geometry of the accepted factors at the window's
   // relative-l0 cutoff (RefresherOptions::collect_support_stats; all
@@ -208,8 +208,8 @@ class WindowRefresher {
   rpca::IncrementalTracker latency_tracker_;
   rpca::IncrementalTracker bandwidth_tracker_;
   std::uint64_t last_pushes_ = 0;
-  // Convergence probe, reused across solves (reset per attempt so the
-  // retained trace always belongs to the accepted solve).
+  // Convergence probe of the StablePcp / StablePcpTf solves, reused
+  // across solves (reset per solve so the trace belongs to it).
   obs::TraceProbe probe_;
   // Persistent solver state: one workspace plus per-layer Result buffers,
   // which hold each layer's last accepted factors and so the next fit's

@@ -195,7 +195,6 @@ ConstantFinderService::ConstantFinderService(const ServiceOptions& options)
       pool_(owned_pool_ ? owned_pool_.get() : &ThreadPool::global()),
       events_(options.event_capacity),
       svd_full_(metrics_.counter("rpca.svd.path.full")),
-      svd_randomized_(metrics_.counter("rpca.svd.path.randomized")),
       svd_incremental_(metrics_.counter("rpca.svd.path.incremental")),
       masked_fallbacks_(metrics_.counter("rpca.incremental.masked_fallbacks")),
       anchors_(metrics_.counter("rpca.incremental.anchors")),
@@ -388,13 +387,13 @@ bool ConstantFinderService::account_refresh(Tenant& tenant,
   for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
     tenant.solver_iterations.observe(static_cast<double>(layer->iterations));
     // Which machinery produced this layer's factors: the incremental
-    // row update, the randomized-SVT solver path, or the exact solver.
+    // row update or the full path.
     if (layer->incremental_used) {
       tenant.incremental_updates.increment();
       svd_incremental_.increment();
       continue;  // no solve ran for this layer
     }
-    (layer->randomized_steps > 0 ? svd_randomized_ : svd_full_).increment();
+    svd_full_.increment();
     if (layer->drift_fallback) tenant.drift_fallbacks.increment();
     if (layer->incremental_masked) masked_fallbacks_.increment();
     if (layer->anchored) anchors_.increment();

@@ -112,7 +112,10 @@ struct ServiceOptions {
   /// Per-tenant solver convergence telemetry: each refresh's per-layer
   /// iteration trace is kept in a bounded ring of this many records
   /// (read back via convergence()). 0 disables collection entirely —
-  /// the solver then runs without a probe attached.
+  /// the solver then runs without a probe attached. An Apg tenant runs
+  /// no solver on the full path, so its records carry an empty trace
+  /// and 0 iterations; StablePcp / StablePcpTf tenants' carry the
+  /// solver's trace.
   std::size_t convergence_capacity = 64;
 };
 
@@ -260,7 +263,6 @@ class ConstantFinderService {
   // Service-wide series with no per-tenant twin, resolved (and so
   // exported, at zero) from construction; the rest live in Tenant.
   Counter& svd_full_;
-  Counter& svd_randomized_;
   Counter& svd_incremental_;
   Counter& masked_fallbacks_;
   Counter& anchors_;

@@ -9,7 +9,6 @@
 #include "obs/convergence.hpp"
 #include "obs/trace.hpp"
 #include "rpca/stable_pcp_tf.hpp"
-#include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -25,58 +24,31 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
   const double a_norm = linalg::frobenius_norm(a);
   NETCONST_CHECK(a_norm > 0.0, "APG of an all-zero matrix is trivial");
 
-  const WarmStart& seed = options.warm_start;
-  const bool warm = !seed.empty();
-  if (warm) {
-    NETCONST_CHECK(seed.low_rank.rows() == m && seed.low_rank.cols() == n &&
-                       seed.sparse.rows() == m && seed.sparse.cols() == n,
-                   "warm-start seed shape does not match the data");
-  }
   reset_result(result);
   ++ws.stats.solves;
 
   // Continuation schedule: mu starts near the spectral norm and decays to
-  // mu_bar. A warm seed carrying its continuation value resumes there; a
-  // seed without a floor gets the same 1e-9 ratio applied to the carried
-  // mu, so a resumed solve never pays for a spectral-norm estimate whose
-  // result it would discard.
-  double mu, mu_bar;
-  if (warm && seed.mu > 0.0) {
-    mu_bar = seed.mu_floor > 0.0 ? seed.mu_floor : 1e-9 * seed.mu;
-    mu = std::max(seed.mu, mu_bar);
-  } else {
-    ++ws.stats.spectral_norm_evals;
-    mu = 0.99 * linalg::spectral_norm(a, ws.spectral);
-    if (mu <= 0.0) mu = 1.0;
-    mu_bar = 1e-9 * mu;
-  }
-
-  if (warm) {
-    ws.d = seed.low_rank;
-    ws.e = seed.sparse;
-  } else {
-    ws.d.resize(m, n);
-    ws.d.fill(0.0);
-    ws.e.resize(m, n);
-    ws.e.fill(0.0);
-  }
-  result.warm_started = warm;
-  mu = accelerated_prox(a, a_norm, options, lambda, mu, mu_bar, /*eta=*/0.9,
-                        BandLimit{}, ws, result);
+  // mu_bar.
+  double mu = 0.99 * linalg::spectral_norm(a, ws.spectral);
+  if (mu <= 0.0) mu = 1.0;
+  ws.d.resize(m, n);
+  ws.d.fill(0.0);
+  ws.e.resize(m, n);
+  ws.e.fill(0.0);
+  accelerated_prox(a, a_norm, options, lambda, mu, /*mu_bar=*/1e-9 * mu,
+                   /*eta=*/0.9, BandLimit{}, ws, result);
 
   linalg::sub_sub(a, ws.d, ws.e, ws.residual);
   result.residual = linalg::frobenius_norm(ws.residual) / a_norm;
   result.low_rank.swap(ws.d);
   result.sparse.swap(ws.e);
-  result.final_mu = mu;
-  result.mu_floor = mu_bar;
   result.solve_seconds = clock.seconds();
 }
 
-double accelerated_prox(const linalg::Matrix& a, double a_norm,
-                        const Options& options, double lambda, double mu,
-                        double mu_bar, double eta, const BandLimit& band,
-                        SolverWorkspace& ws, Result& result) {
+void accelerated_prox(const linalg::Matrix& a, double a_norm,
+                      const Options& options, double lambda, double mu,
+                      double mu_bar, double eta, const BandLimit& band,
+                      SolverWorkspace& ws, Result& result) {
   // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
   const double inv_lf = 0.5;
   ws.d_prev = ws.d;
@@ -96,7 +68,8 @@ double accelerated_prox(const linalg::Matrix& a, double a_norm,
     ws.d.swap(ws.d_prev);
     ws.e.swap(ws.e_prev);
     ws.e.swap(ws.ge);
-    const auto svt = svt_step(ws.gd, mu * inv_lf, options, ws, ws.d);
+    const auto svt = linalg::singular_value_threshold_into(
+        ws.gd, mu * inv_lf, options.svd, ws.svt, ws.d);
     if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
     result.rank = svt.rank;
     band_limit_step(ws.d, band, mu, ws);
@@ -137,7 +110,6 @@ double accelerated_prox(const linalg::Matrix& a, double a_norm,
       break;
     }
   }
-  return mu;
 }
 
 }  // namespace netconst::rpca

@@ -20,10 +20,7 @@ namespace netconst::rpca {
 /// scratch live in `ws`, so repeated solves of same-shaped problems
 /// allocate nothing. `lambda` is pre-resolved by the caller (must be
 /// > 0); options.lambda is ignored so the dispatcher never has to copy
-/// Options. Numerically identical to reference::solve_apg, except that
-/// a warm seed carrying `mu > 0` always resumes its continuation
-/// (deriving the floor as 1e-9 * mu when the seed has none) instead of
-/// re-estimating the spectral norm only to discard it.
+/// Options. Numerically identical to reference::solve_apg.
 void solve_apg(const linalg::Matrix& a, const Options& options,
                double lambda, SolverWorkspace& ws, Result& result);
 
@@ -36,14 +33,14 @@ struct BandLimit {
 };
 
 /// The accelerated proximal-gradient loop of APG, stable PCP and TF
-/// stable PCP. Iterates from the caller's ws.d / ws.e with the mu
-/// schedule mu <- max(eta * mu, mu_bar) (eta = 1, mu_bar = mu for a
+/// stable PCP. Iterates from the caller's ws.d / ws.e (zero-filled by
+/// every solver: each runs cold) with the mu schedule mu <- max(eta * mu, mu_bar) (eta = 1, mu_bar = mu for a
 /// fixed mu), band-limiting D after each SVT when `band` is on. Honors
 /// options.probe and options.tolerance, emits one rpca.apg.iteration
 /// span per iteration, and sets result.rank / iterations / converged.
-/// `a_norm` is ||A||_F (> 0). Returns the final mu; the final iterates
-/// are left in ws.d / ws.e.
-double accelerated_prox(const linalg::Matrix& a, double a_norm,
+/// `a_norm` is ||A||_F (> 0). The final iterates are left in ws.d /
+/// ws.e.
+void accelerated_prox(const linalg::Matrix& a, double a_norm,
                         const Options& options, double lambda, double mu,
                         double mu_bar, double eta, const BandLimit& band,
                         SolverWorkspace& ws, Result& result);

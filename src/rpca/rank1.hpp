@@ -35,7 +35,7 @@ void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
 /// mean|A|) until the relative iterate change drops below `tolerance` or
 /// `max_iterations` is hit. Starting factors in one attraction basin
 /// polish to the same fixed point, so two solves that agree to ~1% (e.g.
-/// a warm-started and a cold APG run) usually polish to identical
+/// APG runs on two nearby windows) usually polish to identical
 /// answers. The fixed point is not unique, though: on noisy windows
 /// starts in different basins settle on different near-degenerate
 /// minima (docs/ALGORITHMS.md §7).

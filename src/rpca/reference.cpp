@@ -131,39 +131,22 @@ Result solve_apg(const linalg::Matrix& a, const Options& options) {
   const double a_norm = linalg::frobenius_norm(a);
   NETCONST_CHECK(a_norm > 0.0, "APG of an all-zero matrix is trivial");
 
-  const WarmStart& seed = options.warm_start;
-  const bool warm = !seed.empty();
-  if (warm) {
-    NETCONST_CHECK(seed.low_rank.rows() == m && seed.low_rank.cols() == n &&
-                       seed.sparse.rows() == m && seed.sparse.cols() == n,
-                   "warm-start seed shape does not match the data");
-  }
-
   // Continuation schedule: mu starts near the spectral norm and decays to
-  // mu_bar (values follow the reference APG implementation). A warm start
-  // resumes the previous solve's continuation state, skipping both the
-  // spectral-norm estimate and the decay phase.
-  double mu, mu_bar;
-  if (warm && seed.mu > 0.0 && seed.mu_floor > 0.0) {
-    mu_bar = seed.mu_floor;
-    mu = std::max(seed.mu, mu_bar);
-  } else {
-    mu = 0.99 * linalg::spectral_norm(a);
-    if (mu <= 0.0) mu = 1.0;
-    mu_bar = 1e-9 * mu;
-  }
+  // mu_bar (values follow the reference APG implementation).
+  double mu = 0.99 * linalg::spectral_norm(a);
+  if (mu <= 0.0) mu = 1.0;
+  const double mu_bar = 1e-9 * mu;
   const double eta = 0.9;
   // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
   const double inv_lf = 0.5;
 
-  linalg::Matrix d = warm ? seed.low_rank : linalg::Matrix(m, n);
-  linalg::Matrix e = warm ? seed.sparse : linalg::Matrix(m, n);
+  linalg::Matrix d(m, n);
+  linalg::Matrix e(m, n);
   linalg::Matrix d_prev = d;
   linalg::Matrix e_prev = e;
   double t = 1.0, t_prev = 1.0;
 
   Result result;
-  result.warm_started = warm;
   for (int k = 0; k < options.max_iterations; ++k) {
     const double momentum = (t_prev - 1.0) / t;
     // Extrapolated points Y_D, Y_E.
@@ -238,8 +221,6 @@ Result solve_apg(const linalg::Matrix& a, const Options& options) {
   }
   result.low_rank = std::move(d);
   result.sparse = std::move(e);
-  result.final_mu = mu;
-  result.mu_floor = mu_bar;
   result.solve_seconds = clock.seconds();
   return result;
 }
@@ -479,11 +460,6 @@ Result solve(const linalg::Matrix& a, Solver solver,
     throw Error("unknown RPCA solver");
   };
   Result result = dispatch();
-  // A supplied seed must never be dropped silently: solvers without
-  // warm-start support report the cold solve through the diagnostics.
-  if (!opts.warm_start.empty() && !result.warm_started) {
-    result.warm_start_ignored = true;
-  }
   result.solver_residual = result.residual;
   if (opts.polish_iterations > 0) {
     const Stopwatch polish_clock;

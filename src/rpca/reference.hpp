@@ -25,7 +25,7 @@
 namespace netconst::rpca::reference {
 
 /// Replica of the original rpca::solve dispatch, including default
-/// lambda, warm-start bookkeeping, and the allocating rank-1 polish.
+/// lambda and the allocating rank-1 polish.
 Result solve(const linalg::Matrix& a, Solver solver,
              const Options& options = {});
 

@@ -58,8 +58,7 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
            SolverWorkspace& workspace, Result& result) {
   NETCONST_CHECK(!a.empty(), "RPCA of an empty matrix");
   obs::Span solve_span(solve_span_name(solver));
-  // Resolve the default lambda without copying Options (a copy would
-  // duplicate any warm-start factors, defeating the workspace).
+  // Resolve the default lambda without copying Options.
   const double lambda = options.lambda > 0.0
                             ? options.lambda
                             : default_lambda(a.rows(), a.cols());
@@ -78,11 +77,6 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
       break;
     default:
       throw Error("unknown RPCA solver");
-  }
-  // A supplied seed must never be dropped silently: solvers without
-  // warm-start support report the cold solve through the diagnostics.
-  if (!options.warm_start.empty() && !result.warm_started) {
-    result.warm_start_ignored = true;
   }
   result.solver_residual = result.residual;
   if (options.polish_iterations > 0) {

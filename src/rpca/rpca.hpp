@@ -6,8 +6,9 @@
 // cluster is decomposed into the rank-one constant component (TC-matrix)
 // and the sparse error component (TE-matrix). Three solvers are
 // provided, all running one accelerated proximal-gradient loop
-// (rpca/apg.hpp accelerated_prox) and so sharing one convergence test,
-// one probe contract and one iteration span:
+// (rpca/apg.hpp accelerated_prox) from D = E = 0 and so sharing one
+// convergence test, one probe contract, one iteration span and one cold
+// start:
 //
 //  * Apg     — accelerated proximal gradient (Ji & Ye), the paper's choice;
 //  * StablePcp — stable principal component pursuit, which additionally
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "linalg/matrix.hpp"
@@ -46,62 +46,6 @@ struct Rank1Scratch;
 /// Human-readable solver name (for bench output).
 std::string solver_name(Solver solver);
 
-/// Seed for warm-starting a solve from the factors of a previous solve
-/// of a nearby problem (e.g. the same sliding window shifted by one
-/// row). `mu`/`mu_floor` carry the continuation state of the previous
-/// APG solve so the warm solve can skip the mu-decay phase (a seed with
-/// `mu > 0` never pays for a spectral-norm estimate; when `mu_floor` is
-/// unset the solver derives it as 1e-9 * mu). Leave both at 0 to let the
-/// solver re-derive its schedule.
-struct WarmStart {
-  linalg::Matrix low_rank;  // previous D, must match the data shape
-  linalg::Matrix sparse;    // previous E, must match the data shape
-  double mu = 0.0;          // continuation value the previous solve ended at
-  double mu_floor = 0.0;    // the mu_bar it was decaying toward
-
-  bool empty() const { return low_rank.empty() && sparse.empty(); }
-};
-
-/// Policy for routing the solvers' SVT steps through the randomized
-/// sketch (linalg/randomized_svd.hpp) instead of a full decomposition.
-/// Off by default: the exact path is what the bit-exact equivalence
-/// against rpca::reference is pinned to, and the Gram fast path already
-/// serves paper-shaped windows (<= 64 snapshot rows) allocation-free.
-/// Enable for long windows, where the exact path would fall back to the
-/// allocating Jacobi SVD every iteration. Even when enabled, only wide
-/// inputs the Gram fast path cannot serve are sketched
-/// (randomized_eligible in rpca/svd_path.cpp). Every randomized application
-/// is verified: the truncation-error bound ||A - Q Q^T A||_F must stay
-/// within max(tau_safety * tau, error_budget_rel * ||A||_F) or the step
-/// is redone exactly (WorkspaceStats::randomized_fallbacks counts the
-/// trips). See docs/ALGORITHMS.md "Incremental RPCA & randomized SVD".
-struct RandomizedSvdPolicy {
-  bool enabled = false;
-  /// Seed of the workspace's sketch stream. Fixed default so identical
-  /// call sequences through fresh workspaces reproduce bit-identically
-  /// at any thread count and SIMD level.
-  std::uint64_t seed = 0x6e6574636f6e7374ULL;
-  std::size_t oversampling = 4;
-  int power_iterations = 1;
-  /// Initial / floor target rank; the dispatch adapts upward from the
-  /// rank the previous SVT step kept (+1 headroom).
-  std::size_t min_rank = 2;
-  /// Hard cap on the adaptive target rank. One in-call growth retry is
-  /// attempted before falling back to the exact decomposition.
-  std::size_t max_rank = 96;
-  /// Accept when the truncation bound is below this fraction of the
-  /// threshold: every singular value the sketch missed would have been
-  /// shrunk to (near) zero anyway.
-  double tau_safety = 0.5;
-  /// Extra relative budget: also accept when the bound is below this
-  /// fraction of ||A||_F — an inexact proximal step whose perturbation
-  /// sits orders of magnitude under the solver tolerance. The floor is
-  /// set by the bound's own arithmetic: ||A||_F^2 - ||B||_F^2 carries
-  /// ~sqrt(size * eps) * ||A||_F of cancellation noise (~5e-7 relative
-  /// at paper shapes), so budgets below ~1e-6 reject perfect sketches.
-  double error_budget_rel = 1e-6;
-};
-
 struct Options {
   /// Sparsity weight. <= 0 selects the standard 1/sqrt(max(m, n)).
   double lambda = 0.0;
@@ -114,12 +58,6 @@ struct Options {
   /// bandwidth layer (B/s) a relative one (docs/ALGORITHMS.md §1).
   double tolerance = 1e-7;
   linalg::SvdOptions svd;
-  /// Randomized-SVT routing policy (default off = exact solves).
-  RandomizedSvdPolicy randomized;
-  /// Optional warm-start seed. Honored by Apg only; StablePcp and
-  /// StablePcpTf run cold and report it via Result::warm_start_ignored
-  /// (never silently).
-  WarmStart warm_start;
   /// > 0 runs the rank-1 polish after the solver (see polish_rank1):
   /// alternating hard rank-1 projection and soft-thresholding from the
   /// solver's (D, E) until the iterate change drops below
@@ -147,14 +85,6 @@ struct Result {
   std::size_t rank = 0;          // numerical rank of D
   double residual = 0.0;         // ||A - D - E||_F / ||A||_F
   double solve_seconds = 0.0;    // wall-clock time of the solve
-  /// True when the solver seeded its iterates from options.warm_start.
-  bool warm_started = false;
-  /// True when a seed was supplied but this solver cannot use one (the
-  /// solve ran cold).
-  bool warm_start_ignored = false;
-  /// Continuation state at exit (Apg); feed into the next WarmStart.
-  double final_mu = 0.0;
-  double mu_floor = 0.0;
   /// Residual of the raw solver output, before any polish. Equals
   /// `residual` when the polish is off. This is the solve's own health
   /// signal (the polished residual carries the soft-threshold floor and

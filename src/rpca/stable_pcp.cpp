@@ -5,9 +5,9 @@
 
 #include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
+#include "linalg/shrinkage.hpp"
 #include "rpca/rank1.hpp"
 #include "rpca/stable_pcp_tf.hpp"
-#include "rpca/svd_path.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -64,7 +64,8 @@ void solve_stable_pcp(const linalg::Matrix& a, const Options& base,
   // band limit excludes, so the band is re-imposed once.
   if (result.rank > 0) {
     linalg::sub(a, ws.e, ws.target);
-    low_rank_step(ws.target, result.rank, base, ws, ws.d);
+    linalg::low_rank_approximation_into(ws.target, result.rank, base.svd,
+                                        ws.svt, ws.d);
     band_limit_step(ws.d, band, mu, ws);
   }
 

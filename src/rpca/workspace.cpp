@@ -35,22 +35,12 @@ void SolverWorkspace::reserve(std::size_t rows, std::size_t cols) {
   dct.coeffs.resize(rows, cols);
 }
 
-void SolverWorkspace::reserve_randomized(std::size_t rows, std::size_t cols,
-                                         const RandomizedSvdPolicy& policy) {
-  randomized.scratch.reserve(rows, cols,
-                             policy.max_rank + policy.oversampling);
-}
-
 void reset_result(Result& result) {
   result.iterations = 0;
   result.converged = false;
   result.rank = 0;
   result.residual = 0.0;
   result.solve_seconds = 0.0;
-  result.warm_started = false;
-  result.warm_start_ignored = false;
-  result.final_mu = 0.0;
-  result.mu_floor = 0.0;
   result.solver_residual = 0.0;
   result.polished = false;
   result.polish_iterations = 0;

@@ -10,7 +10,7 @@
 // after the first iteration of the first solve, the steady state performs
 // zero heap allocations (verified by bench/perf_regression.cpp with an
 // instrumented allocator). The online WindowRefresher keeps one workspace
-// alive for the lifetime of the stream, so warm-start re-solves are
+// alive for the lifetime of the stream, so its refreshes are
 // allocation-free end to end.
 //
 // Numerically, workspace solves are identical to the frozen baselines in
@@ -24,48 +24,20 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/norms.hpp"
-#include "linalg/randomized_svd.hpp"
 #include "linalg/shrinkage.hpp"
 #include "rpca/rpca.hpp"
-#include "support/rng.hpp"
 
 namespace netconst::rpca {
 
 /// Counters a workspace accumulates across the solves it serves; used by
-/// tests (spectral-norm gating) and the bench harness (fast-path
-/// coverage). Never reset by the solvers — callers sample deltas.
+/// tests and the bench harness (fast-path coverage). Never reset by the
+/// solvers — callers sample deltas.
 struct WorkspaceStats {
   /// Solver entries (one per solve_* call through this workspace).
   std::size_t solves = 0;
-  /// Spectral-norm power iterations run to derive a continuation
-  /// schedule. Warm APG solves carrying seed.mu skip this entirely.
-  std::size_t spectral_norm_evals = 0;
   /// SVT calls that fell off the allocation-free Gram fast path onto the
   /// general (allocating) SVD. Zero for paper-shaped (wide) data.
   std::size_t svt_fallbacks = 0;
-  /// Randomized-SVT dispatch accounting (Options::randomized; all zero
-  /// while the policy is off). attempts = sketches computed (including
-  /// growth retries); accepts = steps whose truncation bound passed;
-  /// retries = in-call sketch growths after a reject; fallbacks =
-  /// steps redone through the exact decomposition.
-  std::size_t randomized_attempts = 0;
-  std::size_t randomized_accepts = 0;
-  std::size_t randomized_retries = 0;
-  std::size_t randomized_fallbacks = 0;
-};
-
-/// Randomized-SVT state threaded through the solvers: the sketch/QR
-/// scratch, the workspace's deterministic sketch stream, and the
-/// adaptive rank target carried between SVT steps. The stream is
-/// reseeded from RandomizedSvdPolicy::seed on first use, so a fresh
-/// workspace replays the same sketches for the same call sequence.
-struct RandomizedSvtState {
-  linalg::RandomizedSvdScratch scratch;
-  Rng rng;
-  bool seeded = false;
-  /// Next SVT step's target rank (0 = start from the policy minimum);
-  /// updated to last kept rank + 1 after every accepted step.
-  std::size_t next_rank = 0;
 };
 
 /// Power-iteration vectors for rank1_approximation_into, and the rank-1
@@ -107,9 +79,6 @@ struct SolverWorkspace {
   linalg::SpectralNormScratch spectral;
   // rank-1 approximation / polish power-iteration vectors.
   Rank1Scratch rank1;
-  // Randomized-SVT scratch, stream and adaptive rank state (sized on
-  // demand; reserve_randomized front-loads it).
-  RandomizedSvtState randomized;
   // |residual| magnitudes for stable PCP's MAD noise estimate.
   std::vector<double> magnitudes;
   // Temporal-DCT basis and coefficient panel for TF stable PCP.
@@ -121,13 +90,6 @@ struct SolverWorkspace {
   /// solve's iterations run allocation-free. Optional — solvers size
   /// everything on demand; this just front-loads the cost.
   void reserve(std::size_t rows, std::size_t cols);
-
-  /// Additionally pre-size the randomized-SVT sketch/QR scratch for the
-  /// given policy (sketch widths up to max_rank + oversampling). Kept
-  /// separate from reserve(): the sketch panel is rows-of-width-cols and
-  /// would be dead weight for the default exact path.
-  void reserve_randomized(std::size_t rows, std::size_t cols,
-                          const RandomizedSvdPolicy& policy);
 };
 
 /// Reset every scalar/diagnostic field of `result` to its default while

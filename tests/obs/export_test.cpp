@@ -47,7 +47,7 @@ TEST(ObsNaming, PrometheusSeriesMapping) {
   EXPECT_EQ(tenant.labels, "tenant=\"bursty0\"");
 
   // The per-path SVT counters fold into one labeled series, so the
-  // full/randomized/incremental split is a single Prometheus query.
+  // full/incremental split is a single Prometheus query.
   const PrometheusSeries svd = prometheus_series("rpca.svd.path.full");
   EXPECT_EQ(svd.name, "netconst_rpca_svd_path");
   EXPECT_EQ(svd.labels, "path=\"full\"");

@@ -218,20 +218,6 @@ TEST(StablePcpTf, SolverEnumDispatchAndNames) {
   EXPECT_EQ(solver_name(Solver::StablePcpTf), "StablePCP-TF");
 }
 
-// No warm-start support: a supplied seed must be reported as ignored,
-// never silently dropped (same contract as StablePcp).
-TEST(StablePcpTf, WarmStartIsReportedIgnored) {
-  Rng rng(31);
-  const DiurnalProblem p = make_diurnal(8, 30, 0.2, 0.1, rng);
-  Options opts;
-  const Result cold = solve(p.data, Solver::StablePcpTf, opts);
-  opts.warm_start = {cold.low_rank, cold.sparse, 0.0, 0.0};
-  const Result seeded = solve(p.data, Solver::StablePcpTf, opts);
-  EXPECT_FALSE(seeded.warm_started);
-  EXPECT_TRUE(seeded.warm_start_ignored);
-  EXPECT_EQ(seeded.low_rank.max_abs_diff(cold.low_rank), 0.0);
-}
-
 // One workspace across window lengths: the cached DCT basis must be
 // rebuilt when the length changes and must not leak state back.
 TEST(StablePcpTf, WorkspaceReuseAcrossWindowLengths) {

@@ -20,7 +20,8 @@ registered in tests/CMakeLists.txt:
     registered suite somewhere in tests/ — no dead entries.
 
 Branches may name suites outside the scoped directories (e.g. the
-randomized-SVD suites): that is extra coverage, not an error.
+IncrementalTracker suite in tests/rpca): that is extra coverage, not an
+error.
 
 Usage: tools/check_tsan_regex.py  (exits non-zero listing violations)
 """
