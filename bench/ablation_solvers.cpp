@@ -188,10 +188,10 @@ std::vector<CloudRun> run_cloud(double sigma, std::uint64_t seed,
 
   const online::RefresherOptions options;  // incremental path off
   online::WindowRefresher refresher(options);
-  const rpca::Options& fit = options.finder.rpca;
+  const rpca::Options& fit = options.rpca;
   rpca::Options apg = fit;
   apg.polish_iterations = 0;
-  const double tol = options.finder.l0_rel_tolerance;
+  const double tol = options.l0_rel_tolerance;
   rpca::SolverWorkspace ws, cold_ws;
   rpca::Result seed_lat, seed_bw, cold_lat, cold_bw;
   std::vector<CloudRun> runs(3);

@@ -75,7 +75,8 @@ struct SlideFixture {
     cloud.advance(600.0);
     window.push(cloud.now(), cloud.oracle_snapshot());
     seeded = refresher;
-    finder = refresher.options().finder;
+    finder.rpca = refresher.options().rpca;
+    finder.l0_rel_tolerance = refresher.options().l0_rel_tolerance;
   }
 };
 

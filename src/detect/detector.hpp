@@ -96,7 +96,7 @@ struct RefreshSignals {
   double time = 0.0;          // provider time of the refresh
   std::uint64_t refresh = 0;  // tenant refresh ordinal
   double sparsity = 0.0;      // Norm(N_E), worst layer
-  double residual = 0.0;      // pre-polish residual, worst layer
+  double residual = 0.0;      // always 0 online; kept: bench/e2e writes it
   double drift = 0.0;         // incremental drift statistic (0 if n/a)
   double support_concentration = 0.0;
   std::size_t support_vm = 0;

@@ -27,10 +27,10 @@
 // without it GCC/Clang emit fmadd by default on aarch64 and the scalar
 // loops would diverge from the vector bodies. Of the reductions,
 // iterate_change_norms lane-splits its accumulators under a vector
-// level (see its comment); rank1_polish_pass and decomposition_sums add
-// their lane terms one at a time in index order, so they stay
-// bit-identical too. huber_fit_columns puts independent fits, not
-// elements, in the lanes: each lane is one scalar fit, step for step.
+// level (see its comment); rank1_polish_pass adds its lane terms one
+// at a time in index order, so it stays bit-identical too.
+// huber_fit_columns puts independent fits, not elements, in the lanes:
+// each lane is one scalar fit, step for step.
 //
 // On x86-64 the vector bodies carry NETCONST_TARGET_AVX2 so the
 // library still builds for baseline x86-64; dispatch only enters them
@@ -698,50 +698,6 @@ void huber_fit_groups(const double* b, const Matrix& bt, const double* c,
 }
 #endif
 
-// ---- decomposition sums (the convergence probe's statistics) ----
-
-void decomposition_sums_scalar(const double* a, const double* d,
-                               const double* e, std::size_t lo,
-                               std::size_t hi, double& residual_sq,
-                               double& e_l1, std::size_t& e_nonzero) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    const double r = (a[i] - d[i]) - e[i];
-    residual_sq += r * r;
-    e_l1 += std::abs(e[i]);
-    if (std::abs(e[i]) > 0.0) ++e_nonzero;
-  }
-}
-
-#if defined(NETCONST_SIMD_X86)
-NETCONST_TARGET_AVX2 void decomposition_sums_vec(const double* a,
-                                                 const double* d,
-                                                 const double* e,
-                                                 std::size_t n,
-                                                 double& residual_sq,
-                                                 double& e_l1,
-                                                 std::size_t& e_nonzero) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d zero = _mm256_setzero_pd();
-  double rs = 0.0, l1 = 0.0;
-  std::size_t nz = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ve = _mm256_loadu_pd(e + i);
-    const __m256d r = _mm256_sub_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(d + i)), ve);
-    const __m256d abs_e = _mm256_andnot_pd(sign, ve);
-    add_lanes_in_order(rs, _mm256_mul_pd(r, r));
-    add_lanes_in_order(l1, abs_e);
-    nz += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(abs_e, zero, _CMP_GT_OQ)))));
-  }
-  decomposition_sums_scalar(a, d, e, i, n, rs, l1, nz);
-  residual_sq = rs;
-  e_l1 = l1;
-  e_nonzero = nz;
-}
-#endif
-
 // ---- elementwise differences ----
 
 void sub_range_scalar(const double* a, const double* b, double* o,
@@ -999,27 +955,6 @@ void huber_fit_columns(const Matrix& b, const Matrix& bt,
   for (std::size_t k = 0; k < fits; ++k) {
     next[k] = huber_fit_1d(bt.row(k).data(), c.data(), count, tau, x[k]);
   }
-}
-
-void decomposition_sums(const Matrix& a, const Matrix& d, const Matrix& e,
-                        double& residual_sq, double& e_l1,
-                        std::size_t& e_nonzero) {
-  check_same_shape(a, d, "decomposition_sums shape mismatch");
-  check_same_shape(a, e, "decomposition_sums shape mismatch");
-  const double* as = a.data().data();
-  const double* ds = d.data().data();
-  const double* es = e.data().data();
-  const std::size_t n = a.data().size();
-#if defined(NETCONST_SIMD_X86)
-  if (use_vector_kernels()) {
-    decomposition_sums_vec(as, ds, es, n, residual_sq, e_l1, e_nonzero);
-    return;
-  }
-#endif
-  residual_sq = 0.0;
-  e_l1 = 0.0;
-  e_nonzero = 0;
-  decomposition_sums_scalar(as, ds, es, 0, n, residual_sq, e_l1, e_nonzero);
 }
 
 void iterate_change_norms(const Matrix& d, const Matrix& d_prev,

@@ -105,16 +105,6 @@ void huber_fit_columns(const Matrix& b, const Matrix& bt,
                        std::span<const double> c, double tau,
                        std::span<const double> x, std::span<double> next);
 
-/// The convergence probe's per-iteration statistics in one pass:
-/// residual_sq = ||(a - d) - e||_F^2, e_l1 = ||e||_1 and e_nonzero =
-/// #{|e| > 0}. Each sum adds its per-element terms one at a time in
-/// index order, so the three values equal frobenius_norm(sub_sub(a, d,
-/// e))^2 (before the square root), l1_norm(e) and l0_count(e, 0.0)
-/// bitwise at every SIMD level — one latency-bound pass instead of four.
-void decomposition_sums(const Matrix& a, const Matrix& d, const Matrix& e,
-                        double& residual_sq, double& e_l1,
-                        std::size_t& e_nonzero);
-
 /// Fused convergence reduction of the proximal solvers: one pass
 /// computing change_sq = ||D - D_prev||_F^2 + ||E - E_prev||_F^2 and
 /// scale_sq = ||D||_F^2 + ||E||_F^2, in the exact interleaved

@@ -17,12 +17,12 @@
 // iterate_change_norms) split the accumulator across lanes under a
 // vector level, which reassociates the sum: deterministic for a fixed
 // level, but not bit-identical to the scalar order. The ordered
-// kernels are bit-identical at every level: the reductions
-// rank1_polish_pass and decomposition_sums add lane terms one at a time
-// in index order (rank1_finish_pass is the former's row body without
-// the sums), and huber_fit_columns runs one whole scalar 1-D fit per
-// lane (four independent fits per AVX2 vector, two to four vectors
-// advanced per pass over the terms). The bit-exact
+// kernels are bit-identical at every level: the reduction
+// rank1_polish_pass adds lane terms one at a time in index order
+// (rank1_finish_pass is its row body without the sums), and
+// huber_fit_columns runs one whole scalar 1-D fit per lane (four
+// independent fits per AVX2 vector, two to four vectors advanced per
+// pass over the terms). The bit-exact
 // equivalence suites therefore pin Level::Scalar (ScopedLevel below),
 // and the frozen rpca::reference numerics are reproduced exactly by the
 // scalar level.

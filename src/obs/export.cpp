@@ -5,7 +5,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/convergence.hpp"
 #include "obs/trace.hpp"
 
 namespace netconst::obs {
@@ -133,14 +132,8 @@ void write_json_snapshot(std::ostream& out,
     }
     out << '}';
   }
-  out << "],\"convergence\":{";
-  for (std::size_t k = 0; k < snapshot.convergence.size(); ++k) {
-    if (k > 0) out << ',';
-    out << '"' << json_escape(snapshot.convergence[k].first) << "\":";
-    snapshot.convergence[k].second->write_json(out);
-  }
   const FlightRecorder& recorder = FlightRecorder::instance();
-  out << "},\"trace\":{\"enabled\":"
+  out << "],\"trace\":{\"enabled\":"
       << (trace_enabled() ? "true" : "false")
       << ",\"recorded\":" << recorder.total_recorded()
       << ",\"retained\":" << recorder.snapshot().size()

@@ -12,14 +12,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/naming.hpp"
 
 namespace netconst::obs {
-
-class ConvergenceLog;
 
 /// Distribution summary of a histogram metric (mirrors the statistics
 /// online::Histogram tracks; exporters only need the numbers).
@@ -63,12 +60,9 @@ void write_prometheus(std::ostream& out,
                       const std::vector<MetricSample>& samples);
 
 /// Everything the service knows, as one JSON document:
-///   {"metrics":[...],"convergence":{tenant: {...}},"trace":{...}}
-/// Convergence logs are referenced, not copied; they must stay alive
-/// for the duration of the call.
+///   {"metrics":[...],"trace":{...}}
 struct TelemetrySnapshot {
   std::vector<MetricSample> metrics;
-  std::vector<std::pair<std::string, const ConvergenceLog*>> convergence;
 };
 
 void write_json_snapshot(std::ostream& out,

@@ -9,14 +9,21 @@
 
 namespace netconst::online {
 
+namespace {
+
+/// A layer span's value: the fit's sweeps plus alternation steps on a
+/// full-path layer, 0 when the tracker served it (no fit ran).
+double fit_iterations(const LayerRefresh& info, const rpca::Result& result) {
+  return info.incremental_used ? 0.0 : result.polish_iterations;
+}
+
+}  // namespace
+
 WindowRefresher::WindowRefresher(const RefresherOptions& options)
     : options_(options),
       latency_tracker_(options.incremental_options),
-      bandwidth_tracker_(options.incremental_options),
-      probe_(options.convergence_trace_capacity),
-      solve_opts_(options.finder.rpca) {
-  NETCONST_CHECK(options.finder.solver != rpca::Solver::Apg ||
-                     options.finder.rpca.polish_iterations > 1,
+      bandwidth_tracker_(options.incremental_options) {
+  NETCONST_CHECK(options.rpca.polish_iterations > 1,
                  "the online fit needs a polish budget of at least 2");
 }
 
@@ -41,33 +48,19 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
     return;
   }
 
-  if (options_.finder.solver == rpca::Solver::Apg) {
-    // The fit reads only E: from the prior E it is the warm refresh,
-    // from zero the cold one. Either way its result is accepted. No
-    // solver runs, so there is no convergence trace to collect.
-    rpca::reset_result(result);
-    if (!prior_e) {
-      result.low_rank.resize(data.rows(), data.cols());
-      result.sparse.resize(data.rows(), data.cols());
-      result.sparse.fill(0.0);
-    }
-    rpca::polish(data, solve_opts_, /*huber_start=*/true, workspace_,
-                 result);
-    result.converged = result.polish_converged;
-    info.warm_attempted = prior_e;
-  } else {
-    // Reset the probe before every solve so the retained trace always
-    // belongs to it.
-    solve_opts_.probe = options_.collect_convergence ? &probe_ : nullptr;
-    if (options_.collect_convergence) probe_.reset();
-    rpca::solve(data, options_.finder.solver, solve_opts_, workspace_,
-                result);
-    if (options_.collect_convergence) info.trace = probe_.trace();
+  // The fit reads only E: from the prior E it is the warm refresh, from
+  // zero the cold one. Either way its result is accepted.
+  rpca::reset_result(result);
+  if (!prior_e) {
+    result.low_rank.resize(data.rows(), data.cols());
+    result.sparse.resize(data.rows(), data.cols());
+    result.sparse.fill(0.0);
   }
-  info.warm_used = info.warm_attempted;
-  info.polish_capped = result.polished && !result.polish_converged;
-  info.iterations = result.iterations;
-  info.residual = result.solver_residual;
+  rpca::polish(data, options_.rpca, /*huber_start=*/true, workspace_, result);
+  result.converged = result.polish_converged;
+  info.warm_attempted = prior_e;
+  info.warm_used = prior_e;
+  info.polish_capped = !result.polish_converged;
   info.solve_seconds = clock.seconds();
 }
 
@@ -108,7 +101,7 @@ const linalg::Matrix& WindowRefresher::refresh_layer(
   const bool prior_e = result.rank > 0 && result.sparse.same_shape(data);
   solve_layer(data, prior_e, result, info);
   if (options_.incremental) {
-    tracker.anchor(data, result, options_.finder.l0_rel_tolerance);
+    tracker.anchor(data, result, options_.l0_rel_tolerance);
     info.anchored = tracker.ready();
   }
   return data;
@@ -141,7 +134,7 @@ core::ConstantComponent WindowRefresher::assemble_mixed(
     error_norm = info.anchored
                      ? tracker.error_norm()
                      : rpca::relative_l0(result.sparse, data,
-                                         options_.finder.l0_rel_tolerance);
+                                         options_.l0_rel_tolerance);
     constant = core::constant_row(result.low_rank, cluster_size);
   };
   layer(report.latency, latency_tracker_, latency_result_, lat_data,
@@ -213,14 +206,14 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
     lat_data = &refresh_layer(window.latency_data(), slide_by_one, slot,
                               latency_tracker_, latency_result_,
                               latency_repaired_, report.latency);
-    layer_span.set_value(report.latency.iterations);
+    layer_span.set_value(fit_iterations(report.latency, latency_result_));
   }
   {
     obs::Span layer_span("online.refresh.bandwidth");
     bw_data = &refresh_layer(window.bandwidth_data(), slide_by_one, slot,
                              bandwidth_tracker_, bandwidth_result_,
                              bandwidth_repaired_, report.bandwidth);
-    layer_span.set_value(report.bandwidth.iterations);
+    layer_span.set_value(fit_iterations(report.bandwidth, bandwidth_result_));
   }
 
   if (options_.collect_support_stats) {
@@ -237,7 +230,7 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
       const double cutoff =
           info.anchored
               ? tracker.cutoff()
-              : options_.finder.l0_rel_tolerance * linalg::max_abs(data);
+              : options_.l0_rel_tolerance * linalg::max_abs(data);
       return detect::support_stats(sparse, window.cluster_size(), cutoff);
     };
     const detect::SupportStats lat_stats = layer_stats(
@@ -259,7 +252,7 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
   } else {
     report.component = core::assemble_component(
         *lat_data, latency_result_, *bw_data, bandwidth_result_,
-        window.cluster_size(), options_.finder.l0_rel_tolerance);
+        window.cluster_size(), options_.l0_rel_tolerance);
   }
 
   report.total_seconds = clock.seconds();

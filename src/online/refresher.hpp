@@ -2,26 +2,24 @@
 //
 // Every full-path layer refresh is the rank-1 Huber fit
 // (rpca::polish with the Huber start, rpca/rank1.hpp): the paper's
-// model (rank(N_D) = 1) enforced exactly, with no solver in front.
-// The fit reads only E, and starts from the layer's last accepted E
-// (the Result buffers persist), from the tracker's E when the
-// incremental tracker has advanced past its anchor, or from E = 0 at
-// bootstrap, after reset() or after a shape change. When the window
-// slides by one row, the last E is an excellent start and the fit
-// settles in a few sweeps. A fit that hits its polish cap is still
-// accepted and reported by LayerRefresh::polish_capped; nothing is
-// redone. The fit's fixed point is not unique: on ~6% of noisy
-// windows different starts (the last E, zero, a cold APG's E) settle
-// on different near-degenerate minima, whose Huber objectives agree to
-// ~2.5e-6 relative (docs/ALGORITHMS.md §7). StablePcp / StablePcpTf
-// layers run their solver, with the plain polish when configured,
-// always cold.
+// model (rank(N_D) = 1) enforced exactly, with no solver in front and
+// no solver to choose. The fit reads only E, and starts from the
+// layer's last accepted E (the Result buffers persist), from the
+// tracker's E when the incremental tracker has advanced past its
+// anchor, or from E = 0 at bootstrap, after reset() or after a shape
+// change. When the window slides by one row, the last E is an
+// excellent start and the fit settles in a few sweeps. A fit that hits
+// its polish cap is still accepted and reported by
+// LayerRefresh::polish_capped; nothing is redone. The fit's fixed point
+// is not unique: on ~6% of noisy windows different starts (the last E,
+// zero, a cold APG's E) settle on different near-degenerate minima,
+// whose Huber objectives agree to ~2.5e-6 relative (docs/ALGORITHMS.md
+// §7; tests/online/fit_uniqueness_test.cpp states the bound).
 #pragma once
 
 #include <cstdint>
 
 #include "core/constant_finder.hpp"
-#include "obs/convergence.hpp"
 #include "online/window.hpp"
 #include "rpca/incremental.hpp"
 #include "rpca/rpca.hpp"
@@ -30,23 +28,19 @@
 namespace netconst::online {
 
 struct RefresherOptions {
-  /// Solver choice, RPCA options and the Norm(N_E) tolerance. With
-  /// Solver::Apg the polish budget must be at least 2 (the Huber fit,
-  /// then one alternation step whose test decides polish_converged):
-  /// that fit is all a full-path layer runs. The other solvers run
-  /// with their polish as configured (0 = off).
-  core::ConstantFinderOptions finder = [] {
-    core::ConstantFinderOptions f;
-    f.rpca.polish_iterations = 300;
-    return f;
+  /// The fit's options: lambda (the Huber threshold's scale) and the
+  /// polish budget and tolerance. The budget must be at least 2 (the
+  /// Huber fit, then one alternation step whose test decides
+  /// polish_converged).
+  rpca::Options rpca = [] {
+    rpca::Options o;
+    o.polish_iterations = 300;
+    return o;
   }();
-  /// Collect the accepted solve's per-iteration convergence trace into
-  /// LayerRefresh::trace (see obs/convergence.hpp). Off by default: the
-  /// probe computes extra per-iteration norms. The trace is capped at
-  /// convergence_trace_capacity samples. Only StablePcp / StablePcpTf
-  /// layers run a solver; with Apg the trace stays empty.
+  /// Norm(N_E) tolerance, relative to max|A| (the batch default).
+  double l0_rel_tolerance = core::ConstantFinderOptions{}.l0_rel_tolerance;
+  /// Read by nothing; kept because bench/e2e sets it.
   bool collect_convergence = false;
-  std::size_t convergence_trace_capacity = 512;
   /// Incremental subspace-tracking hot path (rpca/incremental.hpp):
   /// when the window slid by exactly one snapshot since the last
   /// refresh, serve the refresh by re-fitting only the replaced row
@@ -66,28 +60,22 @@ struct RefresherOptions {
 /// Per-layer diagnostics of one refresh.
 struct LayerRefresh {
   // The path counters keep their names (bench/e2e recounts them): a fit
-  // from a prior E is "warm", a fit from zero or a StablePcp solve
-  // "cold" (bootstrap included).
+  // from a prior E is "warm", a fit from zero "cold" (bootstrap
+  // included).
   bool warm_attempted = false;  // the fit started from a prior E
   bool warm_used = false;       // same as warm_attempted: nothing is redone
   bool cold_fallback = false;   // always false: a capped fit is accepted
   bool polish_capped = false;   // the accepted fit's polish hit its cap
-  /// Solver iterations and pre-polish residual of the accepted solve;
-  /// both 0 when the fit (no solver runs) or the row update served the
-  /// layer.
+  /// Always 0 (no solver runs); kept because bench/e2e reads both.
   int iterations = 0;
   double residual = 0.0;
   double solve_seconds = 0.0;
   // Masked-path accounting: non-finite window entries repaired before
-  // the solve (see rpca::impute_missing for the priority order).
+  // the fit (see rpca::impute_missing for the priority order).
   std::size_t missing_entries = 0;
   std::size_t imputed_from_constant = 0;
   std::size_t imputed_from_column = 0;
   std::size_t imputed_from_global = 0;
-  /// Per-iteration solver trace of the accepted solve: empty when the
-  /// fit or the row update served the layer (no solver ran) and unless
-  /// RefresherOptions::collect_convergence.
-  std::vector<obs::IterationStats> trace;
   // Incremental-path accounting (RefresherOptions::incremental).
   bool incremental_used = false;   // the row update served this layer
   bool drift_fallback = false;     // tracker breached; full path instead
@@ -129,8 +117,8 @@ struct RefreshReport {
 
 class WindowRefresher {
  public:
-  /// Throws ContractViolation when options.finder.solver is Apg and
-  /// the polish budget is below 2: there would be nothing to run.
+  /// Throws ContractViolation when the polish budget is below 2: the
+  /// fit would have no alternation step to certify it.
   explicit WindowRefresher(const RefresherOptions& options = {});
 
   /// Decompose the window's current contents (requires >= 2 rows),
@@ -143,12 +131,6 @@ class WindowRefresher {
   void reset();
 
   const RefresherOptions& options() const { return options_; }
-
-  /// Counters of the persistent solver workspace (solves served,
-  /// spectral-norm estimates, SVT fast-path fallbacks).
-  const rpca::WorkspaceStats& workspace_stats() const {
-    return workspace_.stats;
-  }
 
   /// Each layer's last full-path result: the accepted factors of the
   /// last refresh that did not serve the layer from its tracker, and
@@ -176,9 +158,9 @@ class WindowRefresher {
                                       rpca::Result& result,
                                       linalg::Matrix& repaired,
                                       LayerRefresh& info);
-  /// The full-path solve of one layer into `result`. With Solver::Apg
-  /// it is the Huber fit from `result.sparse` when `prior_e` (the
-  /// caller checked its shape), otherwise from E = 0.
+  /// The full-path fit of one layer into `result`: the Huber fit from
+  /// `result.sparse` when `prior_e` (the caller checked its shape),
+  /// otherwise from E = 0.
   void solve_layer(const linalg::Matrix& data, bool prior_e,
                    rpca::Result& result, LayerRefresh& info);
   /// Component assembly when at least one layer came from its tracker
@@ -208,15 +190,11 @@ class WindowRefresher {
   rpca::IncrementalTracker latency_tracker_;
   rpca::IncrementalTracker bandwidth_tracker_;
   std::uint64_t last_pushes_ = 0;
-  // Convergence probe of the StablePcp / StablePcpTf solves, reused
-  // across solves (reset per solve so the trace belongs to it).
-  obs::TraceProbe probe_;
   // Persistent solver state: one workspace plus per-layer Result buffers,
   // which hold each layer's last accepted factors and so the next fit's
-  // start, and a mutable Options for the probe slot. Together these make
-  // a steady-state refresh allocation-free in the solver path.
+  // start. Together these make a steady-state refresh allocation-free in
+  // the solver path.
   rpca::SolverWorkspace workspace_;
-  rpca::Options solve_opts_;
   rpca::Result latency_result_;
   rpca::Result bandwidth_result_;
   // Masked-path scratch, reused across refreshes (only touched when the

@@ -21,14 +21,11 @@ namespace netconst::online {
 
 namespace {
 
-/// Convergence telemetry needs the refresher's per-iteration probe on,
-/// and the change-point detector needs the sparse-support geometry; the
-/// service turns both on per tenant as the config demands (an explicit
+/// The change-point detector needs the sparse-support geometry; the
+/// service turns it on per tenant as the config demands (an explicit
 /// user choice in RefresherOptions is respected).
-RefresherOptions tenant_refresher_options(const TenantConfig& config,
-                                          std::size_t convergence_capacity) {
+RefresherOptions tenant_refresher_options(const TenantConfig& config) {
   RefresherOptions options = config.refresher;
-  if (convergence_capacity > 0) options.collect_convergence = true;
   if (config.detector_enabled) options.collect_support_stats = true;
   return options;
 }
@@ -80,14 +77,11 @@ std::string polish_capped_detail(const RefreshReport& report,
 }  // namespace
 
 struct ConstantFinderService::Tenant {
-  Tenant(const TenantConfig& config_in, MetricsRegistry& metrics,
-         std::size_t convergence_capacity)
+  Tenant(const TenantConfig& config_in, MetricsRegistry& metrics)
       : config(config_in),
         window(config_in.window_capacity),
-        refresher(
-            tenant_refresher_options(config_in, convergence_capacity)),
+        refresher(tenant_refresher_options(config_in)),
         detector(config_in.detector),
-        convergence(convergence_capacity == 0 ? 1 : convergence_capacity),
         scheduler(config_in.scheduler),
         ingestor(*config_in.provider, window, config_in.ingest),
         rng(config_in.seed),
@@ -123,8 +117,6 @@ struct ConstantFinderService::Tenant {
                         metrics.counter("rpca.incremental.drift_fallbacks")},
         refresh_seconds{metrics.histogram(prefix() + "refresh_seconds"),
                         metrics.histogram("online.refresh_seconds")},
-        solver_iterations{metrics.histogram(prefix() + "solver_iterations"),
-                          metrics.histogram("online.solver_iterations")},
         forced(metrics.counter(prefix() + "forced_recalibrations")),
         detector_verdicts(metrics.counter(prefix() + "detector_verdicts")),
         detector_recalibrations(
@@ -149,7 +141,6 @@ struct ConstantFinderService::Tenant {
   /// pre-emptive maintenance (TriggerReason::DetectorSignal).
   bool detector_preempt_pending = false;
   double detector_preempt_score = 0.0;
-  obs::ConvergenceLog convergence;  // per-refresh solver telemetry
   RecalibrationScheduler scheduler;
   SnapshotIngestor ingestor;
   Rng rng;
@@ -180,7 +171,6 @@ struct ConstantFinderService::Tenant {
   Rollup<Counter> incremental_updates;
   Rollup<Counter> drift_fallbacks;
   Rollup<Histogram> refresh_seconds;
-  Rollup<Histogram> solver_iterations;
   Counter& forced;
   Counter& detector_verdicts;
   Counter& detector_recalibrations;
@@ -231,8 +221,7 @@ std::size_t ConstantFinderService::add_tenant(const TenantConfig& config) {
     NETCONST_CHECK(tenant->config.provider != config.provider,
                    "providers must not be shared between tenants");
   }
-  tenants_.push_back(std::make_unique<Tenant>(config, metrics_,
-                                              options_.convergence_capacity));
+  tenants_.push_back(std::make_unique<Tenant>(config, metrics_));
   return tenants_.size() - 1;
 }
 
@@ -257,28 +246,6 @@ void ConstantFinderService::sync_ingest_totals(Tenant& tenant) {
                       static_cast<double>(k + 1)});
     }
     tenant.synced_stale = stale;
-  }
-}
-
-void ConstantFinderService::record_convergence(Tenant& tenant,
-                                               RefreshReport& report) {
-  if (options_.convergence_capacity == 0) return;
-  const auto refresh = static_cast<std::uint64_t>(tenant.refreshes.value());
-  const double now = tenant.config.provider->now();
-  LayerRefresh* layers[] = {&report.latency, &report.bandwidth};
-  const char* names[] = {"latency", "bandwidth"};
-  for (std::size_t k = 0; k < 2; ++k) {
-    obs::SolveConvergence record;
-    record.refresh = refresh;
-    record.time = now;
-    record.layer = names[k];
-    record.warm = layers[k]->warm_used;
-    record.cold_fallback = layers[k]->cold_fallback;
-    record.iterations = layers[k]->iterations;
-    record.residual = layers[k]->residual;
-    record.solve_seconds = layers[k]->solve_seconds;
-    record.trace = std::move(layers[k]->trace);
-    tenant.convergence.record(std::move(record));
   }
 }
 
@@ -307,8 +274,6 @@ void ConstantFinderService::run_detector(Tenant& tenant,
   signals.refresh = static_cast<std::uint64_t>(tenant.refreshes.value());
   signals.sparsity = std::max(report.component.error_norm,
                               report.component.latency_error_norm);
-  signals.residual =
-      std::max(report.latency.residual, report.bandwidth.residual);
   signals.drift = std::max(report.latency.drift, report.bandwidth.drift);
   const LayerRefresh& support_layer =
       report.bandwidth.support_fraction >= report.latency.support_fraction
@@ -372,7 +337,7 @@ void ConstantFinderService::publish_snapshot(Tenant& tenant) {
 }
 
 bool ConstantFinderService::account_refresh(Tenant& tenant,
-                                            RefreshReport& report) {
+                                            const RefreshReport& report) {
   cloud::NetworkProvider& provider = *tenant.config.provider;
   tenant.component = report.component;
   const bool level_changed = tenant.scheduler.record_refresh(
@@ -383,9 +348,7 @@ bool ConstantFinderService::account_refresh(Tenant& tenant,
     tenant.imputed_entries.increment(
         static_cast<double>(report.missing_entries()));
   }
-  record_convergence(tenant, report);
   for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-    tenant.solver_iterations.observe(static_cast<double>(layer->iterations));
     // Which machinery produced this layer's factors: the incremental
     // row update or the full path.
     if (layer->incremental_used) {
@@ -427,7 +390,7 @@ void ConstantFinderService::bootstrap(Tenant& tenant) {
 
   // No prior E and no tracker yet: both layers fit from zero (cold),
   // and the first record_refresh never reports a level change.
-  RefreshReport report = tenant.refresher.refresh(tenant.window);
+  const RefreshReport report = tenant.refresher.refresh(tenant.window);
   account_refresh(tenant, report);
   events_.record({provider.now(), tenant.config.name, EventKind::Refresh,
                   "bootstrap (" + std::to_string(tenant.window.size()) +
@@ -457,7 +420,7 @@ void ConstantFinderService::maintain(Tenant& tenant, TriggerReason reason,
                   EventKind::SnapshotIngested,
                   trigger_reason_name(reason), ingest.elapsed_seconds});
 
-  RefreshReport report = tenant.refresher.refresh(tenant.window);
+  const RefreshReport report = tenant.refresher.refresh(tenant.window);
   const bool level_changed = account_refresh(tenant, report);
 
   tenant.recalibrations.increment();
@@ -709,12 +672,6 @@ const core::ConstantComponent& ConstantFinderService::component(
   return tenants_[tenant_index]->component;
 }
 
-const obs::ConvergenceLog& ConstantFinderService::convergence(
-    std::size_t tenant_index) const {
-  NETCONST_CHECK(tenant_index < tenants_.size(), "tenant out of range");
-  return tenants_[tenant_index]->convergence;
-}
-
 void ConstantFinderService::write_prometheus(std::ostream& out) const {
   obs::write_prometheus(out, metrics_.samples());
 }
@@ -722,11 +679,6 @@ void ConstantFinderService::write_prometheus(std::ostream& out) const {
 void ConstantFinderService::write_json_snapshot(std::ostream& out) const {
   obs::TelemetrySnapshot snapshot;
   snapshot.metrics = metrics_.samples();
-  snapshot.convergence.reserve(tenants_.size());
-  for (const auto& tenant : tenants_) {
-    snapshot.convergence.emplace_back(tenant->config.name,
-                                      &tenant->convergence);
-  }
   obs::write_json_snapshot(out, snapshot);
 }
 

@@ -37,7 +37,6 @@
 #include "cloud/provider.hpp"
 #include "core/constant_finder.hpp"
 #include "detect/detector.hpp"
-#include "obs/convergence.hpp"
 #include "online/events.hpp"
 #include "online/ingest.hpp"
 #include "online/metrics.hpp"
@@ -109,14 +108,6 @@ struct ServiceOptions {
   /// but still counted by EventLog::recorded()). 0 = unbounded, which
   /// grows with the campaign: each event owns a heap string.
   std::size_t event_capacity = 65536;
-  /// Per-tenant solver convergence telemetry: each refresh's per-layer
-  /// iteration trace is kept in a bounded ring of this many records
-  /// (read back via convergence()). 0 disables collection entirely —
-  /// the solver then runs without a probe attached. An Apg tenant runs
-  /// no solver on the full path, so its records carry an empty trace
-  /// and 0 iterations; StablePcp / StablePcpTf tenants' carry the
-  /// solver's trace.
-  std::size_t convergence_capacity = 64;
 };
 
 /// Downstream consumer of refreshed constants (the serving front end's
@@ -147,7 +138,7 @@ struct TenantStatus {
   std::uint64_t snapshots_ingested = 0;
   std::uint64_t refreshes = 0;
   std::uint64_t warm_solves = 0;  // full-path layers fit from a prior E
-  std::uint64_t cold_solves = 0;  // fit from zero or StablePcp (bootstrap too)
+  std::uint64_t cold_solves = 0;  // fit from zero (bootstrap too)
   std::uint64_t cold_fallbacks = 0;  // always 0: nothing is redone
   std::uint64_t breaches = 0;
   std::uint64_t interval_recalibrations = 0;
@@ -212,16 +203,12 @@ class ConstantFinderService {
   const MetricsRegistry& metrics() const { return metrics_; }
   const EventLog& events() const { return events_; }
 
-  /// The tenant's solver convergence ring (empty when
-  /// ServiceOptions::convergence_capacity == 0). Thread-safe.
-  const obs::ConvergenceLog& convergence(std::size_t tenant) const;
-
   /// Prometheus text exposition (version 0.0.4) of every metric in the
   /// registry, per-tenant series rendered as tenant="..." labels.
   void write_prometheus(std::ostream& out) const;
 
-  /// One JSON document with the metrics, every tenant's convergence
-  /// ring, and the flight-recorder status (see obs/export.hpp).
+  /// One JSON document with the metrics and the flight-recorder status
+  /// (see obs/export.hpp).
   void write_json_snapshot(std::ostream& out) const;
 
   /// Human-readable per-tenant table + metrics dump.
@@ -237,12 +224,9 @@ class ConstantFinderService {
   /// (delta since the last sync — fill() can ingest many snapshots).
   void sync_ingest_totals(Tenant& tenant);
   /// Bootstrap's and maintenance's shared bookkeeping of one refresh:
-  /// adopt and publish the component, book solve paths, imputation,
-  /// convergence and error norm. Returns whether the level changed.
-  bool account_refresh(Tenant& tenant, RefreshReport& report);
-  /// Move the refresh's per-layer iteration traces into the tenant's
-  /// convergence ring.
-  void record_convergence(Tenant& tenant, RefreshReport& report);
+  /// adopt and publish the component, book solve paths, imputation
+  /// and error norm. Returns whether the level changed.
+  bool account_refresh(Tenant& tenant, const RefreshReport& report);
   /// Feed one refresh to the tenant's change-point detector and act on
   /// a verdict (events, metrics, auto-dump, pre-emption flag).
   void run_detector(Tenant& tenant, const RefreshReport& report);

@@ -6,7 +6,6 @@
 #include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/shrinkage.hpp"
-#include "obs/convergence.hpp"
 #include "obs/trace.hpp"
 #include "rpca/stable_pcp_tf.hpp"
 #include "rpca/workspace.hpp"
@@ -35,7 +34,7 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
   ws.d.fill(0.0);
   ws.e.resize(m, n);
   ws.e.fill(0.0);
-  accelerated_prox(a, a_norm, options, lambda, mu, /*mu_bar=*/1e-9 * mu,
+  accelerated_prox(a, options, lambda, mu, /*mu_bar=*/1e-9 * mu,
                    /*eta=*/0.9, BandLimit{}, ws, result);
 
   linalg::sub_sub(a, ws.d, ws.e, ws.residual);
@@ -45,10 +44,10 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
   result.solve_seconds = clock.seconds();
 }
 
-void accelerated_prox(const linalg::Matrix& a, double a_norm,
-                      const Options& options, double lambda, double mu,
-                      double mu_bar, double eta, const BandLimit& band,
-                      SolverWorkspace& ws, Result& result) {
+void accelerated_prox(const linalg::Matrix& a, const Options& options,
+                      double lambda, double mu, double mu_bar, double eta,
+                      const BandLimit& band, SolverWorkspace& ws,
+                      Result& result) {
   // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
   const double inv_lf = 0.5;
   ws.d_prev = ws.d;
@@ -84,26 +83,6 @@ void accelerated_prox(const linalg::Matrix& a, double a_norm,
     linalg::iterate_change_norms(ws.d, ws.d_prev, ws.e, ws.e_prev, change,
                                  scale);
     iteration_span.set_value(static_cast<double>(k + 1));
-    if (options.probe != nullptr) {
-      // Read-only diagnostics of the live iterates; ws.residual is
-      // scratch here (the callers recompute it from the final iterates),
-      // so probing never perturbs the solve.
-      obs::IterationStats stats;
-      stats.iteration = k + 1;
-      double residual_sq = 0.0, e_l1 = 0.0;
-      std::size_t e_nonzero = 0;
-      linalg::decomposition_sums(a, ws.d, ws.e, residual_sq, e_l1,
-                                 e_nonzero);
-      stats.residual = std::sqrt(residual_sq) / a_norm;
-      const double misfit = stats.residual * a_norm;
-      stats.objective = misfit * misfit / (2.0 * mu) + lambda * e_l1;
-      stats.rank = result.rank;
-      stats.sparsity = static_cast<double>(e_nonzero) /
-                       static_cast<double>(a.rows() * a.cols());
-      stats.mu = mu;
-      stats.step = std::sqrt(change) / std::max(std::sqrt(scale), 1.0);
-      options.probe->on_iteration(stats);
-    }
     if (std::sqrt(change) <=
         options.tolerance * std::max(std::sqrt(scale), 1.0)) {
       result.converged = true;

@@ -34,15 +34,15 @@ struct BandLimit {
 
 /// The accelerated proximal-gradient loop of APG, stable PCP and TF
 /// stable PCP. Iterates from the caller's ws.d / ws.e (zero-filled by
-/// every solver: each runs cold) with the mu schedule mu <- max(eta * mu, mu_bar) (eta = 1, mu_bar = mu for a
-/// fixed mu), band-limiting D after each SVT when `band` is on. Honors
-/// options.probe and options.tolerance, emits one rpca.apg.iteration
-/// span per iteration, and sets result.rank / iterations / converged.
-/// `a_norm` is ||A||_F (> 0). The final iterates are left in ws.d /
-/// ws.e.
-void accelerated_prox(const linalg::Matrix& a, double a_norm,
-                        const Options& options, double lambda, double mu,
-                        double mu_bar, double eta, const BandLimit& band,
-                        SolverWorkspace& ws, Result& result);
+/// every solver: each runs cold) with the mu schedule
+/// mu <- max(eta * mu, mu_bar) (eta = 1, mu_bar = mu for a fixed mu),
+/// band-limiting D after each SVT when `band` is on. Honors
+/// options.tolerance, emits one rpca.apg.iteration span per iteration,
+/// and sets result.rank / iterations / converged. The final iterates
+/// are left in ws.d / ws.e.
+void accelerated_prox(const linalg::Matrix& a, const Options& options,
+                      double lambda, double mu, double mu_bar, double eta,
+                      const BandLimit& band, SolverWorkspace& ws,
+                      Result& result);
 
 }  // namespace netconst::rpca

@@ -7,8 +7,7 @@
 // and the sparse error component (TE-matrix). Three solvers are
 // provided, all running one accelerated proximal-gradient loop
 // (rpca/apg.hpp accelerated_prox) from D = E = 0 and so sharing one
-// convergence test, one probe contract, one iteration span and one cold
-// start:
+// convergence test, one iteration span and one cold start:
 //
 //  * Apg     — accelerated proximal gradient (Ji & Ye), the paper's choice;
 //  * StablePcp — stable principal component pursuit, which additionally
@@ -29,10 +28,6 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
-
-namespace netconst::obs {
-class SolverProbe;  // per-iteration convergence observer (obs/convergence.hpp)
-}
 
 namespace netconst::rpca {
 
@@ -68,13 +63,6 @@ struct Options {
   int polish_iterations = 0;
   /// Relative iterate-change tolerance of the polish alternation.
   double polish_tolerance = 1e-10;
-  /// Optional convergence observer, called once per solver iteration
-  /// with read-only diagnostics of the live iterates, by every solver
-  /// (the shared loop calls it). Null — the default — costs the solver
-  /// one branch per iteration and computes nothing extra.
-  /// Observation never alters an iterate: outputs are byte-identical
-  /// with and without a probe.
-  obs::SolverProbe* probe = nullptr;
 };
 
 struct Result {
@@ -122,12 +110,12 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
 /// rank1_huber_fit (at most kHuberFitSweeps sweeps, each counted as a
 /// polish iteration) and polish_rank1 gets the rest, so its step test
 /// still decides polish_converged. Every full-path layer of the online
-/// refresher (Solver::Apg) is this polish alone, with no solver in
-/// front: the fit from the layer's last E, or from E = 0, reaches a
-/// stationary point of the alternation where the plain alternation
-/// would crawl to its cap. Which stationary point can depend on the
-/// start on noisy windows (docs/ALGORITHMS.md §7). solve() itself
-/// never opens with the fit (huber_start = false). Both stages share ||A||_F and the threshold,
+/// refresher is this polish alone, with no solver in front: the fit
+/// from the layer's last E, or from E = 0, reaches a stationary point
+/// of the alternation where the plain alternation would crawl to its
+/// cap. Which stationary point can depend on the start on noisy windows
+/// (docs/ALGORITHMS.md §7). solve() itself never opens with the fit
+/// (huber_start = false). Both stages share ||A||_F and the threshold,
 /// computed once, and the fit's finishing pass leaves the alternation
 /// its first input, so the pair costs no more window passes than it
 /// needs and stays bit-identical to reference::polish.

@@ -54,8 +54,8 @@ void solve_stable_pcp(const linalg::Matrix& a, const Options& base,
   ws.d.fill(0.0);
   ws.e.resize(a.rows(), a.cols());
   ws.e.fill(0.0);
-  accelerated_prox(a, a_fro, base, lambda, mu, /*mu_bar=*/mu, /*eta=*/1.0,
-                   band, ws, result);
+  accelerated_prox(a, base, lambda, mu, /*mu_bar=*/mu, /*eta=*/1.0, band,
+                   ws, result);
 
   // Debias: the nuclear-norm prox shrinks every kept singular value by
   // ~mu/2; refit D as the exact rank-r projection of A - E with the

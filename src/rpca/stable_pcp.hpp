@@ -30,7 +30,7 @@ struct StablePcpOptions {
 /// (see solve_apg for the conventions); `result.residual` reports the
 /// dense-noise part ||A - D - E||_F / ||A||_F, which is *expected* to
 /// be nonzero. `lambda` must be pre-resolved (> 0); `noise_sigma <= 0`
-/// estimates it from the data. Honors `base.probe`. A `band` that is on
+/// estimates it from the data. A `band` that is on
 /// makes this TF stable PCP: D is band-limited after every SVT and once
 /// more after the debias refit. Numerically identical to
 /// reference::solve_stable_pcp (and, with a band, to

@@ -13,7 +13,7 @@
 //   GET /healthz            liveness ("ok")
 //   GET /metrics            Prometheus text exposition (version 0.0.4)
 //   GET /telemetry          JSON telemetry snapshot (metrics +
-//                           convergence + flight-recorder status)
+//                           flight-recorder status)
 //   GET /tenants            tenant list with current snapshot versions
 //   GET /snapshot?tenant=T  snapshot metadata (version, norms, ranks);
 //                           &include=links adds the link parameters

@@ -13,7 +13,6 @@
 #include "cloud/synthetic.hpp"
 #include "faults/fault_provider.hpp"
 #include "online/service.hpp"
-#include "rpca/rpca.hpp"
 #include "support/csv.hpp"
 
 namespace netconst::online {
@@ -63,7 +62,6 @@ std::string serialize_constant(const netmodel::PerformanceMatrix& matrix) {
 
 CampaignResult run_campaign(std::size_t threads, bool incremental = false,
                             bool detector = false,
-                            rpca::Solver solver = rpca::Solver::Apg,
                             std::size_t steps = kSteps) {
   ServiceOptions options;
   options.threads = threads;
@@ -88,7 +86,6 @@ CampaignResult run_campaign(std::size_t threads, bool incremental = false,
     config.operation_gap = 300.0;
     config.scheduler.base_interval = 1500.0;
     config.refresher.incremental = incremental;
-    config.refresher.finder.solver = solver;
     if (detector) {
       config.detector_enabled = true;
       config.detector.direction_confirm_slides = config.window_capacity;
@@ -190,27 +187,14 @@ TEST(ChaosDeterminism, IncrementalCampaignIsThreadCountInvariant) {
 // byte-identical across thread counts — and must actually produce
 // verdicts, or the invariant is vacuous.
 TEST(ChaosDeterminism, DetectorVerdictsAreThreadCountInvariant) {
-  const CampaignResult single =
-      run_campaign(1, false, true, rpca::Solver::Apg, 60);
-  const CampaignResult parallel =
-      run_campaign(8, false, true, rpca::Solver::Apg, 60);
+  const CampaignResult single = run_campaign(1, false, true, 60);
+  const CampaignResult parallel = run_campaign(8, false, true, 60);
   expect_identical(single, parallel);
   std::uint64_t verdicts = 0;
   for (const TenantStatus& status : single.statuses) {
     verdicts += status.detector_verdicts;
   }
   EXPECT_GE(verdicts, 1u);
-}
-
-// The time-frequency constrained solver adds DCT projections to the
-// refresh path; like the other solvers they are deterministic per
-// tenant, independent of the service's worker count.
-TEST(ChaosDeterminism, StablePcpTfCampaignIsThreadCountInvariant) {
-  const CampaignResult single =
-      run_campaign(1, false, false, rpca::Solver::StablePcpTf);
-  const CampaignResult parallel =
-      run_campaign(8, false, false, rpca::Solver::StablePcpTf);
-  expect_identical(single, parallel);
 }
 
 }  // namespace

@@ -309,32 +309,6 @@ TEST(SimdKernels, Rank1PolishPassIsBitIdenticalAcrossLevels) {
   }
 }
 
-// The probe's one-pass statistics equal the three separate reductions
-// bitwise at every level, on widths with a vector tail and with signed
-// zeros and a NaN in the sparse block (NaN is not counted as nonzero).
-TEST(SimdKernels, DecompositionSumsMatchSeparateReductions) {
-  for (const std::size_t cols : {1u, 6u, 1027u}) {
-    SCOPED_TRACE(testing::Message() << "cols=" << cols);
-    const Matrix a = random_matrix(3, cols, 101);
-    const Matrix d = random_matrix(3, cols, 102);
-    Matrix e = random_matrix(3, cols, 103);
-    e(0, 0) = 0.0;
-    e(1, cols - 1) = -0.0;
-    if (cols == 6) e(2, 3) = std::numeric_limits<double>::quiet_NaN();
-    for (const simd::Level level : available_levels()) {
-      simd::ScopedLevel lvl(level);
-      double residual_sq = -1.0, e_l1 = -1.0;
-      std::size_t e_nonzero = 0;
-      decomposition_sums(a, d, e, residual_sq, e_l1, e_nonzero);
-      Matrix residual;
-      sub_sub(a, d, e, residual);
-      EXPECT_TRUE(same_bits(std::sqrt(residual_sq), frobenius_norm(residual)));
-      EXPECT_TRUE(same_bits(e_l1, l1_norm(e)));
-      EXPECT_EQ(e_nonzero, l0_count(e, 0.0));
-    }
-  }
-}
-
 // multiply_into must give dot(a.row(i), x) per row, and
 // multiply_transposed_into the zero fill plus one axpy per nonzero
 // weight, at every level. Zero weights (both signs) are skipped, so an

@@ -1,7 +1,13 @@
 #include "netmodel/trace.hpp"
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "../support/proptest.hpp"
 #include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -174,6 +180,41 @@ TEST(Trace, MissingLinksSurviveTheCsvRoundTrip) {
   EXPECT_TRUE(back.series().snapshot(0).link_missing(0, 2));
   EXPECT_EQ(back.series().snapshot(0).missing_links(), 1u);
   EXPECT_DOUBLE_EQ(back.series().snapshot(0).link(1, 2).alpha, 1e-4);
+}
+
+// Byte-mutation fuzz of Trace::load_csv over this file's inputs (a
+// saved trace with a missing link, and the corrupt-row cases above):
+// every mutant loads or throws Error. The mutant goes through a file in
+// the working directory, the loader's only entry point.
+TEST(Trace, FuzzedCsvLoadsOrThrowsError) {
+  Rng trace_rng(9);
+  TemporalPerformance series = make_trace(3, 3, trace_rng).series();
+  PerformanceMatrix degraded = series.snapshot(2);
+  degraded.mark_link_missing(0, 2);
+  series.append(120.0, std::move(degraded));
+  const std::string saved_path = write_rows({}, "fuzz_seed");
+  Trace(std::move(series)).save_csv(saved_path);
+  std::ostringstream saved;
+  saved << std::ifstream(saved_path).rdbuf();
+  const std::string header = "time,i,j,alpha,beta\n";
+  const std::string corpus[] = {
+      saved.str(),
+      header + "0,1,1,0.1,1e6\n",
+      header + "0,-1,1,0.1,1e6\n0,0,1.5,0.1,1e6\n",
+      header + "0,0,999999999999999999,0.1,1e6\n",
+      header + "nan,0,1,0.1,1e6\n0,0,1,nan,1e6\n",
+      header + "0,0,1,-0.1,1e6\n0,0,1,0.1,0\n30,1,0,nan,nan\n"};
+
+  const std::string path = "netconst_trace_fuzz.csv";
+  netconst::testing::run_property(0x7CE, 300, [&](Rng& rng) {
+    const std::string& seed = corpus[netconst::testing::random_size(
+        rng, 0, std::size(corpus) - 1)];
+    const std::string input = netconst::testing::mutate_bytes(rng, seed);
+    std::ofstream(path, std::ios::binary) << input;
+    netconst::testing::expect_parses_or_throws_error(
+        input, [&] { Trace::load_csv(path); });
+  });
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/convergence.hpp"
 #include "obs/naming.hpp"
 #include "online/metrics.hpp"
 #include "../support/json.hpp"
@@ -195,16 +194,8 @@ TEST(ObsExport, PrometheusGoldenEscapesHostileLabels) {
 }
 
 TEST(ObsExport, JsonSnapshotRoundTrips) {
-  ConvergenceLog log(4);
-  SolveConvergence record;
-  record.refresh = 1;
-  record.layer = "latency";
-  record.iterations = 12;
-  log.record(record);
-
   TelemetrySnapshot snapshot;
   snapshot.metrics = sample_fixture();
-  snapshot.convergence.emplace_back("tenant_a", &log);
 
   std::ostringstream out;
   write_json_snapshot(out, snapshot);
@@ -228,14 +219,8 @@ TEST(ObsExport, JsonSnapshotRoundTrips) {
   EXPECT_EQ(metrics.at(6).at("type").string, "histogram");
   EXPECT_EQ(metrics.at(6).at("count").number, 4.0);
 
-  const testjson::Value& convergence = doc.at("convergence");
-  const testjson::Value& tenant_log = convergence.at("tenant_a");
-  EXPECT_EQ(tenant_log.at("capacity").number, 4.0);
-  EXPECT_EQ(tenant_log.at("recorded").number, 1.0);
-  ASSERT_EQ(tenant_log.at("solves").size(), 1u);
-  EXPECT_EQ(tenant_log.at("solves").at(0).at("layer").string, "latency");
-  EXPECT_EQ(tenant_log.at("solves").at(0).at("iterations").number, 12.0);
-
+  // The document holds exactly the metrics and the trace status.
+  EXPECT_EQ(doc.size(), 2u);
   const testjson::Value& trace = doc.at("trace");
   EXPECT_TRUE(trace.at("enabled").is_bool());
   EXPECT_TRUE(trace.at("recorded").is_number());

@@ -18,6 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "../support/json.hpp"
+#include "rpca/rpca.hpp"
+#include "rpca/validation.hpp"
+#include "support/rng.hpp"
 
 namespace netconst::obs {
 namespace {
@@ -183,6 +186,33 @@ TEST_F(Trace, ChromeTraceExportIsValidJson) {
     }
   }
   EXPECT_TRUE(found_inner);
+}
+
+// Observation never changes a solver bit: an APG solve with the
+// recorder on is byte-identical to the same solve with it off.
+TEST_F(Trace, SolverOutputByteIdenticalTracingOnAndOff) {
+  rpca::SyntheticSpec spec;
+  spec.rows = 10;
+  spec.cols = 40;
+  spec.rank = 1;
+  spec.sparsity = 0.05;
+  spec.sparse_magnitude = 6.0;
+  Rng rng(20);
+  const rpca::SyntheticProblem problem = rpca::make_synthetic(spec, rng);
+  rpca::Options options;
+  options.max_iterations = 400;
+
+  FlightRecorder::instance().set_enabled(false);
+  const rpca::Result quiet =
+      rpca::solve(problem.data, rpca::Solver::Apg, options);
+  FlightRecorder::instance().set_enabled(true);
+  const rpca::Result traced =
+      rpca::solve(problem.data, rpca::Solver::Apg, options);
+
+  EXPECT_EQ(quiet.iterations, traced.iterations);
+  EXPECT_EQ(quiet.low_rank.max_abs_diff(traced.low_rank), 0.0);
+  EXPECT_EQ(quiet.sparse.max_abs_diff(traced.sparse), 0.0);
+  EXPECT_EQ(quiet.residual, traced.residual);
 }
 
 TEST_F(Trace, SnapshotUnderConcurrentRecordingIsWellFormed) {

@@ -88,8 +88,8 @@ TEST(EventLog, PolishCappedDetailNamesTheLayers) {
   config.snapshot_interval = 600.0;
   config.operation_gap = 300.0;
   config.scheduler.base_interval = 1500.0;
-  config.refresher.finder.rpca.polish_iterations = 2;
-  config.refresher.finder.rpca.polish_tolerance = 1e-300;
+  config.refresher.rpca.polish_iterations = 2;
+  config.refresher.rpca.polish_tolerance = 1e-300;
   ConstantFinderService service;
   service.add_tenant(config);
   service.run(12);

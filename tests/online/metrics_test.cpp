@@ -154,7 +154,7 @@ TEST(Metrics, JsonExportContainsAllMetrics) {
   registry.counter("ops").increment(3.0);
   registry.histogram("h").observe(1.0);
   std::ostringstream out;
-  obs::write_json_snapshot(out, {registry.samples(), {}});
+  obs::write_json_snapshot(out, {registry.samples()});
   const std::string json = out.str();
   EXPECT_NE(json.find("\"name\":\"ops\""), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"counter\""), std::string::npos);

@@ -11,6 +11,7 @@
 #include "detect/detector.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/simd.hpp"
+#include "obs/trace.hpp"
 #include "rpca/masked.hpp"
 #include "rpca/reference.hpp"
 #include "support/error.hpp"
@@ -51,6 +52,19 @@ double relative_frobenius_diff(const linalg::Matrix& a,
                       : linalg::frobenius_norm(diff) / scale;
 }
 
+/// The value of the newest flight-recorder span named `name` (-1 when
+/// none was recorded).
+double newest_span_value(const char* name) {
+  double value = -1.0;
+  for (const obs::SpanRecord& span :
+       obs::FlightRecorder::instance().snapshot()) {
+    if (span.name != nullptr && std::strcmp(span.name, name) == 0) {
+      value = span.value;
+    }
+  }
+  return value;
+}
+
 TEST(WindowRefresher, RequiresTwoRows) {
   SlidingWindow window(2);
   cloud::SyntheticCloud cloud(small_cloud_config(1));
@@ -65,11 +79,27 @@ TEST(WindowRefresher, FirstRefreshIsColdAndSeedsTheNext) {
   WindowRefresher refresher;
   EXPECT_TRUE(refresher.latency_result().sparse.empty());
 
+  // Each layer's span carries the fit's sweeps plus alternation steps,
+  // at bootstrap and on the warm refresh alike.
+  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  recorder.set_enabled(true);
+  recorder.clear();
+  const auto expect_span_values = [&] {
+    if (!obs::trace_enabled()) return;  // tracing compiled out
+    EXPECT_GT(refresher.latency_result().polish_iterations, 0);
+    EXPECT_EQ(newest_span_value("online.refresh.latency"),
+              refresher.latency_result().polish_iterations);
+    EXPECT_EQ(newest_span_value("online.refresh.bandwidth"),
+              refresher.bandwidth_result().polish_iterations);
+    recorder.clear();
+  };
+
   const RefreshReport first = refresher.refresh(window);
   EXPECT_FALSE(first.latency.warm_attempted);
   EXPECT_FALSE(first.bandwidth.warm_attempted);
   EXPECT_FALSE(refresher.latency_result().sparse.empty());
   EXPECT_GT(first.component.constant.size(), 0u);
+  expect_span_values();
 
   // Same window again: the fit starts from the last E.
   const RefreshReport second = refresher.refresh(window);
@@ -78,6 +108,8 @@ TEST(WindowRefresher, FirstRefreshIsColdAndSeedsTheNext) {
   EXPECT_TRUE(second.fully_warm());
   EXPECT_FALSE(second.latency.cold_fallback);
   EXPECT_FALSE(second.bandwidth.cold_fallback);
+  expect_span_values();
+  recorder.set_enabled(false);
 }
 
 TEST(WindowRefresher, WarmSlideMatchesColdWithinTolerance) {
@@ -129,8 +161,8 @@ TEST(WindowRefresher, WarmSlideMatchesColdWithinTolerance) {
 // tolerance.
 RefresherOptions polish_capping_options() {
   RefresherOptions options;
-  options.finder.rpca.polish_iterations = 2;
-  options.finder.rpca.polish_tolerance = 1e-300;
+  options.rpca.polish_iterations = 2;
+  options.rpca.polish_tolerance = 1e-300;
   return options;
 }
 
@@ -157,9 +189,9 @@ TEST(WindowRefresher, PolishCapForcesColdFallback) {
     EXPECT_EQ(layer->iterations, 0);
   }
 
-  rpca::reference::polish(window.latency_data(), options.finder.rpca,
+  rpca::reference::polish(window.latency_data(), options.rpca,
                           /*huber_start=*/true, latency_start);
-  rpca::reference::polish(window.bandwidth_data(), options.finder.rpca,
+  rpca::reference::polish(window.bandwidth_data(), options.rpca,
                           /*huber_start=*/true, bandwidth_start);
   const std::pair<const rpca::Result*, const rpca::Result*> layers[] = {
       {&refresher.latency_result(), &latency_start},
@@ -208,38 +240,15 @@ TEST(WindowRefresher, FallbackRecordsWhichTriggerFired) {
   }
 }
 
-// With Solver::Apg the fit is all a full-path layer runs, and it needs a
-// polish budget of two steps or more (the fit, then one alternation
-// step): a smaller budget is a contract violation. Other solvers still
-// take any budget.
+// The fit is all a full-path layer runs, and it needs a polish budget of
+// two steps or more (the fit, then one alternation step): a smaller
+// budget is a contract violation.
 TEST(WindowRefresher, WarmAttemptNeedsATwoStepPolish) {
   for (const int budget : {0, 1}) {
     SCOPED_TRACE(budget);
     RefresherOptions options;
-    options.finder.rpca.polish_iterations = budget;
+    options.rpca.polish_iterations = budget;
     EXPECT_THROW(WindowRefresher{options}, ContractViolation);
-    options.finder.solver = rpca::Solver::StablePcp;
-    EXPECT_NO_THROW(WindowRefresher{options});
-  }
-}
-
-// StablePcp cannot start from a prior E: every refresh runs its solver
-// (and polish) cold, and none counts as warm or as a fallback.
-TEST(WindowRefresher, StablePcpSolvesColdEveryRefresh) {
-  cloud::SyntheticCloud cloud(small_cloud_config(5));
-  SlidingWindow window = filled_window(cloud, 6, 600.0);
-
-  RefresherOptions options;
-  options.finder.solver = rpca::Solver::StablePcp;
-  WindowRefresher refresher(options);
-  refresher.refresh(window);
-
-  const RefreshReport report = refresher.refresh(window);
-  for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
-    EXPECT_FALSE(layer->warm_attempted);
-    EXPECT_FALSE(layer->warm_used);
-    EXPECT_FALSE(layer->cold_fallback);
-    EXPECT_GT(layer->iterations, 0);
   }
 }
 
@@ -338,7 +347,7 @@ TEST(WindowRefresher, AnchoredLayerCountsMatchRecount) {
   RefresherOptions twin_options = options;
   twin_options.incremental = false;
   WindowRefresher twin(twin_options);
-  const double tol = options.finder.l0_rel_tolerance;
+  const double tol = options.l0_rel_tolerance;
 
   // A cold refresh, the same window again (warm) and a two-snapshot
   // jump: every one takes the full path and re-anchors.
@@ -554,7 +563,7 @@ TEST(WindowRefresher, WarmAttemptMatchesReferencePolishFromTheSeed) {
       RefresherOptions options;
       options.incremental = incremental;
       WindowRefresher refresher(options);
-      const rpca::Options& polish_opts = options.finder.rpca;
+      const rpca::Options& polish_opts = options.rpca;
 
       // The E a layer's fit starts from: zero at bootstrap, else the
       // last accepted E or the tracker's after its row update.
@@ -680,7 +689,7 @@ TEST(WindowRefresher, MaskedRepairImputesFromThePriorConstant) {
       expected.sparse.fill(0.0);
     }
     expected.low_rank.resize(repaired.rows(), repaired.cols());
-    rpca::reference::polish(repaired, options.finder.rpca,
+    rpca::reference::polish(repaired, options.rpca,
                             /*huber_start=*/true, expected);
 
     const RefreshReport report = refresher.refresh(window);

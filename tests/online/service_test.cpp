@@ -73,8 +73,8 @@ struct ChaosFleet {
                                           *providers.back(), 300 + t);
       config.refresher.incremental = true;
       if (t == 2) {
-        config.refresher.finder.rpca.polish_iterations = 2;
-        config.refresher.finder.rpca.polish_tolerance = 1e-300;
+        config.refresher.rpca.polish_iterations = 2;
+        config.refresher.rpca.polish_tolerance = 1e-300;
       }
       config.detector_enabled = true;
       config.ingest.calibration.max_retries = 0;
@@ -222,42 +222,6 @@ TEST(ConstantFinderService, BootstrapIsOneColdRefreshOfBothLayers) {
                    2.0 * kTenants);
   EXPECT_DOUBLE_EQ(metrics.counter_value("online.level_changes"), 0.0);
   EXPECT_EQ(service.events().count(EventKind::Refresh), kTenants);
-}
-
-// The convergence ring's contract: an Apg tenant runs no solver on the
-// full path (only the rank-1 fit), so its records carry an empty trace
-// and 0 iterations; a StablePcp tenant's records carry the solver's
-// per-iteration trace.
-TEST(ConstantFinderService, ConvergenceRecordsCarryTracesOnlyForSolvers) {
-  ConstantFinderService service;
-  std::vector<std::unique_ptr<cloud::SyntheticCloud>> clouds;
-  for (const rpca::Solver solver :
-       {rpca::Solver::Apg, rpca::Solver::StablePcp}) {
-    clouds.push_back(std::make_unique<cloud::SyntheticCloud>(
-        tiny_cloud(80 + clouds.size())));
-    TenantConfig config = tenant_config(rpca::solver_name(solver),
-                                        *clouds.back(), clouds.size());
-    config.refresher.finder.solver = solver;
-    service.add_tenant(config);
-  }
-  service.run(12);
-
-  for (std::size_t t = 0; t < 2; ++t) {
-    SCOPED_TRACE(service.status(t).name);
-    const std::vector<obs::SolveConvergence> records =
-        service.convergence(t).snapshot();
-    // Both layers of every refresh, bootstrap included.
-    ASSERT_EQ(records.size(), 2 * service.status(t).refreshes);
-    for (const obs::SolveConvergence& record : records) {
-      if (t == 0) {
-        EXPECT_TRUE(record.trace.empty());
-        EXPECT_EQ(record.iterations, 0);
-      } else {
-        EXPECT_FALSE(record.trace.empty());
-        EXPECT_GT(record.iterations, 0);
-      }
-    }
-  }
 }
 
 TEST(ConstantFinderService, TenantCountersSumToServiceTotals) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <string>
 
+#include "../support/proptest.hpp"
 #include "support/error.hpp"
 
 namespace netconst {
@@ -139,6 +141,35 @@ TEST(Csv, NumberParsesNonFiniteSentinels) {
   table.rows = {{"nan"}, {"inf"}};
   EXPECT_TRUE(std::isnan(table.number(0, 0)));
   EXPECT_TRUE(std::isinf(table.number(1, 0)));
+}
+
+// Byte-mutation fuzz over this file's own inputs: every mutant either
+// parses (and each of its cells parses as a number or throws Error) or
+// read_csv throws Error. Anything else — another exception type, or a
+// crash under the sanitizer build — is a parser defect.
+TEST(Csv, FuzzedInputParsesOrThrowsError) {
+  const std::string corpus[] = {
+      "a,b\n1,2.5\n-3,4e-2\n", "# comment\n\na,b\n# another\n1,2\n",
+      "a,b\r\n1,2\r\n",       "a,b,c\n1,2,3\n4,5\n",
+      "a,b\n1,2",              "x\nnan\ninf\n",
+      "x,y\n1.0,oops\n"};
+  netconst::testing::run_property(0xC5F, 400, [&](Rng& rng) {
+    const std::string& seed = corpus[netconst::testing::random_size(
+        rng, 0, std::size(corpus) - 1)];
+    const std::string input = netconst::testing::mutate_bytes(rng, seed);
+    netconst::testing::expect_parses_or_throws_error(input, [&] {
+      std::stringstream in(input);
+      const CsvTable table = read_csv(in);
+      for (std::size_t r = 0; r < table.row_count(); ++r) {
+        for (std::size_t c = 0; c < table.column_count(); ++c) {
+          try {
+            table.number(r, c);
+          } catch (const Error&) {
+          }
+        }
+      }
+    });
+  });
 }
 
 }  // namespace

@@ -7,11 +7,12 @@
 //
 // The generators below build the structured random inputs the chaos
 // suite fuzzes: rank-1-plus-sparse data matrices shaped like TP-matrix
-// layers, and exact-count NaN fault masks.
+// layers, exact-count NaN fault masks, and byte-mutated parser inputs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/matrix.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace netconst::testing {
@@ -93,6 +95,57 @@ inline std::size_t mask_entries(Rng& rng, linalg::Matrix& data,
         std::numeric_limits<double>::quiet_NaN();
   }
   return masked;
+}
+
+/// Apply 1-4 random byte mutations to `input`: overwrite, insert or
+/// delete one byte, duplicate a short chunk, or truncate. Written bytes
+/// lean towards the CSV dialect's structure (separators, line ends,
+/// comment marks, number syntax) so mutants reach past the first check.
+inline std::string mutate_bytes(Rng& rng, std::string input) {
+  static constexpr char kBytes[] = ",\n\r#-+.eE0123456789naif \0\xff";
+  const auto pick_byte = [&] {
+    return rng.uniform() < 0.8
+               ? kBytes[random_size(rng, 0, sizeof(kBytes) - 2)]
+               : static_cast<char>(rng.uniform_int(0, 255));
+  };
+  const std::size_t mutations = random_size(rng, 1, 4);
+  for (std::size_t m = 0; m < mutations; ++m) {
+    const std::size_t at = random_size(rng, 0, input.size());
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        if (at < input.size()) input[at] = pick_byte();
+        break;
+      case 1:
+        input.insert(input.begin() + static_cast<std::ptrdiff_t>(at),
+                     pick_byte());
+        break;
+      case 2:
+        if (at < input.size()) input.erase(at, 1);
+        break;
+      case 3:
+        input.insert(at, input.substr(at, random_size(rng, 1, 16)));
+        break;
+      default:
+        input.resize(at);
+        break;
+    }
+  }
+  return input;
+}
+
+/// A parser's fuzz contract: `parse()` returns, or throws netconst::Error
+/// (ContractViolation included). Any other exception fails the test.
+template <typename Parse>
+void expect_parses_or_throws_error(const std::string& input, Parse&& parse) {
+  try {
+    parse();
+  } catch (const Error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "non-Error exception '" << e.what()
+                  << "' on input:\n" << input;
+  } catch (...) {
+    ADD_FAILURE() << "non-standard exception on input:\n" << input;
+  }
 }
 
 }  // namespace netconst::testing
