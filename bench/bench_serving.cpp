@@ -175,10 +175,7 @@ int main(int argc, char** argv) {
 
   EpochDomain epoch;
   SnapshotStore store(epoch);
-  PlanCache cache(epoch, 4096);
-  store.set_publish_hook([&](std::size_t tenant, std::uint64_t version) {
-    cache.invalidate_below(tenant, version);
-  });
+  PlanCache cache(store);
 
   store.publish("bench", bench_component(1), 0.0, 1);
   const std::size_t tenant = store.find("bench");
@@ -324,8 +321,7 @@ int main(int argc, char** argv) {
        << ", \"misses\": " << results.cache.misses
        << ", \"uncached\": " << results.cache.uncached
        << ", \"insert_races\": " << results.cache.insert_races
-       << ", \"invalidated\": " << results.cache.invalidated
-       << ", \"replaced\": " << results.cache.replaced << "},\n"
+       << ", \"invalidated\": " << results.cache.invalidated << "},\n"
        << "  \"epoch\": {\"reclaimed\": " << results.epoch_reclaimed
        << "},\n"
        << "  \"violations\": " << violations << "\n}\n";

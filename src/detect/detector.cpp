@@ -29,8 +29,6 @@ const char* signal_name(Signal signal) {
       return "angle";
     case Signal::Level:
       return "level";
-    case Signal::Residual:
-      return "residual";
   }
   return "unknown";
 }
@@ -240,7 +238,6 @@ Verdict ChangePointDetector::classify(Signal breached,
       delta_concentration_ >= options_.concentration_split;
   switch (breached) {
     case Signal::Sparsity:
-    case Signal::Residual:
       verdict.kind = concentrated ? VerdictKind::PlacementShift
                                   : VerdictKind::OutlierStorm;
       break;
@@ -280,16 +277,15 @@ std::optional<Verdict> ChangePointDetector::observe(
   double level = 0.0;
   direction_signals(signals.constant, angle, level);
   const double values[kSignalCount] = {signals.sparsity, signals.drift,
-                                       angle, level, signals.residual};
+                                       angle, level};
 
   const bool warming = slides_ <= options_.warmup_slides;
   const bool learn_only = warming || cooldown_ > 0;
   const bool sparse_learn_only = learn_only || sparse_cooldown_ > 0;
   for (std::size_t k = 0; k < kSignalCount; ++k) {
     const auto signal = static_cast<Signal>(k);
-    const bool sparse_side = signal == Signal::Sparsity ||
-                             signal == Signal::Drift ||
-                             signal == Signal::Residual;
+    const bool sparse_side =
+        signal == Signal::Sparsity || signal == Signal::Drift;
     advance_track(tracks_[k], values[k],
                   sparse_side ? sparse_learn_only : learn_only);
   }
@@ -398,8 +394,7 @@ std::optional<Verdict> ChangePointDetector::observe(
       // mixed-window phase first showed up as a sparsity surge must
       // still be callable once the constant settles on its new
       // direction.
-      for (const Signal s :
-           {Signal::Sparsity, Signal::Drift, Signal::Residual}) {
+      for (const Signal s : {Signal::Sparsity, Signal::Drift}) {
         SignalTrack& t = tracks_[static_cast<std::size_t>(s)];
         t.cusum = 0.0;
         t.onset = 0;

@@ -3,17 +3,16 @@
 // constant finder.
 //
 // Every maintenance refresh emits a handful of cheap scalar signals:
-// the sparse share Norm(N_E), the solver's pre-polish residual, the
-// incremental tracker's drift statistic, and the constant component
-// expressed as per-pair transfer times (direction + level). A
-// ChangePointDetector keeps an EWMA baseline (mean plus mean absolute
-// deviation) per signal and feeds each standardized innovation into a
-// one-sided CUSUM; when a CUSUM crosses its threshold the breach is
-// classified into a typed verdict:
+// the sparse share Norm(N_E), the incremental tracker's drift
+// statistic, and the constant component expressed as per-pair transfer
+// times (direction + level). A ChangePointDetector keeps an EWMA
+// baseline (mean plus mean absolute deviation) per signal and feeds
+// each standardized innovation into a one-sided CUSUM; when a CUSUM
+// crosses its threshold the breach is classified into a typed verdict:
 //
 //   * placement_shift — the change concentrates on the links of one VM
 //     (the paper's "constant changed around one instance" event that
-//     maintenance must recalibrate away). Sparsity/residual breaches
+//     maintenance must recalibrate away). Sparsity/drift breaches
 //     read concentration off the sparse support; direction breaches
 //     read it off the per-VM energy of the centered log-ratio
 //     log(c_k / ref_k) between the current and reference constant — a
@@ -63,9 +62,8 @@ enum class Signal {
   Drift,     // incremental tracker drift statistic, worst layer
   Angle,     // angle between current and reference constant direction
   Level,     // |log| magnitude ratio of current vs reference constant
-  Residual,  // pre-polish solver residual, worst layer
 };
-inline constexpr std::size_t kSignalCount = 5;
+inline constexpr std::size_t kSignalCount = 4;
 
 const char* signal_name(Signal signal);
 
@@ -96,7 +94,7 @@ struct RefreshSignals {
   double time = 0.0;          // provider time of the refresh
   std::uint64_t refresh = 0;  // tenant refresh ordinal
   double sparsity = 0.0;      // Norm(N_E), worst layer
-  double residual = 0.0;      // always 0 online; kept: bench/e2e writes it
+  double residual = 0.0;      // read by nothing; bench/e2e writes it
   double drift = 0.0;         // incremental drift statistic (0 if n/a)
   double support_concentration = 0.0;
   std::size_t support_vm = 0;
@@ -172,8 +170,8 @@ struct DetectorOptions {
   double direction_settle_ratio = 0.7;
   /// Slides after a placement/drift verdict during which no new verdict
   /// fires while the baselines re-learn the post-change regime. A storm
-  /// verdict instead quiets only the sparse-side tracks (sparsity,
-  /// drift, residual) and leaves the direction tracks accumulating —
+  /// verdict instead quiets only the sparse-side tracks (sparsity and
+  /// drift) and leaves the direction tracks accumulating —
   /// storms are transient and must not erase placement evidence.
   std::size_t cooldown_slides = 4;
 };

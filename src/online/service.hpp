@@ -74,9 +74,9 @@ struct TenantConfig {
   std::size_t forced_recalibration_after = 8;
   /// Online change-point detection over the refresh telemetry
   /// (src/detect). When enabled the service feeds every maintenance
-  /// refresh's signals — Norm(N_E), solver residual, drift statistic,
-  /// sparse-support geometry and the constant's per-pair transfer
-  /// times — to a per-tenant ChangePointDetector; verdicts land in the
+  /// refresh's signals — Norm(N_E), drift statistic, sparse-support
+  /// geometry and the constant's per-pair transfer times — to a
+  /// per-tenant ChangePointDetector; verdicts land in the
   /// event log (EventKind::ChangeDetected), the detect.* metrics, and
   /// the flight recorder's auto-dump triggers. Enabling this also turns
   /// on RefresherOptions::collect_support_stats for the tenant.

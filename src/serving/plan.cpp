@@ -41,9 +41,7 @@ PlanRequest canonical_plan_request(PlanKind kind,
   return request;
 }
 
-std::uint64_t plan_request_hash(std::size_t tenant_index,
-                                std::uint64_t version,
-                                const PlanRequest& request) {
+std::uint64_t plan_request_hash(const PlanRequest& request) {
   std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis
   const auto mix = [&hash](std::uint64_t value) {
     for (int byte = 0; byte < 8; ++byte) {
@@ -51,8 +49,6 @@ std::uint64_t plan_request_hash(std::size_t tenant_index,
       hash *= 1099511628211ull;  // FNV prime
     }
   };
-  mix(static_cast<std::uint64_t>(tenant_index));
-  mix(version);
   mix(static_cast<std::uint64_t>(request.kind));
   mix(static_cast<std::uint64_t>(request.root));
   mix(request.bytes);

@@ -1,9 +1,10 @@
 // Plan requests and plans: "the best FNF tree / topology mapping for
 // this node set", computed from one published constant snapshot.
 //
-// A PlanRequest is canonicalized before it is used as a cache key: the
-// node set is sorted and deduplicated, so permuted spellings of the
-// same request share one cache entry and one plan. compute_plan() is a
+// A PlanRequest is canonicalized before it is used as a cache key (in
+// the plan table of the snapshot it is planned from): the node set is
+// sorted and deduplicated, so permuted spellings of the same request
+// share one cache entry and one plan. compute_plan() is a
 // pure function of (snapshot component, canonical request) — it calls
 // the src/mapping and src/collective planners on the snapshot's
 // performance matrix restricted to the requested nodes, and serializes
@@ -52,11 +53,8 @@ PlanRequest canonical_plan_request(PlanKind kind,
                                    std::vector<std::size_t> nodes,
                                    std::size_t root, std::uint64_t bytes);
 
-/// FNV-1a over the canonical request plus the (tenant, version) the
-/// plan would be computed at. Allocation-free.
-std::uint64_t plan_request_hash(std::size_t tenant_index,
-                                std::uint64_t version,
-                                const PlanRequest& request);
+/// FNV-1a over the canonical request. Allocation-free.
+std::uint64_t plan_request_hash(const PlanRequest& request);
 
 /// An immutable computed plan. `json` is the exact HTTP response body —
 /// built once at compute time so the cache-hit path serves bytes

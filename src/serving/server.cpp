@@ -42,7 +42,7 @@ ConstantServer::ConstantServer(online::ConstantFinderService& service,
                                const ConstantServerOptions& options)
     : service_(&service),
       store_(epoch_),
-      plans_(epoch_, options.plan_cache_capacity),
+      plans_(store_),
       http_(options.http),
       healthz_seconds_(
           service.metrics().histogram("serving.http.healthz_seconds")),
@@ -60,12 +60,10 @@ ConstantServer::ConstantServer(online::ConstantFinderService& service,
       invalidations_(
           service.metrics().counter("serving.plans_invalidated")) {
   store_.set_publish_hook(
-      [this](std::size_t tenant_index, std::uint64_t version) {
+      [this](std::size_t, std::uint64_t, std::size_t superseded_plans) {
         publishes_.increment();
-        const std::size_t dropped =
-            plans_.invalidate_below(tenant_index, version);
-        if (dropped > 0) {
-          invalidations_.increment(static_cast<double>(dropped));
+        if (superseded_plans > 0) {
+          invalidations_.increment(static_cast<double>(superseded_plans));
         }
       });
   service.set_snapshot_sink(&store_);
@@ -105,8 +103,13 @@ void ConstantServer::sync_serving_metrics() {
       .set(static_cast<double>(cache.hits));
   metrics.gauge("serving.plan_cache.misses")
       .set(static_cast<double>(cache.misses));
+  std::size_t entries = 0;  // plans of the tenants' current snapshots
+  for (std::size_t k = 0; k < store_.tenant_count(); ++k) {
+    const SnapshotStore::Ref ref = store_.acquire(k, *http_reader_);
+    if (ref) entries += ref->plan_count();
+  }
   metrics.gauge("serving.plan_cache.entries")
-      .set(static_cast<double>(plans_.size()));
+      .set(static_cast<double>(entries));
   metrics.gauge("serving.epoch.pending")
       .set(static_cast<double>(epoch_.pending()));
   metrics.gauge("serving.epoch.reclaimed")

@@ -3,11 +3,12 @@
 // ConstantFinderService.
 //
 // Construction wires the store in as the service's snapshot sink (every
-// accepted refresh publishes a new immutable version) and the store's
-// publish hook into the plan cache (superseded versions are dropped the
-// moment the version bumps). start() brings the HTTP endpoint up; the
-// service keeps refreshing concurrently — queries and publishes never
-// block each other (see serving/snapshot_store.hpp).
+// accepted refresh publishes a new immutable version, whose plan table
+// the cache fills; plans live and die with their snapshot) and the
+// store's publish hook into the serving.snapshots_published /
+// serving.plans_invalidated counters. start() brings the HTTP endpoint
+// up; the service keeps refreshing concurrently — queries and publishes
+// never block each other (see serving/snapshot_store.hpp).
 //
 // Routes:
 //   GET /healthz            liveness ("ok")
@@ -42,7 +43,6 @@ namespace netconst::serving {
 
 struct ConstantServerOptions {
   HttpServer::Options http;
-  std::size_t plan_cache_capacity = 4096;
 };
 
 class ConstantServer {
@@ -64,6 +64,7 @@ class ConstantServer {
 
   SnapshotStore& store() { return store_; }
   const SnapshotStore& store() const { return store_; }
+  /// Kept because bench/e2e calls it.
   PlanCache& plans() { return plans_; }
   const PlanCache& plans() const { return plans_; }
   EpochDomain& epoch() { return epoch_; }

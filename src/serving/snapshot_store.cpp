@@ -1,9 +1,27 @@
 #include "serving/snapshot_store.hpp"
 
 #include "obs/trace.hpp"
+#include "serving/plan.hpp"
 #include "support/error.hpp"
 
 namespace netconst::serving {
+
+ConstantSnapshot::~ConstantSnapshot() {
+  // No reader can reach the snapshot any more (the epoch domain
+  // reclaimed it, or it was never published), so none can reach its
+  // plans.
+  for (const std::atomic<const Plan*>& slot : plans) {
+    delete slot.load(std::memory_order_seq_cst);
+  }
+}
+
+std::size_t ConstantSnapshot::plan_count() const {
+  std::size_t count = 0;
+  for (const std::atomic<const Plan*>& slot : plans) {
+    if (slot.load(std::memory_order_seq_cst) != nullptr) ++count;
+  }
+  return count;
+}
 
 SnapshotStore::~SnapshotStore() {
   // Retire every live snapshot; the domain frees them (immediately if
@@ -57,18 +75,22 @@ void SnapshotStore::publish(const std::string& tenant,
   published_total_.fetch_add(1, std::memory_order_relaxed);
   span.set_value(static_cast<double>(snapshot->version));
 
-  if (publish_hook_) publish_hook_(slot_index, snapshot->version);
+  // `old` is ours until it is retired below, so its table is safe to
+  // count even while readers still pinning it add plans.
+  const std::size_t superseded_plans = old == nullptr ? 0 : old->plan_count();
+  plans_superseded_.fetch_add(superseded_plans, std::memory_order_relaxed);
+  if (publish_hook_) {
+    publish_hook_(slot_index, snapshot->version, superseded_plans);
+  }
   epoch_->retire(old);
   epoch_->reclaim();
 }
 
-SnapshotStore::Ref SnapshotStore::acquire(
-    std::size_t tenant_index, EpochDomain::Reader& reader) const {
-  const std::atomic<const ConstantSnapshot*>* slot =
-      tenant_index < count_.load(std::memory_order_acquire)
-          ? &slots_[tenant_index].current
-          : nullptr;
-  return Ref(reader, slot);
+const ConstantSnapshot* SnapshotStore::current(
+    std::size_t tenant_index) const {
+  return tenant_index < count_.load(std::memory_order_acquire)
+             ? slots_[tenant_index].current.load(std::memory_order_seq_cst)
+             : nullptr;
 }
 
 std::size_t SnapshotStore::find(const std::string& tenant) const {

@@ -336,7 +336,6 @@ TEST(Detector, NamesAreStable) {
   EXPECT_STREQ(signal_name(Signal::Drift), "drift");
   EXPECT_STREQ(signal_name(Signal::Angle), "angle");
   EXPECT_STREQ(signal_name(Signal::Level), "level");
-  EXPECT_STREQ(signal_name(Signal::Residual), "residual");
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cloud/synthetic.hpp"
 #include "online/service.hpp"
+#include "serving/plan_cache.hpp"
 
 namespace netconst::serving {
 namespace {
@@ -56,20 +58,36 @@ TEST(SnapshotStore, PublishRegistersAndVersions) {
   EXPECT_DOUBLE_EQ(ref->component.error_norm, 3.0);
 }
 
+// The hook is telemetry: every publish reports its tenant, its version
+// and how many plans the snapshot it superseded held.
 TEST(SnapshotStore, PublishHookSeesEveryVersion) {
   EpochDomain epoch;
   SnapshotStore store(epoch);
-  std::vector<std::pair<std::size_t, std::uint64_t>> calls;
-  store.set_publish_hook([&](std::size_t tenant, std::uint64_t version) {
-    calls.emplace_back(tenant, version);
-  });
+  using Call = std::tuple<std::size_t, std::uint64_t, std::size_t>;
+  std::vector<Call> calls;
+  store.set_publish_hook(
+      [&](std::size_t tenant, std::uint64_t version, std::size_t plans) {
+        calls.emplace_back(tenant, version, plans);
+      });
   store.publish("a", stamped_component(3, 1.0), 0.0, 1);
+  {
+    EpochDomain::Reader reader(epoch);
+    const SnapshotStore::Ref ref = store.acquire(0, reader);
+    PlanCache cache(store);
+    for (const std::size_t root : {0, 1}) {
+      cache.lookup_or_compute(
+          0, *ref,
+          canonical_plan_request(PlanKind::BroadcastTree, {0, 1, 2}, root,
+                                 4096));
+    }
+  }
   store.publish("a", stamped_component(3, 2.0), 1.0, 2);
   store.publish("b", stamped_component(3, 3.0), 2.0, 1);
   ASSERT_EQ(calls.size(), 3u);
-  EXPECT_EQ(calls[0], (std::pair<std::size_t, std::uint64_t>{0, 1}));
-  EXPECT_EQ(calls[1], (std::pair<std::size_t, std::uint64_t>{0, 2}));
-  EXPECT_EQ(calls[2], (std::pair<std::size_t, std::uint64_t>{1, 1}));
+  EXPECT_EQ(calls[0], (Call{0, 1, 0}));
+  EXPECT_EQ(calls[1], (Call{0, 2, 2}));
+  EXPECT_EQ(calls[2], (Call{1, 1, 0}));
+  EXPECT_EQ(store.plans_superseded(), 2u);
 }
 
 TEST(SnapshotStore, SupersededSnapshotsAreReclaimedOnceReadersDrain) {
@@ -179,9 +197,10 @@ TEST(Serving, ServicePublishesStrictlyMonotoneVersions) {
   EpochDomain epoch;
   SnapshotStore store(epoch);
   std::vector<std::uint64_t> versions;
-  store.set_publish_hook([&](std::size_t, std::uint64_t version) {
-    versions.push_back(version);
-  });
+  store.set_publish_hook(
+      [&](std::size_t, std::uint64_t version, std::size_t) {
+        versions.push_back(version);
+      });
   service.set_snapshot_sink(&store);
   service.run(24);
 
