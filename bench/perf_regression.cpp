@@ -415,7 +415,7 @@ SuiteRow incremental_suite(std::size_t cluster, int slides) {
     linalg::Matrix data = problem.data;
     Rng rng(11);
     rpca::IncrementalTracker tracker;
-    tracker.anchor(data, bootstrap, 1e-3);
+    tracker.anchor(data, bootstrap, 1e-3, cluster);
     std::vector<double> times;
     for (int s = 0; s < slides; ++s) {
       const std::size_t slot = static_cast<std::size_t>(s) % data.rows();

@@ -39,9 +39,7 @@ SupportStats support_stats(const linalg::Matrix& sparse,
   NETCONST_CHECK(sparse.cols() == cluster_size * cluster_size,
                  "sparse layer columns must be cluster_size^2");
   NETCONST_CHECK(cutoff >= 0.0, "support cutoff must be >= 0");
-  SupportStats stats;
   std::vector<std::uint64_t> touches(cluster_size, 0);
-  std::uint64_t total = 0;
   // Column i * N + j is pair (i, j): walk each row as N blocks of N.
   // An entry is support unless |e| <= cutoff, so a NaN counts.
   for (std::size_t r = 0; r < sparse.rows(); ++r) {
@@ -55,13 +53,22 @@ SupportStats support_stats(const linalg::Matrix& sparse,
         ++from_i;
         ++touches[j];
       }
-      total += from_i;
       touches[i] += from_i;
     }
   }
+  return support_geometry(touches, sparse.rows());
+}
+
+SupportStats support_geometry(std::span<const std::uint64_t> touches,
+                              std::size_t rows) {
+  const std::size_t cluster_size = touches.size();
+  NETCONST_CHECK(cluster_size >= 2, "support_geometry needs >= 2 VMs");
+  SupportStats stats;
+  std::uint64_t ends = 0;
+  for (const std::uint64_t t : touches) ends += t;
+  const std::uint64_t total = ends / 2;
   if (total == 0) return stats;
-  const std::size_t off_diag =
-      sparse.rows() * cluster_size * (cluster_size - 1);
+  const std::size_t off_diag = rows * cluster_size * (cluster_size - 1);
   stats.fraction =
       static_cast<double>(total) / static_cast<double>(off_diag);
   std::size_t best = 0;

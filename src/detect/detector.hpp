@@ -41,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -87,6 +88,14 @@ struct SupportStats {
 /// (rel_tol * max_abs(data)).
 SupportStats support_stats(const linalg::Matrix& sparse,
                            std::size_t cluster_size, double cutoff);
+
+/// support_stats from its counts: `touches[v]` support entries on the
+/// links of VM v (each entry counted at both of its ends, so the support
+/// holds sum(touches) / 2 entries) over `rows` snapshots of an N-VM
+/// cluster, N = touches.size(). rpca::IncrementalTracker::anchor counts
+/// them in its pass over the accepted factors.
+SupportStats support_geometry(std::span<const std::uint64_t> touches,
+                              std::size_t rows);
 
 /// One refresh's worth of signals, assembled by the caller (the online
 /// service) from the refresh report and the accepted component.

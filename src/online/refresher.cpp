@@ -66,12 +66,13 @@ void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
 
 const linalg::Matrix& WindowRefresher::refresh_layer(
     const linalg::Matrix& raw, bool slide_by_one, std::size_t slot,
-    rpca::IncrementalTracker& tracker, rpca::Result& result,
-    linalg::Matrix& repaired, LayerRefresh& info) {
+    std::size_t cluster_size, rpca::IncrementalTracker& tracker,
+    rpca::Result& result, linalg::Matrix& repaired, LayerRefresh& info) {
+  const std::size_t missing = rpca::count_missing(raw);
   const bool trackable = options_.incremental && tracker.ready() &&
                          tracker.sparse().same_shape(raw);
   if (slide_by_one && trackable) {
-    if (rpca::count_missing(raw) == 0) {
+    if (missing == 0) {
       const Stopwatch clock;
       const rpca::DriftStats drift = tracker.update(raw, slot);
       info.drift = drift.instant;
@@ -94,53 +95,48 @@ const linalg::Matrix& WindowRefresher::refresh_layer(
   // E than the last full solve: the fit starts from it instead (copy-
   // assignment reuses the buffer's capacity, so nothing allocates).
   const bool tracked = trackable && tracker.updates() > 0;
-  const linalg::Matrix& data =
-      repair_layer(raw, tracked ? &tracker : nullptr, result, repaired, info);
+  const linalg::Matrix& data = repair_layer(
+      raw, missing, tracked ? &tracker : nullptr, result, repaired, info);
   if (tracked) result.sparse = tracker.sparse();
   // A zero-synthesized result has rank 0: its E is no prior.
   const bool prior_e = result.rank > 0 && result.sparse.same_shape(data);
   solve_layer(data, prior_e, result, info);
-  if (options_.incremental) {
-    tracker.anchor(data, result, options_.l0_rel_tolerance);
-    info.anchored = tracker.ready();
-  }
+  // The anchor pass measures the accepted factors for the rest of the
+  // refresh (Norm(N_E), the constant, the support geometry), so it runs
+  // on every full-path layer; only the row update needs `incremental`.
+  tracker.anchor(data, result, options_.l0_rel_tolerance, cluster_size);
+  info.anchored = options_.incremental && tracker.ready();
   return data;
 }
 
-core::ConstantComponent WindowRefresher::assemble_mixed(
-    const linalg::Matrix& lat_data, const linalg::Matrix& bw_data,
-    std::size_t cluster_size, const RefreshReport& report) {
+core::ConstantComponent WindowRefresher::assemble(
+    const RefreshReport& report) {
   core::ConstantComponent component;
   component.solve_seconds =
       report.latency.solve_seconds + report.bandwidth.solve_seconds;
   // A tracker-served layer takes its rank, Norm(N_E) and constant from
-  // the tracker, whose counts sit at the cutoff frozen at its anchor
-  // (see IncrementalTracker::error_norm). A full-path layer counts at
-  // the current window's cutoff exactly like assemble_component; when
-  // it just anchored, the tracker counted E and A at that very cutoff,
-  // so its error_norm() is that count and nothing is recounted.
-  const auto layer = [&](const LayerRefresh& info,
-                         const rpca::IncrementalTracker& tracker,
-                         const rpca::Result& result,
-                         const linalg::Matrix& data, std::size_t& rank,
-                         double& error_norm, linalg::Matrix& constant) {
+  // the tracker's row-updated state, whose counts sit at the cutoff
+  // frozen at its anchor (see IncrementalTracker::error_norm). A
+  // full-path layer takes them from the anchor pass that just measured
+  // its accepted factors at this window's cutoff: the same numbers
+  // rpca::relative_l0 and core::constant_row compute, bit for bit.
+  const auto layer = [](const LayerRefresh& info,
+                        const rpca::IncrementalTracker& tracker,
+                        const rpca::Result& result, std::size_t& rank,
+                        double& error_norm, linalg::Matrix& constant) {
+    error_norm = tracker.error_norm();
     if (info.incremental_used) {
       rank = tracker.rank();
-      error_norm = tracker.error_norm();
       tracker.constant_row_into(constant);
-      return;
+    } else {
+      rank = result.rank;
+      tracker.anchor_constant_row_into(constant);
     }
-    rank = result.rank;
-    error_norm = info.anchored
-                     ? tracker.error_norm()
-                     : rpca::relative_l0(result.sparse, data,
-                                         options_.l0_rel_tolerance);
-    constant = core::constant_row(result.low_rank, cluster_size);
   };
-  layer(report.latency, latency_tracker_, latency_result_, lat_data,
+  layer(report.latency, latency_tracker_, latency_result_,
         component.latency_rank, component.latency_error_norm,
         constant_scratch_);
-  layer(report.bandwidth, bandwidth_tracker_, bandwidth_result_, bw_data,
+  layer(report.bandwidth, bandwidth_tracker_, bandwidth_result_,
         component.bandwidth_rank, component.error_norm,
         bandwidth_constant_scratch_);
   component.constant = netmodel::matrices_to_performance(
@@ -149,9 +145,10 @@ core::ConstantComponent WindowRefresher::assemble_mixed(
 }
 
 const linalg::Matrix& WindowRefresher::repair_layer(
-    const linalg::Matrix& data, const rpca::IncrementalTracker* tracked,
-    rpca::Result& result, linalg::Matrix& repaired, LayerRefresh& info) {
-  if (rpca::count_missing(data) == 0) return data;
+    const linalg::Matrix& data, std::size_t missing,
+    const rpca::IncrementalTracker* tracked, rpca::Result& result,
+    linalg::Matrix& repaired, LayerRefresh& info) {
+  if (missing == 0) return data;
 
   repaired = data;  // copy-assignment reuses the scratch capacity
   // The layer's D is overwritten by the fit that follows, so it can
@@ -197,64 +194,57 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
   last_pushes_ = window.pushes();
 
   // Each layer routes independently: row update, or (masked repair +)
-  // full-path fit (see refresh_layer). The masked front-end
+  // full-path fit and anchor (see refresh_layer). The masked front-end
   // runs inside the layer so a clean incremental refresh never copies.
+  const std::size_t cluster_size = window.cluster_size();
   const linalg::Matrix* lat_data = nullptr;
   const linalg::Matrix* bw_data = nullptr;
   {
     obs::Span layer_span("online.refresh.latency");
     lat_data = &refresh_layer(window.latency_data(), slide_by_one, slot,
-                              latency_tracker_, latency_result_,
-                              latency_repaired_, report.latency);
+                              cluster_size, latency_tracker_,
+                              latency_result_, latency_repaired_,
+                              report.latency);
     layer_span.set_value(fit_iterations(report.latency, latency_result_));
   }
   {
     obs::Span layer_span("online.refresh.bandwidth");
     bw_data = &refresh_layer(window.bandwidth_data(), slide_by_one, slot,
-                             bandwidth_tracker_, bandwidth_result_,
-                             bandwidth_repaired_, report.bandwidth);
+                             cluster_size, bandwidth_tracker_,
+                             bandwidth_result_, bandwidth_repaired_,
+                             report.bandwidth);
     layer_span.set_value(fit_iterations(report.bandwidth, bandwidth_result_));
   }
 
   if (options_.collect_support_stats) {
-    // The accepted sparse factors live in the Result buffers (full
-    // path) or the tracker (row update); either way the cutoff is the
-    // window's own, exactly as rpca::relative_l0 derives it. A layer
-    // that just anchored froze that same cutoff in its tracker.
+    // A full-path layer's anchor pass counted its E's support at the
+    // window's own cutoff. A tracker-served layer's E lives in the
+    // tracker and is scanned here at the current window's cutoff,
+    // exactly as rpca::relative_l0 derives it.
     const auto layer_stats = [&](const LayerRefresh& info,
                                  const rpca::IncrementalTracker& tracker,
-                                 const rpca::Result& result,
                                  const linalg::Matrix& data) {
-      const linalg::Matrix& sparse =
-          info.incremental_used ? tracker.sparse() : result.sparse;
-      const double cutoff =
-          info.anchored
-              ? tracker.cutoff()
-              : options_.l0_rel_tolerance * linalg::max_abs(data);
-      return detect::support_stats(sparse, window.cluster_size(), cutoff);
+      if (!info.incremental_used) {
+        return detect::support_geometry(tracker.support_touches(),
+                                        data.rows());
+      }
+      return detect::support_stats(
+          tracker.sparse(), cluster_size,
+          options_.l0_rel_tolerance * linalg::max_abs(data));
     };
-    const detect::SupportStats lat_stats = layer_stats(
-        report.latency, latency_tracker_, latency_result_, *lat_data);
+    const detect::SupportStats lat_stats =
+        layer_stats(report.latency, latency_tracker_, *lat_data);
     report.latency.support_fraction = lat_stats.fraction;
     report.latency.support_concentration = lat_stats.concentration;
     report.latency.support_vm = lat_stats.vm;
-    const detect::SupportStats bw_stats = layer_stats(
-        report.bandwidth, bandwidth_tracker_, bandwidth_result_, *bw_data);
+    const detect::SupportStats bw_stats =
+        layer_stats(report.bandwidth, bandwidth_tracker_, *bw_data);
     report.bandwidth.support_fraction = bw_stats.fraction;
     report.bandwidth.support_concentration = bw_stats.concentration;
     report.bandwidth.support_vm = bw_stats.vm;
   }
 
-  if (report.latency.incremental_used || report.bandwidth.incremental_used ||
-      report.latency.anchored || report.bandwidth.anchored) {
-    report.component = assemble_mixed(*lat_data, *bw_data,
-                                      window.cluster_size(), report);
-  } else {
-    report.component = core::assemble_component(
-        *lat_data, latency_result_, *bw_data, bandwidth_result_,
-        window.cluster_size(), options_.l0_rel_tolerance);
-  }
-
+  report.component = assemble(report);
   report.total_seconds = clock.seconds();
   return report;
 }

@@ -331,72 +331,72 @@ TEST(WindowRefresher, IncrementalSlideServesFromTracker) {
             0.05);
 }
 
-// A full-path layer that just anchored takes its Norm(N_E) and its
-// support cutoff from the tracker instead of recounting. Both must equal
-// the recount bit for bit: rpca::relative_l0 of the accepted E, and a
-// refresher with the tracker off (same full-path solves, so the same
-// factors) that counts everything itself.
+// A full-path layer takes its Norm(N_E), constant and support geometry
+// from the tracker's anchor pass over the accepted factors, with the
+// row update on or off. Each must equal the recount from the layer's
+// Result buffers bit for bit: core::assemble_component (rpca::
+// relative_l0 and core::constant_row) and detect::support_stats at the
+// window's relative-l0 cutoff.
 TEST(WindowRefresher, AnchoredLayerCountsMatchRecount) {
-  cloud::SyntheticCloud cloud(small_cloud_config(24));
-  SlidingWindow window = filled_window(cloud, 6, 600.0);
+  for (const bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incremental" : "full path only");
+    cloud::SyntheticCloud cloud(small_cloud_config(24));
+    SlidingWindow window = filled_window(cloud, 6, 600.0);
 
-  RefresherOptions options;
-  options.incremental = true;
-  options.collect_support_stats = true;
-  WindowRefresher refresher(options);
-  RefresherOptions twin_options = options;
-  twin_options.incremental = false;
-  WindowRefresher twin(twin_options);
-  const double tol = options.l0_rel_tolerance;
+    RefresherOptions options;
+    options.incremental = incremental;
+    options.collect_support_stats = true;
+    WindowRefresher refresher(options);
+    const double tol = options.l0_rel_tolerance;
+    const std::size_t vms = window.cluster_size();
 
-  // A cold refresh, the same window again (warm) and a two-snapshot
-  // jump: every one takes the full path and re-anchors.
-  for (int step = 0; step < 3; ++step) {
-    SCOPED_TRACE(step);
-    if (step == 2) {
-      for (int k = 0; k < 2; ++k) {
-        cloud.advance(600.0);
-        window.push(cloud.now(), cloud.oracle_snapshot());
+    // A cold refresh, the same window again (warm) and a two-snapshot
+    // jump: every one takes the full path.
+    for (int step = 0; step < 3; ++step) {
+      SCOPED_TRACE(step);
+      if (step == 2) {
+        for (int k = 0; k < 2; ++k) {
+          cloud.advance(600.0);
+          window.push(cloud.now(), cloud.oracle_snapshot());
+        }
       }
+      const RefreshReport report = refresher.refresh(window);
+      ASSERT_FALSE(report.latency.incremental_used);
+      ASSERT_FALSE(report.bandwidth.incremental_used);
+      EXPECT_EQ(report.latency.anchored, incremental);
+      EXPECT_EQ(report.bandwidth.anchored, incremental);
+      EXPECT_GT(report.component.latency_error_norm, 0.0);
+      EXPECT_GT(report.component.error_norm, 0.0);
+      EXPECT_GT(report.latency.support_fraction, 0.0);
+      EXPECT_GT(report.bandwidth.support_fraction, 0.0);
+
+      const core::ConstantComponent recount = core::assemble_component(
+          window.latency_data(), refresher.latency_result(),
+          window.bandwidth_data(), refresher.bandwidth_result(), vms, tol);
+      EXPECT_EQ(report.component.latency_rank, recount.latency_rank);
+      EXPECT_EQ(report.component.bandwidth_rank, recount.bandwidth_rank);
+      EXPECT_EQ(report.component.latency_error_norm,
+                recount.latency_error_norm);
+      EXPECT_EQ(report.component.error_norm, recount.error_norm);
+      EXPECT_TRUE(same_bits(report.component.constant.latency(),
+                            recount.constant.latency()));
+      EXPECT_TRUE(same_bits(report.component.constant.bandwidth(),
+                            recount.constant.bandwidth()));
+
+      const auto expect_support = [&](const LayerRefresh& info,
+                                      const rpca::Result& result,
+                                      const linalg::Matrix& data) {
+        const detect::SupportStats stats = detect::support_stats(
+            result.sparse, vms, tol * linalg::max_abs(data));
+        EXPECT_EQ(info.support_fraction, stats.fraction);
+        EXPECT_EQ(info.support_concentration, stats.concentration);
+        EXPECT_EQ(info.support_vm, stats.vm);
+      };
+      expect_support(report.latency, refresher.latency_result(),
+                     window.latency_data());
+      expect_support(report.bandwidth, refresher.bandwidth_result(),
+                     window.bandwidth_data());
     }
-    const RefreshReport report = refresher.refresh(window);
-    const RefreshReport recount = twin.refresh(window);
-    ASSERT_TRUE(report.latency.anchored);
-    ASSERT_TRUE(report.bandwidth.anchored);
-    ASSERT_FALSE(report.latency.incremental_used);
-    ASSERT_FALSE(report.bandwidth.incremental_used);
-    EXPECT_GT(report.component.latency_error_norm, 0.0);
-    EXPECT_GT(report.component.error_norm, 0.0);
-    EXPECT_GT(report.latency.support_fraction, 0.0);
-    EXPECT_GT(report.bandwidth.support_fraction, 0.0);
-
-    EXPECT_EQ(report.component.latency_error_norm,
-              rpca::relative_l0(refresher.latency_tracker().sparse(),
-                                window.latency_data(), tol));
-    EXPECT_EQ(report.component.error_norm,
-              rpca::relative_l0(refresher.bandwidth_tracker().sparse(),
-                                window.bandwidth_data(), tol));
-    EXPECT_EQ(report.component.latency_error_norm,
-              recount.component.latency_error_norm);
-    EXPECT_EQ(report.component.error_norm, recount.component.error_norm);
-    EXPECT_EQ(report.component.constant.latency().max_abs_diff(
-                  recount.component.constant.latency()),
-              0.0);
-    EXPECT_EQ(report.component.constant.bandwidth().max_abs_diff(
-                  recount.component.constant.bandwidth()),
-              0.0);
-
-    const detect::SupportStats lat = detect::support_stats(
-        refresher.latency_tracker().sparse(), window.cluster_size(),
-        tol * linalg::max_abs(window.latency_data()));
-    EXPECT_EQ(report.latency.support_fraction, lat.fraction);
-    EXPECT_EQ(report.latency.support_concentration, lat.concentration);
-    EXPECT_EQ(report.latency.support_vm, lat.vm);
-    EXPECT_EQ(report.bandwidth.support_fraction,
-              recount.bandwidth.support_fraction);
-    EXPECT_EQ(report.bandwidth.support_concentration,
-              recount.bandwidth.support_concentration);
-    EXPECT_EQ(report.bandwidth.support_vm, recount.bandwidth.support_vm);
   }
 }
 
