@@ -416,22 +416,30 @@ struct HuberFitState {
   int evaluations = 0;
 };
 
-/// Runs a fit from `s` to its end. g' is nondecreasing and piecewise
-/// linear, so a Newton step that stays on the piece it was computed on
-/// lands on g' = 0 and ends the fit. Every evaluation tightens the sign
-/// bracket, and a step that is not a Newton step into that bracket
-/// bisects it (seeded from the outermost kinks, outside which g' is
-/// -tau sum|c| and +tau sum|c|).
+/// Runs a fit from `s` to its end; writes the g' evaluations it took in
+/// all to *evaluations when that is not null. g' is nondecreasing and
+/// piecewise linear, so a Newton step that stays on the piece it was
+/// computed on lands on g' = 0 and ends the fit, and a Newton step that
+/// rounds to its own start ends it at the start (x is the minimiser to
+/// rounding: a fit started at its own minimiser takes one evaluation).
+/// Every evaluation tightens the sign bracket, and a step that is not a
+/// Newton step into that bracket bisects it (seeded from the outermost
+/// kinks, outside which g' is -tau sum|c| and +tau sum|c|).
 double huber_fit_resume(const double* b, const double* c, std::size_t count,
-                        double tau, HuberFitState s) {
+                        double tau, HuberFitState s, int* evaluations) {
   double x = s.x, lo = s.lo, hi = s.hi;
   double slope = s.slope, curvature = s.curvature;
-  for (int e = s.evaluations; e < kHuberMaxEvaluations && slope != 0.0;
-       ++e) {
+  int e = s.evaluations;
+  const auto done = [&](double at) {
+    if (evaluations != nullptr) *evaluations = e + 1;
+    return at;
+  };
+  for (; e < kHuberMaxEvaluations && slope != 0.0; ++e) {
     (slope > 0.0 ? hi : lo) = x;
     double next = curvature > 0.0 ? x - slope / curvature : x;
+    if (curvature > 0.0 && next == x) return done(x);  // stuck
     const bool newton = curvature > 0.0 && next > lo && next < hi;
-    if (newton && same_pieces(b, c, count, tau, next, x)) return next;
+    if (newton && same_pieces(b, c, count, tau, next, x)) return done(next);
     if (!newton) {
       if (lo == -kInf || hi == kInf) {
         double kink_lo = kInf, kink_hi = -kInf;
@@ -451,16 +459,16 @@ double huber_fit_resume(const double* b, const double* c, std::size_t count,
     x = next;
     huber_slope(b, c, count, tau, x, slope, curvature);
   }
-  return x;
+  return done(x);
 }
 
 /// Exact minimiser of g from `x`.
 double huber_fit_1d(const double* b, const double* c, std::size_t count,
-                    double tau, double x) {
+                    double tau, double x, int* evaluations) {
   HuberFitState s;
   s.x = x;
   huber_slope(b, c, count, tau, x, s.slope, s.curvature);
-  return huber_fit_resume(b, c, count, tau, s);
+  return huber_fit_resume(b, c, count, tau, s, evaluations);
 }
 
 #if defined(NETCONST_SIMD_X86)
@@ -547,10 +555,17 @@ NETCONST_TARGET_AVX2 void same_pieces_lanes(
   }
 }
 
-/// out[l] = lane l of x for every lane l in `lanes`.
+/// out[l] = lane l of x for every lane l in `lanes`, and evaluations[l]
+/// = `taken` for each of them when `evaluations` is not null.
 NETCONST_TARGET_AVX2 inline void store_lanes(double* out, __m256d x,
-                                             int lanes) {
+                                             int lanes, int* evaluations,
+                                             int taken) {
   if (lanes == 0) return;
+  if (evaluations != nullptr) {
+    for (int i = 0; i < 4; ++i) {
+      if ((lanes >> i) & 1) evaluations[i] = taken;
+    }
+  }
   if (lanes == 0xF) return _mm256_storeu_pd(out, x);
   alignas(32) double l[4];
   _mm256_store_pd(l, x);
@@ -566,7 +581,8 @@ NETCONST_TARGET_AVX2 void hand_off(const Matrix& bt, std::size_t k0,
                                    const double* c, std::size_t count,
                                    double tau, int lanes, int e, __m256d x,
                                    __m256d lo, __m256d hi, __m256d slope,
-                                   __m256d curvature, double* out) {
+                                   __m256d curvature, double* out,
+                                   int* evaluations) {
   alignas(32) double s_x[4], s_lo[4], s_hi[4], s_slope[4], s_curv[4];
   _mm256_store_pd(s_x, x);
   _mm256_store_pd(s_lo, lo);
@@ -576,23 +592,27 @@ NETCONST_TARGET_AVX2 void hand_off(const Matrix& bt, std::size_t k0,
   for (int l = 0; l < 4; ++l) {
     if (((lanes >> l) & 1) == 0) continue;
     const HuberFitState s{s_x[l], s_lo[l], s_hi[l], s_slope[l], s_curv[l], e};
-    out[k0 + l] = huber_fit_resume(bt.row(k0 + l).data(), c, count, tau, s);
+    out[k0 + l] =
+        huber_fit_resume(bt.row(k0 + l).data(), c, count, tau, s,
+                         evaluations == nullptr ? nullptr
+                                                : evaluations + k0 + l);
   }
 }
 
 /// The fits of a lane group in lockstep: huber_fit_resume's loop, one
-/// lane per fit. A lane leaves the group when its own fit ends; a lane
-/// whose step is not a Newton step into its bracket finishes in the
-/// scalar code (hand_off) from the state it had at the top of that
-/// iteration. The whole group's vector arithmetic runs every
-/// evaluation; only lanes still active write or hand off.
+/// lane per fit. A lane leaves the group when its own fit ends (its g'
+/// is zero, its Newton step is stuck at its start or lands on its
+/// piece); a lane whose step is not a Newton step into its bracket
+/// finishes in the scalar code (hand_off) from the state it had at the
+/// top of that iteration. The whole group's vector arithmetic runs
+/// every evaluation; only lanes still active write or hand off.
 template <int V>
 NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
                                           const Matrix& bt,
                                           const std::size_t* k,
                                           const double* c, std::size_t count,
                                           double tau, const double* x0,
-                                          double* out) {
+                                          double* out, int* evaluations) {
   const __m256d vtau = _mm256_set1_pd(tau);
   const __m256d vntau = _mm256_set1_pd(-tau);
   const __m256d zero = _mm256_setzero_pd();
@@ -606,13 +626,18 @@ NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
     active[w] = 0xF;
   }
   huber_slope_lanes<V>(b, ld, k, c, count, vtau, vntau, x, slope, curvature);
-  for (int e = 0; e < kHuberMaxEvaluations; ++e) {
+  // A lane's count of evaluations, for `evaluations`.
+  const auto counts = [evaluations, k](int w) {
+    return evaluations == nullptr ? nullptr : evaluations + k[w];
+  };
+  int e = 0;
+  for (; e < kHuberMaxEvaluations; ++e) {
     int running = 0;
     for (int w = 0; w < V; ++w) {
       const int settled =
           active[w] &
           _mm256_movemask_pd(_mm256_cmp_pd(slope[w], zero, _CMP_EQ_OQ));
-      store_lanes(out + k[w], x[w], settled);
+      store_lanes(out + k[w], x[w], settled, counts(w), e + 1);
       active[w] &= ~settled;
       const __m256d up = _mm256_cmp_pd(slope[w], zero, _CMP_GT_OQ);
       new_hi[w] = _mm256_blendv_pd(hi[w], x[w], up);
@@ -621,6 +646,12 @@ NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
       next[w] = _mm256_blendv_pd(
           x[w], _mm256_sub_pd(x[w], _mm256_div_pd(slope[w], curvature[w])),
           curved);
+      const int stuck =
+          active[w] &
+          _mm256_movemask_pd(_mm256_and_pd(
+              curved, _mm256_cmp_pd(next[w], x[w], _CMP_EQ_OQ)));
+      store_lanes(out + k[w], x[w], stuck, counts(w), e + 1);
+      active[w] &= ~stuck;
       const int newton =
           active[w] &
           _mm256_movemask_pd(_mm256_and_pd(
@@ -629,7 +660,7 @@ NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
                             _mm256_cmp_pd(next[w], new_hi[w], _CMP_LT_OQ))));
       if (const int handoff = active[w] & ~newton) {
         hand_off(bt, k[w], c, count, tau, handoff, e, x[w], lo[w], hi[w],
-                 slope[w], curvature[w], out);
+                 slope[w], curvature[w], out, evaluations);
       }
       active[w] = newton;
       running |= newton;
@@ -640,7 +671,7 @@ NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
                          landed);
     running = 0;
     for (int w = 0; w < V; ++w) {
-      store_lanes(out + k[w], next[w], landed[w]);
+      store_lanes(out + k[w], next[w], landed[w], counts(w), e + 1);
       active[w] &= ~landed[w];
       running |= active[w];
       hi[w] = new_hi[w];
@@ -651,7 +682,9 @@ NETCONST_TARGET_AVX2 void huber_fit_lanes(const double* b, std::size_t ld,
     huber_slope_lanes<V>(b, ld, k, c, count, vtau, vntau, x, slope,
                          curvature);
   }
-  for (int w = 0; w < V; ++w) store_lanes(out + k[w], x[w], active[w]);
+  for (int w = 0; w < V; ++w) {
+    store_lanes(out + k[w], x[w], active[w], counts(w), e + 1);
+  }
 }
 
 /// Every fit of b in lane groups. The vectors start at columns 0, 4,
@@ -665,7 +698,7 @@ constexpr std::size_t kSinglePassVectors = 4;
 
 void huber_fit_groups(const double* b, const Matrix& bt, const double* c,
                       std::size_t count, double tau, const double* x,
-                      double* next) {
+                      double* next, int* evaluations) {
   const std::size_t fits = bt.rows();
   const std::size_t vectors = (fits + 3) / 4;
   const auto start = [fits](std::size_t i) {
@@ -676,24 +709,28 @@ void huber_fit_groups(const double* b, const Matrix& bt, const double* c,
     for (std::size_t i = 0; i < vectors; ++i) k[i] = start(i);
     switch (vectors) {
       case 1:
-        return huber_fit_lanes<1>(b, fits, bt, k, c, count, tau, x, next);
+        return huber_fit_lanes<1>(b, fits, bt, k, c, count, tau, x, next,
+                                  evaluations);
       case 2:
-        return huber_fit_lanes<2>(b, fits, bt, k, c, count, tau, x, next);
+        return huber_fit_lanes<2>(b, fits, bt, k, c, count, tau, x, next,
+                                  evaluations);
       case 3:
-        return huber_fit_lanes<3>(b, fits, bt, k, c, count, tau, x, next);
+        return huber_fit_lanes<3>(b, fits, bt, k, c, count, tau, x, next,
+                                  evaluations);
       default:
-        return huber_fit_lanes<4>(b, fits, bt, k, c, count, tau, x, next);
+        return huber_fit_lanes<4>(b, fits, bt, k, c, count, tau, x, next,
+                                  evaluations);
     }
   }
   std::size_t i = 0;
   for (; i + 2 <= vectors; i += 2) {
     k[0] = start(i);
     k[1] = start(i + 1);
-    huber_fit_lanes<2>(b, fits, bt, k, c, count, tau, x, next);
+    huber_fit_lanes<2>(b, fits, bt, k, c, count, tau, x, next, evaluations);
   }
   if (i < vectors) {
     k[0] = start(i);
-    huber_fit_lanes<1>(b, fits, bt, k, c, count, tau, x, next);
+    huber_fit_lanes<1>(b, fits, bt, k, c, count, tau, x, next, evaluations);
   }
 }
 #endif
@@ -936,7 +973,8 @@ void rank1_finish_pass(const Matrix& a, std::span<const double> u,
 
 void huber_fit_columns(const Matrix& b, const Matrix& bt,
                        std::span<const double> c, double tau,
-                       std::span<const double> x, std::span<double> next) {
+                       std::span<const double> x, std::span<double> next,
+                       std::span<int> evaluations) {
   const std::size_t count = b.rows();
   const std::size_t fits = b.cols();
   NETCONST_CHECK(bt.rows() == fits && bt.cols() == count,
@@ -945,15 +983,19 @@ void huber_fit_columns(const Matrix& b, const Matrix& bt,
                      next.size() == fits,
                  "huber_fit_columns size mismatch");
   NETCONST_CHECK(tau >= 0.0, "Huber threshold must be non-negative");
+  NETCONST_CHECK(evaluations.empty() || evaluations.size() == fits,
+                 "huber_fit_columns: one evaluation count per fit");
+  int* counts = evaluations.empty() ? nullptr : evaluations.data();
 #if defined(NETCONST_SIMD_X86)
   if (use_vector_kernels() && fits >= 4) {
     huber_fit_groups(b.data().data(), bt, c.data(), count, tau, x.data(),
-                     next.data());
+                     next.data(), counts);
     return;
   }
 #endif
   for (std::size_t k = 0; k < fits; ++k) {
-    next[k] = huber_fit_1d(bt.row(k).data(), c.data(), count, tau, x[k]);
+    next[k] = huber_fit_1d(bt.row(k).data(), c.data(), count, tau, x[k],
+                           counts == nullptr ? nullptr : counts + k);
   }
 }
 

@@ -99,11 +99,17 @@ void rank1_finish_pass(const Matrix& a, std::span<const double> u,
 /// the scalar code with its exact state. The scalar fits — every fit at
 /// the other levels, every fit of a b with fewer than four columns, and
 /// the handoffs — read the contiguous rows of `bt`. The result is
-/// therefore bit-identical at every SIMD level. Requires tau >= 0 and
-/// c.size() == b.rows(); `next` must not alias `x` or `c`.
+/// therefore bit-identical at every SIMD level. A fit whose Newton step
+/// rounds to its own start ends there: a fit started at its own
+/// minimiser (a sweep after convergence) takes one evaluation of g'
+/// instead of bisecting down from the outermost kinks. When
+/// `evaluations` is not empty (one entry per fit), each fit writes the
+/// evaluations of g' it took, the same at every level. Requires tau >= 0
+/// and c.size() == b.rows(); `next` must not alias `x` or `c`.
 void huber_fit_columns(const Matrix& b, const Matrix& bt,
                        std::span<const double> c, double tau,
-                       std::span<const double> x, std::span<double> next);
+                       std::span<const double> x, std::span<double> next,
+                       std::span<int> evaluations = {});
 
 /// Fused convergence reduction of the proximal solvers: one pass
 /// computing change_sq = ||D - D_prev||_F^2 + ||E - E_prev||_F^2 and

@@ -95,7 +95,7 @@ WindowScalars window_scalars(const linalg::Matrix& a, double lambda) {
 /// and ws.target = A - sparse, the closing alternation's first input.
 /// Returns the sweeps run.
 int huber_fit(const linalg::Matrix& a, double tau, int max_sweeps,
-              SolverWorkspace& ws, Result& result) {
+              double polish_tolerance, SolverWorkspace& ws, Result& result) {
   NETCONST_CHECK(max_sweeps >= 0, "Huber fit needs a sweep budget >= 0");
   NETCONST_CHECK(result.sparse.same_shape(a),
                  "Huber fit start does not match the data shape");
@@ -125,6 +125,7 @@ int huber_fit(const linalg::Matrix& a, double tau, int max_sweeps,
       x[k] = next[k];
     }
   };
+  const double tolerance = polish_tolerance / 10.0;
   int sweeps = 0;
   while (sweeps < max_sweeps) {
     double dv = 0.0, vv = 0.0, du = 0.0, uu = 0.0;
@@ -135,8 +136,8 @@ int huber_fit(const linalg::Matrix& a, double tau, int max_sweeps,
     linalg::huber_fit_columns(at, a, v, tau, u, next);
     take(u, du, uu);
     ++sweeps;
-    if (std::sqrt(dv) <= kHuberFitTolerance * std::sqrt(vv) &&
-        std::sqrt(du) <= kHuberFitTolerance * std::sqrt(uu)) {
+    if (std::sqrt(dv) <= tolerance * std::sqrt(vv) &&
+        std::sqrt(du) <= tolerance * std::sqrt(uu)) {
       break;
     }
   }
@@ -192,9 +193,11 @@ void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
 }
 
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
-                    int max_sweeps, SolverWorkspace& ws) {
+                    int max_sweeps, double polish_tolerance,
+                    SolverWorkspace& ws) {
   const WindowScalars s = window_scalars(a, lambda);
-  const int sweeps = huber_fit(a, s.tau, max_sweeps, ws, result);
+  const int sweeps =
+      huber_fit(a, s.tau, max_sweeps, polish_tolerance, ws, result);
   finish(a, s.a_fro, ws, result);
   return sweeps;
 }
@@ -215,7 +218,7 @@ void polish(const linalg::Matrix& a, const Options& options,
   int fit_sweeps = 0;
   if (huber_start && budget > 1) {
     fit_sweeps = huber_fit(a, s.tau, std::min(kHuberFitSweeps, budget - 1),
-                           workspace, result);
+                           options.polish_tolerance, workspace, result);
   } else {
     linalg::sub(a, result.sparse, workspace.target);
   }

@@ -524,6 +524,8 @@ HuberPoint huber_point(const std::vector<double>& b,
   return p;
 }
 
+}  // namespace
+
 double huber_fit_1d(const std::vector<double>& b,
                     const std::vector<double>& c, double tau, double x) {
   const double inf = std::numeric_limits<double>::infinity();
@@ -539,6 +541,7 @@ double huber_fit_1d(const std::vector<double>& b,
     bool newton = false;
     if (here.curvature > 0.0) {
       next = x - here.slope / here.curvature;
+      if (next == x) break;  // x is the minimiser to rounding
       newton = next > lo && next < hi;
     }
     if (!newton) {
@@ -564,10 +567,8 @@ double huber_fit_1d(const std::vector<double>& b,
   return x;
 }
 
-}  // namespace
-
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
-                    int max_sweeps) {
+                    int max_sweeps, double polish_tolerance) {
   NETCONST_CHECK(lambda > 0.0, "Huber fit requires lambda > 0");
   const double a_fro = linalg::frobenius_norm(a);
   NETCONST_CHECK(a_fro > 0.0, "Huber fit of an all-zero matrix");
@@ -579,6 +580,7 @@ int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
   linalg::Matrix target = a;
   target -= result.sparse;
   auto [u, v] = reference::rank1_factors(target);
+  const double tolerance = polish_tolerance / 10.0;
   int sweeps = 0;
   while (sweeps < max_sweeps) {
     const std::vector<double> u_prev = u;
@@ -603,8 +605,8 @@ int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
       du += (u[i] - u_prev[i]) * (u[i] - u_prev[i]);
       uu += u[i] * u[i];
     }
-    if (std::sqrt(dv) <= kHuberFitTolerance * std::sqrt(vv) &&
-        std::sqrt(du) <= kHuberFitTolerance * std::sqrt(uu)) {
+    if (std::sqrt(dv) <= tolerance * std::sqrt(vv) &&
+        std::sqrt(du) <= tolerance * std::sqrt(uu)) {
       break;
     }
   }
@@ -635,7 +637,8 @@ void polish(const linalg::Matrix& a, const Options& options,
   int fit_sweeps = 0;
   if (huber_start && budget > 1) {
     fit_sweeps = reference::rank1_huber_fit(
-        a, result, lambda, std::min(kHuberFitSweeps, budget - 1));
+        a, result, lambda, std::min(kHuberFitSweeps, budget - 1),
+        options.polish_tolerance);
   }
   reference::polish_rank1(a, result, lambda, budget - fit_sweeps,
                           options.polish_tolerance);

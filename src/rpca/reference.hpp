@@ -18,6 +18,8 @@
 // Do not "optimize" anything in reference.cpp; its slowness is the point.
 #pragma once
 
+#include <vector>
+
 #include "rpca/rpca.hpp"
 #include "rpca/stable_pcp.hpp"
 #include "rpca/stable_pcp_tf.hpp"
@@ -39,11 +41,17 @@ Result solve_stable_pcp(const linalg::Matrix& a,
 Result solve_stable_pcp_tf(const linalg::Matrix& a,
                            const StablePcpTfOptions& options = {});
 
+/// Twin of one 1-D fit of linalg::huber_fit_columns: the minimiser of
+/// sum_t h_tau(b[t] - c[t] x) from `x`, comparing pieces through
+/// per-term vectors.
+double huber_fit_1d(const std::vector<double>& b,
+                    const std::vector<double>& c, double tau, double x);
+
 /// Twin of rpca::rank1_huber_fit: copies every column and row it fits,
 /// compares pieces through per-term vectors and builds D and E with
 /// matrix temporaries. Returns the sweeps run.
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
-                    int max_sweeps);
+                    int max_sweeps, double polish_tolerance);
 
 /// Twin of rpca::polish (the polish stage of rpca::solve; with
 /// `huber_start`, rank1_huber_fit opens the budget), on the allocating

@@ -3,6 +3,7 @@
 // level and agree with the scalar order to rounding. On machines whose
 // best level is Scalar these tests degenerate to scalar-vs-scalar and
 // pass trivially, so the suite is portable.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -28,6 +29,9 @@ namespace netconst::linalg {
 namespace {
 
 namespace simd = netconst::linalg::simd;
+
+// The closing step's tolerance, which sets the fit's stop rule.
+const double kPolishTolerance = rpca::Options{}.polish_tolerance;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, unsigned seed) {
   Rng rng(seed);
@@ -635,9 +639,11 @@ TEST(SimdSolve, HuberFitMatchesReferenceAtEveryLevel) {
     rpca::Result fit = start;
     rpca::Result ref = start;
     const int sweeps =
-        rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps, ws);
+        rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps,
+                              kPolishTolerance, ws);
     EXPECT_EQ(sweeps, rpca::reference::rank1_huber_fit(
-                          a, ref, lambda, rpca::kHuberFitSweeps));
+                          a, ref, lambda, rpca::kHuberFitSweeps,
+                          kPolishTolerance));
     EXPECT_TRUE(same_bits(fit.low_rank, ref.low_rank));
     EXPECT_TRUE(same_bits(fit.sparse, ref.sparse));
     EXPECT_TRUE(same_bits(fit.residual, ref.residual));
@@ -658,6 +664,87 @@ TEST(SimdSolve, HuberFitMatchesReferenceAtEveryLevel) {
     EXPECT_TRUE(same_bits(polished.low_rank, ref_polished.low_rank));
     EXPECT_TRUE(same_bits(polished.sparse, ref_polished.sparse));
     EXPECT_TRUE(same_bits(polished.residual, ref_polished.residual));
+  }
+}
+
+// A sweep after convergence: each 1-D fit starts at its own minimiser.
+// Refitting a fit's own output against the same factor takes one
+// evaluation of g' (its slope is zero, its Newton step rounds to its
+// start or lands on its piece) instead of bisecting down from the
+// outermost kinks, returns within 1 ulp of the start at the factor's
+// scale and matches the
+// reference twin's fit bit for bit, at every level, on both sweeps of a
+// converged Huber fit of a noisy window.
+TEST(SimdSolve, HuberRefitFromItsOwnMinimiserTakesOneEvaluation) {
+  Rng rng(98);
+  rpca::SyntheticSpec spec;
+  spec.rows = 10;
+  spec.cols = 1024;
+  spec.rank = 1;
+  spec.sparsity = 0.05;
+  Matrix a = rpca::make_synthetic(spec, rng).data;
+  for (auto& x : a.data()) x += 0.03 * rng.normal();
+  const double lambda = 1.0 / std::sqrt(1024.0);
+  const double tau = lambda * l1_norm(a) / static_cast<double>(a.size());
+  Matrix at(a.cols(), a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) at(j, i) = a(i, j);
+  }
+
+  // A converged fit's factors, and each sweep's minimisers against the
+  // other factor: the starts of the refits below.
+  std::vector<double> u, v, v_min(a.cols()), u_min(a.rows());
+  {
+    simd::ScopedLevel lvl(simd::Level::Scalar);
+    rpca::SolverWorkspace ws;
+    rpca::Result fit;
+    fit.sparse.resize(a.rows(), a.cols());
+    fit.sparse.fill(0.0);
+    ASSERT_LT(rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps,
+                                    kPolishTolerance, ws),
+              rpca::kHuberFitSweeps);
+    u = ws.rank1.u;
+    v = ws.rank1.v;
+    huber_fit_columns(a, at, u, tau, v, v_min);
+    huber_fit_columns(at, a, v, tau, u, u_min);
+  }
+  // One ulp at the factor's scale: g' sums terms of that scale, so a
+  // minimiser near zero is fixed only to their rounding (one v_j of
+  // 4.7e-5 here moves 13 of its own ulps, 2e-15 relative).
+  const auto ulp_at_scale = [](const std::vector<double>& x) {
+    double peak = 0.0;
+    for (const double value : x) peak = std::max(peak, std::abs(value));
+    return std::nextafter(peak, std::numeric_limits<double>::infinity()) -
+           peak;
+  };
+
+  for (const simd::Level level : available_levels()) {
+    SCOPED_TRACE(simd::level_name(level));
+    simd::ScopedLevel lvl(level);
+    // v_j against u over the columns of A, then u_i against v over
+    // those of A^T.
+    for (const bool v_sweep : {true, false}) {
+      SCOPED_TRACE(v_sweep ? "v-sweep" : "u-sweep");
+      const Matrix& b = v_sweep ? a : at;
+      const Matrix& bt = v_sweep ? at : a;
+      const std::vector<double>& c = v_sweep ? u : v;
+      const std::vector<double>& start = v_sweep ? v_min : u_min;
+      std::vector<double> refit(start.size());
+      std::vector<int> evaluations(start.size(), 0);
+      huber_fit_columns(b, bt, c, tau, start, refit, evaluations);
+      const double ulp = ulp_at_scale(start);
+      std::size_t slow = 0, far = 0, unlike_twin = 0;
+      for (std::size_t k = 0; k < start.size(); ++k) {
+        slow += evaluations[k] != 1;
+        far += !(std::abs(refit[k] - start[k]) <= ulp);
+        const std::vector<double> column(bt.row(k).begin(), bt.row(k).end());
+        unlike_twin += !same_bits(
+            refit[k], rpca::reference::huber_fit_1d(column, c, tau, start[k]));
+      }
+      EXPECT_EQ(slow, 0u);
+      EXPECT_EQ(far, 0u);
+      EXPECT_EQ(unlike_twin, 0u);
+    }
   }
 }
 
@@ -755,9 +842,11 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnRaggedShapesAndKinkStarts) {
       rpca::Result fit = start;
       rpca::Result ref = start;
       const int sweeps =
-          rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps, ws);
+          rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps,
+                                kPolishTolerance, ws);
       EXPECT_EQ(sweeps, rpca::reference::rank1_huber_fit(
-                            a, ref, lambda, rpca::kHuberFitSweeps));
+                            a, ref, lambda, rpca::kHuberFitSweeps,
+                            kPolishTolerance));
       EXPECT_GT(sweeps, 0);
       EXPECT_TRUE(same_bits(fit.low_rank, ref.low_rank));
       EXPECT_TRUE(same_bits(fit.sparse, ref.sparse));
@@ -857,9 +946,11 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnLaneGroupEdges) {
       rpca::Result fit = start;
       rpca::Result ref = start;
       const int sweeps =
-          rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps, ws);
+          rpca::rank1_huber_fit(a, fit, lambda, rpca::kHuberFitSweeps,
+                                kPolishTolerance, ws);
       EXPECT_EQ(sweeps, rpca::reference::rank1_huber_fit(
-                            a, ref, lambda, rpca::kHuberFitSweeps));
+                            a, ref, lambda, rpca::kHuberFitSweeps,
+                            kPolishTolerance));
       EXPECT_GT(sweeps, 0);
       EXPECT_TRUE(same_bits(fit.low_rank, ref.low_rank));
       EXPECT_TRUE(same_bits(fit.sparse, ref.sparse));

@@ -197,12 +197,40 @@ TEST(Rank1HuberFit, PassesThePolishStepTestWherePlainPolishCaps) {
 
   Result fit = w.start;
   const int sweeps =
-      rank1_huber_fit(w.a, fit, w.lambda, kHuberFitSweeps, ws);
+      rank1_huber_fit(w.a, fit, w.lambda, kHuberFitSweeps, 1e-10, ws);
   EXPECT_GT(sweeps, 0);
   EXPECT_LT(sweeps, kHuberFitSweeps);  // stopped on its tolerance
   EXPECT_EQ(fit.rank, 1u);
   polish_rank1(w.a, fit, w.lambda, 1, 1e-10, ws);
   EXPECT_TRUE(fit.polish_converged);
+}
+
+// The fit's stop rule: it stops one digit under the closing step's
+// tolerance, so after a converged fit that step passes at once, from
+// the APG start and from E = 0 (the refresher's bootstrap), on every
+// noise level of the EC2-like band.
+TEST(Rank1HuberFit, ConvergedFitPassesTheClosingStepInOneStep) {
+  const double tolerance = Options{}.polish_tolerance;
+  for (const double noise : {0.01, 0.03, 0.04}) {
+    for (const std::uint64_t seed : {10u, 17u, 38u}) {
+      SCOPED_TRACE(testing::Message() << "noise " << noise << " seed " << seed);
+      const NoisyWindow w(seed, noise);
+      Result from_zero;
+      from_zero.low_rank.resize(w.a.rows(), w.a.cols());
+      from_zero.sparse.resize(w.a.rows(), w.a.cols());
+      from_zero.sparse.fill(0.0);
+      for (const Result& start : {w.start, from_zero}) {
+        SolverWorkspace ws;
+        Result fit = start;
+        const int sweeps = rank1_huber_fit(w.a, fit, w.lambda,
+                                           kHuberFitSweeps, tolerance, ws);
+        ASSERT_LT(sweeps, kHuberFitSweeps);  // stopped on its tolerance
+        polish_rank1(w.a, fit, w.lambda, 300, tolerance, ws);
+        EXPECT_TRUE(fit.polish_converged);
+        EXPECT_EQ(fit.polish_iterations, 1);
+      }
+    }
+  }
 }
 
 // Where the plain alternation settles inside its budget, the fitted
@@ -247,7 +275,7 @@ TEST(Rank1HuberFit, RecoversAnExactRankOneWindow) {
   result.sparse.resize(a.rows(), a.cols());
   result.sparse.fill(0.0);
   rank1_huber_fit(a, result, default_lambda(a.rows(), a.cols()),
-                  kHuberFitSweeps, ws);
+                  kHuberFitSweeps, 1e-10, ws);
   EXPECT_LT(result.low_rank.max_abs_diff(a), 1e-12);
   EXPECT_EQ(linalg::max_abs(result.sparse), 0.0);
   EXPECT_LT(result.residual, 1e-12);
@@ -259,10 +287,10 @@ TEST(Rank1HuberFit, RejectsBadArguments) {
   Result result;
   result.sparse.resize(2, 2);
   result.sparse.fill(0.0);
-  EXPECT_THROW(rank1_huber_fit(a, result, 0.0, 5, ws), ContractViolation);
-  EXPECT_THROW(rank1_huber_fit(a, result, 0.5, -1, ws), ContractViolation);
+  EXPECT_THROW(rank1_huber_fit(a, result, 0.0, 5, 1e-10, ws), ContractViolation);
+  EXPECT_THROW(rank1_huber_fit(a, result, 0.5, -1, 1e-10, ws), ContractViolation);
   result.sparse.resize(3, 2);
-  EXPECT_THROW(rank1_huber_fit(a, result, 0.5, 5, ws), ContractViolation);
+  EXPECT_THROW(rank1_huber_fit(a, result, 0.5, 5, 1e-10, ws), ContractViolation);
 }
 
 }  // namespace
