@@ -26,6 +26,14 @@ std::size_t parse_vm_index(const CsvTable& table, std::size_t row,
   return static_cast<std::size_t>(v);
 }
 
+/// The most matrix cells a trace may ask for per data row. A snapshot
+/// of an N-VM cluster is N^2 cells and a complete one is N(N - 1) rows,
+/// so a recorded trace holds at most 2 cells per row (N = 2); the
+/// partial hand-written traces in the tests reach 4. Without a bound, R
+/// rows with R distinct timestamps and one index near 2R would ask for
+/// about 4 R^3 cells (R = 2000, a ~60 KB file: ~0.5 TB).
+constexpr double kMaxCellsPerRow = 16.0;
+
 }  // namespace
 
 double Trace::duration() const {
@@ -77,6 +85,23 @@ Trace Trace::load_csv(const std::string& path) {
                           parse_vm_index(table, r, cj, index_limit)});
   }
   const std::size_t n = max_index + 1;
+  // Each run of equal timestamps is one n x n snapshot; count them
+  // before allocating any.
+  std::size_t snapshots = 0;
+  for (std::size_t r = 0; r < table.row_count(); ++r) {
+    if (r == 0 || !(table.number(r, ct) == table.number(r - 1, ct))) {
+      ++snapshots;
+    }
+  }
+  const double cells = static_cast<double>(snapshots) *
+                       static_cast<double>(n) * static_cast<double>(n);
+  if (cells > kMaxCellsPerRow * static_cast<double>(table.row_count())) {
+    throw Error("trace CSV: " + std::to_string(snapshots) +
+                " snapshots of " + std::to_string(n) + " VMs from " +
+                std::to_string(table.row_count()) +
+                " rows (more than " + format_double(kMaxCellsPerRow) +
+                " matrix cells per row): " + path);
+  }
 
   TemporalPerformance series;
   std::size_t r = 0;

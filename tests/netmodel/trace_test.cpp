@@ -137,6 +137,19 @@ TEST(Trace, LoadRejectsHugeIndexInsteadOfAllocating) {
                Error);
 }
 
+TEST(Trace, LoadRejectsCellsOutOfProportionToItsRows) {
+  // 2,000 rows, each its own snapshot, one naming VM 3,999 (inside the
+  // 2 x rows index bound): 2,000 matrices of 4,000 x 4,000 links, about
+  // 0.5 TB, from a ~60 KB file. The loader must refuse before
+  // allocating.
+  std::vector<std::vector<std::string>> rows;
+  for (int t = 0; t < 2000; ++t) {
+    rows.push_back({std::to_string(t), "0", t == 1000 ? "3999" : "1", "0.1",
+                    "1e6"});
+  }
+  EXPECT_THROW(Trace::load_csv(write_rows(rows, "cubic")), Error);
+}
+
 TEST(Trace, LoadRejectsNonFiniteTimestamp) {
   EXPECT_THROW(
       Trace::load_csv(write_rows({{"nan", "0", "1", "0.1", "1e6"}}, "nant")),
