@@ -81,13 +81,27 @@ std::vector<PairList> all_pairs_rounds(std::size_t n) {
 
 CalibrationResult calibrate_snapshot(NetworkProvider& provider,
                                      const CalibrationOptions& options) {
+  return calibrate_snapshot(
+      provider,
+      options.concurrent ? all_pairs_rounds(provider.cluster_size())
+                         : std::vector<PairList>{},
+      options);
+}
+
+CalibrationResult calibrate_snapshot(NetworkProvider& provider,
+                                     const std::vector<PairList>& rounds,
+                                     const CalibrationOptions& options) {
   const std::size_t n = provider.cluster_size();
   const double start = provider.now();
   CalibrationResult result;
   result.matrix = netmodel::PerformanceMatrix(n);
 
   if (options.concurrent) {
-    for (const PairList& round : all_pairs_rounds(n)) {
+    std::size_t pairs = 0;
+    for (const PairList& round : rounds) pairs += round.size();
+    NETCONST_CHECK(pairs == n * (n - 1),
+                   "round schedule does not cover the cluster");
+    for (const PairList& round : rounds) {
       provider.advance(options.round_setup_overhead);
       const std::vector<double> small = provider.measure_concurrent(
           round, options.pingpong.small_bytes);
@@ -121,11 +135,15 @@ SeriesResult calibrate_series(NetworkProvider& provider,
                               const SeriesOptions& options) {
   NETCONST_CHECK(options.time_step >= 1, "time step must be >= 1");
   const double start = provider.now();
+  const std::vector<PairList> rounds =
+      options.calibration.concurrent
+          ? all_pairs_rounds(provider.cluster_size())
+          : std::vector<PairList>{};
   SeriesResult result;
   for (std::size_t row = 0; row < options.time_step; ++row) {
     if (row != 0) provider.advance(options.interval);
     CalibrationResult snap =
-        calibrate_snapshot(provider, options.calibration);
+        calibrate_snapshot(provider, rounds, options.calibration);
     result.series.append(provider.now(), std::move(snap.matrix));
   }
   result.elapsed_seconds = provider.now() - start;

@@ -65,6 +65,14 @@ struct CalibrationResult {
 CalibrationResult calibrate_snapshot(NetworkProvider& provider,
                                      const CalibrationOptions& options = {});
 
+/// calibrate_snapshot on `rounds`, which must be
+/// all_pairs_rounds(provider.cluster_size()): a caller that calibrates
+/// one cluster repeatedly builds the schedule once. The sequential
+/// recipe (options.concurrent false) does not read it.
+CalibrationResult calibrate_snapshot(NetworkProvider& provider,
+                                     const std::vector<PairList>& rounds,
+                                     const CalibrationOptions& options = {});
+
 struct SeriesOptions {
   /// Number of calibration rows (the paper's "time step" parameter).
   std::size_t time_step = 10;

@@ -30,7 +30,9 @@
 // level (see its comment); rank1_polish_pass adds its lane terms one
 // at a time in index order, so it stays bit-identical too.
 // huber_fit_columns puts independent fits, not elements, in the lanes:
-// each lane is one scalar fit, step for step.
+// each lane is one scalar fit, step for step. huber_newton_pass and
+// huber_newton_hessian add into four fixed column lanes at every level,
+// the scalar code included, so they are bit-identical too.
 //
 // On x86-64 the vector bodies carry NETCONST_TARGET_AVX2 so the
 // library still builds for baseline x86-64; dispatch only enters them
@@ -735,6 +737,178 @@ void huber_fit_groups(const double* b, const Matrix& bt, const double* c,
 }
 #endif
 
+// ---- rank-1 Huber fit: Newton pass ----
+//
+// Two passes. The first walks the columns, four to a vector under AVX2:
+// it adds the objective, gradient and diagonal terms into their column
+// lanes and leaves each column's b_j (row i of `b` holds b_ij) and w_j.
+// The second streams the rows of b, adding (b_kj w_j) b_ij into lane
+// j mod 4 of the (k, i) entry in column order, with a group of entries
+// held in registers. The accumulators sit at the front of `lanes`, four
+// doubles (the column lanes) per quantity: the objective, the
+// gradient's and the diagonal's m entries, then the packed lower
+// triangle of sum_j w_j b_j b_j^T.
+
+struct NewtonLanes {
+  double* objective;
+  double* gradient;
+  double* diagonal;
+  double* outer;  // (k, i), i <= k, at 4 (k (k + 1) / 2 + i)
+  double* w;      // w_j
+  double* b;      // b_ij at i * cols + j
+};
+
+/// The pass's layout in `lanes`. The pass (`reset`) sizes it and zeroes
+/// the accumulators; the Hessian reads what the pass left.
+NewtonLanes newton_lanes(Matrix& lanes, std::size_t m, std::size_t n,
+                         bool reset) {
+  const std::size_t accumulators = 4 * (1 + 2 * m + m * (m + 1) / 2);
+  if (reset) {
+    lanes.resize(1, accumulators + (m + 1) * n);
+    std::fill_n(lanes.data().data(), accumulators, 0.0);
+  }
+  NETCONST_CHECK(lanes.size() == accumulators + (m + 1) * n,
+                 "huber_newton_hessian needs the pass's lanes");
+  double* base = lanes.data().data();
+  double* outer = base + 4 * (1 + 2 * m);
+  double* w = base + accumulators;
+  return {base, base + 4, base + 4 * (1 + m), outer, w, w + n};
+}
+
+/// Column j's objective, gradient and diagonal terms into lane j mod 4;
+/// leaves b_ij and w_j.
+void newton_column_scalar(const double* a, std::size_t n, const double* u,
+                          std::size_t m, const double* v, std::size_t j,
+                          double tau, const NewtonLanes& acc) {
+  const std::size_t l = j & 3;
+  const double vj = v[j];
+  const double vv = vj * vj;
+  double c = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double p = u[i] * vj;
+    const double r = a[i * n + j] - p;
+    const double psi = std::min(std::max(r, -tau), tau);
+    const double q = static_cast<double>(huber_piece(r, tau) == 0);
+    acc.objective[l] += psi * (r - 0.5 * psi);
+    acc.gradient[4 * i + l] -= psi * vj;
+    acc.diagonal[4 * i + l] += q * vv;
+    c += q * (u[i] * u[i]);
+    acc.b[i * n + j] = q * p - psi;
+  }
+  acc.w[j] = c > 0.0 ? 1.0 / c : 0.0;
+}
+
+/// Columns [j0, n) of the (k, i) entries i0 .. i0 + count - 1, one
+/// column at a time into lane j mod 4.
+void newton_outer_scalar(const NewtonLanes& acc, std::size_t n,
+                         std::size_t k, std::size_t i0, std::size_t count,
+                         std::size_t j0) {
+  const double* bk = acc.b + k * n;
+  double* outer = acc.outer + 4 * (k * (k + 1) / 2 + i0);
+  for (std::size_t c = 0; c < count; ++c) {
+    const double* bi = acc.b + (i0 + c) * n;
+    for (std::size_t j = j0; j < n; ++j) {
+      outer[4 * c + (j & 3)] += (bk[j] * acc.w[j]) * bi[j];
+    }
+  }
+}
+
+#if defined(NETCONST_SIMD_X86)
+/// Columns j .. j + 3, one per lane: newton_column_scalar's operations.
+NETCONST_TARGET_AVX2 void newton_columns_vec(const double* a, std::size_t n,
+                                             const double* u, std::size_t m,
+                                             const double* v, std::size_t j,
+                                             double tau,
+                                             const NewtonLanes& acc) {
+  // Local copies: the vector stores may alias anything, `acc` included.
+  double* const gradient = acc.gradient;
+  double* const diagonal = acc.diagonal;
+  double* const b = acc.b + j;
+  const __m256d vtau = _mm256_set1_pd(tau);
+  const __m256d vntau = _mm256_set1_pd(-tau);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d vj = _mm256_loadu_pd(v + j);
+  const __m256d vv = _mm256_mul_pd(vj, vj);
+  __m256d objective = _mm256_loadu_pd(acc.objective);
+  __m256d c = zero;
+  for (std::size_t i = 0; i < m; ++i) {
+    const __m256d ui = _mm256_broadcast_sd(u + i);
+    const __m256d p = _mm256_mul_pd(ui, vj);
+    const __m256d r = _mm256_sub_pd(_mm256_loadu_pd(a + i * n + j), p);
+    const __m256d psi = _mm256_min_pd(vtau, _mm256_max_pd(vntau, r));
+    const __m256d q =
+        _mm256_andnot_pd(_mm256_cmp_pd(psi, r, _CMP_NEQ_OQ), one);
+    objective = _mm256_add_pd(
+        objective,
+        _mm256_mul_pd(psi, _mm256_sub_pd(r, _mm256_mul_pd(half, psi))));
+    double* g = gradient + 4 * i;
+    _mm256_storeu_pd(
+        g, _mm256_sub_pd(_mm256_loadu_pd(g), _mm256_mul_pd(psi, vj)));
+    double* d = diagonal + 4 * i;
+    _mm256_storeu_pd(
+        d, _mm256_add_pd(_mm256_loadu_pd(d), _mm256_mul_pd(q, vv)));
+    c = _mm256_add_pd(c, _mm256_mul_pd(q, _mm256_mul_pd(ui, ui)));
+    _mm256_storeu_pd(b + i * n, _mm256_sub_pd(_mm256_mul_pd(q, p), psi));
+  }
+  _mm256_storeu_pd(acc.objective, objective);
+  _mm256_storeu_pd(acc.w + j,
+                   _mm256_blendv_pd(zero, _mm256_div_pd(one, c),
+                                    _mm256_cmp_pd(c, zero, _CMP_GT_OQ)));
+}
+
+/// newton_outer_scalar over the columns [0, blocks * 4) with the C
+/// entries' four lanes in registers.
+template <int C>
+NETCONST_TARGET_AVX2 void newton_outer_vec(const NewtonLanes& acc,
+                                           std::size_t n, std::size_t k,
+                                           std::size_t i0,
+                                           std::size_t blocks) {
+  const double* bk = acc.b + k * n;
+  const double* bi = acc.b + i0 * n;
+  double* outer = acc.outer + 4 * (k * (k + 1) / 2 + i0);
+  __m256d sum[C];
+  for (int c = 0; c < C; ++c) sum[c] = _mm256_loadu_pd(outer + 4 * c);
+  for (std::size_t j = 0; j < 4 * blocks; j += 4) {
+    const __m256d t =
+        _mm256_mul_pd(_mm256_loadu_pd(bk + j), _mm256_loadu_pd(acc.w + j));
+    for (int c = 0; c < C; ++c) {
+      sum[c] = _mm256_add_pd(
+          sum[c], _mm256_mul_pd(t, _mm256_loadu_pd(bi + c * n + j)));
+    }
+  }
+  for (int c = 0; c < C; ++c) _mm256_storeu_pd(outer + 4 * c, sum[c]);
+}
+
+/// The (k, i) entries i0 .. i0 + count - 1 (count <= 8) over the first
+/// `blocks` column groups.
+NETCONST_TARGET_AVX2 void newton_outer_group(const NewtonLanes& acc,
+                                             std::size_t n, std::size_t k,
+                                             std::size_t i0,
+                                             std::size_t count,
+                                             std::size_t blocks) {
+  switch (count) {
+    case 1: return newton_outer_vec<1>(acc, n, k, i0, blocks);
+    case 2: return newton_outer_vec<2>(acc, n, k, i0, blocks);
+    case 3: return newton_outer_vec<3>(acc, n, k, i0, blocks);
+    case 4: return newton_outer_vec<4>(acc, n, k, i0, blocks);
+    case 5: return newton_outer_vec<5>(acc, n, k, i0, blocks);
+    case 6: return newton_outer_vec<6>(acc, n, k, i0, blocks);
+    case 7: return newton_outer_vec<7>(acc, n, k, i0, blocks);
+    default: return newton_outer_vec<8>(acc, n, k, i0, blocks);
+  }
+}
+#endif
+
+/// Entries of one row of the triangle held in registers at once.
+constexpr std::size_t kOuterGroup = 8;
+
+/// ((x[0] + x[1]) + x[2]) + x[3].
+double add_column_lanes(const double* x) {
+  return ((x[0] + x[1]) + x[2]) + x[3];
+}
+
 // ---- elementwise differences ----
 
 void sub_range_scalar(const double* a, const double* b, double* o,
@@ -996,6 +1170,66 @@ void huber_fit_columns(const Matrix& b, const Matrix& bt,
   for (std::size_t k = 0; k < fits; ++k) {
     next[k] = huber_fit_1d(bt.row(k).data(), c.data(), count, tau, x[k],
                            counts == nullptr ? nullptr : counts + k);
+  }
+}
+
+double huber_newton_pass(const Matrix& a, std::span<const double> u,
+                         std::span<const double> v, double tau,
+                         std::span<double> gradient, Matrix& lanes) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  NETCONST_CHECK(u.size() == m && v.size() == n && gradient.size() == m,
+                 "huber_newton_pass size mismatch");
+  NETCONST_CHECK(tau >= 0.0, "Huber threshold must be non-negative");
+  const NewtonLanes acc = newton_lanes(lanes, m, n, true);
+  const double* as = a.data().data();
+  std::size_t j = 0;
+#if defined(NETCONST_SIMD_X86)
+  if (use_vector_kernels()) {
+    for (; j + 4 <= n; j += 4) {
+      newton_columns_vec(as, n, u.data(), m, v.data(), j, tau, acc);
+    }
+  }
+#endif
+  for (; j < n; ++j) {
+    newton_column_scalar(as, n, u.data(), m, v.data(), j, tau, acc);
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    gradient[k] = add_column_lanes(acc.gradient + 4 * k);
+  }
+  return add_column_lanes(acc.objective);
+}
+
+void huber_newton_hessian(std::size_t rows, std::size_t cols, Matrix& lanes,
+                          Matrix& hessian) {
+  const std::size_t m = rows;
+  const std::size_t n = cols;
+  const NewtonLanes acc = newton_lanes(lanes, m, n, false);
+  // Columns [0, vector_end) go four to a vector, the rest one at a time.
+  std::size_t vector_end = 0;
+#if defined(NETCONST_SIMD_X86)
+  if (use_vector_kernels()) vector_end = n - n % 4;
+#endif
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t i0 = 0; i0 <= k; i0 += kOuterGroup) {
+      const std::size_t count = std::min(kOuterGroup, k + 1 - i0);
+#if defined(NETCONST_SIMD_X86)
+      if (vector_end > 0) {
+        newton_outer_group(acc, n, k, i0, count, vector_end / 4);
+      }
+#endif
+      newton_outer_scalar(acc, n, k, i0, count, vector_end);
+    }
+  }
+  hessian.resize(m, m);
+  const double* outer = acc.outer;
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t i = 0; i < k; ++i, outer += 4) {
+      hessian(k, i) = hessian(i, k) = -add_column_lanes(outer);
+    }
+    hessian(k, k) = add_column_lanes(acc.diagonal + 4 * k) -
+                    add_column_lanes(outer);
+    outer += 4;
   }
 }
 

@@ -111,6 +111,37 @@ void huber_fit_columns(const Matrix& b, const Matrix& bt,
                        std::span<const double> x, std::span<double> next,
                        std::span<int> evaluations = {});
 
+/// The rank-1 Huber fit's Newton pass (rpca::rank1_huber_fit): one pass
+/// over `a` at the factors u (length rows) and v (length cols, each v_j
+/// the minimiser of its column against u). With r = a - u v^T,
+/// psi = clamp(r, -tau, tau) and q = 1 where r is on h_tau's quadratic
+/// piece (0 elsewhere), it returns the objective
+///   F = sum_ij psi (r - psi / 2)           (= sum h_tau(r))
+/// and writes the gradient of the reduced objective F(u, v(u))
+///   gradient[i] = -sum_j psi_ij v_j.
+/// It leaves in `lanes` what huber_newton_hessian needs. Every sum runs
+/// in four column lanes, lane l taking the columns j = l mod 4 in index
+/// order (within a column, i in index order); the lanes add as
+/// ((l0 + l1) + l2) + l3. Under AVX2 a vector holds four adjacent
+/// columns, one per lane; the scalar and NEON levels, and the last
+/// cols mod 4 columns, take one column at a time into the same lanes,
+/// so the result is bit-identical at every level.
+double huber_newton_pass(const Matrix& a, std::span<const double> u,
+                         std::span<const double> v, double tau,
+                         std::span<double> gradient, Matrix& lanes);
+
+/// The reduced objective's Hessian (rows x rows) at the point of the
+/// last huber_newton_pass on a rows x cols window, from the `lanes` it
+/// left:
+///   hessian = diag_i(sum_j q_ij v_j^2) - sum_j w_j b_j b_j^T,
+///   b_ij = q_ij u_i v_j - psi_ij,  w_j = 1 / sum_i q_ij u_i^2
+/// (w_j = 0 when that sum is 0). Entry (k, i) adds (b_kj w_j) b_ij in
+/// the pass's column lanes; under AVX2 a group of entries streams the
+/// rows of b with their lanes in registers. Bit-identical at every
+/// level. The fit calls it only where it takes a Newton step.
+void huber_newton_hessian(std::size_t rows, std::size_t cols, Matrix& lanes,
+                          Matrix& hessian);
+
 /// Fused convergence reduction of the proximal solvers: one pass
 /// computing change_sq = ||D - D_prev||_F^2 + ||E - E_prev||_F^2 and
 /// scale_sq = ||D||_F^2 + ||E||_F^2, in the exact interleaved

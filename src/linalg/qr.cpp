@@ -90,4 +90,30 @@ QrResult qr_decompose(const Matrix& a) {
   return result;
 }
 
+bool cholesky_solve(Matrix& g, std::span<double> x) {
+  const std::size_t m = g.rows();
+  NETCONST_CHECK(g.cols() == m && x.size() == m,
+                 "cholesky_solve size mismatch");
+  for (std::size_t j = 0; j < m; ++j) {
+    double pivot = g(j, j);
+    for (std::size_t k = 0; k < j; ++k) pivot -= g(j, k) * g(j, k);
+    if (!(pivot > 0.0)) return false;
+    g(j, j) = std::sqrt(pivot);
+    for (std::size_t i = j + 1; i < m; ++i) {
+      double s = g(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= g(i, k) * g(j, k);
+      g(i, j) = s / g(j, j);
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {  // L y = b
+    for (std::size_t k = 0; k < i; ++k) x[i] -= g(i, k) * x[k];
+    x[i] /= g(i, i);
+  }
+  for (std::size_t i = m; i-- > 0;) {  // L^T x = y
+    for (std::size_t k = i + 1; k < m; ++k) x[i] -= g(k, i) * x[k];
+    x[i] /= g(i, i);
+  }
+  return true;
+}
+
 }  // namespace netconst::linalg

@@ -1,8 +1,12 @@
-// Householder QR factorization.
+// Householder QR factorization, and a Cholesky solve for small
+// symmetric systems.
 //
-// Used to precondition tall-skinny inputs before the one-sided Jacobi SVD
-// (SVD of the small R factor instead of the full matrix).
+// QR preconditions tall-skinny inputs before the one-sided Jacobi SVD
+// (SVD of the small R factor instead of the full matrix). The Cholesky
+// solve takes the rank-1 Huber fit's Newton steps (rpca/rank1.hpp).
 #pragma once
+
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -17,5 +21,12 @@ struct QrResult {
 
 /// Compute the thin QR factorization. Requires rows >= cols.
 QrResult qr_decompose(const Matrix& a);
+
+/// Solves G x = b in place for a symmetric positive definite G: `g`
+/// (square, lower triangle read) is overwritten by its Cholesky factor
+/// L and `x` holds b on entry and x on return. Returns false, leaving
+/// both partly overwritten, when a pivot is not positive (G is not
+/// positive definite to rounding, or holds a NaN).
+bool cholesky_solve(Matrix& g, std::span<double> x);
 
 }  // namespace netconst::linalg

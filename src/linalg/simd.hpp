@@ -19,10 +19,12 @@
 // level, but not bit-identical to the scalar order. The ordered
 // kernels are bit-identical at every level: the reduction
 // rank1_polish_pass adds lane terms one at a time in index order
-// (rank1_finish_pass is its row body without the sums), and
+// (rank1_finish_pass is its row body without the sums),
 // huber_fit_columns runs one whole scalar 1-D fit per lane (four
 // independent fits per AVX2 vector, two to four vectors advanced per
-// pass over the terms). The bit-exact
+// pass over the terms), and the Huber fit's Newton pass and Hessian
+// sum in four column lanes at every level, the scalar one included.
+// The bit-exact
 // equivalence suites therefore pin Level::Scalar (ScopedLevel below),
 // and the frozen rpca::reference numerics are reproduced exactly by the
 // scalar level.

@@ -113,20 +113,25 @@ void TemporalPerformance::keep_last(std::size_t rows) {
 
 PerformanceMatrix matrices_to_performance(const linalg::Matrix& latency,
                                           const linalg::Matrix& bandwidth) {
-  // Accept either N x N matrices or 1 x N^2 flattened rows.
-  auto reshape = [](const linalg::Matrix& m) -> linalg::Matrix {
-    if (m.rows() == m.cols()) return m;
+  // Accept either N x N matrices or 1 x N^2 flattened rows: both hold
+  // link (i, j) at flat index i * N + j, so they are read in place.
+  const auto side = [](const linalg::Matrix& m) -> std::size_t {
+    if (m.rows() == m.cols()) return m.rows();
     NETCONST_CHECK(m.rows() == 1, "expected square matrix or single row");
     const auto n = static_cast<std::size_t>(
         std::llround(std::sqrt(static_cast<double>(m.cols()))));
     NETCONST_CHECK(n * n == m.cols(), "row length is not a perfect square");
-    return TemporalPerformance::unflatten_row(m, 0, n);
+    return n;
   };
-  const linalg::Matrix lat = reshape(latency);
-  const linalg::Matrix bw = reshape(bandwidth);
-  NETCONST_CHECK(lat.same_shape(bw), "latency/bandwidth shape mismatch");
+  const std::size_t n = side(latency);
+  NETCONST_CHECK(side(bandwidth) == n, "latency/bandwidth shape mismatch");
+  const auto lat = [&latency, n](std::size_t i, std::size_t j) {
+    return latency.data()[i * n + j];
+  };
+  const auto bw = [&bandwidth, n](std::size_t i, std::size_t j) {
+    return bandwidth.data()[i * n + j];
+  };
 
-  const std::size_t n = lat.rows();
   PerformanceMatrix p(n);
   // Clamp to physically meaningful values: RPCA's low-rank component can
   // slightly undershoot zero on latency or bandwidth.

@@ -18,8 +18,11 @@ SnapshotIngestor::SnapshotIngestor(cloud::NetworkProvider& provider,
 }
 
 IngestReport SnapshotIngestor::ingest_calibrated() {
+  if (rounds_.empty() && options_.calibration.concurrent) {
+    rounds_ = cloud::all_pairs_rounds(provider_.cluster_size());
+  }
   cloud::CalibrationResult result =
-      cloud::calibrate_snapshot(provider_, options_.calibration);
+      cloud::calibrate_snapshot(provider_, rounds_, options_.calibration);
 
   IngestReport report;
   report.elapsed_seconds = result.elapsed_seconds;

@@ -81,6 +81,9 @@ class SnapshotIngestor {
   cloud::NetworkProvider& provider_;
   SlidingWindow& window_;
   IngestOptions options_;
+  // The calibration's round schedule, built by the first calibrated
+  // ingest: it depends only on the provider's cluster size.
+  std::vector<cloud::PairList> rounds_;
   std::uint64_t ingested_ = 0;
   double calibration_seconds_ = 0.0;  // cumulative provider time
   std::uint64_t failed_measurements_ = 0;

@@ -1,7 +1,8 @@
 #include "online/refresher.hpp"
 
+#include <algorithm>
+
 #include "detect/detector.hpp"
-#include "linalg/norms.hpp"
 #include "obs/trace.hpp"
 #include "rpca/masked.hpp"
 #include "support/error.hpp"
@@ -11,10 +12,18 @@ namespace netconst::online {
 
 namespace {
 
-/// A layer span's value: the fit's sweeps plus alternation steps on a
+/// A layer span's value: the fit's v-sweeps plus alternation steps on a
 /// full-path layer, 0 when the tracker served it (no fit ran).
 double fit_iterations(const LayerRefresh& info, const rpca::Result& result) {
   return info.incremental_used ? 0.0 : result.polish_iterations;
+}
+
+/// Whether ||data||_F is zero: every entry squares to +0.0, zeros and
+/// entries small enough to underflow alike. Unlike the norm it stops at
+/// the first entry that does not, on a live window the first.
+bool zero_window(const linalg::Matrix& data) {
+  return std::all_of(data.data().begin(), data.data().end(),
+                     [](double x) { return x * x == 0.0; });
 }
 
 }  // namespace
@@ -30,7 +39,7 @@ WindowRefresher::WindowRefresher(const RefresherOptions& options)
 void WindowRefresher::solve_layer(const linalg::Matrix& data, bool prior_e,
                                   rpca::Result& result, LayerRefresh& info) {
   const Stopwatch clock;
-  if (linalg::frobenius_norm(data) == 0.0) {
+  if (zero_window(data)) {
     // A fully-unobserved window imputes to all zeros when no constant is
     // known yet (fresh bootstrap under total probe loss). The solvers
     // contract-check against a zero matrix, and its decomposition is

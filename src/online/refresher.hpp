@@ -8,7 +8,7 @@
 // tracker's E when the incremental tracker has advanced past its
 // anchor, or from E = 0 at bootstrap, after reset() or after a shape
 // change. When the window slides by one row, the last E is an
-// excellent start and the fit settles in a few sweeps. A fit that hits
+// excellent start and the fit settles in a few Newton steps. A fit that hits
 // its polish cap is still accepted and reported by
 // LayerRefresh::polish_capped; nothing is redone. The fit's fixed point
 // is not unique: on ~6% of noisy windows different starts (the last E,

@@ -10,6 +10,7 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/shrinkage.hpp"
 #include "rpca/rank1.hpp"
 #include "support/error.hpp"
@@ -567,6 +568,95 @@ double huber_fit_1d(const std::vector<double>& b,
   return x;
 }
 
+double huber_newton_pass(const linalg::Matrix& a, const std::vector<double>& u,
+                         const std::vector<double>& v, double tau,
+                         std::vector<double>& gradient,
+                         linalg::Matrix& hessian) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  std::vector<double> objective(4, 0.0);
+  linalg::Matrix g(m, 4), diagonal(m, 4);
+  std::vector<linalg::Matrix> outer(4, linalg::Matrix(m, m));
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t l = j % 4;
+    std::vector<double> b(m);
+    double c = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double p = u[i] * v[j];
+      const double r = a(i, j) - p;
+      double psi = r, q = 1.0;
+      if (r > tau) {
+        psi = tau;
+        q = 0.0;
+      } else if (r < -tau) {
+        psi = -tau;
+        q = 0.0;
+      }
+      objective[l] += psi * (r - 0.5 * psi);
+      g(i, l) -= psi * v[j];
+      diagonal(i, l) += q * (v[j] * v[j]);
+      c += q * (u[i] * u[i]);
+      b[i] = q * p - psi;
+    }
+    const double w = c > 0.0 ? 1.0 / c : 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+      for (std::size_t i = 0; i <= k; ++i) outer[l](k, i) += (b[k] * w) * b[i];
+    }
+  }
+  const auto add_lanes = [](const std::vector<double>& x) {
+    return ((x[0] + x[1]) + x[2]) + x[3];
+  };
+  gradient.assign(m, 0.0);
+  hessian = linalg::Matrix(m, m);
+  for (std::size_t k = 0; k < m; ++k) {
+    gradient[k] = add_lanes({g(k, 0), g(k, 1), g(k, 2), g(k, 3)});
+    for (std::size_t i = 0; i <= k; ++i) {
+      const double s = add_lanes(
+          {outer[0](k, i), outer[1](k, i), outer[2](k, i), outer[3](k, i)});
+      hessian(k, i) = hessian(i, k) = -s;
+    }
+    hessian(k, k) = add_lanes({diagonal(k, 0), diagonal(k, 1), diagonal(k, 2),
+                               diagonal(k, 3)}) -
+                    add_lanes({outer[0](k, k), outer[1](k, k),
+                               outer[2](k, k), outer[3](k, k)});
+  }
+  return add_lanes(objective);
+}
+
+namespace {
+
+/// Twin of the fit's Newton step: -(H + (tr H / m) u u^T / ||u||^2)^-1 g
+/// into `step`; false when that matrix is not positive definite.
+bool newton_step(const std::vector<double>& u,
+                 const std::vector<double>& gradient, linalg::Matrix hessian,
+                 std::vector<double>& step) {
+  const std::size_t m = u.size();
+  double uu = 0.0, trace = 0.0;
+  for (std::size_t k = 0; k < m; ++k) {
+    uu += u[k] * u[k];
+    trace += hessian(k, k);
+  }
+  const double gauge = trace / static_cast<double>(m) / uu;
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t l = 0; l <= k; ++l) hessian(k, l) += gauge * (u[k] * u[l]);
+  }
+  step = gradient;
+  for (double& x : step) x = -x;
+  return linalg::cholesky_solve(hessian, step);
+}
+
+/// Adds sum (to - from)^2 to `change` and sum to^2 to `scale`.
+void measure_change(const std::vector<double>& from,
+                    const std::vector<double>& to, double& change,
+                    double& scale) {
+  for (std::size_t k = 0; k < to.size(); ++k) {
+    change += (to[k] - from[k]) * (to[k] - from[k]);
+    scale += to[k] * to[k];
+  }
+}
+
+}  // namespace
+
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
                     int max_sweeps, double polish_tolerance) {
   NETCONST_CHECK(lambda > 0.0, "Huber fit requires lambda > 0");
@@ -580,30 +670,68 @@ int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
   linalg::Matrix target = a;
   target -= result.sparse;
   auto [u, v] = reference::rank1_factors(target);
-  const double tolerance = polish_tolerance / 10.0;
-  int sweeps = 0;
-  while (sweeps < max_sweeps) {
-    const std::vector<double> u_prev = u;
-    const std::vector<double> v_prev = v;
+  // Every v_j against `c` over column j of A, from v.
+  const auto fit_v = [&](const std::vector<double>& c) {
+    std::vector<double> next(n);
     for (std::size_t j = 0; j < n; ++j) {
       std::vector<double> column(m);
       for (std::size_t i = 0; i < m; ++i) column[i] = a(i, j);
-      v[j] = reference::huber_fit_1d(column, u, tau, v[j]);
+      next[j] = reference::huber_fit_1d(column, c, tau, v[j]);
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      std::vector<double> row(n);
-      for (std::size_t j = 0; j < n; ++j) row[j] = a(i, j);
-      u[i] = reference::huber_fit_1d(row, v, tau, u[i]);
-    }
+    return next;
+  };
+  const double tolerance = polish_tolerance / 10.0;
+  int sweeps = 0;
+  if (max_sweeps > 0) {
+    v = fit_v(u);
     ++sweeps;
+  }
+  bool newton = false;
+  double objective = 0.0;
+  std::vector<double> gradient;
+  linalg::Matrix hessian;
+  while (sweeps < max_sweeps) {
     double dv = 0.0, vv = 0.0, du = 0.0, uu = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      dv += (v[j] - v_prev[j]) * (v[j] - v_prev[j]);
-      vv += v[j] * v[j];
+    bool accepted = false;
+    std::vector<double> step;
+    if (newton && newton_step(u, gradient, hessian, step)) {
+      double t = 1.0;
+      for (int h = 0; h <= kNewtonHalvings && sweeps < max_sweeps;
+           ++h, t *= 0.5) {
+        std::vector<double> trial(m);
+        for (std::size_t k = 0; k < m; ++k) trial[k] = u[k] + t * step[k];
+        const std::vector<double> trial_v = fit_v(trial);
+        const double trial_objective =
+            huber_newton_pass(a, trial, trial_v, tau, gradient, hessian);
+        ++sweeps;
+        if (trial_objective <=
+            objective + kObjectiveRounding * std::abs(objective)) {
+          objective = trial_objective;
+          measure_change(u, trial, du, uu);
+          measure_change(v, trial_v, dv, vv);
+          u = trial;
+          v = trial_v;
+          accepted = true;
+          break;
+        }
+      }
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      du += (u[i] - u_prev[i]) * (u[i] - u_prev[i]);
-      uu += u[i] * u[i];
+    if (!accepted) {
+      if (sweeps == max_sweeps) break;
+      std::vector<double> next_u(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        std::vector<double> row(n);
+        for (std::size_t j = 0; j < n; ++j) row[j] = a(i, j);
+        next_u[i] = reference::huber_fit_1d(row, v, tau, u[i]);
+      }
+      measure_change(u, next_u, du, uu);
+      u = next_u;
+      const std::vector<double> next_v = fit_v(u);
+      objective = huber_newton_pass(a, u, next_v, tau, gradient, hessian);
+      ++sweeps;
+      measure_change(v, next_v, dv, vv);
+      v = next_v;
+      newton = true;
     }
     if (std::sqrt(dv) <= tolerance * std::sqrt(vv) &&
         std::sqrt(du) <= tolerance * std::sqrt(uu)) {

@@ -47,9 +47,18 @@ Result solve_stable_pcp_tf(const linalg::Matrix& a,
 double huber_fit_1d(const std::vector<double>& b,
                     const std::vector<double>& c, double tau, double x);
 
+/// Twin of linalg::huber_newton_pass and linalg::huber_newton_hessian in
+/// one: the objective, with the reduced gradient and Hessian in
+/// `gradient` and `hessian`; every sum in four column lanes (column j in
+/// lane j mod 4), added as ((l0 + l1) + l2) + l3.
+double huber_newton_pass(const linalg::Matrix& a, const std::vector<double>& u,
+                         const std::vector<double>& v, double tau,
+                         std::vector<double>& gradient,
+                         linalg::Matrix& hessian);
+
 /// Twin of rpca::rank1_huber_fit: copies every column and row it fits,
 /// compares pieces through per-term vectors and builds D and E with
-/// matrix temporaries. Returns the sweeps run.
+/// matrix temporaries. Returns the v-sweeps run.
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
                     int max_sweeps, double polish_tolerance);
 

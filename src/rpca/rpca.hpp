@@ -81,7 +81,7 @@ struct Result {
   /// True when the rank-1 polish ran on this result.
   bool polished = false;
   /// Iterations the polish used (0 when it did not run), counting each
-  /// rank1_huber_fit sweep that opened it (rpca::polish).
+  /// v-sweep of the rank1_huber_fit that opened it (rpca::polish).
   int polish_iterations = 0;
   /// True when the polish reached its tolerance (also true when the
   /// polish is off, so gating on !polish_converged only fires when the
@@ -107,7 +107,7 @@ void solve(const linalg::Matrix& a, Solver solver, const Options& options,
 /// polish_rank1 on `result` with options' polish budget and tolerance
 /// (options.polish_iterations must be > 0) and add its time to
 /// solve_seconds. With `huber_start`, the budget opens with
-/// rank1_huber_fit (at most kHuberFitSweeps sweeps, each counted as a
+/// rank1_huber_fit (at most kHuberFitSweeps v-sweeps, each counted as a
 /// polish iteration) and polish_rank1 gets the rest, so its step test
 /// still decides polish_converged. Every full-path layer of the online
 /// refresher is this polish alone, with no solver in front: the fit

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cloud/synthetic.hpp"
 #include "support/error.hpp"
@@ -64,6 +65,36 @@ TEST(CalibrateSnapshot, FillsEveryLink) {
       EXPECT_LT(result.matrix.link(i, j).beta, 1e10);
     }
   }
+}
+
+// A schedule built once and reused calibrates exactly as rebuilding it
+// per snapshot does: two consecutive snapshots on one cloud match, bit
+// for bit, the same two on an identical cloud with a fresh schedule
+// each. A schedule for another cluster size is rejected.
+TEST(CalibrateSnapshot, ReusedScheduleMatchesAFreshOneBitForBit) {
+  SyntheticCloudConfig config;
+  config.cluster_size = 7;
+  config.seed = 9;
+  SyntheticCloud reused(config), fresh(config);
+  const std::vector<PairList> rounds = all_pairs_rounds(7);
+  for (int snapshot = 0; snapshot < 2; ++snapshot) {
+    SCOPED_TRACE(snapshot);
+    const CalibrationResult a = calibrate_snapshot(reused, rounds);
+    const CalibrationResult b = calibrate_snapshot(fresh);
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.elapsed_seconds, b.elapsed_seconds);
+    for (std::size_t i = 0; i < 7; ++i) {
+      for (std::size_t j = 0; j < 7; ++j) {
+        if (i == j) continue;
+        EXPECT_EQ(a.matrix.link(i, j).alpha, b.matrix.link(i, j).alpha);
+        EXPECT_EQ(a.matrix.link(i, j).beta, b.matrix.link(i, j).beta);
+      }
+    }
+    reused.advance(600.0);
+    fresh.advance(600.0);
+  }
+  EXPECT_THROW(calibrate_snapshot(reused, all_pairs_rounds(6)),
+               ContractViolation);
 }
 
 TEST(CalibrateSnapshot, EstimatesTrackGroundTruth) {

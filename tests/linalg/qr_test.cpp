@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "support/error.hpp"
@@ -47,6 +48,40 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QrSweep,
                                            std::pair{5, 2}, std::pair{10, 10},
                                            std::pair{20, 7},
                                            std::pair{50, 12}));
+
+// G = M^T M + I is positive definite: the solve reproduces b.
+TEST(Cholesky, SolvesAPositiveDefiniteSystem) {
+  Rng rng(5);
+  const Matrix m = random_matrix(12, 10, rng);
+  Matrix g(10, 10);
+  for (std::size_t i = 0; i < 10; ++i) {
+    for (std::size_t j = 0; j < 10; ++j) {
+      double s = i == j ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < 12; ++k) s += m(k, i) * m(k, j);
+      g(i, j) = s;
+    }
+  }
+  std::vector<double> b(10);
+  for (double& x : b) x = rng.uniform(-1.0, 1.0);
+  Matrix factor = g;
+  std::vector<double> x = b;
+  ASSERT_TRUE(cholesky_solve(factor, x));
+  for (std::size_t i = 0; i < 10; ++i) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < 10; ++j) s += g(i, j) * x[j];
+    EXPECT_NEAR(s, b[i], 1e-12);
+  }
+}
+
+TEST(Cholesky, RejectsIndefiniteAndNaNMatrices) {
+  Matrix indefinite{{1.0, 2.0}, {2.0, 1.0}};
+  std::vector<double> x{1.0, 1.0};
+  EXPECT_FALSE(cholesky_solve(indefinite, x));
+  Matrix with_nan{{1.0, 0.0}, {0.0, std::nan("")}};
+  EXPECT_FALSE(cholesky_solve(with_nan, x));
+  Matrix wide(2, 3);
+  EXPECT_THROW(cholesky_solve(wide, x), ContractViolation);
+}
 
 }  // namespace
 }  // namespace netconst::linalg

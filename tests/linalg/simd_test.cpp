@@ -768,8 +768,9 @@ Matrix positive_rank1_window(std::size_t rows, std::size_t cols,
 
 // The vector fits' edges, against the reference twin at every level:
 // column counts that are not multiples of 4 (so a last batch overlaps
-// the one before it) and a 3-row window whose u_i fits are too few for
-// a batch, on both sweeps. The 7 x 37 window has a zero row and a zero
+// the one before it, and the Newton pass ends on scalar columns),
+// 3- and 2-row windows whose u_i fits are too few for a batch, on both
+// sweeps, and the chaos workload's 4 x 36. The 7 x 37 window has a zero row and a zero
 // column, whose factors start at zero with zero slope: those lanes end
 // before their first step. The 10 x 1023 case also scales the start's
 // A - E by 10 in three columns, one of them in the overlapping last
@@ -784,6 +785,8 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnRaggedShapesAndKinkStarts) {
   };
   const std::vector<Case> cases = {{7, 37, true, {}},
                                    {3, 37, false, {}},
+                                   {4, 36, false, {}},
+                                   {2, 37, false, {}},
                                    {10, 1023, false, {}},
                                    {10, 1023, false, {1, 6, 1021}}};
   for (const Case& c : cases) {
@@ -965,6 +968,61 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnLaneGroupEdges) {
       EXPECT_TRUE(same_bits(polished.low_rank, ref_polished.low_rank));
       EXPECT_TRUE(same_bits(polished.sparse, ref_polished.sparse));
       EXPECT_TRUE(same_bits(polished.residual, ref_polished.residual));
+    }
+  }
+}
+
+// The Newton pass and its Hessian against the reference twin's, bit for
+// bit at every level, at a point the fit steps from (v fitted to u):
+// the N = 32 shape, the chaos workload's 4 x 36, m = 2, column counts
+// that are not multiples of 4 (a scalar tail after the vectors) and
+// fewer than 4 columns (no vector at all). Column 1's v_j is scaled by
+// 10 so every residual of that column lies beyond tau: its sum of
+// q u_i^2 is 0, and the pass takes w_1 = 0.
+TEST(SimdSolve, HuberNewtonPassMatchesReferenceAtEveryLevel) {
+  struct Case {
+    std::size_t rows, cols;
+  };
+  for (const Case c : {Case{10, 1024}, Case{4, 36}, Case{2, 37},
+                       Case{10, 1023}, Case{10, 6}, Case{7, 5},
+                       Case{3, 2}}) {
+    SCOPED_TRACE(std::to_string(c.rows) + "x" + std::to_string(c.cols));
+    const Matrix a = positive_rank1_window(c.rows, c.cols, 31);
+    const double tau = l1_norm(a) / static_cast<double>(a.size()) /
+                       std::sqrt(static_cast<double>(c.cols));
+    Matrix at(c.cols, c.rows), unused;
+    for (std::size_t i = 0; i < c.rows; ++i) {
+      for (std::size_t j = 0; j < c.cols; ++j) at(j, i) = a(i, j);
+    }
+    std::vector<double> u, v(c.cols);
+    {
+      simd::ScopedLevel lvl(simd::Level::Scalar);
+      rpca::Rank1Scratch scratch;
+      rpca::rank1_approximation_into(a, scratch, unused);
+      u = scratch.u;
+      huber_fit_columns(a, at, u, tau, scratch.v, v);
+    }
+    v[1] *= 10.0;
+    for (std::size_t i = 0; i < c.rows; ++i) {
+      ASSERT_GT(std::abs(a(i, 1) - u[i] * v[1]), tau) << "row " << i;
+    }
+    std::vector<double> ref_gradient;
+    Matrix ref_hessian;
+    const double ref_objective = rpca::reference::huber_newton_pass(
+        a, u, v, tau, ref_gradient, ref_hessian);
+    for (const simd::Level level : available_levels()) {
+      SCOPED_TRACE(simd::level_name(level));
+      simd::ScopedLevel lvl(level);
+      std::vector<double> gradient(c.rows);
+      Matrix lanes, hessian;
+      const double objective =
+          huber_newton_pass(a, u, v, tau, gradient, lanes);
+      huber_newton_hessian(c.rows, c.cols, lanes, hessian);
+      EXPECT_TRUE(same_bits(objective, ref_objective));
+      for (std::size_t k = 0; k < c.rows; ++k) {
+        EXPECT_TRUE(same_bits(gradient[k], ref_gradient[k])) << "entry " << k;
+      }
+      EXPECT_TRUE(same_bits(hessian, ref_hessian));
     }
   }
 }

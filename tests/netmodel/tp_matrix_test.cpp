@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace netconst::netmodel {
@@ -135,6 +137,34 @@ TEST(MatricesToPerformance, FromFlattenedRows) {
   const PerformanceMatrix back = matrices_to_performance(lat, bw);
   EXPECT_EQ(back.link(0, 1).alpha, 0.5);
   EXPECT_EQ(back.link(1, 0).beta, 2e6);
+}
+
+// The constant rows are read in place: a 1 x N^2 row and its N x N
+// matrix give the same links, in any mix of layouts, and layers of two
+// cluster sizes are rejected.
+TEST(MatricesToPerformance, FlattenedAndSquareLayoutsAgree) {
+  const linalg::Matrix lat{{0, 0.5, 0.25}, {0.75, 0, 0.125}, {0.3, 0.6, 0}};
+  const linalg::Matrix bw{{1e18, 4e6, 2e6}, {8e6, 1e18, 3e6}, {5e6, 6e6, 1e18}};
+  linalg::Matrix lat_row(1, 9), bw_row(1, 9);
+  for (std::size_t k = 0; k < 9; ++k) {
+    lat_row(0, k) = lat(k / 3, k % 3);
+    bw_row(0, k) = bw(k / 3, k % 3);
+  }
+  const PerformanceMatrix square = matrices_to_performance(lat, bw);
+  using Layers = std::pair<const linalg::Matrix*, const linalg::Matrix*>;
+  for (const auto& [l, b] : {Layers{&lat_row, &bw_row}, Layers{&lat_row, &bw},
+                             Layers{&lat, &bw_row}}) {
+    const PerformanceMatrix p = matrices_to_performance(*l, *b);
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        if (i == j) continue;
+        EXPECT_EQ(p.link(i, j).alpha, square.link(i, j).alpha);
+        EXPECT_EQ(p.link(i, j).beta, square.link(i, j).beta);
+      }
+    }
+  }
+  const linalg::Matrix small{{0, 0.5}, {0.25, 0}};
+  EXPECT_THROW(matrices_to_performance(lat_row, small), ContractViolation);
 }
 
 TEST(TpMatrix, EmptySeriesContractViolations) {

@@ -15,6 +15,7 @@
 #include "rpca/masked.hpp"
 #include "rpca/reference.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace netconst::online {
 namespace {
@@ -71,6 +72,32 @@ TEST(WindowRefresher, RequiresTwoRows) {
   window.push(0.0, cloud.oracle_snapshot());
   WindowRefresher refresher;
   EXPECT_THROW(refresher.refresh(window), ContractViolation);
+}
+
+// A layer whose entries all square to zero, whether they are zero or
+// small enough to underflow, has ||A||_F = 0: the refresh synthesizes
+// D = E = 0 at rank 0 for it instead of fitting, and fits the other
+// layer as usual.
+TEST(WindowRefresher, ZeroAndUnderflowingLayersGetAZeroDecomposition) {
+  for (const double alpha : {0.0, 1e-170}) {
+    SCOPED_TRACE(alpha);
+    netmodel::PerformanceMatrix snapshot(4);
+    Rng rng(3);
+    for (std::size_t i = 0; i < 4; ++i) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        if (i != j) snapshot.set_link(i, j, {alpha, rng.uniform(1e8, 2e8)});
+      }
+    }
+    SlidingWindow window(5);
+    for (int t = 0; !window.full(); ++t) window.push(600.0 * t, snapshot);
+    WindowRefresher refresher;
+    refresher.refresh(window);
+    const rpca::Result& latency = refresher.latency_result();
+    EXPECT_EQ(latency.rank, 0u);
+    EXPECT_EQ(linalg::max_abs(latency.low_rank), 0.0);
+    EXPECT_EQ(linalg::max_abs(latency.sparse), 0.0);
+    EXPECT_EQ(refresher.bandwidth_result().rank, 1u);
+  }
 }
 
 TEST(WindowRefresher, FirstRefreshIsColdAndSeedsTheNext) {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
+#include "linalg/fused.hpp"
 #include "linalg/norms.hpp"
 #include "rpca/rank1.hpp"
 #include "rpca/validation.hpp"
@@ -228,6 +230,79 @@ TEST(Rank1HuberFit, ConvergedFitPassesTheClosingStepInOneStep) {
         polish_rank1(w.a, fit, w.lambda, 300, tolerance, ws);
         EXPECT_TRUE(fit.polish_converged);
         EXPECT_EQ(fit.polish_iterations, 1);
+      }
+    }
+  }
+}
+
+/// sum_ij h_tau(A_ij - D_ij), the objective the fit minimises.
+double huber_objective(const linalg::Matrix& a, const linalg::Matrix& d,
+                       double tau) {
+  double sum = 0.0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const double r = std::abs(a.data()[k] - d.data()[k]);
+    sum += r <= tau ? 0.5 * r * r : tau * r - 0.5 * tau * tau;
+  }
+  return sum;
+}
+
+/// The alternating fit the Newton fit replaced, run for `sweeps` sweeps
+/// (v against u, then u against v) from the rank-1 approximation of
+/// A - E; returns its u v^T.
+linalg::Matrix alternating_fit(const linalg::Matrix& a, const Result& start,
+                               double tau, int sweeps) {
+  linalg::Matrix target = a;
+  target -= start.sparse;
+  Rank1Scratch scratch;
+  linalg::Matrix unused;
+  rank1_approximation_into(target, scratch, unused);
+  std::vector<double> u = scratch.u, v = scratch.v;
+  linalg::Matrix at(a.cols(), a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) at(j, i) = a(i, j);
+  }
+  std::vector<double> next_u(u.size()), next_v(v.size());
+  for (int s = 0; s < sweeps; ++s) {
+    linalg::huber_fit_columns(a, at, u, tau, v, next_v);
+    v = next_v;
+    linalg::huber_fit_columns(at, a, v, tau, u, next_u);
+    u = next_u;
+  }
+  linalg::Matrix d(a.rows(), a.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) d(i, j) = u[i] * v[j];
+  }
+  return d;
+}
+
+// Newton on u converges superlinearly where the alternation it replaced
+// converged linearly (~0.09 per sweep): on every noise level of the
+// EC2-like band, from the APG start and from E = 0, the fit stops within
+// 7 v-sweeps, at an objective no higher than 50 alternating sweeps
+// reach from the same start.
+TEST(Rank1HuberFit, NewtonFitNeedsFewVSweeps) {
+  const double tolerance = Options{}.polish_tolerance;
+  for (const double noise : {0.01, 0.03, 0.04}) {
+    for (const std::uint64_t seed : {10u, 17u, 38u}) {
+      SCOPED_TRACE(testing::Message() << "noise " << noise << " seed " << seed);
+      const NoisyWindow w(seed, noise);
+      const double tau =
+          w.lambda * linalg::l1_norm(w.a) / static_cast<double>(w.a.size());
+      Result from_zero;
+      from_zero.low_rank.resize(w.a.rows(), w.a.cols());
+      from_zero.sparse.resize(w.a.rows(), w.a.cols());
+      from_zero.sparse.fill(0.0);
+      for (const Result& start : {w.start, from_zero}) {
+        SolverWorkspace ws;
+        Result fit = start;
+        const int sweeps = rank1_huber_fit(w.a, fit, w.lambda,
+                                           kHuberFitSweeps, tolerance, ws);
+        EXPECT_LE(sweeps, 7);
+        const double newton = huber_objective(w.a, fit.low_rank, tau);
+        const double alternating =
+            huber_objective(w.a, alternating_fit(w.a, start, tau, 50), tau);
+        EXPECT_LE(newton, alternating * (1.0 + 1e-12))
+            << "newton " << newton << " alternating " << alternating;
       }
     }
   }
