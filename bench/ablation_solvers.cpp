@@ -1,8 +1,8 @@
-// Ablation: RPCA solver choice (APG — the paper's — vs stable PCP vs
-// time-frequency stable PCP) on synthetic low-rank + sparse instances
-// shaped like TP-matrices: recovery quality, support fidelity and
-// runtime. The run exits 1 if a solver throws or returns a non-finite
-// D.
+// Ablation: the RPCA solver (APG, the paper's) and the online full
+// path's policies. First, the solver on synthetic low-rank + sparse
+// instances shaped like TP-matrices: recovery quality, support fidelity
+// and runtime. The run exits 1 if a solve throws or returns a
+// non-finite D.
 //
 // Second study: the online refresher's full path on N=32
 // SyntheticClouds at fixed 300 s steps (8 clouds x 30 slides, band
@@ -26,7 +26,7 @@
 // differ or if seed_fit caps on any layer.
 //
 // Usage: ablation_solvers [--smoke]
-//   --smoke  the solver grid's 10x256 shape, then the study on one
+//   --smoke  the APG grid's 10x256 shape, then the study on one
 //            cloud per band x 10 slides: every gate in a few seconds
 //            (CI's bench-smoke job).
 #include <algorithm>
@@ -51,14 +51,14 @@ using namespace netconst;
 
 namespace {
 
-/// The solver grid over `shapes` (rows x cols). Returns false, after
+/// The APG grid over `shapes` (rows x cols). Returns false, after
 /// printing the table, if any solve threw or left a non-finite entry in
 /// D.
 bool solver_grid(const std::vector<std::pair<int, int>>& shapes) {
   print_banner(std::cout,
-               "Ablation: RPCA solvers on planted rank-1 + sparse "
-               "TP-matrix instances");
-  ConsoleTable table({"rows_x_cols", "sparsity", "solver", "low_rank_err",
+               "Ablation: APG on planted rank-1 + sparse TP-matrix "
+               "instances");
+  ConsoleTable table({"rows_x_cols", "sparsity", "low_rank_err",
                       "support_f1", "iterations", "seconds"});
 
   bool ok = true;
@@ -77,46 +77,35 @@ bool solver_grid(const std::vector<std::pair<int, int>>& shapes) {
       const rpca::SyntheticProblem problem =
           rpca::make_synthetic(spec, instance_rng);
 
-      for (const auto solver : {rpca::Solver::Apg, rpca::Solver::StablePcp,
-                                rpca::Solver::StablePcpTf}) {
-        rpca::Result result;
-        try {
-          result = rpca::solve(problem.data, solver);
-        } catch (const std::exception& error) {
-          ok = false;
-          std::cerr << "SOLVER FAILURE: " << rpca::solver_name(solver)
-                    << " on " << shape << " threw: " << error.what() << "\n";
-          continue;
-        }
-        const auto d = result.low_rank.data();
-        if (!std::all_of(d.begin(), d.end(),
-                         [](double x) { return std::isfinite(x); })) {
-          ok = false;
-          std::cerr << "SOLVER FAILURE: " << rpca::solver_name(solver)
-                    << " on " << shape << " left a non-finite D\n";
-        }
-        const rpca::RecoveryError err = rpca::measure_recovery(
-            problem, result.low_rank, result.sparse);
-        table.add_row({shape, ConsoleTable::cell(sparsity, 2),
-                       rpca::solver_name(solver),
-                       ConsoleTable::cell(err.low_rank_error, 4),
-                       ConsoleTable::cell(err.support_f1, 3),
-                       std::to_string(result.iterations),
-                       ConsoleTable::cell(result.solve_seconds, 3)});
+      rpca::Result result;
+      try {
+        result = rpca::solve(problem.data);
+      } catch (const std::exception& error) {
+        ok = false;
+        std::cerr << "SOLVER FAILURE: APG on " << shape
+                  << " threw: " << error.what() << "\n";
+        continue;
       }
+      const auto d = result.low_rank.data();
+      if (!std::all_of(d.begin(), d.end(),
+                       [](double x) { return std::isfinite(x); })) {
+        ok = false;
+        std::cerr << "SOLVER FAILURE: APG on " << shape
+                  << " left a non-finite D\n";
+      }
+      const rpca::RecoveryError err =
+          rpca::measure_recovery(problem, result.low_rank, result.sparse);
+      table.add_row({shape, ConsoleTable::cell(sparsity, 2),
+                     ConsoleTable::cell(err.low_rank_error, 4),
+                     ConsoleTable::cell(err.support_f1, 3),
+                     std::to_string(result.iterations),
+                     ConsoleTable::cell(result.solve_seconds, 3)});
     }
   }
   table.print(std::cout);
-  std::cout << "\nExpected: APG and StablePCP both recover the planted "
-               "rank-1 component (low-rank error 0.07-0.23 at 10 rows, "
-               "<= 0.05 at 20x4096), APG slightly better: StablePCP's "
-               "fixed mu leaves a noise band in the residual that these "
-               "instances do not have. Both run to the 500-iteration cap. "
-               "StablePCP-TF does not recover them (low-rank error "
-               "0.8-1.0): its band limit keeps only the slow temporal "
-               "frequencies of D, and these instances' row factor is "
-               "white over time, not the slow diurnal profile the solver "
-               "models.\n";
+  std::cout << "\nExpected: APG recovers the planted rank-1 component "
+               "(low-rank error 0.07-0.17 at 10 rows, <= 0.02 at "
+               "20x4096) and runs to the 500-iteration cap.\n";
   return ok;
 }
 
@@ -230,8 +219,8 @@ std::vector<CloudRun> run_cloud(double sigma, std::uint64_t seed,
             seed_fit.constant.latency()) == 0.0;
 
     clock.restart();
-    rpca::solve(lat, rpca::Solver::Apg, apg, cold_ws, cold_lat);
-    rpca::solve(bw, rpca::Solver::Apg, apg, cold_ws, cold_bw);
+    rpca::solve(lat, apg, cold_ws, cold_lat);
+    rpca::solve(bw, apg, cold_ws, cold_bw);
     const double apg_ms = clock.milliseconds();
     record(Policy::Raw, apg_ms,
            core::assemble_component(lat, cold_lat, bw, cold_bw,

@@ -153,16 +153,15 @@ SimdStudy simd_study(int reps) {
 
   rpca::SolverWorkspace ws;
   rpca::Result result;
-  rpca::solve(problem.data, rpca::Solver::Apg, options, ws, result);
+  rpca::solve(problem.data, options, ws, result);
 
   // Bit-identity of the scalar workspace path against the frozen
   // allocating reference — the contract the vector kernels are allowed
   // to relax only in documented reduction order.
   {
     const simd::ScopedLevel scalar(simd::Level::Scalar);
-    rpca::solve(problem.data, rpca::Solver::Apg, options, ws, result);
-    const rpca::Result ref =
-        rpca::reference::solve(problem.data, rpca::Solver::Apg, options);
+    rpca::solve(problem.data, options, ws, result);
+    const rpca::Result ref = rpca::reference::solve(problem.data, options);
     study.scalar_matches_reference =
         result.low_rank.max_abs_diff(ref.low_rank) == 0.0 &&
         result.sparse.max_abs_diff(ref.sparse) == 0.0 &&
@@ -177,12 +176,12 @@ SimdStudy simd_study(int reps) {
     {
       const simd::ScopedLevel scalar(simd::Level::Scalar);
       const Stopwatch clock;
-      rpca::solve(problem.data, rpca::Solver::Apg, options, ws, result);
+      rpca::solve(problem.data, options, ws, result);
       scalar_times.push_back(clock.milliseconds());
     }
     {
       const Stopwatch clock;
-      rpca::solve(problem.data, rpca::Solver::Apg, options, ws, result);
+      rpca::solve(problem.data, options, ws, result);
       vector_times.push_back(clock.milliseconds());
     }
   }

@@ -1,4 +1,4 @@
-// Google-benchmark microbenchmarks for the RPCA solvers and the SVD
+// Google-benchmark microbenchmarks for the RPCA solver and the SVD
 // kernels at the matrix shapes the paper produces (time-step rows x N^2
 // columns). Backs the paper's "RPCA runs in <1 minute at 196 instances,
 // <2% of total overhead" claims.
@@ -36,16 +36,15 @@ void BM_SvdGramTpShape(benchmark::State& state) {
 }
 BENCHMARK(BM_SvdGramTpShape)->Arg(32)->Arg(64)->Arg(128)->Arg(196);
 
-void BM_RpcaSolver(benchmark::State& state,
-                   netconst::rpca::Solver solver) {
+void BM_RpcaSolve(benchmark::State& state) {
   const auto cluster = static_cast<std::size_t>(state.range(0));
   const auto problem = tp_shaped_problem(10, cluster, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rpca::solve(problem.data, solver));
+    benchmark::DoNotOptimize(rpca::solve(problem.data));
   }
   state.SetLabel(std::to_string(cluster) + " instances");
 }
-BENCHMARK_CAPTURE(BM_RpcaSolver, apg, netconst::rpca::Solver::Apg)
+BENCHMARK(BM_RpcaSolve)
     ->Arg(32)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);

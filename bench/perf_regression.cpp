@@ -1,8 +1,8 @@
 // Perf-regression harness for the allocation-free RPCA hot path.
 //
-// Runs cold batch solve suites at the paper's TP-matrix shapes
+// Runs cold batch APG solve suites at the paper's TP-matrix shapes
 // (time-step rows x N^2 columns, N in {16, 32, 64}), timing the frozen
-// allocating baselines (rpca::reference) against the workspace solvers,
+// allocating baseline (rpca::reference) against the workspace solver,
 // then the online refresher's full-path fit and the subspace tracker's
 // row update along sliding-window trajectories, and emits machine-readable JSON (BENCH_rpca.json by default) with
 // median wall times, iteration counts, and heap-allocation counters from
@@ -213,11 +213,10 @@ void finish_section(SectionStats& stats, std::vector<double>& times) {
 }
 
 /// One solve of `data` timed on both sides: rpca::reference::solve
-/// against the workspace rpca::solve, same solver and options.
-SuiteRow solve_suite(const char* suite, const std::string& solver_label,
-                     rpca::Solver solver, std::size_t cluster,
-                     const linalg::Matrix& data, const rpca::Options& options,
-                     int reps) {
+/// against the workspace rpca::solve, same options.
+SuiteRow solve_suite(const char* suite, const char* solver_label,
+                     std::size_t cluster, const linalg::Matrix& data,
+                     const rpca::Options& options, int reps) {
   SuiteRow row;
   row.suite = suite;
   row.solver = solver_label;
@@ -229,8 +228,8 @@ SuiteRow solve_suite(const char* suite, const std::string& solver_label,
   rpca::Result result;
   // Warm-up both paths: page the data in and let the workspace / result
   // buffers reach capacity.
-  rpca::reference::solve(data, solver, options);
-  rpca::solve(data, solver, options, ws, result);
+  rpca::reference::solve(data, options);
+  rpca::solve(data, options, ws, result);
 
   // Reference and workspace repetitions alternate so ambient load
   // perturbs both samples' distributions equally; timing the sections
@@ -241,10 +240,10 @@ SuiteRow solve_suite(const char* suite, const std::string& solver_label,
   ws_times.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     timed_rep(row.reference, ref_times, [&] {
-      return rpca::reference::solve(data, solver, options).iterations;
+      return rpca::reference::solve(data, options).iterations;
     });
     timed_rep(row.workspace, ws_times, [&] {
-      rpca::solve(data, solver, options, ws, result);
+      rpca::solve(data, options, ws, result);
       return result.iterations;
     });
   }
@@ -256,11 +255,10 @@ SuiteRow solve_suite(const char* suite, const std::string& solver_label,
   return row;
 }
 
-SuiteRow batch_suite(rpca::Solver solver, std::size_t cluster, int reps) {
+SuiteRow batch_suite(std::size_t cluster, int reps) {
   const auto problem = tp_problem(cluster, 7 + cluster);
   const rpca::Options options;  // defaults: auto lambda, tol 1e-7
-  return solve_suite("batch", rpca::solver_name(solver), solver, cluster,
-                     problem.data, options, reps);
+  return solve_suite("batch", "APG", cluster, problem.data, options, reps);
 }
 
 /// Online suite: rpca::solve with APG, then the 300-iteration plain
@@ -276,8 +274,8 @@ SuiteRow online_suite(int reps) {
   for (double& x : problem.data.data()) x += 0.1 * noise.normal();
   rpca::Options options;
   options.polish_iterations = 300;  // the online refresher default
-  return solve_suite("online", "APG+polish", rpca::Solver::Apg, cluster,
-                     problem.data, options, reps);
+  return solve_suite("online", "APG+polish", cluster, problem.data, options,
+                     reps);
 }
 
 /// Fit suite: the online refresher's steady-state full-path layer along
@@ -308,8 +306,7 @@ SuiteRow warm_fit_suite(int steps) {
   {
     linalg::Matrix data = problem.data;
     Rng rng(11);
-    rpca::Result prev =
-        rpca::reference::solve(data, rpca::Solver::Apg, options);
+    rpca::Result prev = rpca::reference::solve(data, options);
     std::vector<double> times;
     for (int s = 0; s < steps; ++s) {
       slide_row(data, static_cast<std::size_t>(s), rng);
@@ -332,7 +329,7 @@ SuiteRow warm_fit_suite(int steps) {
     Rng rng(11);
     rpca::SolverWorkspace ws;
     rpca::Result result, twin;
-    rpca::solve(data, rpca::Solver::Apg, options, ws, result);
+    rpca::solve(data, options, ws, result);
     std::vector<double> times;
     bool same = true;
     for (int s = 0; s < steps; ++s) {
@@ -466,20 +463,14 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 3 : 11;
   const int warm_steps = smoke ? 6 : 20;
 
-  const std::vector<std::size_t> clusters = {16, 32, 64};
-  const std::vector<rpca::Solver> solvers = {
-      rpca::Solver::Apg, rpca::Solver::StablePcp, rpca::Solver::StablePcpTf};
-
   std::vector<SuiteRow> rows;
-  for (std::size_t cluster : clusters) {
-    for (rpca::Solver solver : solvers) {
-      rows.push_back(batch_suite(solver, cluster, reps));
-      const SuiteRow& r = rows.back();
-      std::cout << "batch " << r.solver << " N=" << cluster << ": ref "
-                << r.reference.median_ms << " ms, ws "
-                << r.workspace.median_ms << " ms, speedup " << r.speedup
-                << "x, steady-state allocs " << r.workspace.allocs << "\n";
-    }
+  for (const std::size_t cluster : {16, 32, 64}) {
+    rows.push_back(batch_suite(cluster, reps));
+    const SuiteRow& r = rows.back();
+    std::cout << "batch " << r.solver << " N=" << cluster << ": ref "
+              << r.reference.median_ms << " ms, ws "
+              << r.workspace.median_ms << " ms, speedup " << r.speedup
+              << "x, steady-state allocs " << r.workspace.allocs << "\n";
   }
 
   // The N-scaling grid: tracker row update vs the full-path fit.

@@ -51,9 +51,8 @@ ConstantComponent find_constant(const netmodel::TemporalPerformance& series,
   const linalg::Matrix bw_data =
       series.flatten(netmodel::Field::Bandwidth);
 
-  const rpca::Result lat =
-      rpca::solve(lat_data, options.solver, options.rpca);
-  const rpca::Result bw = rpca::solve(bw_data, options.solver, options.rpca);
+  const rpca::Result lat = rpca::solve(lat_data, options.rpca);
+  const rpca::Result bw = rpca::solve(bw_data, options.rpca);
 
   ConstantComponent component = assemble_component(
       lat_data, lat, bw_data, bw, n, options.l0_rel_tolerance);

@@ -19,7 +19,6 @@
 namespace netconst::core {
 
 struct ConstantFinderOptions {
-  rpca::Solver solver = rpca::Solver::Apg;
   rpca::Options rpca;
   /// Tolerance for the l0 counts in Norm(N_E), relative to max|A|: an
   /// error entry below this fraction of the largest link value is not
@@ -63,8 +62,7 @@ ConstantComponent assemble_component(const linalg::Matrix& latency_data,
 
 /// The row of the TC-matrix as an N x N matrix for one flattened layer:
 /// the mean row of the low-rank component (its rows are equal up to
-/// numerical noise; averaging is the consistent estimator for all three
-/// solvers).
+/// numerical noise; averaging is the consistent estimator).
 linalg::Matrix constant_row(const linalg::Matrix& low_rank,
                             std::size_t cluster_size);
 

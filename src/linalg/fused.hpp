@@ -1,11 +1,11 @@
 // Fused elementwise kernels for the RPCA iteration loop.
 //
-// The solvers' algebra was originally written as chains of Matrix
+// The solver's algebra was originally written as chains of Matrix
 // operator+/-/* calls; each link allocated (and zero-faulted) a fresh
 // m x n temporary and made an extra pass over memory. Every kernel here
 // computes one full right-hand side in a single pass and writes into a
-// caller-owned output, so an APG/stable-PCP iteration touches each
-// matrix exactly once and allocates nothing (see docs/PERFORMANCE.md).
+// caller-owned output, so an APG iteration touches each matrix exactly
+// once and allocates nothing (see docs/PERFORMANCE.md).
 //
 // Bit-exactness contract: each kernel performs the same floating-point
 // operations, in the same per-element order, as the operator chain it
@@ -22,7 +22,7 @@
 
 namespace netconst::linalg {
 
-/// The whole APG / stable-PCP gradient step plus the sparse-block prox in
+/// The whole APG gradient step plus the sparse-block prox in
 /// one pass. With the extrapolated points yd = d + (d - d_prev) * c and
 /// ye = e + (e - e_prev) * c and the shared residual r = (yd + ye) - a,
 /// writes gd = yd - r * inv_lf and e_next = soft-threshold(ye - r *

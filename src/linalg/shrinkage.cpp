@@ -224,8 +224,8 @@ GramSvtTileFn gram_svt_tile_for(std::size_t nk) {
   }
 }
 
-/// Shared tail of the scratch SVT/low-rank paths: given the shrunk
-/// spectrum in scratch.shrunk, form the surviving right-vector columns
+/// Tail of the scratch SVT path: given the shrunk spectrum in
+/// scratch.shrunk, form the surviving right-vector columns
 /// v_k = A^T u_k / sigma_k and accumulate out = U diag(shrunk) V^T with
 /// the exact per-element operation order of gram_svd + reconstruct.
 void gram_reconstruct_shrunk(const Matrix& a, GramSvtScratch& scratch,
@@ -410,22 +410,6 @@ SvtInfo singular_value_threshold_into(const Matrix& a, double tau,
   }
   gram_reconstruct_shrunk(a, scratch, out);
   return info;
-}
-
-void low_rank_approximation_into(const Matrix& a, std::size_t k,
-                                 const SvdOptions& options,
-                                 GramSvtScratch& scratch, Matrix& out) {
-  if (!gram_fast_path_applies(a, options)) {
-    out = low_rank_approximation(a, k, options);
-    return;
-  }
-  gram_spectrum(a, scratch);
-  const std::size_t m = a.rows();
-  scratch.shrunk.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    scratch.shrunk[i] = i < k ? scratch.singular_values[i] : 0.0;
-  }
-  gram_reconstruct_shrunk(a, scratch, out);
 }
 
 }  // namespace netconst::linalg

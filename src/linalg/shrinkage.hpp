@@ -61,11 +61,4 @@ SvtInfo singular_value_threshold_into(const Matrix& a, double tau,
                                       const SvdOptions& options,
                                       GramSvtScratch& scratch, Matrix& out);
 
-/// Best rank-k approximation written into `out` through the same scratch
-/// machinery (stable PCP's debias step). Numerically identical to
-/// low_rank_approximation.
-void low_rank_approximation_into(const Matrix& a, std::size_t k,
-                                 const SvdOptions& options,
-                                 GramSvtScratch& scratch, Matrix& out);
-
 }  // namespace netconst::linalg

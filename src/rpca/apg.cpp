@@ -7,7 +7,6 @@
 #include "linalg/norms.hpp"
 #include "linalg/shrinkage.hpp"
 #include "obs/trace.hpp"
-#include "rpca/stable_pcp_tf.hpp"
 #include "rpca/workspace.hpp"
 #include "support/error.hpp"
 #include "support/stopwatch.hpp"
@@ -30,26 +29,14 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
   // mu_bar.
   double mu = 0.99 * linalg::spectral_norm(a, ws.spectral);
   if (mu <= 0.0) mu = 1.0;
+  const double mu_bar = 1e-9 * mu;
+  const double eta = 0.9;
+  // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
+  const double inv_lf = 0.5;
   ws.d.resize(m, n);
   ws.d.fill(0.0);
   ws.e.resize(m, n);
   ws.e.fill(0.0);
-  accelerated_prox(a, options, lambda, mu, /*mu_bar=*/1e-9 * mu,
-                   /*eta=*/0.9, BandLimit{}, ws, result);
-
-  linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-  result.residual = linalg::frobenius_norm(ws.residual) / a_norm;
-  result.low_rank.swap(ws.d);
-  result.sparse.swap(ws.e);
-  result.solve_seconds = clock.seconds();
-}
-
-void accelerated_prox(const linalg::Matrix& a, const Options& options,
-                      double lambda, double mu, double mu_bar, double eta,
-                      const BandLimit& band, SolverWorkspace& ws,
-                      Result& result) {
-  // Lipschitz constant of the smooth part's gradient is 2 (two blocks).
-  const double inv_lf = 0.5;
   ws.d_prev = ws.d;
   ws.e_prev = ws.e;
   double t = 1.0, t_prev = 1.0;
@@ -71,7 +58,6 @@ void accelerated_prox(const linalg::Matrix& a, const Options& options,
         ws.gd, mu * inv_lf, options.svd, ws.svt, ws.d);
     if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
     result.rank = svt.rank;
-    band_limit_step(ws.d, band, mu, ws);
 
     t_prev = t;
     t = 0.5 * (1.0 + std::sqrt(4.0 * t * t + 1.0));
@@ -89,6 +75,12 @@ void accelerated_prox(const linalg::Matrix& a, const Options& options,
       break;
     }
   }
+
+  linalg::sub_sub(a, ws.d, ws.e, ws.residual);
+  result.residual = linalg::frobenius_norm(ws.residual) / a_norm;
+  result.low_rank.swap(ws.d);
+  result.sparse.swap(ws.e);
+  result.solve_seconds = clock.seconds();
 }
 
 }  // namespace netconst::rpca

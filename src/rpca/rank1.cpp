@@ -18,12 +18,12 @@ namespace netconst::rpca {
 
 namespace {
 
-/// Power iteration on A^T A for the dominant singular pair: leaves the
-/// right vector in scratch.v and A v (= sigma * u_hat) in scratch.u, so
-/// the rank-1 approximation is u v^T. A zero `a` leaves both all +0.0,
-/// whose outer product is the +0.0 matrix.
-void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch,
-                   int max_iterations, double tolerance) {
+/// Power iteration on A^T A for the dominant singular pair (at most
+/// kPowerIterations, to kPowerTolerance): leaves the right vector in
+/// scratch.v and A v (= sigma * u_hat) in scratch.u, so the rank-1
+/// approximation is u v^T. A zero `a` leaves both all +0.0, whose outer
+/// product is the +0.0 matrix.
+void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch) {
   NETCONST_CHECK(!a.empty(), "rank-1 approximation of an empty matrix");
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -38,7 +38,7 @@ void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch,
     v.assign(n, 0.0);
   };
   double sigma_prev = 0.0;
-  for (int it = 0; it < max_iterations; ++it) {
+  for (int it = 0; it < kPowerIterations; ++it) {
     linalg::multiply_into(a, v, u);  // A v
     const double unorm = linalg::norm2(u);
     if (unorm == 0.0) return zero();  // A is zero
@@ -48,7 +48,7 @@ void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch,
     if (sigma == 0.0) return zero();
     for (std::size_t j = 0; j < n; ++j) v[j] = w[j] / sigma;
     if (std::abs(sigma - sigma_prev) <=
-        tolerance * std::max(sigma, 1.0)) {
+        kPowerTolerance * std::max(sigma, 1.0)) {
       break;
     }
     sigma_prev = sigma;
@@ -56,26 +56,10 @@ void rank1_factors(const linalg::Matrix& a, Rank1Scratch& scratch,
   linalg::multiply_into(a, v, u);  // = sigma * u_hat
 }
 
-}  // namespace
-
-void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
-                              linalg::Matrix& out, int max_iterations,
-                              double tolerance) {
-  rank1_factors(a, scratch, max_iterations, tolerance);
-  const std::vector<double>& u = scratch.u;
-  const std::vector<double>& v = scratch.v;
-  out.resize(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) out(i, j) = u[i] * v[j];
-  }
-}
-
-namespace {
-
 /// What the polish's two stages share about the window: ||A||_F (the
 /// residual's scale) and the soft threshold tau = lambda * mean|A|,
 /// scaled to the data so one lambda means the same across windows
-/// (the convex solvers' thresholds scale with ||A|| too).
+/// (APG's thresholds scale with ||A|| too).
 struct WindowScalars {
   double a_fro = 0.0;
   double tau = 0.0;
@@ -136,7 +120,7 @@ int huber_fit(const linalg::Matrix& a, double tau, int max_sweeps,
   const std::size_t n = a.cols();
 
   linalg::sub(a, result.sparse, ws.target);
-  rank1_factors(ws.target, ws.rank1, kPowerIterations, kPowerTolerance);
+  rank1_factors(ws.target, ws.rank1);
   Rank1Scratch& s = ws.rank1;
   std::vector<double>& u = s.u;
   std::vector<double>& v = s.v;
@@ -232,7 +216,7 @@ void alternate(const linalg::Matrix& a, double tau, int max_iterations,
   result.polished = true;
   result.polish_converged = false;
   for (int k = 0; k < max_iterations; ++k) {
-    rank1_factors(ws.target, ws.rank1, kPowerIterations, kPowerTolerance);
+    rank1_factors(ws.target, ws.rank1);
     // Next iterates into ws.d / ws.e; current ones stay in the result
     // until the swap below, so the change sums see both. One pass forms
     // D = u v^T, E = soft(A - D), the next A - E and both sums.

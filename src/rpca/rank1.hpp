@@ -1,16 +1,15 @@
 // The rank-1 stage of the pipeline.
 //
 // The paper's problem statement constrains the TC-matrix to rank exactly
-// one (all calibration rows share the same constant component). The
-// convex solvers reach it only through the nuclear-norm surrogate; the
-// rank-1 polish then enforces it directly by alternating
+// one (all calibration rows share the same constant component). APG
+// reaches it only through the nuclear-norm surrogate; the rank-1 polish
+// then enforces it directly by alternating
 //   D <- best rank-1 approximation of (A - E)      (power iteration)
 //   E <- soft-threshold of (A - D)                 (prox of tau||.||_1)
 // from the solver's (D, E), a projected block-coordinate descent on the
 // nonconvex set {rank(D) <= 1}. rank1_huber_fit reaches a fixed point
 // of the same alternation in a few Newton steps; rpca::polish (rpca.hpp) runs
-// the two back to back. rank1_approximation_into is the power iteration
-// on its own (stable PCP's noise estimate uses it).
+// the two back to back.
 #pragma once
 
 #include "rpca/rpca.hpp"
@@ -18,17 +17,9 @@
 namespace netconst::rpca {
 
 /// Power-iteration budget and sigma tolerance of every rank-1
-/// approximation (the polish uses the same ones).
+/// approximation the polish and the Huber fit take.
 inline constexpr int kPowerIterations = 200;
 inline constexpr double kPowerTolerance = 1e-12;
-
-/// Best rank-1 approximation sigma * u * v^T of `a` via power iteration,
-/// written into caller-owned output with power-iteration scratch;
-/// allocation-free once `scratch` and `out` carry capacity.
-void rank1_approximation_into(const linalg::Matrix& a, Rank1Scratch& scratch,
-                              linalg::Matrix& out,
-                              int max_iterations = kPowerIterations,
-                              double tolerance = kPowerTolerance);
 
 /// Rank-1 polish: refine `result`'s (D, E) in place by the alternation
 /// (D <- rank-1 of A - E, E <- soft-threshold of A - D at tau = lambda *

@@ -53,20 +53,6 @@ linalg::Matrix rank1_approximation(const linalg::Matrix& a,
   return d;
 }
 
-double estimate_noise_sigma(const linalg::Matrix& a) {
-  NETCONST_CHECK(!a.empty(), "noise estimate of an empty matrix");
-  linalg::Matrix residual = a;
-  residual -= reference::rank1_approximation(a);
-  std::vector<double> magnitudes;
-  magnitudes.reserve(residual.size());
-  for (double v : residual.data()) magnitudes.push_back(std::abs(v));
-  const std::size_t mid = magnitudes.size() / 2;
-  std::nth_element(magnitudes.begin(), magnitudes.begin() + mid,
-                   magnitudes.end());
-  // MAD -> sigma for Gaussian noise.
-  return 1.4826 * magnitudes[mid];
-}
-
 void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                   int max_iterations, double tolerance) {
   NETCONST_CHECK(lambda > 0.0, "polish requires lambda > 0");
@@ -226,241 +212,13 @@ Result solve_apg(const linalg::Matrix& a, const Options& options) {
   return result;
 }
 
-Result solve_stable_pcp(const linalg::Matrix& a,
-                        const StablePcpOptions& options) {
-  NETCONST_CHECK(!a.empty(), "stable PCP of an empty matrix");
-  const Stopwatch clock;
-  Options opts = options.base;
-  if (opts.lambda <= 0.0) opts.lambda = default_lambda(a.rows(), a.cols());
-  double sigma = options.noise_sigma;
-  if (sigma <= 0.0) sigma = reference::estimate_noise_sigma(a);
-  NETCONST_CHECK(sigma >= 0.0, "noise sigma must be non-negative");
-
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "stable PCP of an all-zero matrix");
-  // Zhou et al.'s recommended Lagrangian weight.
-  const double mu =
-      std::sqrt(2.0 * static_cast<double>(std::max(a.rows(), a.cols()))) *
-      std::max(sigma, 1e-12 * linalg::max_abs(a));
-  const double inv_lf = 0.5;  // gradient Lipschitz constant is 2
-
-  linalg::Matrix d(a.rows(), a.cols()), d_prev = d;
-  linalg::Matrix e(a.rows(), a.cols()), e_prev = e;
-  double t = 1.0, t_prev = 1.0;
-
-  Result result;
-  for (int k = 0; k < opts.max_iterations; ++k) {
-    const double momentum = (t_prev - 1.0) / t;
-    linalg::Matrix yd = d;
-    {
-      linalg::Matrix diff = d;
-      diff -= d_prev;
-      diff *= momentum;
-      yd += diff;
-    }
-    linalg::Matrix ye = e;
-    {
-      linalg::Matrix diff = e;
-      diff -= e_prev;
-      diff *= momentum;
-      ye += diff;
-    }
-    linalg::Matrix residual = yd;
-    residual += ye;
-    residual -= a;
-    residual *= inv_lf;
-
-    linalg::Matrix gd = yd;
-    gd -= residual;
-    linalg::Matrix ge = ye;
-    ge -= residual;
-
-    d_prev = std::move(d);
-    e_prev = std::move(e);
-    const auto svt =
-        linalg::singular_value_threshold(gd, mu * inv_lf, opts.svd);
-    d = svt.value;
-    result.rank = svt.rank;
-    e = linalg::soft_threshold(ge, opts.lambda * mu * inv_lf);
-
-    t_prev = t;
-    t = 0.5 * (1.0 + std::sqrt(4.0 * t * t + 1.0));
-    result.iterations = k + 1;
-
-    double change = 0.0, scale = 0.0;
-    for (std::size_t idx = 0; idx < d.data().size(); ++idx) {
-      const double dd = d.data()[idx] - d_prev.data()[idx];
-      const double de = e.data()[idx] - e_prev.data()[idx];
-      change += dd * dd + de * de;
-      scale += d.data()[idx] * d.data()[idx] +
-               e.data()[idx] * e.data()[idx];
-    }
-    if (std::sqrt(change) <=
-        opts.tolerance * std::max(std::sqrt(scale), 1.0)) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Debias: the nuclear-norm prox shrinks every kept singular value by
-  // ~mu/2; refit D as the exact rank-r projection of A - E with the
-  // discovered rank (standard post-processing for stable PCP).
-  if (result.rank > 0) {
-    linalg::Matrix target = a;
-    target -= e;
-    d = linalg::low_rank_approximation(target, result.rank, opts.svd);
-  }
-
-  {
-    linalg::Matrix res = a;
-    res -= d;
-    res -= e;
-    result.residual = linalg::frobenius_norm(res) / a_fro;
-  }
-  result.low_rank = std::move(d);
-  result.sparse = std::move(e);
-  result.solve_seconds = clock.seconds();
-  return result;
-}
-
-Result solve_stable_pcp_tf(const linalg::Matrix& a,
-                           const StablePcpTfOptions& options) {
-  NETCONST_CHECK(!a.empty(), "TF stable PCP of an empty matrix");
-  const Stopwatch clock;
-  Options opts = options.base;
-  if (opts.lambda <= 0.0) opts.lambda = default_lambda(a.rows(), a.cols());
-  double sigma = options.noise_sigma;
-  if (sigma <= 0.0) sigma = reference::estimate_noise_sigma(a);
-  NETCONST_CHECK(sigma >= 0.0, "noise sigma must be non-negative");
-
-  const double a_fro = linalg::frobenius_norm(a);
-  NETCONST_CHECK(a_fro > 0.0, "TF stable PCP of an all-zero matrix");
-  // Stable PCP's Lagrangian weight; the TF shrink reuses its scale.
-  const double mu =
-      std::sqrt(2.0 * static_cast<double>(std::max(a.rows(), a.cols()))) *
-      std::max(sigma, 1e-12 * linalg::max_abs(a));
-  const double inv_lf = 0.5;  // gradient Lipschitz constant is 2
-  const std::size_t keep_rows =
-      rpca::tf_passband_rows(a.rows(), options.passband_fraction);
-  const double tf_threshold = options.tf_weight * mu * inv_lf;
-
-  // The transform kernels are the production solver's sequential scalar
-  // loops (see reference.hpp); only the surrounding iterate algebra is
-  // the frozen allocation-per-expression style.
-  linalg::Matrix basis;
-  rpca::temporal_dct_basis_into(a.rows(), basis);
-  linalg::Matrix coeffs;
-  const auto tf_prox = [&](linalg::Matrix& panel) {
-    rpca::temporal_dct_forward(basis, panel, coeffs);
-    rpca::shrink_high_frequencies(coeffs, keep_rows, tf_threshold);
-    rpca::temporal_dct_inverse(basis, coeffs, panel);
-  };
-
-  linalg::Matrix d(a.rows(), a.cols()), d_prev = d;
-  linalg::Matrix e(a.rows(), a.cols()), e_prev = e;
-  double t = 1.0, t_prev = 1.0;
-
-  Result result;
-  for (int k = 0; k < opts.max_iterations; ++k) {
-    const double momentum = (t_prev - 1.0) / t;
-    linalg::Matrix yd = d;
-    {
-      linalg::Matrix diff = d;
-      diff -= d_prev;
-      diff *= momentum;
-      yd += diff;
-    }
-    linalg::Matrix ye = e;
-    {
-      linalg::Matrix diff = e;
-      diff -= e_prev;
-      diff *= momentum;
-      ye += diff;
-    }
-    linalg::Matrix residual = yd;
-    residual += ye;
-    residual -= a;
-    residual *= inv_lf;
-
-    linalg::Matrix gd = yd;
-    gd -= residual;
-    linalg::Matrix ge = ye;
-    ge -= residual;
-
-    d_prev = std::move(d);
-    e_prev = std::move(e);
-    const auto svt =
-        linalg::singular_value_threshold(gd, mu * inv_lf, opts.svd);
-    d = svt.value;
-    result.rank = svt.rank;
-    if (tf_threshold > 0.0 && keep_rows < a.rows()) tf_prox(d);
-    e = linalg::soft_threshold(ge, opts.lambda * mu * inv_lf);
-
-    t_prev = t;
-    t = 0.5 * (1.0 + std::sqrt(4.0 * t * t + 1.0));
-    result.iterations = k + 1;
-
-    double change = 0.0, scale = 0.0;
-    for (std::size_t idx = 0; idx < d.data().size(); ++idx) {
-      const double dd = d.data()[idx] - d_prev.data()[idx];
-      const double de = e.data()[idx] - e_prev.data()[idx];
-      change += dd * dd + de * de;
-      scale += d.data()[idx] * d.data()[idx] +
-               e.data()[idx] * e.data()[idx];
-    }
-    if (std::sqrt(change) <=
-        opts.tolerance * std::max(std::sqrt(scale), 1.0)) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Debias exactly like stable PCP, then re-impose the band limit once
-  // (the refit reintroduces high-frequency energy from A - E).
-  if (result.rank > 0) {
-    linalg::Matrix target = a;
-    target -= e;
-    d = linalg::low_rank_approximation(target, result.rank, opts.svd);
-    if (tf_threshold > 0.0 && keep_rows < a.rows()) tf_prox(d);
-  }
-
-  {
-    linalg::Matrix res = a;
-    res -= d;
-    res -= e;
-    result.residual = linalg::frobenius_norm(res) / a_fro;
-  }
-  result.low_rank = std::move(d);
-  result.sparse = std::move(e);
-  result.solve_seconds = clock.seconds();
-  return result;
-}
-
-Result solve(const linalg::Matrix& a, Solver solver,
-             const Options& options) {
+Result solve(const linalg::Matrix& a, const Options& options) {
   NETCONST_CHECK(!a.empty(), "RPCA of an empty matrix");
   Options opts = options;
   if (opts.lambda <= 0.0) opts.lambda = default_lambda(a.rows(), a.cols());
   // Qualified calls: argument-dependent lookup would otherwise make the
   // production rpca:: overloads ambiguous with these.
-  auto dispatch = [&]() -> Result {
-    switch (solver) {
-      case Solver::Apg:
-        return reference::solve_apg(a, opts);
-      case Solver::StablePcp: {
-        StablePcpOptions stable;
-        stable.base = opts;
-        return reference::solve_stable_pcp(a, stable);
-      }
-      case Solver::StablePcpTf: {
-        StablePcpTfOptions stable;
-        stable.base = opts;
-        return reference::solve_stable_pcp_tf(a, stable);
-      }
-    }
-    throw Error("unknown RPCA solver");
-  };
-  Result result = dispatch();
+  Result result = reference::solve_apg(a, opts);
   result.solver_residual = result.residual;
   if (opts.polish_iterations > 0) {
     const Stopwatch polish_clock;

@@ -1,16 +1,15 @@
 // Frozen pre-workspace solver implementations.
 //
-// These are the original allocation-per-expression RPCA solvers, kept
-// verbatim for two jobs:
+// These are the original allocation-per-expression APG solver and
+// rank-1 polish, kept verbatim for two jobs:
 //
-//  * equivalence testing — the workspace solvers in apg/stable_pcp/
-//    stable_pcp_tf and the polish in rank1 must reproduce these bit
-//    for bit (the fused kernels and scratch SVD paths preserve
-//    floating-point operation order; see
+//  * equivalence testing — the workspace solver in apg and the polish
+//    in rank1 must reproduce these bit for bit (the fused kernels and
+//    scratch SVD paths preserve floating-point operation order; see
 //    tests/rpca/workspace_equivalence_test.cpp);
 //  * the perf baseline — bench/perf_regression.cpp reports workspace
 //    speedup against exactly this code, so the comparison cannot drift
-//    as the production solvers evolve.
+//    as the production solver evolves.
 //
 // rank1_huber_fit and polish came later, written in the same
 // allocating style as twins of rpca::rank1_huber_fit and rpca::polish.
@@ -21,25 +20,14 @@
 #include <vector>
 
 #include "rpca/rpca.hpp"
-#include "rpca/stable_pcp.hpp"
-#include "rpca/stable_pcp_tf.hpp"
 
 namespace netconst::rpca::reference {
 
-/// Replica of the original rpca::solve dispatch, including default
-/// lambda and the allocating rank-1 polish.
-Result solve(const linalg::Matrix& a, Solver solver,
-             const Options& options = {});
+/// Replica of the original rpca::solve, including default lambda and
+/// the allocating rank-1 polish.
+Result solve(const linalg::Matrix& a, const Options& options = {});
 
 Result solve_apg(const linalg::Matrix& a, const Options& options);
-Result solve_stable_pcp(const linalg::Matrix& a,
-                        const StablePcpOptions& options = {});
-// The TF-constrained variant's transform kernels (basis build, panel
-// products, coefficient shrink) are sequential scalar loops shared with
-// the production solver — sharing them is what makes the equivalence
-// structural rather than a rewrite that has to be re-validated.
-Result solve_stable_pcp_tf(const linalg::Matrix& a,
-                           const StablePcpTfOptions& options = {});
 
 /// Twin of one 1-D fit of linalg::huber_fit_columns: the minimiser of
 /// sum_t h_tau(b[t] - c[t] x) from `x`, comparing pieces through

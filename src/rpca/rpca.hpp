@@ -4,48 +4,30 @@
 //
 // This is the mathematical core of the paper: the TP-matrix of a virtual
 // cluster is decomposed into the rank-one constant component (TC-matrix)
-// and the sparse error component (TE-matrix). Three solvers are
-// provided, all running one accelerated proximal-gradient loop
-// (rpca/apg.hpp accelerated_prox) from D = E = 0 and so sharing one
-// convergence test, one iteration span and one cold start:
+// and the sparse error component (TE-matrix). The solver is the paper's:
+// accelerated proximal gradient (Ji & Ye, rpca/apg.hpp), run cold from
+// D = E = 0 with a continuation schedule on mu.
 //
-//  * Apg     — accelerated proximal gradient (Ji & Ye), the paper's choice;
-//  * StablePcp — stable principal component pursuit, which additionally
-//              tolerates dense small noise (the volatility band) in the
-//              residual instead of forcing it into E; runs the loop with
-//              a fixed mu;
-//  * StablePcpTf — time-frequency constrained stable PCP (Hu/Wang/Yin),
-//              which further band-limits D along the time axis so slow
-//              diurnal/baseline structure stays in the constant
-//              component while fast churn is pushed out of it.
-//
-// The paper's rank(N_D) = 1 constraint is imposed after any of them by
-// the optional rank-1 polish (Options::polish_iterations, rpca/rank1.hpp).
+// The paper's rank(N_D) = 1 constraint is imposed after it by the
+// optional rank-1 polish (Options::polish_iterations, rpca/rank1.hpp).
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
 
 namespace netconst::rpca {
 
-enum class Solver { Apg, StablePcp, StablePcpTf };
-
 // Defined in workspace.hpp; forward-declared so the workspace-based
 // solve overloads below don't force every client through that header.
 struct SolverWorkspace;
-struct Rank1Scratch;
-
-/// Human-readable solver name (for bench output).
-std::string solver_name(Solver solver);
 
 struct Options {
   /// Sparsity weight. <= 0 selects the standard 1/sqrt(max(m, n)).
   double lambda = 0.0;
   int max_iterations = 500;
-  /// Convergence tolerance. Every solver stops when the iterate change
+  /// Convergence tolerance. The solver stops when the iterate change
   /// satisfies
   ///   ||(D, E) - (D, E)_prev||_F <= tolerance * max(||(D, E)||_F, 1),
   /// which is relative only while ||(D, E)||_F >= 1 and absolute below:
@@ -89,10 +71,10 @@ struct Result {
   bool polish_converged = true;
 };
 
-/// Decompose `a` with the chosen solver. Throws ContractViolation on an
-/// empty input.
-Result solve(const linalg::Matrix& a, Solver solver,
-             const Options& options = {});
+/// Decompose `a` with APG, then the rank-1 polish when
+/// options.polish_iterations > 0. Throws ContractViolation on an empty
+/// input.
+Result solve(const linalg::Matrix& a, const Options& options = {});
 
 /// Workspace-based solve: every iterate, panel, and factorization
 /// scratch comes from `workspace`, and the factors land in `result`'s
@@ -100,7 +82,7 @@ Result solve(const linalg::Matrix& a, Solver solver,
 /// steady-state heap allocations (see docs/PERFORMANCE.md); `options` is
 /// read in place, never copied. Numerically identical to the allocating
 /// overload, which routes through this one.
-void solve(const linalg::Matrix& a, Solver solver, const Options& options,
+void solve(const linalg::Matrix& a, const Options& options,
            SolverWorkspace& workspace, Result& result);
 
 /// The rank-1 polish stage of solve(), in an `rpca.polish` span: run

@@ -30,9 +30,6 @@ void SolverWorkspace::reserve(std::size_t rows, std::size_t cols) {
   rank1.u.reserve(rows);
   rank1.v.reserve(cols);
   rank1.w.reserve(large);
-  magnitudes.reserve(rows * cols);
-  dct.basis.resize(rows, rows);
-  dct.coeffs.resize(rows, cols);
 }
 
 void reset_result(Result& result) {

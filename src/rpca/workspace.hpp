@@ -1,8 +1,8 @@
 // Reusable solver storage: every iterate, panel, and factorization
-// scratch the RPCA solvers touch, owned by the caller and recycled
-// across solves.
+// scratch APG and the rank-1 polish touch, owned by the caller and
+// recycled across solves.
 //
-// The solvers were originally written allocation-per-expression: each
+// The solver was originally written allocation-per-expression: each
 // iteration built ~10 fresh m x n temporaries (plus the SVD's internal
 // working set), which at paper shapes means hundreds of kilobytes of
 // mmap/zero-fault traffic per iteration. A SolverWorkspace threaded
@@ -33,15 +33,15 @@ namespace netconst::rpca {
 /// tests and the bench harness (fast-path coverage). Never reset by the
 /// solvers — callers sample deltas.
 struct WorkspaceStats {
-  /// Solver entries (one per solve_* call through this workspace).
+  /// APG entries (one per solve_apg call through this workspace).
   std::size_t solves = 0;
   /// SVT calls that fell off the allocation-free Gram fast path onto the
   /// general (allocating) SVD. Zero for paper-shaped (wide) data.
   std::size_t svt_fallbacks = 0;
 };
 
-/// Power-iteration vectors for rank1_approximation_into, and the rank-1
-/// Huber fit's factors and Newton steps.
+/// The polish's power-iteration vectors, and the rank-1 Huber fit's
+/// factors and Newton steps.
 struct Rank1Scratch {
   std::vector<double> u;  // left iterate, length m
   std::vector<double> v;  // right iterate, length n
@@ -54,22 +54,12 @@ struct Rank1Scratch {
   linalg::Matrix hessian, lanes;
 };
 
-/// Temporal-DCT working set for the time-frequency stable PCP solver:
-/// the orthonormal DCT-II basis, cached per window length so repeated
-/// solves of the same shape never rebuild it, and the coefficient panel
-/// the band-limiting prox step shrinks in.
-struct TemporalDctScratch {
-  linalg::Matrix basis;        // basis_rows x basis_rows frequency atoms
-  linalg::Matrix coeffs;       // rows x cols coefficient panel
-  std::size_t basis_rows = 0;  // window length `basis` was built for
-};
-
 /// The full working set of one solver instance. Matrices are rotated
 /// with Matrix::swap (O(1), no copies) and reshaped with Matrix::resize
 /// (capacity-reusing), so a workspace that has seen a problem shape once
 /// never allocates for it again.
 struct SolverWorkspace {
-  // Iterate pair; the solvers swap (d, d_prev) instead of copying.
+  // Iterate pair; APG swaps (d, d_prev) instead of copying.
   linalg::Matrix d, e, d_prev, e_prev;
   // Decomposition residual and the two proximal gradient steps (the
   // extrapolated points and the smooth-term residual are never
@@ -83,10 +73,6 @@ struct SolverWorkspace {
   linalg::SpectralNormScratch spectral;
   // rank-1 approximation / polish power-iteration vectors.
   Rank1Scratch rank1;
-  // |residual| magnitudes for stable PCP's MAD noise estimate.
-  std::vector<double> magnitudes;
-  // Temporal-DCT basis and coefficient panel for TF stable PCP.
-  TemporalDctScratch dct;
 
   WorkspaceStats stats;
 

@@ -121,7 +121,7 @@ TEST(ChaosPipeline, ObservedEntriesReconstructThroughMaskedIngest) {
     ASSERT_GT(rpca::count_missing(*layer), 0u);
     linalg::Matrix repaired = *layer;
     rpca::impute_missing(repaired);
-    const rpca::Result result = rpca::solve(repaired, rpca::Solver::Apg);
+    const rpca::Result result = rpca::solve(repaired);
     // D + E explains every entry that was actually measured.
     EXPECT_LT(rpca::masked_relative_residual(*layer, result.low_rank,
                                              result.sparse),

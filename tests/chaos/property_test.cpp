@@ -1,8 +1,8 @@
 // Seeded property-based fuzzing of the masked decomposition path:
 // random window shapes (N rows x n(n-1) columns), random sparse
-// interference, and random fault masks, pushed through all three RPCA
-// solvers. The invariants are the chaos contract, not exact values:
-// no solver may throw, D + E must reconstruct the observed entries,
+// interference, and random fault masks, pushed through the RPCA
+// solver. The invariants are the chaos contract, not exact values:
+// the solve may not throw, D + E must reconstruct the observed entries,
 // and the error component must stay as sparse as the injected
 // interference says it should be.
 #include <cmath>
@@ -20,12 +20,6 @@ using netconst::testing::mask_entries;
 using netconst::testing::random_rank1_sparse;
 using netconst::testing::random_size;
 using netconst::testing::run_property;
-
-// StablePcpTf's DCT band-limit prox assumes the constant's temporal
-// spectrum is DC-dominant — exactly what random_rank1_sparse windows
-// produce — so it rides the same fuzz loop as the unconstrained two.
-constexpr Solver kSolvers[] = {Solver::Apg, Solver::StablePcp,
-                               Solver::StablePcpTf};
 
 TEST(ChaosProperty, MaskedSolvesNeverThrowAndReconstructObserved) {
   run_property(0xFA575EED, 6, [](Rng& rng) {
@@ -48,20 +42,16 @@ TEST(ChaosProperty, MaskedSolvesNeverThrowAndReconstructObserved) {
               stats.from_constant + stats.from_column + stats.from_global);
     EXPECT_EQ(count_missing(repaired), 0u);
 
-    for (const Solver solver : kSolvers) {
-      SCOPED_TRACE(solver_name(solver));
-      Result result;
-      ASSERT_NO_THROW(result = solve(repaired, solver));
-      // The decomposition must explain what was actually measured.
-      EXPECT_LT(
-          masked_relative_residual(masked, result.low_rank, result.sparse),
-          0.1);
-      // And must not hallucinate a dense error component: the injected
-      // interference bounds Norm(N_E) (imputed entries carry ~zero
-      // sparse error by construction).
-      EXPECT_LE(relative_l0(result.sparse, repaired),
-                outlier_fraction + 0.15);
-    }
+    Result result;
+    ASSERT_NO_THROW(result = solve(repaired));
+    // The decomposition must explain what was actually measured.
+    EXPECT_LT(
+        masked_relative_residual(masked, result.low_rank, result.sparse),
+        0.1);
+    // And must not hallucinate a dense error component: the injected
+    // interference bounds Norm(N_E) (imputed entries carry ~zero sparse
+    // error by construction).
+    EXPECT_LE(relative_l0(result.sparse, repaired), outlier_fraction + 0.15);
   });
 }
 
@@ -77,8 +67,8 @@ TEST(ChaosProperty, UnmaskedAndLightlyMaskedConstantsAgree) {
     linalg::Matrix repaired = masked;
     impute_missing(repaired);
 
-    const Result clean = solve(made.data, Solver::Apg);
-    const Result degraded = solve(repaired, Solver::Apg);
+    const Result clean = solve(made.data);
+    const Result degraded = solve(repaired);
     // Column-mean imputation (no constant row supplied) already keeps
     // the recovered constant within a few percent of the clean solve.
     for (std::size_t j = 0; j < cols; ++j) {

@@ -129,16 +129,10 @@ TEST(ConstantFinder, SpikesDoNotCorruptTheConstant) {
 TEST(ConstantFinder, SolverChoicesAllWork) {
   Rng rng(13);
   const auto series = synthetic_series(5, 8, 0.02, 0.05, rng);
-  for (const auto solver : {rpca::Solver::Apg, rpca::Solver::StablePcp,
-                            rpca::Solver::StablePcpTf}) {
-    ConstantFinderOptions options;
-    options.solver = solver;
-    const ConstantComponent component = find_constant(series, options);
-    EXPECT_TRUE(component.constant.is_valid())
-        << rpca::solver_name(solver);
-    EXPECT_GE(component.error_norm, 0.0);
-    EXPECT_LE(component.error_norm, 1.0);
-  }
+  const ConstantComponent component = find_constant(series);
+  EXPECT_TRUE(component.constant.is_valid());
+  EXPECT_GE(component.error_norm, 0.0);
+  EXPECT_LE(component.error_norm, 1.0);
 }
 
 TEST(ConstantFinder, ReportsRankAndTiming) {

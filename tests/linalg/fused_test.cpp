@@ -188,17 +188,5 @@ TEST(Fused, ScratchSvtFallsBackOffTheGramPath) {
   EXPECT_EQ(out.max_abs_diff(expected.value), 0.0);
 }
 
-TEST(Fused, ScratchLowRankMatchesAllocatingForm) {
-  Rng rng(21);
-  const Matrix a = random_matrix(6, 40, rng);
-  GramSvtScratch scratch;
-  for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
-    const Matrix expected = low_rank_approximation(a, k);
-    Matrix out;
-    low_rank_approximation_into(a, k, {}, scratch, out);
-    EXPECT_EQ(out.max_abs_diff(expected), 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace netconst::linalg

@@ -513,14 +513,14 @@ TEST(SimdSolve, VectorLevelMatchesScalarQuality) {
   rpca::Result scalar_result, vector_result;
   {
     simd::ScopedLevel lvl(simd::Level::Scalar);
-    scalar_result = rpca::solve(a, rpca::Solver::Apg, opts);
-    const rpca::Result ref = rpca::reference::solve(a, rpca::Solver::Apg, opts);
+    scalar_result = rpca::solve(a, opts);
+    const rpca::Result ref = rpca::reference::solve(a, opts);
     EXPECT_EQ(scalar_result.low_rank.max_abs_diff(ref.low_rank), 0.0);
     EXPECT_EQ(scalar_result.iterations, ref.iterations);
   }
   {
     simd::ScopedLevel lvl(simd::best_available_level());
-    vector_result = rpca::solve(a, rpca::Solver::Apg, opts);
+    vector_result = rpca::solve(a, opts);
   }
   EXPECT_EQ(vector_result.converged, scalar_result.converged);
   EXPECT_EQ(vector_result.rank, scalar_result.rank);
@@ -553,7 +553,7 @@ TEST(SimdSolve, FusedPolishMatchesKernelChainAtEveryLevel) {
     opts.max_iterations = 40;
     rpca::SolverWorkspace ws;
     rpca::Result start;
-    rpca::solve(a, rpca::Solver::Apg, opts, ws, start);
+    rpca::solve(a, opts, ws, start);
 
     rpca::Result fused = start;
     rpca::polish_rank1(a, fused, lambda, cap, tol, ws);
@@ -565,8 +565,11 @@ TEST(SimdSolve, FusedPolishMatchesKernelChainAtEveryLevel) {
     chain.polished = true;
     chain.polish_converged = false;
     for (int k = 0; k < cap; ++k) {
-      sub(a, chain.sparse, cws.target);
-      rpca::rank1_approximation_into(cws.target, cws.rank1, cws.d);
+      // D = the rank-1 approximation of A - E: the Huber fit with no
+      // sweeps is the power iteration and u v^T.
+      rpca::Result power = chain;
+      rpca::rank1_huber_fit(a, power, lambda, /*max_sweeps=*/0, tol, cws);
+      cws.d.swap(power.low_rank);
       sub(a, cws.d, cws.target);
       soft_threshold_into(cws.target, tau, cws.e);
       double change = 0.0, scale = 0.0;
@@ -627,7 +630,7 @@ TEST(SimdSolve, HuberFitMatchesReferenceAtEveryLevel) {
     simd::ScopedLevel lvl(simd::Level::Scalar);
     rpca::Options solve_opts = opts;
     solve_opts.polish_iterations = 0;
-    start = rpca::solve(a, rpca::Solver::Apg, solve_opts);
+    start = rpca::solve(a, solve_opts);
   }
 
   rpca::Result first_fit;
@@ -804,7 +807,7 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnRaggedShapesAndKinkStarts) {
       rpca::Options opts;
       opts.max_iterations = 40;
       opts.polish_iterations = 0;
-      start = rpca::solve(a, rpca::Solver::Apg, opts);
+      start = rpca::solve(a, opts);
     }
     if (c.zero_lines) {
       for (std::size_t j = 0; j < c.cols; ++j) start.sparse(2, j) = 0.0;
@@ -820,10 +823,11 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnRaggedShapesAndKinkStarts) {
       // a kink column beyond tau, and some residual of its neighbour
       // inside it.
       simd::ScopedLevel lvl(simd::Level::Scalar);
-      Matrix target(c.rows, c.cols), start_d;
-      sub(a, start.sparse, target);
-      rpca::Rank1Scratch scratch;
-      rpca::rank1_approximation_into(target, scratch, start_d);
+      rpca::Result power = start;
+      rpca::SolverWorkspace ws;
+      rpca::rank1_huber_fit(a, power, lambda, /*max_sweeps=*/0,
+                            /*polish_tolerance=*/1e-10, ws);
+      const Matrix& start_d = power.low_rank;
       const double tau = lambda * l1_norm(a) / static_cast<double>(a.size());
       const auto beyond = [&](std::size_t j) {
         std::size_t count = 0;
@@ -895,7 +899,7 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnLaneGroupEdges) {
       simd::ScopedLevel lvl(simd::Level::Scalar);
       rpca::Options solve_opts = opts;
       solve_opts.polish_iterations = 0;
-      start = rpca::solve(a, rpca::Solver::Apg, solve_opts);
+      start = rpca::solve(a, solve_opts);
     }
     // Scale the start's A - E by 10 along a kink line: the fit's start
     // u v^T then leaves every residual of that line beyond tau.
@@ -914,10 +918,11 @@ TEST(SimdSolve, HuberFitMatchesReferenceOnLaneGroupEdges) {
       // The precondition: every residual of a kink line beyond tau, and
       // some residual of the next line inside it.
       simd::ScopedLevel lvl(simd::Level::Scalar);
-      Matrix target(c.rows, c.cols), start_d;
-      sub(a, start.sparse, target);
-      rpca::Rank1Scratch scratch;
-      rpca::rank1_approximation_into(target, scratch, start_d);
+      rpca::Result power = start;
+      rpca::SolverWorkspace ws;
+      rpca::rank1_huber_fit(a, power, lambda, /*max_sweeps=*/0,
+                            /*polish_tolerance=*/1e-10, ws);
+      const Matrix& start_d = power.low_rank;
       const double tau = lambda * l1_norm(a) / static_cast<double>(a.size());
       const auto beyond = [&](std::size_t i, std::size_t j) {
         return std::abs(a(i, j) - start_d(i, j)) > tau;
@@ -990,17 +995,23 @@ TEST(SimdSolve, HuberNewtonPassMatchesReferenceAtEveryLevel) {
     const Matrix a = positive_rank1_window(c.rows, c.cols, 31);
     const double tau = l1_norm(a) / static_cast<double>(a.size()) /
                        std::sqrt(static_cast<double>(c.cols));
-    Matrix at(c.cols, c.rows), unused;
+    Matrix at(c.cols, c.rows);
     for (std::size_t i = 0; i < c.rows; ++i) {
       for (std::size_t j = 0; j < c.cols; ++j) at(j, i) = a(i, j);
     }
     std::vector<double> u, v(c.cols);
     {
+      // The power iteration's factors of A: the Huber fit from E = 0
+      // with no sweeps leaves them in ws.rank1.
       simd::ScopedLevel lvl(simd::Level::Scalar);
-      rpca::Rank1Scratch scratch;
-      rpca::rank1_approximation_into(a, scratch, unused);
-      u = scratch.u;
-      huber_fit_columns(a, at, u, tau, scratch.v, v);
+      rpca::Result power;
+      power.sparse.resize(c.rows, c.cols);
+      power.sparse.fill(0.0);
+      rpca::SolverWorkspace ws;
+      rpca::rank1_huber_fit(a, power, /*lambda=*/1.0, /*max_sweeps=*/0,
+                            /*polish_tolerance=*/1e-10, ws);
+      u = ws.rank1.u;
+      huber_fit_columns(a, at, u, tau, ws.rank1.v, v);
     }
     v[1] *= 10.0;
     for (std::size_t i = 0; i < c.rows; ++i) {

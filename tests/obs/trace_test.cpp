@@ -203,11 +203,9 @@ TEST_F(Trace, SolverOutputByteIdenticalTracingOnAndOff) {
   options.max_iterations = 400;
 
   FlightRecorder::instance().set_enabled(false);
-  const rpca::Result quiet =
-      rpca::solve(problem.data, rpca::Solver::Apg, options);
+  const rpca::Result quiet = rpca::solve(problem.data, options);
   FlightRecorder::instance().set_enabled(true);
-  const rpca::Result traced =
-      rpca::solve(problem.data, rpca::Solver::Apg, options);
+  const rpca::Result traced = rpca::solve(problem.data, options);
 
   EXPECT_EQ(quiet.iterations, traced.iterations);
   EXPECT_EQ(quiet.low_rank.max_abs_diff(traced.low_rank), 0.0);

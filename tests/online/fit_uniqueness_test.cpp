@@ -70,7 +70,7 @@ Objectives compare_starts(const linalg::Matrix& a,
   rpca::Options apg = fit;
   apg.polish_iterations = 0;
   rpca::Result cold;
-  rpca::solve(a, rpca::Solver::Apg, apg, ws, cold);
+  rpca::solve(a, apg, ws, cold);
   rpca::polish(a, fit, /*huber_start=*/true, ws, cold);
 
   const double own = huber_objective(a, published.low_rank, fit);

@@ -73,7 +73,7 @@ TEST(IncrementalTracker, ContractsBeforeAnchor) {
 TEST(IncrementalTracker, AnchorReproducesTheFullSolve) {
   Rng rng(11);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
-  const Result full = solve(problem.data, Solver::Apg, online_options());
+  const Result full = solve(problem.data, online_options());
 
   IncrementalTracker tracker;
   tracker.anchor(problem.data, full, kL0Tol, 8);
@@ -263,7 +263,7 @@ TEST(IncrementalTracker, UpdateMatchesTheTwoStepRowProx) {
   Rng rng(14);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
   linalg::Matrix data = problem.data;
-  const Result full = solve(data, Solver::Apg, online_options());
+  const Result full = solve(data, online_options());
 
   IncrementalTracker tracker;
   tracker.anchor(data, full, kL0Tol, 8);
@@ -298,7 +298,7 @@ TEST(IncrementalTracker, UpdateTracksAStationarySubspace) {
   Rng rng(12);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
   linalg::Matrix data = problem.data;
-  const Result full = solve(data, Solver::Apg, online_options());
+  const Result full = solve(data, online_options());
 
   IncrementalTracker tracker;
   tracker.anchor(data, full, kL0Tol, 8);
@@ -333,7 +333,7 @@ TEST(IncrementalTracker, PlacementShiftBreaches) {
   Rng rng(13);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
   linalg::Matrix data = problem.data;
-  const Result full = solve(data, Solver::Apg, online_options());
+  const Result full = solve(data, online_options());
 
   IncrementalTracker tracker;
   tracker.anchor(data, full, kL0Tol, 8);
@@ -353,7 +353,7 @@ TEST(IncrementalTracker, PlacementShiftBreaches) {
 TEST(IncrementalTracker, ResetRequiresReanchor) {
   Rng rng(15);
   const auto problem = testing::random_rank1_sparse(rng, 6, 36, 0.05);
-  const Result full = solve(problem.data, Solver::Apg, online_options());
+  const Result full = solve(problem.data, online_options());
   IncrementalTracker tracker;
   tracker.anchor(problem.data, full, kL0Tol, 6);
   ASSERT_TRUE(tracker.ready());

@@ -1,6 +1,6 @@
 // Masked (partial-observation) RPCA front-end: imputation priority
 // order, the observed-entry residual, and end-to-end recovery of the
-// rank-1 constant from masked data across APG and stable PCP.
+// rank-1 constant from masked data through APG.
 #include "rpca/masked.hpp"
 
 #include <algorithm>
@@ -135,11 +135,8 @@ TEST(Masked, ResidualShapeMismatchThrows) {
 // true constant row and solving recovers the constant. Recovery error
 // is heavy-tailed per column — a column that lost rows to the mask AND
 // absorbed an outlier keeps a visible bias — so the contract is on the
-// distribution: for the exact solver (Apg) the median
-// column error stays under 5% and the mean under 10%; StablePcp models
-// dense noise and is held to 15% median / 20% mean, and its D + E
-// deliberately differs from A by the noise term Z, relaxing its
-// observed-entry residual. No column may ever be off by more than 2x.
+// distribution: the median column error stays under 5% and the mean
+// under 10%, and no column may ever be off by more than 2x.
 // docs/TESTING.md documents these bounds.
 TEST(Masked, TwentyPercentMaskRecoversConstantAcrossSolvers) {
   netconst::testing::run_property(0xC0FFEE, 4, [](Rng& rng) {
@@ -153,32 +150,27 @@ TEST(Masked, TwentyPercentMaskRecoversConstantAcrossSolvers) {
     linalg::Matrix repaired = masked;
     impute_missing(repaired, &made.constant_row);
 
-    for (const Solver solver : {Solver::Apg, Solver::StablePcp}) {
-      SCOPED_TRACE(solver_name(solver));
-      const bool noisy = solver == Solver::StablePcp;
-      const Result result = solve(repaired, solver);
-      // D + E explains every entry that was actually observed.
-      EXPECT_LT(masked_relative_residual(masked, result.low_rank,
-                                         result.sparse),
-                noisy ? 0.2 : 5e-2);
-      // Column means of D recover the constant row.
-      std::vector<double> errors(cols, 0.0);
-      for (std::size_t j = 0; j < cols; ++j) {
-        double mean = 0.0;
-        for (std::size_t i = 0; i < rows; ++i) mean += result.low_rank(i, j);
-        mean /= static_cast<double>(rows);
-        errors[j] = std::abs(mean - made.constant_row(0, j)) /
-                    made.constant_row(0, j);
-        EXPECT_LT(errors[j], 1.0) << "column " << j;
-      }
-      double mean_error = 0.0;
-      for (const double e : errors) mean_error += e;
-      mean_error /= static_cast<double>(cols);
-      EXPECT_LT(mean_error, noisy ? 0.20 : 0.10);
-      std::nth_element(errors.begin(), errors.begin() + cols / 2,
-                       errors.end());
-      EXPECT_LT(errors[cols / 2], noisy ? 0.15 : 0.05);
+    const Result result = solve(repaired);
+    // D + E explains every entry that was actually observed.
+    EXPECT_LT(
+        masked_relative_residual(masked, result.low_rank, result.sparse),
+        5e-2);
+    // Column means of D recover the constant row.
+    std::vector<double> errors(cols, 0.0);
+    for (std::size_t j = 0; j < cols; ++j) {
+      double mean = 0.0;
+      for (std::size_t i = 0; i < rows; ++i) mean += result.low_rank(i, j);
+      mean /= static_cast<double>(rows);
+      errors[j] = std::abs(mean - made.constant_row(0, j)) /
+                  made.constant_row(0, j);
+      EXPECT_LT(errors[j], 1.0) << "column " << j;
     }
+    double mean_error = 0.0;
+    for (const double e : errors) mean_error += e;
+    mean_error /= static_cast<double>(cols);
+    EXPECT_LT(mean_error, 0.10);
+    std::nth_element(errors.begin(), errors.begin() + cols / 2, errors.end());
+    EXPECT_LT(errors[cols / 2], 0.05);
   });
 }
 

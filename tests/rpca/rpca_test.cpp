@@ -23,14 +23,8 @@ TEST(Rpca, DefaultLambda) {
   EXPECT_THROW(default_lambda(0, 1), ContractViolation);
 }
 
-TEST(Rpca, SolverNames) {
-  EXPECT_EQ(solver_name(Solver::Apg), "APG");
-  EXPECT_EQ(solver_name(Solver::StablePcp), "StablePCP");
-  EXPECT_EQ(solver_name(Solver::StablePcpTf), "StablePCP-TF");
-}
-
 TEST(Rpca, EmptyInputThrows) {
-  EXPECT_THROW(solve(linalg::Matrix(), Solver::Apg), ContractViolation);
+  EXPECT_THROW(solve(linalg::Matrix()), ContractViolation);
 }
 
 TEST(Rpca, RelativeL0OfExactDecomposition) {
@@ -52,24 +46,7 @@ TEST(Rpca, RelativeL0Clamped) {
   EXPECT_GE(norm, 0.0);
 }
 
-TEST(Rank1Approximation, ExactOnRankOneInput) {
-  linalg::Matrix a{{2, 4}, {3, 6}, {1, 2}};
-  Rank1Scratch scratch;
-  linalg::Matrix d;
-  rank1_approximation_into(a, scratch, d);
-  EXPECT_LT(a.max_abs_diff(d), 1e-9);
-}
-
-TEST(Rank1Approximation, ZeroMatrix) {
-  Rank1Scratch scratch;
-  linalg::Matrix d;
-  rank1_approximation_into(linalg::Matrix(3, 4), scratch, d);
-  EXPECT_EQ(linalg::max_abs(d), 0.0);
-}
-
-class SolverRecovery : public ::testing::TestWithParam<Solver> {};
-
-TEST_P(SolverRecovery, RecoversPlantedDecomposition) {
+TEST(SolverRecovery, RecoversPlantedDecomposition) {
   // Rank-1 planted problem — the structure the paper's TP-matrices have.
   SyntheticSpec spec;
   spec.rows = 12;
@@ -82,12 +59,11 @@ TEST_P(SolverRecovery, RecoversPlantedDecomposition) {
 
   Options options;
   options.max_iterations = 600;
-  const Result result = solve(problem.data, GetParam(), options);
+  const Result result = solve(problem.data, options);
   const RecoveryError err =
       measure_recovery(problem, result.low_rank, result.sparse);
-  EXPECT_LT(err.low_rank_error, 0.08)
-      << "solver " << solver_name(GetParam());
-  EXPECT_GT(err.support_f1, 0.80) << "solver " << solver_name(GetParam());
+  EXPECT_LT(err.low_rank_error, 0.08);
+  EXPECT_GT(err.support_f1, 0.80);
   // Decomposition adds back up to A.
   linalg::Matrix sum = result.low_rank;
   sum += result.sparse;
@@ -96,7 +72,7 @@ TEST_P(SolverRecovery, RecoversPlantedDecomposition) {
             0.05);
 }
 
-TEST_P(SolverRecovery, CleanLowRankYieldsTinyErrorNorm) {
+TEST(SolverRecovery, CleanLowRankYieldsTinyErrorNorm) {
   SyntheticSpec spec;
   spec.rows = 10;
   spec.cols = 50;
@@ -104,18 +80,11 @@ TEST_P(SolverRecovery, CleanLowRankYieldsTinyErrorNorm) {
   spec.sparsity = 0.0;  // no corruption at all
   Rng rng(78);
   const SyntheticProblem problem = make_synthetic(spec, rng);
-  const Result result = solve(problem.data, GetParam());
-  // All solvers leave a little sub-threshold residue in E; the norm must
-  // still be far below the ~0.1 the paper calls "relatively stable".
-  EXPECT_LT(relative_l0(result.sparse, problem.data, 1e-2), 0.15)
-      << "solver " << solver_name(GetParam());
+  const Result result = solve(problem.data);
+  // APG leaves a little sub-threshold residue in E; the norm must still
+  // be far below the ~0.1 the paper calls "relatively stable".
+  EXPECT_LT(relative_l0(result.sparse, problem.data, 1e-2), 0.15);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllSolvers, SolverRecovery,
-                         ::testing::Values(Solver::Apg),
-                         [](const auto& info) {
-                           return solver_name(info.param);
-                         });
 
 TEST(Rpca, ApgSparseComponentIsSparse) {
   SyntheticSpec spec;
@@ -125,7 +94,7 @@ TEST(Rpca, ApgSparseComponentIsSparse) {
   spec.sparsity = 0.08;
   Rng rng(80);
   const SyntheticProblem problem = make_synthetic(spec, rng);
-  const Result result = solve(problem.data, Solver::Apg);
+  const Result result = solve(problem.data);
   // The recovered E should not be dense.
   EXPECT_LT(relative_l0(result.sparse, problem.data, 1e-2), 0.35);
 }
@@ -143,8 +112,8 @@ TEST(Rpca, LambdaControlsSparsity) {
   loose.lambda = 0.02;  // cheap sparsity -> bigger support
   Options tight;
   tight.lambda = 1.0;  // expensive sparsity -> smaller support
-  const Result a = solve(problem.data, Solver::Apg, loose);
-  const Result b = solve(problem.data, Solver::Apg, tight);
+  const Result a = solve(problem.data, loose);
+  const Result b = solve(problem.data, tight);
   EXPECT_GT(relative_l0(a.sparse, problem.data, 1e-3),
             relative_l0(b.sparse, problem.data, 1e-3));
 }
@@ -153,7 +122,7 @@ TEST(Rpca, ReportsSolveTime) {
   SyntheticSpec spec;
   Rng rng(83);
   const SyntheticProblem problem = make_synthetic(spec, rng);
-  const Result result = solve(problem.data, Solver::Apg);
+  const Result result = solve(problem.data);
   EXPECT_GT(result.solve_seconds, 0.0);
   EXPECT_GT(result.iterations, 0);
 }
@@ -176,7 +145,7 @@ struct NoisyWindow {
     a = make_synthetic(spec, rng).data;
     for (double& x : a.data()) x += noise * rng.normal();
     lambda = default_lambda(a.rows(), a.cols());
-    start = solve(a, Solver::Apg);
+    start = solve(a);
   }
 };
 
@@ -251,12 +220,13 @@ double huber_objective(const linalg::Matrix& a, const linalg::Matrix& d,
 /// A - E; returns its u v^T.
 linalg::Matrix alternating_fit(const linalg::Matrix& a, const Result& start,
                                double tau, int sweeps) {
-  linalg::Matrix target = a;
-  target -= start.sparse;
-  Rank1Scratch scratch;
-  linalg::Matrix unused;
-  rank1_approximation_into(target, scratch, unused);
-  std::vector<double> u = scratch.u, v = scratch.v;
+  // The fit with no sweeps leaves the power iteration's factors of
+  // A - E in the workspace.
+  Result power = start;
+  SolverWorkspace ws;
+  rank1_huber_fit(a, power, /*lambda=*/1.0, /*max_sweeps=*/0,
+                  /*polish_tolerance=*/1e-10, ws);
+  std::vector<double> u = ws.rank1.u, v = ws.rank1.v;
   linalg::Matrix at(a.cols(), a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) at(j, i) = a(i, j);

@@ -1,5 +1,5 @@
-// The workspace solvers must be drop-in replacements for the frozen
-// allocation-per-expression baselines in rpca/reference.hpp: same
+// The workspace solver must be a drop-in replacement for the frozen
+// allocation-per-expression baseline in rpca/reference.hpp: same
 // factors, same iteration counts, same diagnostics, bit for bit. These
 // tests pin that contract on seeded random TP-shaped inputs, on and off
 // the Gram fast path, and across shapes through one workspace.
@@ -11,7 +11,6 @@
 #include "linalg/simd.hpp"
 #include "rpca/reference.hpp"
 #include "rpca/rpca.hpp"
-#include "rpca/stable_pcp.hpp"
 #include "rpca/validation.hpp"
 #include "rpca/workspace.hpp"
 #include "support/rng.hpp"
@@ -20,7 +19,7 @@ namespace netconst::rpca {
 namespace {
 
 // The workspace<->reference contract is defined on the scalar operation
-// order (docs/PERFORMANCE.md): the workspace solvers' fused convergence
+// order (docs/PERFORMANCE.md): the workspace solver's fused convergence
 // reduction lane-splits its accumulators under a SIMD level while the
 // frozen reference keeps its in-line scalar loop, so this suite pins
 // the scalar kernels for the whole binary. tests/linalg/simd_test.cpp
@@ -58,13 +57,7 @@ TEST(WorkspaceEquivalence, AllSolversMatchReferenceBitExactly) {
   const linalg::Matrix a = tp_shaped_problem(10, 64, 7);
   Options opts;
   opts.max_iterations = 200;
-  for (const Solver solver :
-       {Solver::Apg, Solver::StablePcp, Solver::StablePcpTf}) {
-    SCOPED_TRACE(solver_name(solver));
-    const Result ws = solve(a, solver, opts);
-    const Result ref = reference::solve(a, solver, opts);
-    expect_identical(ws, ref);
-  }
+  expect_identical(solve(a, opts), reference::solve(a, opts));
 }
 
 // Narrow (non-Gram-eligible) shapes route the SVT through the general
@@ -73,8 +66,7 @@ TEST(WorkspaceEquivalence, ApgMatchesOffTheGramFastPath) {
   const linalg::Matrix a = tp_shaped_problem(8, 12, 9);
   Options opts;
   opts.max_iterations = 150;
-  expect_identical(solve(a, Solver::Apg, opts),
-                   reference::solve(a, Solver::Apg, opts));
+  expect_identical(solve(a, opts), reference::solve(a, opts));
 }
 
 // A workspace that served one problem shape must produce untainted
@@ -87,8 +79,8 @@ TEST(WorkspaceEquivalence, WorkspaceReuseAcrossShapes) {
   for (const auto& a :
        {tp_shaped_problem(6, 24, 3), tp_shaped_problem(10, 48, 4),
         tp_shaped_problem(6, 24, 3)}) {
-    solve(a, Solver::Apg, opts, ws, result);
-    expect_identical(result, reference::solve(a, Solver::Apg, opts));
+    solve(a, opts, ws, result);
+    expect_identical(result, reference::solve(a, opts));
   }
 }
 

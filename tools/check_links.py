@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Markdown link checker for the repo docs.
 
-Scans the given markdown files (default: README.md and docs/*.md) for
-inline links and validates every relative one:
+Scans the given markdown files (default: every top-level *.md and
+docs/*.md) for inline links and validates every relative one:
 
   * the target file or directory must exist (resolved against the
     linking file's directory);
@@ -99,7 +99,7 @@ def main(argv: list[str]) -> int:
     if argv:
         files = [Path(arg).resolve() for arg in argv]
     else:
-        files = [repo_root / "README.md"] + sorted(
+        files = sorted(repo_root.glob("*.md")) + sorted(
             (repo_root / "docs").glob("*.md")
         )
     errors: list[str] = []
