@@ -6,7 +6,11 @@
 //  1. identity  — every cached plan's bytes equal a direct
 //                 compute_plan() invocation at the same snapshot
 //                 version (the cache can never serve stale or divergent
-//                 results);
+//                 results), and every topology-mapping plan, here and
+//                 in the miss table, equals the generic mapping
+//                 pipeline (greedy_mapping + refine_mapping under
+//                 mapping_cost over the restricted matrix) in its
+//                 assignment and the bits of its predicted time;
 //  2. zero-alloc — the cache-hit path (pin snapshot, probe, serve the
 //                 pre-serialized plan) performs zero heap allocations
 //                 in steady state, measured by the instrumented global
@@ -15,6 +19,11 @@
 //                 writer thread keeps publishing new snapshot versions
 //                 (the ISSUE's headline serving number).
 //
+// It also times what a cache miss costs: compute_plan p50/p90 per
+// request shape (tree and mapping x 4 and 13 nodes of an N = 32
+// snapshot, the widths bench/e2e requests), with the generic mapping
+// pipeline's time beside the mapping rows.
+//
 // The JSON opens with the host header of bench_util.hpp.
 //
 // Usage: bench_serving [--smoke] [--out <path>]
@@ -22,6 +31,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -33,10 +43,13 @@
 #include <malloc.h>  // malloc_usable_size (glibc)
 
 #include "bench_util.hpp"
+#include "mapping/refine.hpp"
 #include "serving/epoch.hpp"
 #include "serving/plan.hpp"
 #include "serving/plan_cache.hpp"
 #include "serving/snapshot_store.hpp"
+#include "support/rng.hpp"
+#include "support/statistics.hpp"
 #include "support/stopwatch.hpp"
 
 // ---------------------------------------------------------------------------
@@ -134,6 +147,105 @@ std::vector<PlanRequest> build_requests() {
   return requests;
 }
 
+/// The N = 32 constant the miss table plans on: every link drawn
+/// independently, as in a refreshed constant (no ties to exploit).
+core::ConstantComponent miss_component() {
+  constexpr std::size_t kMissCluster = 32;
+  Rng rng(32);
+  core::ConstantComponent component;
+  component.constant = netmodel::PerformanceMatrix(kMissCluster);
+  for (std::size_t i = 0; i < kMissCluster; ++i) {
+    for (std::size_t j = 0; j < kMissCluster; ++j) {
+      if (i == j) continue;
+      component.constant.set_link(
+          i, j, {rng.uniform(5e-5, 2e-4), rng.uniform(5e7, 2e8)});
+    }
+  }
+  return component;
+}
+
+/// What a mapping plan was before mapping::plan_mapping: the generic
+/// greedy seed and 2-swap refinement of the uniform task graph over the
+/// restricted matrix, under mapping_cost.
+mapping::RefineResult generic_mapping(const ConstantSnapshot& snapshot,
+                                      const PlanRequest& request) {
+  const netmodel::PerformanceMatrix sub =
+      snapshot.component.constant.restrict_to(request.nodes);
+  const mapping::TaskGraph tasks = mapping::uniform_task_graph(
+      request.nodes.size(), static_cast<double>(request.bytes));
+  const mapping::Mapping seed = mapping::greedy_mapping(
+      tasks, mapping::MachineGraph::from_performance(sub));
+  return mapping::refine_mapping(seed, tasks, sub, mapping::mapping_cost);
+}
+
+/// True when mapping plan `plan` has the generic pipeline's assignment
+/// and predicted time (bit for bit).
+bool matches_generic(const Plan& plan, const mapping::RefineResult& generic) {
+  std::vector<std::size_t> assignment;
+  for (const std::size_t machine : generic.mapping) {
+    assignment.push_back(plan.request.nodes[machine]);
+  }
+  return assignment == plan.assignment &&
+         std::memcmp(&generic.cost, &plan.predicted_seconds,
+                     sizeof(double)) == 0;
+}
+
+/// compute_plan's cost on a miss for one request shape.
+struct MissRow {
+  PlanKind kind = PlanKind::BroadcastTree;
+  std::size_t nodes = 0;
+  double us_p50 = 0.0;
+  double us_p90 = 0.0;
+  /// Mapping rows: the generic pipeline alone, and the candidates
+  /// plan_mapping costed in full per plan.
+  double generic_us_p50 = 0.0;
+  double generic_us_p90 = 0.0;
+  double evaluations_mean = 0.0;
+};
+
+/// Time `samples` misses of one shape, each on its own random node set
+/// of `snapshot` (a fresh plan every time: nothing is cached). Mapping
+/// plans also go through the identity check against the generic
+/// pipeline; a mismatch counts into `mismatches`.
+MissRow time_misses(const ConstantSnapshot& snapshot, PlanKind kind,
+                    std::size_t width, std::size_t samples,
+                    std::uint64_t& mismatches) {
+  Rng rng(1000 + width * 2 + static_cast<std::uint64_t>(kind));
+  const std::size_t cluster = snapshot.component.constant.size();
+  const bool tree = kind == PlanKind::BroadcastTree;
+  std::vector<double> plan_us, generic_us;
+  double evaluations = 0.0;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const std::vector<std::size_t> nodes =
+        rng.sample_without_replacement(cluster, width);
+    const PlanRequest request = canonical_plan_request(
+        kind, nodes, nodes.front(), tree ? 8u << 20 : 1u << 20);
+    Stopwatch clock;
+    const Plan plan = compute_plan(snapshot, request);
+    plan_us.push_back(clock.seconds() * 1e6);
+    if (tree) continue;
+    clock.restart();
+    const mapping::RefineResult generic = generic_mapping(snapshot, request);
+    generic_us.push_back(clock.seconds() * 1e6);
+    evaluations += static_cast<double>(
+        mapping::plan_mapping(snapshot.component.constant, request.nodes,
+                              request.bytes)
+            .evaluations);
+    if (!matches_generic(plan, generic)) ++mismatches;
+  }
+  MissRow row;
+  row.kind = kind;
+  row.nodes = width;
+  row.us_p50 = percentile(plan_us, 0.5);
+  row.us_p90 = percentile(plan_us, 0.9);
+  if (!tree) {
+    row.generic_us_p50 = percentile(generic_us, 0.5);
+    row.generic_us_p90 = percentile(generic_us, 0.9);
+    row.evaluations_mean = evaluations / static_cast<double>(samples);
+  }
+  return row;
+}
+
 struct GateResults {
   std::uint64_t identity_mismatches = 0;
   std::uint64_t hit_loop_queries = 0;
@@ -146,6 +258,7 @@ struct GateResults {
   std::size_t query_threads = 0;
   PlanCache::Stats cache;
   std::uint64_t epoch_reclaimed = 0;
+  std::vector<MissRow> misses;
 };
 
 }  // namespace
@@ -192,8 +305,25 @@ int main(int argc, char** argv) {
       cache.lookup_or_compute(tenant, *ref, request);  // fill
       const Plan* cached = cache.lookup_or_compute(tenant, *ref, request);
       const Plan direct = compute_plan(*ref, request);
-      if (cached == nullptr || cached->json != direct.json) {
+      if (cached == nullptr || cached->json != direct.json ||
+          (request.kind == PlanKind::TopologyMapping &&
+           !matches_generic(direct, generic_mapping(*ref, request)))) {
         ++results.identity_mismatches;
+      }
+    }
+  }
+
+  // ---- What a miss costs, per request shape (identity-checked too).
+  {
+    ConstantSnapshot snapshot;
+    snapshot.tenant = "bench";
+    snapshot.component = miss_component();
+    const std::size_t samples = smoke ? 50 : 2000;
+    for (const PlanKind kind :
+         {PlanKind::BroadcastTree, PlanKind::TopologyMapping}) {
+      for (const std::size_t width : {4, 13}) {
+        results.misses.push_back(time_misses(
+            snapshot, kind, width, samples, results.identity_mismatches));
       }
     }
   }
@@ -295,7 +425,19 @@ int main(int argc, char** argv) {
             << results.publishes << " publishes\n"
             << "cache: " << results.cache.hits << " hits, "
             << results.cache.misses << " misses, "
-            << results.cache.invalidated << " invalidated\n";
+            << results.cache.invalidated << " invalidated\n"
+            << "miss cost (compute_plan, N = 32):\n";
+  for (const MissRow& row : results.misses) {
+    std::cout << "  " << plan_kind_name(row.kind) << " x " << row.nodes
+              << ": p50 " << row.us_p50 << " us, p90 " << row.us_p90
+              << " us";
+    if (row.kind == PlanKind::TopologyMapping) {
+      std::cout << " (generic pipeline p50 " << row.generic_us_p50
+                << " us, p90 " << row.generic_us_p90 << " us; "
+                << row.evaluations_mean << " full costings per plan)";
+    }
+    std::cout << '\n';
+  }
 
   std::ostringstream json;
   json.precision(6);
@@ -324,6 +466,21 @@ int main(int argc, char** argv) {
        << ", \"invalidated\": " << results.cache.invalidated << "},\n"
        << "  \"epoch\": {\"reclaimed\": " << results.epoch_reclaimed
        << "},\n"
+       << "  \"misses\": [";
+  for (std::size_t k = 0; k < results.misses.size(); ++k) {
+    const MissRow& row = results.misses[k];
+    json << (k > 0 ? ",\n" : "\n") << "    {\"kind\": \""
+         << plan_kind_name(row.kind) << "\", \"cluster_size\": 32"
+         << ", \"nodes\": " << row.nodes << ", \"us_p50\": " << row.us_p50
+         << ", \"us_p90\": " << row.us_p90;
+    if (row.kind == PlanKind::TopologyMapping) {
+      json << ", \"generic_us_p50\": " << row.generic_us_p50
+           << ", \"generic_us_p90\": " << row.generic_us_p90
+           << ", \"evaluations_mean\": " << row.evaluations_mean;
+    }
+    json << '}';
+  }
+  json << "\n  ],\n"
        << "  \"violations\": " << violations << "\n}\n";
 
   std::ofstream out(out_path);

@@ -37,19 +37,17 @@ double edge_time(const CommTree& tree,
 }
 
 // Completion of the downward phase rooted at `node`, which starts when
-// `node` has the data at `ready`.
-double down_completion(const CommTree& tree,
-                       const netmodel::PerformanceMatrix& performance,
-                       std::size_t node, double ready, Collective op,
-                       std::uint64_t bytes) {
+// `node` has the data at `ready`; edge_cost(parent, child) is the
+// directed transfer time of a tree edge.
+template <typename EdgeCost>
+double down_completion(const CommTree& tree, const EdgeCost& edge_cost,
+                       std::size_t node, double ready) {
   double completion = ready;
   double send_start = ready;
   for (std::size_t child : tree.children(node)) {
-    const double cost = edge_time(tree, performance, node, child, op, bytes);
-    send_start += cost;  // sequential sends in stored order
+    send_start += edge_cost(node, child);  // sequential sends, stored order
     completion = std::max(
-        completion,
-        down_completion(tree, performance, child, send_start, op, bytes));
+        completion, down_completion(tree, edge_cost, child, send_start));
   }
   return completion;
 }
@@ -101,9 +99,23 @@ double collective_time(const CommTree& tree,
   NETCONST_CHECK(tree.size() == performance.size(),
                  "tree size does not match the performance matrix");
   if (is_down_direction(op)) {
-    return down_completion(tree, performance, tree.root(), 0.0, op, bytes);
+    const auto edge_cost = [&](std::size_t parent, std::size_t child) {
+      return edge_time(tree, performance, parent, child, op, bytes);
+    };
+    return down_completion(tree, edge_cost, tree.root(), 0.0);
   }
   return up_completion(tree, performance, tree.root(), op, bytes);
+}
+
+double broadcast_time(const CommTree& tree, const linalg::Matrix& weights) {
+  NETCONST_CHECK(tree.complete(), "collective over an incomplete tree");
+  NETCONST_CHECK(weights.rows() == tree.size() &&
+                     weights.cols() == tree.size(),
+                 "tree size does not match the weight matrix");
+  const auto edge_cost = [&](std::size_t parent, std::size_t child) {
+    return weights(parent, child);
+  };
+  return down_completion(tree, edge_cost, tree.root(), 0.0);
 }
 
 double all_to_all_time(const CommTree& tree,

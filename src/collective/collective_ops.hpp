@@ -32,6 +32,11 @@ double collective_time(const CommTree& tree,
                        const netmodel::PerformanceMatrix& performance,
                        Collective op, std::uint64_t bytes);
 
+/// collective_time(tree, performance, Broadcast, bytes), bit for bit,
+/// from weights = performance.weight_matrix(bytes) (or its restriction
+/// to the tree's members): entry (i, j) is the transfer time i -> j.
+double broadcast_time(const CommTree& tree, const linalg::Matrix& weights);
+
 /// All-to-all implemented as a gather followed by a broadcast of the
 /// aggregate (the MPICH2-style composite both real-world applications
 /// use). `bytes` is the per-member contribution; the broadcast carries

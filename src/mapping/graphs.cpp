@@ -46,6 +46,16 @@ TaskGraph ring_task_graph(std::size_t tasks, double volume) {
   return g;
 }
 
+TaskGraph uniform_task_graph(std::size_t tasks, double volume) {
+  TaskGraph g(tasks);
+  for (std::size_t u = 0; u < tasks; ++u) {
+    for (std::size_t v = 0; v < tasks; ++v) {
+      if (u != v) g.set_volume(u, v, volume);
+    }
+  }
+  return g;
+}
+
 MachineGraph MachineGraph::from_performance(
     const netmodel::PerformanceMatrix& performance) {
   MachineGraph g(performance.size());

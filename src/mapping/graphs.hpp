@@ -46,6 +46,10 @@ TaskGraph random_task_graph(std::size_t tasks, Rng& rng,
 /// useful as a structured alternative workload.
 TaskGraph ring_task_graph(std::size_t tasks, double volume);
 
+/// Dense uniform task graph: every ordered pair of distinct tasks
+/// exchanges `volume` (the traffic /plan's topology mapping plans for).
+TaskGraph uniform_task_graph(std::size_t tasks, double volume);
+
 class MachineGraph {
  public:
   explicit MachineGraph(std::size_t machines)

@@ -81,6 +81,23 @@ linalg::Matrix PerformanceMatrix::weight_matrix(std::uint64_t bytes) const {
   return w;
 }
 
+linalg::Matrix PerformanceMatrix::weight_matrix(
+    const std::vector<std::size_t>& members, std::uint64_t bytes) const {
+  const std::size_t n = members.size();
+  linalg::Matrix w(n, n);
+  for (std::size_t a = 0; a < n; ++a) {
+    NETCONST_CHECK(members[a] < size_, "sub-cluster member out of range");
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      const LinkParams params = link(members[a], members[b]);
+      NETCONST_CHECK(params.alpha >= 0.0 && params.beta > 0.0,
+                     "invalid link parameters");
+      w(a, b) = params.transfer_time(bytes);
+    }
+  }
+  return w;
+}
+
 PerformanceMatrix PerformanceMatrix::restrict_to(
     const std::vector<std::size_t>& members) const {
   PerformanceMatrix sub(members.size());

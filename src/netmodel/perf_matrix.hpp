@@ -46,6 +46,15 @@ class PerformanceMatrix {
   /// better link). Diagonal is zero.
   linalg::Matrix weight_matrix(std::uint64_t bytes) const;
 
+  /// restrict_to(members).weight_matrix(bytes) without building the
+  /// restriction: entry (a, b) is the transfer time of `bytes` from
+  /// members[a] to members[b], bit for bit. Throws ContractViolation
+  /// where restrict_to would: a member out of range, or a link between
+  /// two members with a negative or NaN alpha or a beta that is not
+  /// positive (NaN included).
+  linalg::Matrix weight_matrix(const std::vector<std::size_t>& members,
+                               std::uint64_t bytes) const;
+
   /// Raw layers as matrices (diagonal: alpha 0 / beta self-link value).
   const linalg::Matrix& latency() const { return latency_; }
   const linalg::Matrix& bandwidth() const { return bandwidth_; }

@@ -23,7 +23,6 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
   NETCONST_CHECK(a_norm > 0.0, "APG of an all-zero matrix is trivial");
 
   reset_result(result);
-  ++ws.stats.solves;
 
   // Continuation schedule: mu starts near the spectral norm and decays to
   // mu_bar.
@@ -56,7 +55,6 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     ws.e.swap(ws.ge);
     const auto svt = linalg::singular_value_threshold_into(
         ws.gd, mu * inv_lf, options.svd, ws.svt, ws.d);
-    if (!svt.used_scratch) ++ws.stats.svt_fallbacks;
     result.rank = svt.rank;
 
     t_prev = t;

@@ -29,17 +29,6 @@
 
 namespace netconst::rpca {
 
-/// Counters a workspace accumulates across the solves it serves; used by
-/// tests and the bench harness (fast-path coverage). Never reset by the
-/// solvers — callers sample deltas.
-struct WorkspaceStats {
-  /// APG entries (one per solve_apg call through this workspace).
-  std::size_t solves = 0;
-  /// SVT calls that fell off the allocation-free Gram fast path onto the
-  /// general (allocating) SVD. Zero for paper-shaped (wide) data.
-  std::size_t svt_fallbacks = 0;
-};
-
 /// The polish's power-iteration vectors, and the rank-1 Huber fit's
 /// factors and Newton steps.
 struct Rank1Scratch {
@@ -73,8 +62,6 @@ struct SolverWorkspace {
   linalg::SpectralNormScratch spectral;
   // rank-1 approximation / polish power-iteration vectors.
   Rank1Scratch rank1;
-
-  WorkspaceStats stats;
 
   /// Pre-size the working set for rows x cols problems so even the first
   /// solve's iterations run allocation-free. Optional — solvers size

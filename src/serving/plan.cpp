@@ -1,7 +1,7 @@
 #include "serving/plan.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 #include "collective/collective_ops.hpp"
 #include "collective/fnf.hpp"
@@ -61,46 +61,65 @@ std::uint64_t plan_request_hash(const PlanRequest& request) {
 
 namespace {
 
-/// Value formatting shared with the exporters' conventions: integers
-/// exact, reals with round-trip precision.
-void write_double(std::ostream& out, double value) {
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  out << os.str();
+void append_uint(std::string& out, std::uint64_t value) {
+  char buffer[24];
+  const auto end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out.append(buffer, end);
+}
+
+/// Reals with round-trip precision: the characters ostream's
+/// precision(17) writes (printf's %.17g), non-finite values included.
+void append_double(std::string& out, double value) {
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  out.append(buffer, end);
+}
+
+void append_list(std::string& out, const std::vector<std::size_t>& values) {
+  out += '[';
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (k > 0) out += ',';
+    append_uint(out, values[k]);
+  }
+  out += ']';
 }
 
 void write_plan_json(Plan& plan) {
-  std::ostringstream out;
-  out << "{\"tenant\":\"" << obs::json_escape(plan.tenant)
-      << "\",\"version\":" << plan.version << ",\"kind\":\""
-      << plan_kind_name(plan.request.kind) << "\",\"bytes\":"
-      << plan.request.bytes << ",\"nodes\":[";
-  for (std::size_t k = 0; k < plan.request.nodes.size(); ++k) {
-    if (k > 0) out << ',';
-    out << plan.request.nodes[k];
-  }
-  out << ']';
+  std::string& out = plan.json;
+  out.reserve(128 + 8 * plan.request.nodes.size() +
+              16 * (plan.edges.size() + plan.assignment.size()));
+  out += "{\"tenant\":\"";
+  out += obs::json_escape(plan.tenant);
+  out += "\",\"version\":";
+  append_uint(out, plan.version);
+  out += ",\"kind\":\"";
+  out += plan_kind_name(plan.request.kind);
+  out += "\",\"bytes\":";
+  append_uint(out, plan.request.bytes);
+  out += ",\"nodes\":";
+  append_list(out, plan.request.nodes);
   if (plan.request.kind == PlanKind::BroadcastTree) {
-    out << ",\"root\":" << plan.request.root << ",\"edges\":[";
+    out += ",\"root\":";
+    append_uint(out, plan.request.root);
+    out += ",\"edges\":[";
     for (std::size_t k = 0; k < plan.edges.size(); ++k) {
-      if (k > 0) out << ',';
-      out << '[' << plan.edges[k].parent << ',' << plan.edges[k].child
-          << ']';
+      if (k > 0) out += ',';
+      out += '[';
+      append_uint(out, plan.edges[k].parent);
+      out += ',';
+      append_uint(out, plan.edges[k].child);
+      out += ']';
     }
-    out << ']';
+    out += ']';
   } else {
-    out << ",\"assignment\":[";
-    for (std::size_t k = 0; k < plan.assignment.size(); ++k) {
-      if (k > 0) out << ',';
-      out << plan.assignment[k];
-    }
-    out << ']';
+    out += ",\"assignment\":";
+    append_list(out, plan.assignment);
   }
-  out << ",\"predicted_seconds\":";
-  write_double(out, plan.predicted_seconds);
-  out << '}';
-  plan.json = out.str();
+  out += ",\"predicted_seconds\":";
+  append_double(out, plan.predicted_seconds);
+  out += '}';
 }
 
 /// Append the tree's edges in send order (pre-order, children in stored
@@ -128,29 +147,22 @@ Plan compute_plan(const ConstantSnapshot& snapshot,
   plan.tenant = snapshot.tenant;
   plan.version = snapshot.version;
 
-  const netmodel::PerformanceMatrix sub = full.restrict_to(request.nodes);
   if (request.kind == PlanKind::BroadcastTree) {
     // Root position inside the canonical (sorted) node set.
     const std::size_t root_pos = static_cast<std::size_t>(
         std::lower_bound(request.nodes.begin(), request.nodes.end(),
                          request.root) -
         request.nodes.begin());
-    const collective::CommTree tree =
-        collective::fnf_tree(sub.weight_matrix(request.bytes), root_pos);
+    const linalg::Matrix weights =
+        full.weight_matrix(request.nodes, request.bytes);
+    const collective::CommTree tree = collective::fnf_tree(weights, root_pos);
     plan.edges.reserve(request.nodes.size() - 1);
     collect_edges(tree, root_pos, request.nodes, plan.edges);
-    plan.predicted_seconds = collective::collective_time(
-        tree, sub, collective::Collective::Broadcast, request.bytes);
+    plan.predicted_seconds = collective::broadcast_time(tree, weights);
   } else {
     // Dense uniform task graph: every ordered pair exchanges `bytes`.
-    mapping::TaskGraph tasks(request.nodes.size());
-    for (std::size_t u = 0; u < request.nodes.size(); ++u) {
-      for (std::size_t v = 0; v < request.nodes.size(); ++v) {
-        if (u != v) tasks.set_volume(u, v, static_cast<double>(request.bytes));
-      }
-    }
     const mapping::RefineResult refined =
-        mapping::plan_mapping(tasks, sub, mapping::mapping_cost);
+        mapping::plan_mapping(full, request.nodes, request.bytes);
     plan.assignment.reserve(refined.mapping.size());
     for (const std::size_t machine : refined.mapping) {
       plan.assignment.push_back(request.nodes[machine]);

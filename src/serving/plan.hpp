@@ -4,13 +4,14 @@
 // A PlanRequest is canonicalized before it is used as a cache key (in
 // the plan table of the snapshot it is planned from): the node set is
 // sorted and deduplicated, so permuted spellings of the same request
-// share one cache entry and one plan. compute_plan() is a
-// pure function of (snapshot component, canonical request) — it calls
-// the src/mapping and src/collective planners on the snapshot's
-// performance matrix restricted to the requested nodes, and serializes
-// the result to JSON exactly once. Serving a plan from the cache is
-// therefore byte-identical to planning directly at the same snapshot
-// version, which is what the determinism tests and bench_serving pin.
+// share one cache entry and one plan. compute_plan() is a pure
+// function of (snapshot component, canonical request) — it runs the
+// src/mapping and src/collective planners on the transfer times between
+// the requested nodes, read straight from the snapshot's performance
+// matrix, and serializes the result to JSON exactly once. Serving a
+// plan from the cache is therefore byte-identical to planning directly
+// at the same snapshot version, which is what the determinism tests
+// and bench_serving pin.
 #pragma once
 
 #include <cstddef>
@@ -78,10 +79,12 @@ struct Plan {
   std::string json;
 };
 
-/// Pure planner: restrict the snapshot's constant performance matrix to
-/// the request's nodes and run the mapping/collective planners.
-/// Requires a canonical request (see canonical_plan_request) whose node
-/// ids are all below the snapshot's cluster size.
+/// Pure planner: the FNF tree (collective::fnf_tree on the requested
+/// nodes' weight matrix) or the topology mapping (mapping::plan_mapping)
+/// over the snapshot's constant performance matrix. Requires a canonical
+/// request (see canonical_plan_request) whose node ids are all below the
+/// snapshot's cluster size; a link between two requested nodes that
+/// restrict_to would reject throws ContractViolation.
 Plan compute_plan(const ConstantSnapshot& snapshot,
                   const PlanRequest& request);
 

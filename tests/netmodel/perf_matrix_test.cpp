@@ -1,5 +1,7 @@
 #include "netmodel/perf_matrix.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
@@ -60,6 +62,32 @@ TEST(PerfMatrix, WeightMatrixDiagonalZeroSmallerIsBetter) {
   const auto w = p.weight_matrix(kOneMiB);
   EXPECT_EQ(w(0, 0), 0.0);
   EXPECT_LT(w(0, 1), w(0, 2));
+}
+
+TEST(PerfMatrix, MemberWeightMatrixIsTheRestrictionsBitForBit) {
+  PerformanceMatrix p(5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      if (i != j) {
+        p.set_link(i, j, {1e-5 * static_cast<double>(1 + i + 3 * j),
+                          1e7 * static_cast<double>(3 + 2 * i + j)});
+      }
+    }
+  }
+  const std::vector<std::size_t> members{4, 0, 2};
+  const auto w = p.weight_matrix(members, kEightMiB + 3);
+  const auto expected = p.restrict_to(members).weight_matrix(kEightMiB + 3);
+  ASSERT_EQ(w.rows(), 3u);
+  ASSERT_EQ(w.cols(), 3u);
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t b = 0; b < 3; ++b) EXPECT_EQ(w(a, b), expected(a, b));
+  }
+  // Where restrict_to throws, so does the member weight matrix.
+  EXPECT_THROW(p.weight_matrix({0, 5}, kOneMiB), ContractViolation);
+  p.mark_link_missing(2, 0);
+  EXPECT_THROW(p.restrict_to(members), ContractViolation);
+  EXPECT_THROW(p.weight_matrix(members, kOneMiB), ContractViolation);
+  EXPECT_NO_THROW(p.weight_matrix({0, 1, 3}, kOneMiB));  // 2 is not in it
 }
 
 TEST(PerfMatrix, RestrictToSubCluster) {

@@ -6,10 +6,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/proptest.hpp"
 #include "cloud/synthetic.hpp"
 #include "online/service.hpp"
 #include "serving/server.hpp"
@@ -278,6 +282,44 @@ TEST(HttpServer, OversizedHeadGetsAtMostOne413) {
   server.stop();
 }
 
+/// Send `raw` on a fresh loopback connection and return every byte the
+/// server answers before it closes. The client half-closes once the
+/// answer starts or a short grace period passes, so a keep-alive answer
+/// or an unfinished head ends in a close instead of a hang.
+std::string send_raw(std::uint16_t port, const std::string& raw) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{5, 0};  // a server that neither answers nor closes
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  if (!raw.empty()) {
+    EXPECT_EQ(::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(raw.size()));
+  }
+  pollfd readable{fd, POLLIN, 0};
+  ::poll(&readable, 1, 30);
+  ::shutdown(fd, SHUT_WR);
+  std::string answer;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t got = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (got < 0 && errno == EAGAIN) {
+      ADD_FAILURE() << "no answer and no close for:\n" << raw;
+      break;
+    }
+    if (got <= 0) break;
+    answer.append(buffer, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  return answer;
+}
+
 class ServingEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -350,6 +392,67 @@ TEST_F(ServingEndToEnd, TenantsAndSnapshot) {
   EXPECT_EQ(
       http_request(server_->port(), "GET", "/snapshot?tenant=ghost").status,
       404);
+}
+
+// Byte-mutated /plan request heads: every mutant gets only
+// 200/400/404/405/413 responses, or a close, and the server keeps
+// serving /healthz after each batch.
+TEST(HttpServer, FuzzedRequestHeadsGetAnAnswerOrAClose) {
+  cloud::SyntheticCloudConfig cloud_config;
+  cloud_config.cluster_size = 6;
+  cloud_config.datacenter_racks = 3;
+  cloud_config.seed = 5;
+  cloud::SyntheticCloud cloud(cloud_config);
+  online::ConstantFinderService service;
+  online::TenantConfig tenant;
+  tenant.name = "edge";
+  tenant.provider = &cloud;
+  tenant.window_capacity = 4;
+  tenant.snapshot_interval = 600.0;
+  tenant.operation_gap = 300.0;
+  tenant.scheduler.base_interval = 1500.0;
+  tenant.seed = 21;
+  service.add_tenant(tenant);
+  ConstantServer server(service);
+  service.run(8);
+  server.start();
+
+  const std::string heads[] = {
+      "GET /plan?tenant=edge&kind=mapping&nodes=0,1,2,3&bytes=1048576 "
+      "HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+      "GET /plan?tenant=edge&kind=tree&nodes=4,0,2&root=2&bytes=65536 "
+      "HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+  };
+  std::size_t answered = 0, closed = 0;
+  Rng rng(8);
+  for (int batch = 0; batch < 4; ++batch) {
+    for (int k = 0; k < 40; ++k) {
+      const std::string mutant =
+          testing::mutate_bytes(rng, heads[(batch + k) % 2]);
+      const std::string answer = send_raw(server.port(), mutant);
+      if (answer.empty()) {
+        ++closed;
+        continue;
+      }
+      ++answered;
+      EXPECT_EQ(answer.rfind("HTTP/1.1 ", 0), 0u) << answer;
+      // Every response in the stream (a mutant can hold two heads).
+      for (std::size_t at = answer.find("HTTP/1.1 ");
+           at != std::string::npos; at = answer.find("HTTP/1.1 ", at + 1)) {
+        const std::string status = answer.substr(at + 9, 3);
+        EXPECT_TRUE(status == "200" || status == "400" || status == "404" ||
+                    status == "405" || status == "413")
+            << status << " for:\n" << mutant;
+      }
+    }
+    const ClientResponse health =
+        http_request(server.port(), "GET", "/healthz");
+    EXPECT_EQ(health.status, 200);
+    EXPECT_EQ(health.body, "ok\n");
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(answered + closed, 160u);
+  server.stop();
 }
 
 TEST_F(ServingEndToEnd, PlanQueriesMatchInProcessPath) {

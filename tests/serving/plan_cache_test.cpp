@@ -7,13 +7,20 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "collective/collective_ops.hpp"
+#include "collective/fnf.hpp"
+#include "mapping/refine.hpp"
+#include "obs/export.hpp"
 #include "serving/plan.hpp"
 #include "support/error.hpp"
 
@@ -160,6 +167,134 @@ TEST(PlanCache, MappingPlanShape) {
   EXPECT_GT(plan.predicted_seconds, 0.0);
   EXPECT_NE(plan.json.find("\"kind\":\"topology_mapping\""),
             std::string::npos);
+}
+
+/// compute_plan as it was written before the table-driven planner: the
+/// restricted matrix, the generic mapping pipeline or the collective
+/// model, and an ostringstream per value.
+std::string twin_plan_json(const ConstantSnapshot& snapshot,
+                           const PlanRequest& request) {
+  const netmodel::PerformanceMatrix sub =
+      snapshot.component.constant.restrict_to(request.nodes);
+  std::ostringstream out;
+  out << "{\"tenant\":\"" << obs::json_escape(snapshot.tenant)
+      << "\",\"version\":" << snapshot.version << ",\"kind\":\""
+      << plan_kind_name(request.kind) << "\",\"bytes\":" << request.bytes
+      << ",\"nodes\":[";
+  for (std::size_t k = 0; k < request.nodes.size(); ++k) {
+    out << (k > 0 ? "," : "") << request.nodes[k];
+  }
+  out << ']';
+  double predicted = 0.0;
+  if (request.kind == PlanKind::BroadcastTree) {
+    const std::size_t root_pos = static_cast<std::size_t>(
+        std::lower_bound(request.nodes.begin(), request.nodes.end(),
+                         request.root) -
+        request.nodes.begin());
+    const collective::CommTree tree =
+        collective::fnf_tree(sub.weight_matrix(request.bytes), root_pos);
+    out << ",\"root\":" << request.root << ",\"edges\":[";
+    bool first = true;
+    const auto edges = [&](auto&& self, std::size_t node) -> void {
+      for (const std::size_t child : tree.children(node)) {
+        out << (first ? "" : ",") << '[' << request.nodes[node] << ','
+            << request.nodes[child] << ']';
+        first = false;
+        self(self, child);
+      }
+    };
+    edges(edges, root_pos);
+    out << ']';
+    predicted = collective::collective_time(
+        tree, sub, collective::Collective::Broadcast, request.bytes);
+  } else {
+    const mapping::TaskGraph tasks = mapping::uniform_task_graph(
+        request.nodes.size(), static_cast<double>(request.bytes));
+    const mapping::RefineResult refined = mapping::refine_mapping(
+        mapping::greedy_mapping(tasks,
+                                mapping::MachineGraph::from_performance(sub)),
+        tasks, sub, mapping::mapping_cost);
+    out << ",\"assignment\":[";
+    for (std::size_t k = 0; k < refined.mapping.size(); ++k) {
+      out << (k > 0 ? "," : "") << request.nodes[refined.mapping[k]];
+    }
+    out << ']';
+    predicted = refined.cost;
+  }
+  std::ostringstream real;
+  real.precision(17);
+  real << predicted;
+  out << ",\"predicted_seconds\":" << real.str() << '}';
+  return out.str();
+}
+
+// compute_plan's bytes are the twin's: random N = 32 snapshots, both
+// kinds, widths 2-32, message sizes past 2^53, a tenant name that needs
+// escaping, and an infinite latency that makes a prediction non-finite.
+TEST(PlanCache, PlanJsonMatchesTheOstreamTwin) {
+  std::mt19937_64 rng(30);
+  const auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const std::uint64_t sizes[] = {1, 1u << 20, 8u << 20,
+                                 (std::uint64_t{1} << 53) + 1,
+                                 std::uint64_t{1} << 62};
+  constexpr std::size_t kCluster = 32;
+  int non_finite = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    ConstantSnapshot snapshot;
+    snapshot.tenant = trial % 2 == 0 ? "t" : "a\"b\\c";
+    snapshot.version = static_cast<std::uint64_t>(trial) * 977;
+    snapshot.component.constant = netmodel::PerformanceMatrix(kCluster);
+    for (std::size_t i = 0; i < kCluster; ++i) {
+      for (std::size_t j = 0; j < kCluster; ++j) {
+        if (i == j) continue;
+        // Odd trials draw from two values only: ties everywhere.
+        snapshot.component.constant.set_link(
+            i, j,
+            trial % 2 == 0
+                ? netmodel::LinkParams{uniform(1e-5, 1e-3), uniform(1e7, 1e9)}
+                : netmodel::LinkParams{1e-4, rng() % 2 == 0 ? 1e8 : 3e8});
+      }
+    }
+    if (trial % 6 == 5) {
+      snapshot.component.constant.set_link(
+          3, 4, {std::numeric_limits<double>::infinity(), 1e8});
+    }
+    for (const PlanKind kind :
+         {PlanKind::BroadcastTree, PlanKind::TopologyMapping}) {
+      std::vector<std::size_t> nodes(kCluster);
+      for (std::size_t k = 0; k < kCluster; ++k) nodes[k] = k;
+      std::shuffle(nodes.begin(), nodes.end(), rng);
+      nodes.resize(2 + rng() % (kCluster - 1));
+      if (trial % 6 == 5) nodes.insert(nodes.end(), {3, 4});
+      const PlanRequest request = canonical_plan_request(
+          kind, nodes, nodes.front(), sizes[rng() % 5]);
+      const Plan plan = compute_plan(snapshot, request);
+      EXPECT_EQ(plan.json, twin_plan_json(snapshot, request));
+      if (!std::isfinite(plan.predicted_seconds)) ++non_finite;
+    }
+  }
+  EXPECT_GT(non_finite, 0);
+}
+
+// A link between requested nodes with a zero or NaN bandwidth is a
+// contract violation for both kinds (a 400 at /plan), as it was when
+// the planner went through restrict_to and MachineGraph.
+TEST(PlanCache, ZeroOrNanBandwidthThrows) {
+  for (const double beta : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ConstantSnapshot snapshot;
+    snapshot.component = test_component(6, 1);
+    snapshot.component.constant.bandwidth()(4, 1) = beta;
+    for (const PlanKind kind :
+         {PlanKind::BroadcastTree, PlanKind::TopologyMapping}) {
+      EXPECT_THROW(compute_plan(snapshot, canonical_plan_request(
+                                              kind, {1, 2, 4}, 1, 4096)),
+                   ContractViolation);
+      EXPECT_NO_THROW(compute_plan(
+          snapshot, canonical_plan_request(kind, {1, 2, 3}, 1, 4096)));
+    }
+  }
 }
 
 // A plan computed at v1 is never served at v2, is counted as
