@@ -213,16 +213,16 @@ std::vector<double> SyntheticCloud::measure_concurrent(
     std::uint64_t bytes) {
   // Concurrent cross-rack transfers share their racks' uplinks fairly.
   const std::size_t racks = config_.datacenter_racks;
-  std::vector<std::size_t> egress(racks, 0), ingress(racks, 0);
-  std::vector<netmodel::LinkParams> sampled;
-  sampled.reserve(pairs.size());
+  egress_.assign(racks, 0);
+  ingress_.assign(racks, 0);
+  sampled_.clear();
   for (const auto& [i, j] : pairs) {
     NETCONST_CHECK(i < cluster_size() && j < cluster_size() && i != j,
                    "invalid pair");
-    sampled.push_back(sample_pair(i, j));
+    sampled_.push_back(sample_pair(i, j));
     if (placement_[i] != placement_[j]) {
-      ++egress[placement_[i]];
-      ++ingress[placement_[j]];
+      ++egress_[placement_[i]];
+      ++ingress_[placement_[j]];
     }
   }
   const double uplink_capacity =
@@ -232,13 +232,13 @@ std::vector<double> SyntheticCloud::measure_concurrent(
   double max_elapsed = 0.0;
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const auto& [i, j] = pairs[k];
-    double beta = sampled[k].beta;
+    double beta = sampled_[k].beta;
     if (placement_[i] != placement_[j]) {
       const auto users = static_cast<double>(
-          std::max(egress[placement_[i]], ingress[placement_[j]]));
+          std::max(egress_[placement_[i]], ingress_[placement_[j]]));
       beta = std::min(beta, uplink_capacity / std::max(users, 1.0));
     }
-    const double t = sampled[k].alpha +
+    const double t = sampled_[k].alpha +
                      static_cast<double>(bytes) / beta;
     elapsed.push_back(t);
     max_elapsed = std::max(max_elapsed, t);

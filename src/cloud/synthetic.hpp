@@ -152,6 +152,12 @@ class SyntheticCloud final : public NetworkProvider {
   double next_migration_ = -1.0;  // < 0 when migrations are disabled
   Rng migration_rng_;
   std::size_t migration_count_ = 0;
+
+  // measure_concurrent's scratch, kept so a call allocates only the
+  // vector it returns: cross-rack transfers per rack (out and in) and
+  // each pair's sampled link.
+  std::vector<std::size_t> egress_, ingress_;
+  std::vector<netmodel::LinkParams> sampled_;
 };
 
 }  // namespace netconst::cloud

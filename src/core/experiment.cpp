@@ -46,7 +46,7 @@ CampaignResult run_collective_campaign(cloud::NetworkProvider& provider,
       cloud::calibrate_series(provider, options.calibration);
   result.calibration_seconds = initial.elapsed_seconds;
   ConstantComponent component = find_constant(initial.series, options.finder);
-  provider.advance(component.solve_seconds);
+  provider.advance(kModelledSolveSeconds);
   result.rpca_solve_seconds = component.solve_seconds;
   result.error_norm = component.error_norm;
   netmodel::PerformanceMatrix heuristic =
@@ -99,7 +99,7 @@ CampaignResult run_collective_campaign(cloud::NetworkProvider& provider,
         const cloud::SeriesResult redo =
             cloud::calibrate_series(provider, options.calibration);
         component = find_constant(redo.series, options.finder);
-        provider.advance(component.solve_seconds);
+        provider.advance(kModelledSolveSeconds);
         heuristic = heuristic_matrix(redo.series, options.heuristic);
         result.error_norm = component.error_norm;
         ++result.recalibrations;
@@ -123,7 +123,7 @@ CampaignResult run_mapping_campaign(cloud::NetworkProvider& provider,
       cloud::calibrate_series(provider, options.calibration);
   result.calibration_seconds = initial.elapsed_seconds;
   ConstantComponent component = find_constant(initial.series, options.finder);
-  provider.advance(component.solve_seconds);
+  provider.advance(kModelledSolveSeconds);
   result.rpca_solve_seconds = component.solve_seconds;
   result.error_norm = component.error_norm;
   const netmodel::PerformanceMatrix heuristic =
@@ -192,7 +192,7 @@ std::map<Strategy, AppBreakdown> run_app_campaign(
     if (strategy == Strategy::Rpca) {
       ConstantComponent component =
           find_constant(series.series, options.finder);
-      provider.advance(component.solve_seconds);
+      provider.advance(kModelledSolveSeconds);
       guidance = component.constant;
       have_guidance = true;
       breakdown.overhead_seconds =

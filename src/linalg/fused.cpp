@@ -241,10 +241,12 @@ void gradient_step_range(const double* ds, const double* dp, const double* es,
 // ---- rank-1 polish pass ----
 //
 // Elements are visited in index order; the per-element terms are formed
-// in vector lanes, but the two sums take them lane by lane, so every
-// addition onto `change`/`scale` happens in the scalar loop's order.
-// kSums = false is the Huber fit's finishing pass: the same d, e and
-// target without the previous iterates or the sums.
+// in vector lanes, but the three sums take them lane by lane, so every
+// addition onto `change`/`scale`/`residual` happens in the scalar loop's
+// order. Each body loads an element's previous iterates before it
+// stores the element, so d and e may be d_prev and e_prev. kSums = false
+// is the Huber fit's finishing pass: the same d, e and target without
+// the previous iterates or the sums.
 
 struct PolishRow {
   const double* a;
@@ -255,10 +257,16 @@ struct PolishRow {
   double* target;
 };
 
+struct PolishSums {
+  double change = 0.0;
+  double scale = 0.0;
+  double residual = 0.0;
+};
+
 template <bool kSums>
 void polish_row_scalar(const PolishRow& r, double ui, const double* v,
                        double tau, std::size_t lo, std::size_t hi,
-                       double& change, double& scale) {
+                       PolishSums& sums) {
   for (std::size_t j = lo; j < hi; ++j) {
     const double dn = ui * v[j];
     const double x = r.a[j] - dn;
@@ -270,15 +278,17 @@ void polish_row_scalar(const PolishRow& r, double ui, const double* v,
     } else {
       en = 0.0;
     }
-    r.d[j] = dn;
-    r.e[j] = en;
-    r.target[j] = r.a[j] - en;
     if constexpr (kSums) {
       const double dd = dn - r.d_prev[j];
       const double de = en - r.e_prev[j];
-      change += dd * dd + de * de;
-      scale += dn * dn + en * en;
+      const double res = x - en;  // (a - d) - e
+      sums.change += dd * dd + de * de;
+      sums.scale += dn * dn + en * en;
+      sums.residual += res * res;
     }
+    r.d[j] = dn;
+    r.e[j] = en;
+    r.target[j] = r.a[j] - en;
   }
 }
 
@@ -297,42 +307,42 @@ NETCONST_TARGET_AVX2 inline void add_lanes_in_order(double& s, __m256d v) {
 template <bool kSums>
 NETCONST_TARGET_AVX2 void polish_row_vec(const PolishRow& r, double ui,
                                          const double* v, double tau,
-                                         std::size_t n, double& change,
-                                         double& scale) {
+                                         std::size_t n, PolishSums& sums) {
   const __m256d vu = _mm256_set1_pd(ui);
   const __m256d vtau = _mm256_set1_pd(tau);
   const __m256d vntau = _mm256_set1_pd(-tau);
-  double ch = change, sc = scale;
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
     const __m256d va = _mm256_loadu_pd(r.a + j);
     const __m256d dn = _mm256_mul_pd(vu, _mm256_loadu_pd(v + j));
-    const __m256d en =
-        avx2_soft_threshold(_mm256_sub_pd(va, dn), vtau, vntau);
-    _mm256_storeu_pd(r.d + j, dn);
-    _mm256_storeu_pd(r.e + j, en);
-    _mm256_storeu_pd(r.target + j, _mm256_sub_pd(va, en));
+    const __m256d x = _mm256_sub_pd(va, dn);
+    const __m256d en = avx2_soft_threshold(x, vtau, vntau);
     if constexpr (kSums) {
       const __m256d dd = _mm256_sub_pd(dn, _mm256_loadu_pd(r.d_prev + j));
       const __m256d de = _mm256_sub_pd(en, _mm256_loadu_pd(r.e_prev + j));
+      const __m256d res = _mm256_sub_pd(x, en);
       add_lanes_in_order(
-          ch, _mm256_add_pd(_mm256_mul_pd(dd, dd), _mm256_mul_pd(de, de)));
+          sums.change,
+          _mm256_add_pd(_mm256_mul_pd(dd, dd), _mm256_mul_pd(de, de)));
       add_lanes_in_order(
-          sc, _mm256_add_pd(_mm256_mul_pd(dn, dn), _mm256_mul_pd(en, en)));
+          sums.scale,
+          _mm256_add_pd(_mm256_mul_pd(dn, dn), _mm256_mul_pd(en, en)));
+      add_lanes_in_order(sums.residual, _mm256_mul_pd(res, res));
     }
+    _mm256_storeu_pd(r.d + j, dn);
+    _mm256_storeu_pd(r.e + j, en);
+    _mm256_storeu_pd(r.target + j, _mm256_sub_pd(va, en));
   }
-  polish_row_scalar<kSums>(r, ui, v, tau, j, n, ch, sc);
-  change = ch;
-  scale = sc;
+  polish_row_scalar<kSums>(r, ui, v, tau, j, n, sums);
 }
 #endif
 
 /// Every row of the pass; d_prev / e_prev are read only when kSums.
 template <bool kSums>
-void polish_rows(const Matrix& a, std::span<const double> u,
-                 std::span<const double> v, double tau, const Matrix* d_prev,
-                 const Matrix* e_prev, Matrix& d, Matrix& e, Matrix& target,
-                 double& change_sq, double& scale_sq) {
+PolishSums polish_rows(const Matrix& a, std::span<const double> u,
+                       std::span<const double> v, double tau,
+                       const Matrix* d_prev, const Matrix* e_prev, Matrix& d,
+                       Matrix& e, Matrix& target) {
   NETCONST_CHECK(u.size() == a.rows() && v.size() == a.cols(),
                  "rank-1 pass factor size mismatch");
   NETCONST_CHECK(tau >= 0.0, "soft threshold must be non-negative");
@@ -340,7 +350,7 @@ void polish_rows(const Matrix& a, std::span<const double> u,
   d.resize(a.rows(), n);
   e.resize(a.rows(), n);
   target.resize(a.rows(), n);
-  double change = 0.0, scale = 0.0;
+  PolishSums sums;
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const std::size_t off = i * n;
     PolishRow row{a.data().data() + off, nullptr,
@@ -352,14 +362,13 @@ void polish_rows(const Matrix& a, std::span<const double> u,
     }
 #if defined(NETCONST_SIMD_X86)
     if (use_vector_kernels()) {
-      polish_row_vec<kSums>(row, u[i], v.data(), tau, n, change, scale);
+      polish_row_vec<kSums>(row, u[i], v.data(), tau, n, sums);
       continue;
     }
 #endif
-    polish_row_scalar<kSums>(row, u[i], v.data(), tau, 0, n, change, scale);
+    polish_row_scalar<kSums>(row, u[i], v.data(), tau, 0, n, sums);
   }
-  change_sq = change;
-  scale_sq = scale;
+  return sums;
 }
 
 // ---- rank-1 Huber fit: 1-D fits ----
@@ -916,11 +925,6 @@ void sub_range_scalar(const double* a, const double* b, double* o,
   for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] - b[i];
 }
 
-void sub_sub_range_scalar(const double* a, const double* b, const double* c,
-                          double* o, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = (a[i] - b[i]) - c[i];
-}
-
 #if defined(NETCONST_SIMD_X86)
 NETCONST_TARGET_AVX2 void sub_range_vec(const double* a, const double* b,
                                         double* o, std::size_t lo,
@@ -933,19 +937,6 @@ NETCONST_TARGET_AVX2 void sub_range_vec(const double* a, const double* b,
   sub_range_scalar(a, b, o, i, hi);
 }
 
-NETCONST_TARGET_AVX2 void sub_sub_range_vec(const double* a, const double* b,
-                                            const double* c, double* o,
-                                            std::size_t lo, std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    _mm256_storeu_pd(
-        o + i,
-        _mm256_sub_pd(
-            _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)),
-            _mm256_loadu_pd(c + i)));
-  }
-  sub_sub_range_scalar(a, b, c, o, i, hi);
-}
 #endif
 
 void sub_range(const double* a, const double* b, double* o, std::size_t lo,
@@ -957,17 +948,6 @@ void sub_range(const double* a, const double* b, double* o, std::size_t lo,
   }
 #endif
   sub_range_scalar(a, b, o, lo, hi);
-}
-
-void sub_sub_range(const double* a, const double* b, const double* c,
-                   double* o, std::size_t lo, std::size_t hi) {
-#if defined(NETCONST_SIMD_X86)
-  if (use_vector_kernels()) {
-    sub_sub_range_vec(a, b, c, o, lo, hi);
-    return;
-  }
-#endif
-  sub_sub_range_scalar(a, b, c, o, lo, hi);
 }
 
 // ---- convergence norms (sequential reduction) ----
@@ -1096,23 +1076,6 @@ void sub(const Matrix& a, const Matrix& b, Matrix& out) {
       kElementGrain);
 }
 
-void sub_sub(const Matrix& a, const Matrix& b, const Matrix& c,
-             Matrix& out) {
-  check_same_shape(a, b, "sub_sub shape mismatch");
-  check_same_shape(a, c, "sub_sub shape mismatch");
-  out.resize(a.rows(), a.cols());
-  const auto as = a.data();
-  const auto bs = b.data();
-  const auto cs = c.data();
-  const auto os = out.data();
-  parallel_for_chunked(
-      0, as.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        sub_sub_range(as.data(), bs.data(), cs.data(), os.data(), lo, hi);
-      },
-      kElementGrain);
-}
-
 void soft_threshold_into(const Matrix& src, double tau, Matrix& out) {
   NETCONST_CHECK(tau >= 0.0, "soft threshold must be non-negative");
   out.resize(src.rows(), src.cols());
@@ -1130,19 +1093,20 @@ void rank1_polish_pass(const Matrix& a, std::span<const double> u,
                        std::span<const double> v, double tau,
                        const Matrix& d_prev, const Matrix& e_prev, Matrix& d,
                        Matrix& e, Matrix& target, double& change_sq,
-                       double& scale_sq) {
+                       double& scale_sq, double& residual_sq) {
   check_same_shape(a, d_prev, "rank1_polish_pass shape mismatch");
   check_same_shape(a, e_prev, "rank1_polish_pass shape mismatch");
-  polish_rows<true>(a, u, v, tau, &d_prev, &e_prev, d, e, target, change_sq,
-                    scale_sq);
+  const PolishSums sums =
+      polish_rows<true>(a, u, v, tau, &d_prev, &e_prev, d, e, target);
+  change_sq = sums.change;
+  scale_sq = sums.scale;
+  residual_sq = sums.residual;
 }
 
 void rank1_finish_pass(const Matrix& a, std::span<const double> u,
                        std::span<const double> v, double tau, Matrix& d,
                        Matrix& e, Matrix& target) {
-  double unused_change = 0.0, unused_scale = 0.0;
-  polish_rows<false>(a, u, v, tau, nullptr, nullptr, d, e, target,
-                     unused_change, unused_scale);
+  polish_rows<false>(a, u, v, tau, nullptr, nullptr, d, e, target);
 }
 
 void huber_fit_columns(const Matrix& b, const Matrix& bt,

@@ -40,9 +40,6 @@ void gradient_step(const Matrix& d, const Matrix& d_prev, const Matrix& e,
 /// out = a - b.
 void sub(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out = (a - b) - c: the final decomposition residual A - D - E.
-void sub_sub(const Matrix& a, const Matrix& b, const Matrix& c, Matrix& out);
-
 /// out = soft-threshold(src, tau): sign(v) * max(|v| - tau, 0) without
 /// the copy the out-of-place soft_threshold makes. The solvers fuse the
 /// threshold into gradient_step and rank1_polish_pass; this one-kernel
@@ -55,18 +52,22 @@ void soft_threshold_into(const Matrix& src, double tau, Matrix& out);
 ///   d      = u v^T                    (d(i, j) = u[i] * v[j])
 ///   e      = soft-threshold(a - d, tau)
 ///   target = a - e                    (the next power iteration's input)
-/// and the convergence sums change_sq = sum (d - d_prev)^2 + (e - e_prev)^2
-/// and scale_sq = sum d^2 + e^2. The elementwise work is vectorized, but
-/// both sums add their per-element terms one at a time in index order —
-/// the scalar loop's association — so unlike iterate_change_norms the
-/// result is bit-identical at every SIMD level, and so are the polish's
-/// convergence decisions. Requires tau >= 0; d, e and target must not
-/// alias a, d_prev or e_prev.
+/// and the sums change_sq = sum (d - d_prev)^2 + (e - e_prev)^2,
+/// scale_sq = sum d^2 + e^2 and residual_sq = sum ((a - d) - e)^2 over
+/// the new d and e (linalg::residual_norm's square, bit for bit). The
+/// elementwise work is vectorized, but every sum adds its per-element
+/// terms one at a time in index order — the scalar loop's association —
+/// so unlike iterate_change_norms the result is bit-identical at every
+/// SIMD level, and so are the polish's convergence decisions. Requires
+/// tau >= 0. d may be d_prev and e may be e_prev (the polish writes its
+/// iterates in place): every body loads an element's d_prev and e_prev
+/// before it stores that element's d and e. target must not alias any
+/// other argument, nor d and e alias a or each other.
 void rank1_polish_pass(const Matrix& a, std::span<const double> u,
                        std::span<const double> v, double tau,
                        const Matrix& d_prev, const Matrix& e_prev, Matrix& d,
                        Matrix& e, Matrix& target, double& change_sq,
-                       double& scale_sq);
+                       double& scale_sq, double& residual_sq);
 
 /// rank1_polish_pass without the previous iterates: one pass writing
 ///   d      = u v^T

@@ -14,6 +14,18 @@ double frobenius_norm(const Matrix& a) {
   return std::sqrt(s);
 }
 
+double residual_norm(const Matrix& a, const Matrix& d, const Matrix& e) {
+  NETCONST_CHECK(a.same_shape(d) && a.same_shape(e),
+                 "residual_norm shape mismatch");
+  const std::span<const double> as = a.data(), ds = d.data(), es = e.data();
+  double s = 0.0;
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    const double r = (as[i] - ds[i]) - es[i];
+    s += r * r;
+  }
+  return std::sqrt(s);
+}
+
 double l1_norm(const Matrix& a) {
   double s = 0.0;
   for (double v : a.data()) s += std::abs(v);

@@ -15,6 +15,12 @@ namespace netconst::linalg {
 /// Frobenius norm sqrt(sum a_ij^2).
 double frobenius_norm(const Matrix& a);
 
+/// ||(a - d) - e||_F, a decomposition's residual, without materializing
+/// it: the same per-element differences and index-order sum of squares
+/// as frobenius_norm of the difference matrix, bit for bit. Shapes must
+/// match.
+double residual_norm(const Matrix& a, const Matrix& d, const Matrix& e);
+
 /// Entrywise 1-norm sum |a_ij|.
 double l1_norm(const Matrix& a);
 

@@ -100,13 +100,14 @@ const linalg::Matrix& WindowRefresher::refresh_layer(
       info.incremental_masked = true;
     }
   }
-  // Full path. A tracker that advanced past its anchor holds a fresher
-  // E than the last full solve: the fit starts from it instead (copy-
-  // assignment reuses the buffer's capacity, so nothing allocates).
+  // Full path. The tracker owns the layer's E: the last accepted one, or
+  // the fresher one its row updates advanced since. It moves into the
+  // fit as the start and back into the tracker at the anchor below, so
+  // the layer holds one E and nothing is copied.
   const bool tracked = trackable && tracker.updates() > 0;
   const linalg::Matrix& data = repair_layer(
       raw, missing, tracked ? &tracker : nullptr, result, repaired, info);
-  if (tracked) result.sparse = tracker.sparse();
+  tracker.release_sparse(result.sparse);
   // A zero-synthesized result has rank 0: its E is no prior.
   const bool prior_e = result.rank > 0 && result.sparse.same_shape(data);
   solve_layer(data, prior_e, result, info);
@@ -259,7 +260,8 @@ RefreshReport WindowRefresher::refresh(const SlidingWindow& window) {
 }
 
 void WindowRefresher::reset() {
-  // Empty shapes (capacity kept) leave no prior E or constant.
+  // Empty shapes (capacity kept) leave no prior D or constant; the
+  // trackers' reset drops their E.
   for (rpca::Result* result : {&latency_result_, &bandwidth_result_}) {
     rpca::reset_result(*result);
     result->low_rank.resize(0, 0);

@@ -4,10 +4,11 @@
 // (rpca::polish with the Huber start, rpca/rank1.hpp): the paper's
 // model (rank(N_D) = 1) enforced exactly, with no solver in front and
 // no solver to choose. The fit reads only E, and starts from the
-// layer's last accepted E (the Result buffers persist), from the
-// tracker's E when the incremental tracker has advanced past its
-// anchor, or from E = 0 at bootstrap, after reset() or after a shape
-// change. When the window slides by one row, the last E is an
+// layer's E as its tracker holds it: the last accepted E, or the
+// fresher one the tracker's row updates advanced since its anchor; or
+// from E = 0 at bootstrap, after reset() or after a shape change. Each
+// layer's E has one owner, the tracker: it moves into the fit and back
+// at the anchor, never copied. When the window slides by one row, the last E is an
 // excellent start and the fit settles in a few Newton steps. A fit that hits
 // its polish cap is still accepted and reported by
 // LayerRefresh::polish_capped; nothing is redone. The fit's fixed point
@@ -133,10 +134,11 @@ class WindowRefresher {
 
   const RefresherOptions& options() const { return options_; }
 
-  /// Each layer's last full-path result: the accepted factors of the
-  /// last refresh that did not serve the layer from its tracker, and
-  /// the next fit's start (inspection; empty before the first refresh
-  /// and after reset()).
+  /// Each layer's last full-path result: the accepted D, rank and fit
+  /// diagnostics of the last refresh that did not serve the layer from
+  /// its tracker (inspection; empty before the first refresh and after
+  /// reset()). Its `sparse` is empty between refreshes: the layer's E
+  /// lives in its tracker (latency_tracker().sparse()).
   const rpca::Result& latency_result() const { return latency_result_; }
   const rpca::Result& bandwidth_result() const { return bandwidth_result_; }
 
@@ -193,9 +195,9 @@ class WindowRefresher {
   rpca::IncrementalTracker bandwidth_tracker_;
   std::uint64_t last_pushes_ = 0;
   // Persistent solver state: one workspace plus per-layer Result buffers,
-  // which hold each layer's last accepted factors and so the next fit's
-  // start. Together these make a steady-state refresh allocation-free in
-  // the solver path.
+  // which hold each layer's last accepted D (its E lives in the tracker
+  // and visits the Result only during a fit). Together these make a
+  // steady-state refresh allocation-free in the solver path.
   rpca::SolverWorkspace workspace_;
   rpca::Result latency_result_;
   rpca::Result bandwidth_result_;

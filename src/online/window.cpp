@@ -1,6 +1,5 @@
 #include "online/window.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "support/error.hpp"
@@ -12,15 +11,13 @@ SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
                  "window capacity must be >= 2 (RPCA needs two rows)");
 }
 
-std::size_t SlidingWindow::cluster_size() const {
-  return snapshots_.empty() ? 0 : snapshots_.front().size();
-}
+std::size_t SlidingWindow::cluster_size() const { return cluster_size_; }
 
 void SlidingWindow::push(double time,
                          const netmodel::PerformanceMatrix& snapshot) {
   NETCONST_CHECK(snapshot.size() > 0, "empty snapshot");
   if (!times_.empty()) {
-    NETCONST_CHECK(snapshot.size() == snapshots_.front().size(),
+    NETCONST_CHECK(snapshot.size() == cluster_size_,
                    "snapshot cluster size changed");
     NETCONST_CHECK(time >= newest_time(),
                    "snapshots must be pushed in time order");
@@ -29,27 +26,24 @@ void SlidingWindow::push(double time,
 
   std::size_t slot;
   if (!full()) {
-    // Growth phase: extend the buffers by one row (a straight copy of
-    // the flat storage, not a re-flatten of the older snapshots).
+    // Growth phase: one more row. The first push sizes both layers at
+    // capacity, so the later rows fit without a reallocation or a copy
+    // (Matrix::resize keeps the leading rows and the storage).
     slot = times_.size();
-    times_.push_back(time);
-    snapshots_.push_back(snapshot);
-    linalg::Matrix lat(times_.size(), n2);
-    linalg::Matrix bw(times_.size(), n2);
-    if (slot > 0) {
-      std::copy(latency_.data().begin(), latency_.data().end(),
-                lat.data().begin());
-      std::copy(bandwidth_.data().begin(), bandwidth_.data().end(),
-                bw.data().begin());
+    if (slot == 0) {
+      cluster_size_ = snapshot.size();
+      times_.reserve(capacity_);
+      latency_.resize(capacity_, n2);
+      bandwidth_.resize(capacity_, n2);
     }
-    latency_ = std::move(lat);
-    bandwidth_ = std::move(bw);
+    times_.push_back(time);
+    latency_.resize(times_.size(), n2);
+    bandwidth_.resize(times_.size(), n2);
   } else {
     // Steady state: overwrite the oldest slot in place.
     slot = head_;
     head_ = (head_ + 1) % capacity_;
     times_[slot] = time;
-    snapshots_[slot] = snapshot;
   }
   netmodel::TemporalPerformance::flatten_snapshot(
       snapshot, netmodel::Field::Latency, latency_.row(slot));
@@ -60,9 +54,9 @@ void SlidingWindow::push(double time,
 
 void SlidingWindow::clear() {
   times_.clear();
-  snapshots_.clear();
-  latency_ = linalg::Matrix();
-  bandwidth_ = linalg::Matrix();
+  latency_.resize(0, 0);
+  bandwidth_.resize(0, 0);
+  cluster_size_ = 0;
   head_ = 0;
 }
 
@@ -97,17 +91,22 @@ double SlidingWindow::time_in_slot(std::size_t slot) const {
   return times_[slot];
 }
 
-const netmodel::PerformanceMatrix& SlidingWindow::snapshot_in_slot(
-    std::size_t slot) const {
-  NETCONST_CHECK(slot < snapshots_.size(), "slot out of range");
-  return snapshots_[slot];
-}
-
 netmodel::TemporalPerformance SlidingWindow::to_series() const {
   netmodel::TemporalPerformance series;
+  const std::size_t n = cluster_size_;
   for (std::size_t k = 0; k < times_.size(); ++k) {
     const std::size_t slot = slot_of_age(k);
-    series.append(times_[slot], snapshots_[slot]);
+    const auto latency = latency_.row(slot);
+    const auto bandwidth = bandwidth_.row(slot);
+    netmodel::PerformanceMatrix snapshot(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        snapshot.latency()(i, j) = latency[i * n + j];
+        snapshot.bandwidth()(i, j) = bandwidth[i * n + j];
+      }
+    }
+    series.append(times_[slot], std::move(snapshot));
   }
   return series;
 }

@@ -74,8 +74,7 @@ void solve_apg(const linalg::Matrix& a, const Options& options,
     }
   }
 
-  linalg::sub_sub(a, ws.d, ws.e, ws.residual);
-  result.residual = linalg::frobenius_norm(ws.residual) / a_norm;
+  result.residual = linalg::residual_norm(a, ws.d, ws.e) / a_norm;
   result.low_rank.swap(ws.d);
   result.sparse.swap(ws.e);
   result.solve_seconds = clock.seconds();

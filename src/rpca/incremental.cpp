@@ -26,9 +26,15 @@ void IncrementalTracker::reset() {
   lambda_ = 0.0;
   cutoff_ = 0.0;
   drift_ = DriftStats{};
+  e_ = linalg::Matrix();
 }
 
-void IncrementalTracker::anchor(const linalg::Matrix& data, const Result& full,
+void IncrementalTracker::release_sparse(linalg::Matrix& into) {
+  into.swap(e_);
+  e_ = linalg::Matrix();
+}
+
+void IncrementalTracker::anchor(const linalg::Matrix& data, Result& full,
                                 double l0_rel_tolerance,
                                 std::size_t cluster_size) {
   NETCONST_CHECK(!data.empty(), "incremental anchor on an empty window");
@@ -47,7 +53,6 @@ void IncrementalTracker::anchor(const linalg::Matrix& data, const Result& full,
   anchored_ = true;
   lambda_ =
       options_.lambda > 0.0 ? options_.lambda : default_lambda(m, n);
-  e_ = full.sparse;
   q_.resize(1, n);
   c_.resize(m);
   row_l1_.resize(m);
@@ -119,6 +124,7 @@ void IncrementalTracker::anchor(const linalg::Matrix& data, const Result& full,
     row_l0_e_[r] = l0_e;
     support += static_cast<double>(l0_e);
   }
+  e_.swap(full.sparse);  // reset() left e_ empty
   // EWMA baseline: the anchor's own mean per-row E support, so the
   // smoothed statistic starts at the window's genuine sparsity level
   // instead of ramping from zero.
@@ -206,8 +212,8 @@ DriftStats IncrementalTracker::update(const linalg::Matrix& data,
 
 void IncrementalTracker::materialize_low_rank(linalg::Matrix& out) const {
   NETCONST_CHECK(ready_, "materialize_low_rank before anchor");
-  const std::size_t m = e_.rows();
-  const std::size_t n = e_.cols();
+  const std::size_t m = c_.size();
+  const std::size_t n = q_.cols();
   out.resize(m, n);
   const double* q = q_.row(0).data();
   for (std::size_t i = 0; i < m; ++i) {
@@ -219,7 +225,7 @@ void IncrementalTracker::materialize_low_rank(linalg::Matrix& out) const {
 
 void IncrementalTracker::constant_row_into(linalg::Matrix& out) const {
   NETCONST_CHECK(ready_, "constant_row_into before anchor");
-  const std::size_t n = e_.cols();
+  const std::size_t n = q_.cols();
   out.resize(1, n);
   double mean_c = 0.0;
   for (const double c : c_) mean_c += c;
@@ -233,7 +239,7 @@ void IncrementalTracker::anchor_constant_row_into(linalg::Matrix& out) const {
   NETCONST_CHECK(anchored_, "anchor_constant_row_into before anchor");
   const std::size_t n = column_sums_.size();
   out.resize(1, n);
-  const double rows = static_cast<double>(e_.rows());
+  const double rows = static_cast<double>(c_.size());
   for (std::size_t j = 0; j < n; ++j) out(0, j) = column_sums_[j] / rows;
 }
 

@@ -23,7 +23,8 @@
 // keep it near the window's sparsity; a placement change makes it jump
 // because the row's new constant lands wholesale in E. On breach the
 // caller runs its full path (the online refresher's rank-1 Huber fit
-// starts from the tracked E, sparse()) and re-anchors — so the fallback
+// starts from the tracked E, which release_sparse() hands it) and
+// re-anchors — so the fallback
 // reuses the machinery whose bit-exactness is pinned against
 // rpca::reference.
 //
@@ -87,8 +88,10 @@ class IncrementalTracker {
   /// Adopt an accepted full solve of `data` as the new anchor, in one
   /// pass over the factors that also measures everything the refresh
   /// reads of them: freeze the unit constant direction from
-  /// `full.low_rank`'s column means, project per-row coefficients, copy
-  /// E, and count the per-row stats (l1 sums, l0 counts at cutoff =
+  /// `full.low_rank`'s column means, project per-row coefficients, take
+  /// E (full.sparse's buffer moves into the tracker and full.sparse is
+  /// left empty: the tracker is the one owner of the layer's E), and
+  /// count the per-row stats (l1 sums, l0 counts at cutoff =
   /// l0_rel_tolerance * max|data|, frozen until the next anchor), D's
   /// column sums (anchor_constant_row_into) and the support geometry of
   /// E at the cutoff (support_touches). Each is bit-identical to the
@@ -98,7 +101,7 @@ class IncrementalTracker {
   /// data.cols() == cluster_size^2). A zero low-rank component leaves
   /// the tracker not ready (nothing to track), its measurements still
   /// taken.
-  void anchor(const linalg::Matrix& data, const Result& full,
+  void anchor(const linalg::Matrix& data, Result& full,
               double l0_rel_tolerance, std::size_t cluster_size);
 
   /// Row `slot` of `data` was replaced since the last anchor/update;
@@ -109,8 +112,14 @@ class IncrementalTracker {
   const DriftStats& drift() const { return drift_; }
   std::uint64_t updates() const { return updates_; }
 
-  /// Tracked sparse component (m x n, maintained in place).
+  /// Tracked sparse component (m x n, maintained in place; empty before
+  /// the first anchor and between release_sparse() and the next anchor).
   const linalg::Matrix& sparse() const { return e_; }
+  /// Hand the tracked E to `into` (its old contents are dropped), the
+  /// start of the full-path fit whose accepted factors anchor() takes
+  /// back: the buffer moves, nothing is copied. sparse() is empty until
+  /// then, so update() refuses to run.
+  void release_sparse(linalg::Matrix& into);
   /// Tracked rank (1 once ready — the tracker follows one direction).
   std::size_t rank() const { return ready_ ? 1 : 0; }
   /// Materialize the tracked low-rank component D = c (outer) q.

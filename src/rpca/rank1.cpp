@@ -206,39 +206,40 @@ int huber_fit(const linalg::Matrix& a, double tau, int max_sweeps,
   return sweeps;
 }
 
-/// polish_rank1's alternation from ws.target = A - result.sparse.
-void alternate(const linalg::Matrix& a, double tau, int max_iterations,
-               double tolerance, SolverWorkspace& ws, Result& result) {
+/// polish_rank1's alternation from ws.target = A - result.sparse, each
+/// iterate written over the last in place. Returns ||A - D - E||_F^2 of
+/// the final (D, E).
+double alternate(const linalg::Matrix& a, double tau, int max_iterations,
+                 double tolerance, SolverWorkspace& ws, Result& result) {
   NETCONST_CHECK(max_iterations > 0 && tolerance > 0.0,
                  "polish needs positive iteration budget and tolerance");
   NETCONST_CHECK(result.low_rank.same_shape(a) && result.sparse.same_shape(a),
                  "polish factors do not match the data shape");
   result.polished = true;
   result.polish_converged = false;
+  double residual_sq = 0.0;
   for (int k = 0; k < max_iterations; ++k) {
     rank1_factors(ws.target, ws.rank1);
-    // Next iterates into ws.d / ws.e; current ones stay in the result
-    // until the swap below, so the change sums see both. One pass forms
-    // D = u v^T, E = soft(A - D), the next A - E and both sums.
+    // One pass forms the next D = u v^T, E = soft(A - D) and A - E over
+    // the current (D, E), and sums the change between the two, the next
+    // iterate's scale and its residual.
     double change = 0.0, scale = 0.0;
     linalg::rank1_polish_pass(a, ws.rank1.u, ws.rank1.v, tau,
-                              result.low_rank, result.sparse, ws.d, ws.e,
-                              ws.target, change, scale);
-    result.low_rank.swap(ws.d);
-    result.sparse.swap(ws.e);
+                              result.low_rank, result.sparse, result.low_rank,
+                              result.sparse, ws.target, change, scale,
+                              residual_sq);
     result.polish_iterations = k + 1;
     if (std::sqrt(change) <= tolerance * std::sqrt(scale)) {
       result.polish_converged = true;
       break;
     }
   }
+  return residual_sq;
 }
 
 /// The rank-1 result's residual ||A - D - E||_F / ||A||_F.
-void finish(const linalg::Matrix& a, double a_fro, SolverWorkspace& ws,
-            Result& result) {
-  linalg::sub_sub(a, result.low_rank, result.sparse, ws.residual);
-  result.residual = linalg::frobenius_norm(ws.residual) / a_fro;
+void finish(double residual_fro, double a_fro, Result& result) {
+  result.residual = residual_fro / a_fro;
   result.rank = 1;
 }
 
@@ -248,8 +249,9 @@ void polish_rank1(const linalg::Matrix& a, Result& result, double lambda,
                   int max_iterations, double tolerance, SolverWorkspace& ws) {
   const WindowScalars s = window_scalars(a, lambda);
   linalg::sub(a, result.sparse, ws.target);
-  alternate(a, s.tau, max_iterations, tolerance, ws, result);
-  finish(a, s.a_fro, ws, result);
+  const double residual_sq =
+      alternate(a, s.tau, max_iterations, tolerance, ws, result);
+  finish(std::sqrt(residual_sq), s.a_fro, result);
 }
 
 int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
@@ -258,7 +260,8 @@ int rank1_huber_fit(const linalg::Matrix& a, Result& result, double lambda,
   const WindowScalars s = window_scalars(a, lambda);
   const int sweeps =
       huber_fit(a, s.tau, max_sweeps, polish_tolerance, ws, result);
-  finish(a, s.a_fro, ws, result);
+  finish(linalg::residual_norm(a, result.low_rank, result.sparse), s.a_fro,
+         result);
   return sweeps;
 }
 
@@ -282,9 +285,10 @@ void polish(const linalg::Matrix& a, const Options& options,
   } else {
     linalg::sub(a, result.sparse, workspace.target);
   }
-  alternate(a, s.tau, budget - fit_sweeps, options.polish_tolerance,
-            workspace, result);
-  finish(a, s.a_fro, workspace, result);
+  const double residual_sq =
+      alternate(a, s.tau, budget - fit_sweeps, options.polish_tolerance,
+                workspace, result);
+  finish(std::sqrt(residual_sq), s.a_fro, result);
   result.polish_iterations += fit_sweeps;
   result.solve_seconds += polish_clock.seconds();
   polish_span.set_value(result.polish_iterations);

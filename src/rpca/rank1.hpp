@@ -35,8 +35,11 @@ inline constexpr double kPowerTolerance = 1e-12;
 /// solve. `lambda` must be > 0. Each iteration is one power iteration
 /// plus one fused pass over the window (linalg::rank1_polish_pass),
 /// bit-identical to the sub / rank-1 / sub / soft-threshold chain it
-/// replaced at every SIMD level. The alternation's temporaries come from
-/// `ws`, so the online refresh loop polishes without allocating. This
+/// replaced at every SIMD level. The pass writes each iterate over the
+/// last in `result` and sums the final residual as it goes, so the
+/// alternation holds no second (D, E) and no residual matrix; its other
+/// temporaries come from `ws`, so the online refresh loop polishes
+/// without allocating. This
 /// and rank1_huber_fit are thin wrappers over the two stages that
 /// rpca::polish runs back to back; it computes ||A||_F and tau once for
 /// both.

@@ -6,7 +6,7 @@ namespace netconst::rpca {
 
 void SolverWorkspace::reserve(std::size_t rows, std::size_t cols) {
   for (linalg::Matrix* p :
-       {&d, &e, &d_prev, &e_prev, &residual, &gd, &ge, &target}) {
+       {&d, &e, &d_prev, &e_prev, &gd, &ge, &target}) {
     p->resize(rows, cols);
   }
   const std::size_t small = std::min(rows, cols);

@@ -48,12 +48,15 @@ struct Rank1Scratch {
 /// (capacity-reusing), so a workspace that has seen a problem shape once
 /// never allocates for it again.
 struct SolverWorkspace {
-  // Iterate pair; APG swaps (d, d_prev) instead of copying.
+  // APG's iterate pairs; it swaps (d, d_prev) instead of copying. The
+  // rank-1 polish never touches them: it writes its iterates in place in
+  // the Result.
   linalg::Matrix d, e, d_prev, e_prev;
-  // Decomposition residual and the two proximal gradient steps (the
-  // extrapolated points and the smooth-term residual are never
-  // materialized — linalg::gradient_step computes them on the fly).
-  linalg::Matrix residual, gd, ge;
+  // The two proximal gradient steps (the extrapolated points and the
+  // smooth-term residual are never materialized — linalg::gradient_step
+  // computes them on the fly, and the decomposition's residual norm is
+  // summed without a buffer).
+  linalg::Matrix gd, ge;
   // Shrinkage target (A - E) and general m x n scratch.
   linalg::Matrix target;
   // Gram-path SVT working set (Gram matrix, Jacobi scratch, V panel).

@@ -111,7 +111,6 @@ TEST(SimdKernels, ElementwiseKernelsAreBitIdenticalAcrossLevels) {
     };
 
     run_both([&](Matrix& out) { sub(x, y, out); });
-    run_both([&](Matrix& out) { sub_sub(x, y, z, out); });
     run_both([&](Matrix& out) { soft_threshold_into(x, 0.4, out); });
   }
 }
@@ -204,7 +203,7 @@ TEST(SimdKernels, AxpyAndScaledSetAreBitIdenticalAcrossLevels) {
 // unfused kernels and the polish's own scalar sum loop.
 struct PolishOutputs {
   Matrix d, e, target;
-  double change = 0.0, scale = 0.0;
+  double change = 0.0, scale = 0.0, residual = 0.0;
 };
 
 PolishOutputs polish_pass_by_chain(const Matrix& a, const Matrix& u,
@@ -228,6 +227,8 @@ PolishOutputs polish_pass_by_chain(const Matrix& a, const Matrix& u,
     o.change += dd * dd + de * de;
     o.scale += dn[idx] * dn[idx] + en[idx] * en[idx];
   }
+  const Matrix residual = (a - o.d) - o.e;
+  for (const double r : residual.data()) o.residual += r * r;
   return o;
 }
 
@@ -236,7 +237,21 @@ PolishOutputs polish_pass_fused(const Matrix& a, const Matrix& u,
                                 const Matrix& d_prev, const Matrix& e_prev) {
   PolishOutputs o;
   rank1_polish_pass(a, u.data(), v.data(), tau, d_prev, e_prev, o.d, o.e,
-                    o.target, o.change, o.scale);
+                    o.target, o.change, o.scale, o.residual);
+  return o;
+}
+
+// The pass as the polish runs it: the next iterates written over the
+// previous ones.
+PolishOutputs polish_pass_in_place(const Matrix& a, const Matrix& u,
+                                   const Matrix& v, double tau,
+                                   const Matrix& d_prev,
+                                   const Matrix& e_prev) {
+  PolishOutputs o;
+  o.d = d_prev;
+  o.e = e_prev;
+  rank1_polish_pass(a, u.data(), v.data(), tau, o.d, o.e, o.d, o.e,
+                    o.target, o.change, o.scale, o.residual);
   return o;
 }
 
@@ -246,6 +261,8 @@ void expect_same_polish(const PolishOutputs& x, const PolishOutputs& y) {
   EXPECT_TRUE(same_bits(x.target, y.target));
   EXPECT_TRUE(same_bits(x.change, y.change)) << x.change << " " << y.change;
   EXPECT_TRUE(same_bits(x.scale, y.scale)) << x.scale << " " << y.scale;
+  EXPECT_TRUE(same_bits(x.residual, y.residual))
+      << x.residual << " " << y.residual;
 }
 
 // The fused polish pass: scalar and vector bodies bit-identical to each
@@ -310,6 +327,47 @@ TEST(SimdKernels, Rank1PolishPassIsBitIdenticalAcrossLevels) {
     EXPECT_TRUE(same_bits(f.d, c.d));
     EXPECT_TRUE(same_bits(f.e, c.e));
     EXPECT_TRUE(same_bits(f.scale, c.scale));
+  }
+}
+
+// The polish writes each iterate over the last: the pass with d = d_prev
+// and e = e_prev must equal the pass into fresh outputs bit for bit, the
+// change sums included, at every level — on widths that leave a vector
+// tail, with previous iterates that are random and that are the pass's
+// own output one step earlier (where most change terms are near zero).
+// A body that stored an element before it loaded that element's
+// previous iterates would read its own output and sum zero changes.
+TEST(SimdSolve, InPlacePolishPassMatchesOutOfPlaceAtEveryLevel) {
+  for (const std::size_t cols : {1u, 3u, 7u, 13u, 1027u}) {
+    for (const bool own_output : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "cols=" << cols << " own_output=" << own_output);
+      const std::size_t rows = 10;
+      const double tau = 0.3;
+      const Matrix a = random_matrix(rows, cols, 91);
+      const Matrix u = random_matrix(1, rows, 92);
+      const Matrix v = random_matrix(1, cols, 93);
+      Matrix d_prev = random_matrix(rows, cols, 94);
+      Matrix e_prev = random_matrix(rows, cols, 95);
+      if (own_output) {
+        // One step earlier, from slightly different factors.
+        Matrix u0 = u;
+        for (auto& x : u0.data()) x *= 1.001;
+        const PolishOutputs step =
+            polish_pass_fused(a, u0, v, tau, d_prev, e_prev);
+        d_prev = step.d;
+        e_prev = step.e;
+      }
+      for (const simd::Level level : available_levels()) {
+        SCOPED_TRACE(simd::level_name(level));
+        simd::ScopedLevel lvl(level);
+        const PolishOutputs fresh =
+            polish_pass_fused(a, u, v, tau, d_prev, e_prev);
+        expect_same_polish(
+            polish_pass_in_place(a, u, v, tau, d_prev, e_prev), fresh);
+        EXPECT_GT(fresh.change, 0.0);
+      }
+    }
   }
 }
 
@@ -591,8 +649,8 @@ TEST(SimdSolve, FusedPolishMatchesKernelChainAtEveryLevel) {
         break;
       }
     }
-    sub_sub(a, chain.low_rank, chain.sparse, cws.residual);
-    chain.residual = frobenius_norm(cws.residual) / frobenius_norm(a);
+    chain.residual = frobenius_norm((a - chain.low_rank) - chain.sparse) /
+                     frobenius_norm(a);
 
     EXPECT_EQ(chain.polish_iterations, cap);
     EXPECT_FALSE(chain.polish_converged);

@@ -44,6 +44,15 @@ bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
                      a.size() * sizeof(double)) == 0;
 }
 
+/// A layer's accepted factors: D from its Result, E from its tracker,
+/// which owns the layer's E between refreshes.
+rpca::Result accepted_factors(const rpca::Result& result,
+                              const rpca::IncrementalTracker& tracker) {
+  rpca::Result factors = result;
+  factors.sparse = tracker.sparse();
+  return factors;
+}
+
 double relative_frobenius_diff(const linalg::Matrix& a,
                                const linalg::Matrix& b) {
   linalg::Matrix diff = a;
@@ -95,7 +104,7 @@ TEST(WindowRefresher, ZeroAndUnderflowingLayersGetAZeroDecomposition) {
     const rpca::Result& latency = refresher.latency_result();
     EXPECT_EQ(latency.rank, 0u);
     EXPECT_EQ(linalg::max_abs(latency.low_rank), 0.0);
-    EXPECT_EQ(linalg::max_abs(latency.sparse), 0.0);
+    EXPECT_EQ(linalg::max_abs(refresher.latency_tracker().sparse()), 0.0);
     EXPECT_EQ(refresher.bandwidth_result().rank, 1u);
   }
 }
@@ -104,7 +113,7 @@ TEST(WindowRefresher, FirstRefreshIsColdAndSeedsTheNext) {
   cloud::SyntheticCloud cloud(small_cloud_config(2));
   SlidingWindow window = filled_window(cloud, 6, 600.0);
   WindowRefresher refresher;
-  EXPECT_TRUE(refresher.latency_result().sparse.empty());
+  EXPECT_TRUE(refresher.latency_tracker().sparse().empty());
 
   // Each layer's span carries the fit's sweeps plus alternation steps,
   // at bootstrap and on the warm refresh alike.
@@ -124,7 +133,8 @@ TEST(WindowRefresher, FirstRefreshIsColdAndSeedsTheNext) {
   const RefreshReport first = refresher.refresh(window);
   EXPECT_FALSE(first.latency.warm_attempted);
   EXPECT_FALSE(first.bandwidth.warm_attempted);
-  EXPECT_FALSE(refresher.latency_result().sparse.empty());
+  EXPECT_FALSE(refresher.latency_tracker().sparse().empty());
+  EXPECT_TRUE(refresher.latency_result().sparse.empty());
   EXPECT_GT(first.component.constant.size(), 0u);
   expect_span_values();
 
@@ -204,8 +214,10 @@ TEST(WindowRefresher, PolishCapForcesColdFallback) {
   const RefresherOptions options = polish_capping_options();
   WindowRefresher refresher(options);
   refresher.refresh(window);  // bootstrap, leaves the prior E
-  rpca::Result latency_start = refresher.latency_result();
-  rpca::Result bandwidth_start = refresher.bandwidth_result();
+  rpca::Result latency_start = accepted_factors(
+      refresher.latency_result(), refresher.latency_tracker());
+  rpca::Result bandwidth_start = accepted_factors(
+      refresher.bandwidth_result(), refresher.bandwidth_tracker());
 
   const RefreshReport report = refresher.refresh(window);
   for (const LayerRefresh* layer : {&report.latency, &report.bandwidth}) {
@@ -220,15 +232,19 @@ TEST(WindowRefresher, PolishCapForcesColdFallback) {
                           /*huber_start=*/true, latency_start);
   rpca::reference::polish(window.bandwidth_data(), options.rpca,
                           /*huber_start=*/true, bandwidth_start);
-  const std::pair<const rpca::Result*, const rpca::Result*> layers[] = {
-      {&refresher.latency_result(), &latency_start},
-      {&refresher.bandwidth_result(), &bandwidth_start}};
+  const std::pair<rpca::Result, const rpca::Result*> layers[] = {
+      {accepted_factors(refresher.latency_result(),
+                        refresher.latency_tracker()),
+       &latency_start},
+      {accepted_factors(refresher.bandwidth_result(),
+                        refresher.bandwidth_tracker()),
+       &bandwidth_start}};
   for (const auto& [accepted, expected] : layers) {
-    EXPECT_FALSE(accepted->polish_converged);
-    EXPECT_EQ(accepted->polish_iterations, 2);
-    EXPECT_EQ(accepted->polish_iterations, expected->polish_iterations);
-    EXPECT_TRUE(same_bits(accepted->low_rank, expected->low_rank));
-    EXPECT_TRUE(same_bits(accepted->sparse, expected->sparse));
+    EXPECT_FALSE(accepted.polish_converged);
+    EXPECT_EQ(accepted.polish_iterations, 2);
+    EXPECT_EQ(accepted.polish_iterations, expected->polish_iterations);
+    EXPECT_TRUE(same_bits(accepted.low_rank, expected->low_rank));
+    EXPECT_TRUE(same_bits(accepted.sparse, expected->sparse));
   }
 }
 
@@ -287,10 +303,10 @@ TEST(WindowRefresher, ResetDropsSeeds) {
   WindowRefresher refresher;
   refresher.refresh(window);
   refresher.refresh(window);
-  EXPECT_FALSE(refresher.latency_result().sparse.empty());
+  EXPECT_FALSE(refresher.latency_tracker().sparse().empty());
   refresher.reset();
-  EXPECT_TRUE(refresher.latency_result().sparse.empty());
-  EXPECT_TRUE(refresher.bandwidth_result().sparse.empty());
+  EXPECT_TRUE(refresher.latency_tracker().sparse().empty());
+  EXPECT_TRUE(refresher.bandwidth_tracker().sparse().empty());
   const RefreshReport report = refresher.refresh(window);
   EXPECT_FALSE(report.latency.warm_attempted);
   EXPECT_FALSE(report.bandwidth.warm_attempted);
@@ -298,8 +314,8 @@ TEST(WindowRefresher, ResetDropsSeeds) {
   fresh.refresh(window);
   EXPECT_TRUE(same_bits(refresher.latency_result().low_rank,
                         fresh.latency_result().low_rank));
-  EXPECT_TRUE(same_bits(refresher.bandwidth_result().sparse,
-                        fresh.bandwidth_result().sparse));
+  EXPECT_TRUE(same_bits(refresher.bandwidth_tracker().sparse(),
+                        fresh.bandwidth_tracker().sparse()));
 }
 
 TEST(WindowRefresher, SeedInvalidatedByShapeChange) {
@@ -398,8 +414,13 @@ TEST(WindowRefresher, AnchoredLayerCountsMatchRecount) {
       EXPECT_GT(report.bandwidth.support_fraction, 0.0);
 
       const core::ConstantComponent recount = core::assemble_component(
-          window.latency_data(), refresher.latency_result(),
-          window.bandwidth_data(), refresher.bandwidth_result(), vms, tol);
+          window.latency_data(),
+          accepted_factors(refresher.latency_result(),
+                           refresher.latency_tracker()),
+          window.bandwidth_data(),
+          accepted_factors(refresher.bandwidth_result(),
+                           refresher.bandwidth_tracker()),
+          vms, tol);
       EXPECT_EQ(report.component.latency_rank, recount.latency_rank);
       EXPECT_EQ(report.component.bandwidth_rank, recount.bandwidth_rank);
       EXPECT_EQ(report.component.latency_error_norm,
@@ -411,17 +432,17 @@ TEST(WindowRefresher, AnchoredLayerCountsMatchRecount) {
                             recount.constant.bandwidth()));
 
       const auto expect_support = [&](const LayerRefresh& info,
-                                      const rpca::Result& result,
+                                      const rpca::IncrementalTracker& tracker,
                                       const linalg::Matrix& data) {
         const detect::SupportStats stats = detect::support_stats(
-            result.sparse, vms, tol * linalg::max_abs(data));
+            tracker.sparse(), vms, tol * linalg::max_abs(data));
         EXPECT_EQ(info.support_fraction, stats.fraction);
         EXPECT_EQ(info.support_concentration, stats.concentration);
         EXPECT_EQ(info.support_vm, stats.vm);
       };
-      expect_support(report.latency, refresher.latency_result(),
+      expect_support(report.latency, refresher.latency_tracker(),
                      window.latency_data());
-      expect_support(report.bandwidth, refresher.bandwidth_result(),
+      expect_support(report.bandwidth, refresher.bandwidth_tracker(),
                      window.bandwidth_data());
     }
   }
@@ -593,21 +614,21 @@ TEST(WindowRefresher, WarmAttemptMatchesReferencePolishFromTheSeed) {
       const rpca::Options& polish_opts = options.rpca;
 
       // The E a layer's fit starts from: zero at bootstrap, else the
-      // last accepted E or the tracker's after its row update.
-      const auto start_of = [&](const rpca::Result& last,
-                                const rpca::IncrementalTracker& tracker,
+      // last accepted E (the tracker holds it) or the tracker's after
+      // its row update.
+      const auto start_of = [&](const rpca::IncrementalTracker& tracker,
                                 const linalg::Matrix& data) {
         rpca::Result start;
         start.low_rank.resize(data.rows(), data.cols());
         start.low_rank.fill(0.0);
-        if (last.sparse.empty()) {
+        if (tracker.sparse().empty()) {
           start.sparse = start.low_rank;
         } else if (incremental) {
           rpca::IncrementalTracker twin = tracker;
           twin.update(data, window.slot_of_age(window.size() - 1));
           start.sparse = twin.sparse();
         } else {
-          start.sparse = last.sparse;
+          start.sparse = tracker.sparse();
         }
         return start;
       };
@@ -634,11 +655,9 @@ TEST(WindowRefresher, WarmAttemptMatchesReferencePolishFromTheSeed) {
           window.push(cloud.now(), cloud.oracle_snapshot());
         }
         const rpca::Result lat_start =
-            start_of(refresher.latency_result(), refresher.latency_tracker(),
-                     window.latency_data());
-        const rpca::Result bw_start = start_of(refresher.bandwidth_result(),
-                                               refresher.bandwidth_tracker(),
-                                               window.bandwidth_data());
+            start_of(refresher.latency_tracker(), window.latency_data());
+        const rpca::Result bw_start =
+            start_of(refresher.bandwidth_tracker(), window.bandwidth_data());
         const RefreshReport report = refresher.refresh(window);
         EXPECT_EQ(report.latency.warm_used, slide > 0);
         EXPECT_EQ(report.bandwidth.warm_used, slide > 0);
@@ -646,10 +665,14 @@ TEST(WindowRefresher, WarmAttemptMatchesReferencePolishFromTheSeed) {
           EXPECT_TRUE(report.latency.drift_fallback);
           EXPECT_TRUE(report.bandwidth.drift_fallback);
         }
-        check(report.latency, refresher.latency_result(), lat_start,
-              window.latency_data());
-        check(report.bandwidth, refresher.bandwidth_result(), bw_start,
-              window.bandwidth_data());
+        check(report.latency,
+              accepted_factors(refresher.latency_result(),
+                               refresher.latency_tracker()),
+              lat_start, window.latency_data());
+        check(report.bandwidth,
+              accepted_factors(refresher.bandwidth_result(),
+                               refresher.bandwidth_tracker()),
+              bw_start, window.bandwidth_data());
       }
       EXPECT_EQ(warm_layers, 12);
       EXPECT_EQ(cold_layers, 2);
@@ -697,7 +720,7 @@ TEST(WindowRefresher, MaskedRepairImputesFromThePriorConstant) {
         expected.sparse = tracker.sparse();
       } else {
         prior_d = refresher.latency_result().low_rank;
-        expected.sparse = refresher.latency_result().sparse;
+        expected.sparse = tracker.sparse();
       }
       constant_row.resize(1, prior_d.cols());
       for (std::size_t j = 0; j < prior_d.cols(); ++j) {
@@ -729,7 +752,7 @@ TEST(WindowRefresher, MaskedRepairImputesFromThePriorConstant) {
     EXPECT_EQ(report.latency.incremental_masked, prior != Prior::None);
     EXPECT_TRUE(same_bits(refresher.latency_result().low_rank,
                           expected.low_rank));
-    EXPECT_TRUE(same_bits(refresher.latency_result().sparse,
+    EXPECT_TRUE(same_bits(refresher.latency_tracker().sparse(),
                           expected.sparse));
   }
 }

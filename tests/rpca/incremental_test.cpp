@@ -76,9 +76,12 @@ TEST(IncrementalTracker, AnchorReproducesTheFullSolve) {
   const Result full = solve(problem.data, online_options());
 
   IncrementalTracker tracker;
-  tracker.anchor(problem.data, full, kL0Tol, 8);
+  Result anchored = full;
+  tracker.anchor(problem.data, anchored, kL0Tol, 8);
   ASSERT_TRUE(tracker.ready());
   EXPECT_EQ(tracker.rank(), 1u);
+  // The tracker took E: the layer holds one copy of it.
+  EXPECT_TRUE(anchored.sparse.empty());
 
   // The polished low-rank component is exactly rank 1, so projecting
   // onto its own direction loses nothing.
@@ -114,7 +117,8 @@ void expect_anchor_matches_recounts(const linalg::Matrix& data,
                                     const Result& full, double tol,
                                     std::size_t vms) {
   IncrementalTracker tracker;
-  tracker.anchor(data, full, tol, vms);
+  Result anchored = full;
+  tracker.anchor(data, anchored, tol, vms);
   const double cutoff = tol * linalg::max_abs(data);
   EXPECT_TRUE(same_bits(tracker.error_norm(),
                         relative_l0(full.sparse, data, tol)));
@@ -263,12 +267,12 @@ TEST(IncrementalTracker, UpdateMatchesTheTwoStepRowProx) {
   Rng rng(14);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
   linalg::Matrix data = problem.data;
-  const Result full = solve(data, online_options());
+  Result full = solve(data, online_options());
 
+  RowProxTwin twin(data, full, kL0Tol);
   IncrementalTracker tracker;
   tracker.anchor(data, full, kL0Tol, 8);
   ASSERT_TRUE(tracker.ready());
-  RowProxTwin twin(data, full, kL0Tol);
   for (std::size_t step = 0; step < 12; ++step) {
     SCOPED_TRACE(step);
     const std::size_t slot = step % data.rows();
@@ -298,7 +302,7 @@ TEST(IncrementalTracker, UpdateTracksAStationarySubspace) {
   Rng rng(12);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
   linalg::Matrix data = problem.data;
-  const Result full = solve(data, online_options());
+  Result full = solve(data, online_options());
 
   IncrementalTracker tracker;
   tracker.anchor(data, full, kL0Tol, 8);
@@ -333,7 +337,7 @@ TEST(IncrementalTracker, PlacementShiftBreaches) {
   Rng rng(13);
   const auto problem = testing::random_rank1_sparse(rng, 8, 64, 0.05);
   linalg::Matrix data = problem.data;
-  const Result full = solve(data, online_options());
+  Result full = solve(data, online_options());
 
   IncrementalTracker tracker;
   tracker.anchor(data, full, kL0Tol, 8);
@@ -353,7 +357,7 @@ TEST(IncrementalTracker, PlacementShiftBreaches) {
 TEST(IncrementalTracker, ResetRequiresReanchor) {
   Rng rng(15);
   const auto problem = testing::random_rank1_sparse(rng, 6, 36, 0.05);
-  const Result full = solve(problem.data, online_options());
+  Result full = solve(problem.data, online_options());
   IncrementalTracker tracker;
   tracker.anchor(problem.data, full, kL0Tol, 6);
   ASSERT_TRUE(tracker.ready());
