@@ -8,9 +8,9 @@
 //                 version (the cache can never serve stale or divergent
 //                 results), and every topology-mapping plan, here and
 //                 in the miss table, equals the generic mapping
-//                 pipeline (greedy_mapping + refine_mapping under
-//                 mapping_cost over the restricted matrix) in its
-//                 assignment and the bits of its predicted time;
+//                 pipeline (greedy_mapping of the uniform task graph,
+//                 costed by mapping_cost over the restricted matrix) in
+//                 its assignment and the bits of its predicted time;
 //  2. zero-alloc — the cache-hit path (pin snapshot, probe, serve the
 //                 pre-serialized plan) performs zero heap allocations
 //                 in steady state, measured by the instrumented global
@@ -22,7 +22,7 @@
 // It also times what a cache miss costs: compute_plan p50/p90 per
 // request shape (tree and mapping x 4 and 13 nodes of an N = 32
 // snapshot, the widths bench/e2e requests), with the generic mapping
-// pipeline's time beside the mapping rows.
+// pipeline's time (its greedy seed and cost) beside the mapping rows.
 //
 // The JSON opens with the host header of bench_util.hpp.
 //
@@ -43,7 +43,7 @@
 #include <malloc.h>  // malloc_usable_size (glibc)
 
 #include "bench_util.hpp"
-#include "mapping/refine.hpp"
+#include "mapping/mapping.hpp"
 #include "serving/epoch.hpp"
 #include "serving/plan.hpp"
 #include "serving/plan_cache.hpp"
@@ -164,23 +164,25 @@ core::ConstantComponent miss_component() {
   return component;
 }
 
-/// What a mapping plan was before mapping::plan_mapping: the generic
-/// greedy seed and 2-swap refinement of the uniform task graph over the
-/// restricted matrix, under mapping_cost.
-mapping::RefineResult generic_mapping(const ConstantSnapshot& snapshot,
-                                      const PlanRequest& request) {
+/// The generic pipeline mapping::plan_mapping reproduces: the greedy
+/// seed of the uniform task graph over the restricted matrix, costed by
+/// mapping_cost.
+mapping::MappingPlan generic_mapping(const ConstantSnapshot& snapshot,
+                                     const PlanRequest& request) {
   const netmodel::PerformanceMatrix sub =
       snapshot.component.constant.restrict_to(request.nodes);
   const mapping::TaskGraph tasks = mapping::uniform_task_graph(
       request.nodes.size(), static_cast<double>(request.bytes));
-  const mapping::Mapping seed = mapping::greedy_mapping(
+  mapping::MappingPlan generic;
+  generic.mapping = mapping::greedy_mapping(
       tasks, mapping::MachineGraph::from_performance(sub));
-  return mapping::refine_mapping(seed, tasks, sub, mapping::mapping_cost);
+  generic.cost = mapping::mapping_cost(generic.mapping, tasks, sub);
+  return generic;
 }
 
 /// True when mapping plan `plan` has the generic pipeline's assignment
 /// and predicted time (bit for bit).
-bool matches_generic(const Plan& plan, const mapping::RefineResult& generic) {
+bool matches_generic(const Plan& plan, const mapping::MappingPlan& generic) {
   std::vector<std::size_t> assignment;
   for (const std::size_t machine : generic.mapping) {
     assignment.push_back(plan.request.nodes[machine]);
@@ -196,11 +198,9 @@ struct MissRow {
   std::size_t nodes = 0;
   double us_p50 = 0.0;
   double us_p90 = 0.0;
-  /// Mapping rows: the generic pipeline alone, and the candidates
-  /// plan_mapping costed in full per plan.
+  /// Mapping rows: the generic pipeline alone.
   double generic_us_p50 = 0.0;
   double generic_us_p90 = 0.0;
-  double evaluations_mean = 0.0;
 };
 
 /// Time `samples` misses of one shape, each on its own random node set
@@ -214,7 +214,6 @@ MissRow time_misses(const ConstantSnapshot& snapshot, PlanKind kind,
   const std::size_t cluster = snapshot.component.constant.size();
   const bool tree = kind == PlanKind::BroadcastTree;
   std::vector<double> plan_us, generic_us;
-  double evaluations = 0.0;
   for (std::size_t s = 0; s < samples; ++s) {
     const std::vector<std::size_t> nodes =
         rng.sample_without_replacement(cluster, width);
@@ -225,12 +224,8 @@ MissRow time_misses(const ConstantSnapshot& snapshot, PlanKind kind,
     plan_us.push_back(clock.seconds() * 1e6);
     if (tree) continue;
     clock.restart();
-    const mapping::RefineResult generic = generic_mapping(snapshot, request);
+    const mapping::MappingPlan generic = generic_mapping(snapshot, request);
     generic_us.push_back(clock.seconds() * 1e6);
-    evaluations += static_cast<double>(
-        mapping::plan_mapping(snapshot.component.constant, request.nodes,
-                              request.bytes)
-            .evaluations);
     if (!matches_generic(plan, generic)) ++mismatches;
   }
   MissRow row;
@@ -241,7 +236,6 @@ MissRow time_misses(const ConstantSnapshot& snapshot, PlanKind kind,
   if (!tree) {
     row.generic_us_p50 = percentile(generic_us, 0.5);
     row.generic_us_p90 = percentile(generic_us, 0.9);
-    row.evaluations_mean = evaluations / static_cast<double>(samples);
   }
   return row;
 }
@@ -433,8 +427,7 @@ int main(int argc, char** argv) {
               << " us";
     if (row.kind == PlanKind::TopologyMapping) {
       std::cout << " (generic pipeline p50 " << row.generic_us_p50
-                << " us, p90 " << row.generic_us_p90 << " us; "
-                << row.evaluations_mean << " full costings per plan)";
+                << " us, p90 " << row.generic_us_p90 << " us)";
     }
     std::cout << '\n';
   }
@@ -475,8 +468,7 @@ int main(int argc, char** argv) {
          << ", \"us_p90\": " << row.us_p90;
     if (row.kind == PlanKind::TopologyMapping) {
       json << ", \"generic_us_p50\": " << row.generic_us_p50
-           << ", \"generic_us_p90\": " << row.generic_us_p90
-           << ", \"evaluations_mean\": " << row.evaluations_mean;
+           << ", \"generic_us_p90\": " << row.generic_us_p90;
     }
     json << '}';
   }

@@ -27,7 +27,6 @@ class NBodySimulation {
   NBodySimulation(std::vector<Body> bodies, double gravitational_constant = 1.0,
                   double softening = 1e-3);
 
-  std::size_t body_count() const { return bodies_.size(); }
   const std::vector<Body>& bodies() const { return bodies_; }
 
   /// One leapfrog (kick-drift-kick) step of size dt.

@@ -27,7 +27,6 @@ class TaskGraph {
   /// Vertex weight: total volume on all edges touching `u` (in + out).
   double vertex_weight(std::size_t u) const;
 
-  const linalg::Matrix& volumes() const { return volume_; }
 
  private:
   linalg::Matrix volume_;

@@ -48,8 +48,6 @@ IngestReport SnapshotIngestor::ingest_calibrated() {
     last_good_ = std::move(result.matrix);
     has_last_good_ = true;
   }
-  ++ingested_;
-  calibration_seconds_ += result.elapsed_seconds;
   return report;
 }
 
@@ -58,7 +56,6 @@ void SnapshotIngestor::ingest_external(
   NETCONST_CHECK(snapshot.size() == provider_.cluster_size(),
                  "external snapshot cluster size mismatch");
   window_.push(time, snapshot);
-  ++ingested_;
 }
 
 double SnapshotIngestor::fill(double interval) {

@@ -68,9 +68,6 @@ class SnapshotIngestor {
   /// 0 when the window was already full.
   double fill(double interval);
 
-  std::uint64_t ingested() const { return ingested_; }
-  double calibration_seconds() const { return calibration_seconds_; }
-
   // Lifetime degradation totals across all calibrated ingests.
   std::uint64_t failed_measurements() const { return failed_measurements_; }
   std::uint64_t retries() const { return retries_; }
@@ -84,8 +81,6 @@ class SnapshotIngestor {
   // The calibration's round schedule, built by the first calibrated
   // ingest: it depends only on the provider's cluster size.
   std::vector<cloud::PairList> rounds_;
-  std::uint64_t ingested_ = 0;
-  double calibration_seconds_ = 0.0;  // cumulative provider time
   std::uint64_t failed_measurements_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t missing_links_ = 0;

@@ -84,7 +84,6 @@ class RecalibrationScheduler {
   double effective_interval() const;
   const core::EffectivenessAdvisor& advisor() const { return advisor_; }
   core::Effectiveness level() const { return advisor_.level(); }
-  double last_refresh_time() const { return last_refresh_time_; }
 
   // Lifetime tallies.
   std::size_t breaches() const { return breaches_; }

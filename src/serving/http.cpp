@@ -25,13 +25,6 @@ const std::string& HttpRequest::query_value(
   return fallback;
 }
 
-bool HttpRequest::has_query(const std::string& name) const {
-  for (const auto& [key, value] : query) {
-    if (key == name) return true;
-  }
-  return false;
-}
-
 namespace {
 
 void set_nonblocking(int fd) {

@@ -40,7 +40,6 @@ struct HttpRequest {
   /// First value of a query parameter, or `fallback`.
   const std::string& query_value(const std::string& name,
                                  const std::string& fallback) const;
-  bool has_query(const std::string& name) const;
 };
 
 struct HttpResponse {

@@ -5,7 +5,6 @@
 
 #include "collective/collective_ops.hpp"
 #include "collective/fnf.hpp"
-#include "mapping/refine.hpp"
 #include "obs/export.hpp"
 #include "support/error.hpp"
 
@@ -161,13 +160,13 @@ Plan compute_plan(const ConstantSnapshot& snapshot,
     plan.predicted_seconds = collective::broadcast_time(tree, weights);
   } else {
     // Dense uniform task graph: every ordered pair exchanges `bytes`.
-    const mapping::RefineResult refined =
+    const mapping::MappingPlan mapped =
         mapping::plan_mapping(full, request.nodes, request.bytes);
-    plan.assignment.reserve(refined.mapping.size());
-    for (const std::size_t machine : refined.mapping) {
+    plan.assignment.reserve(mapped.mapping.size());
+    for (const std::size_t machine : mapped.mapping) {
       plan.assignment.push_back(request.nodes[machine]);
     }
-    plan.predicted_seconds = refined.cost;
+    plan.predicted_seconds = mapped.cost;
   }
   write_plan_json(plan);
   return plan;

@@ -95,7 +95,6 @@ class FlowSimulator {
   }
 
   const FlowRecord& record(FlowId id) const;
-  std::size_t active_flow_count() const { return active_.size(); }
   std::size_t tracked_in_flight() const { return tracked_in_flight_; }
 
   /// Hypothetical max-min rate (bytes/s) a new src->dst flow would get

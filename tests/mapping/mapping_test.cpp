@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
+#include "../support/proptest.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -132,6 +135,129 @@ TEST(MappingCost, ZeroVolumeEdgesAreFree) {
   TaskGraph tasks(3);
   const auto perf = uniform_perf(3, 1.0);
   EXPECT_EQ(mapping_cost(ring_mapping(3), tasks, perf), 0.0);
+}
+
+/// The generic pipeline /plan's planner reproduces: the greedy seed of
+/// the uniform task graph over the restricted matrix, costed by
+/// mapping_cost, for a dense uniform task graph of `bytes` per ordered
+/// pair.
+MappingPlan generic_uniform_plan(const netmodel::PerformanceMatrix& full,
+                                 const std::vector<std::size_t>& members,
+                                 std::uint64_t bytes) {
+  const netmodel::PerformanceMatrix sub = full.restrict_to(members);
+  const TaskGraph tasks =
+      uniform_task_graph(members.size(), static_cast<double>(bytes));
+  MappingPlan plan;
+  plan.mapping = greedy_mapping(tasks, MachineGraph::from_performance(sub));
+  plan.cost = mapping_cost(plan.mapping, tasks, sub);
+  return plan;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// A cluster whose links come from one of four families: continuous
+/// random, a few repeated values (many ties), all links equal, and a
+/// two-level rack structure; latencies are sometimes zero.
+netmodel::PerformanceMatrix random_cluster(std::size_t n, Rng& rng) {
+  netmodel::PerformanceMatrix p(n);
+  const auto family = rng.uniform_int(0, 3);
+  const std::size_t racks = testing::random_size(rng, 1, 4);
+  const bool zero_alpha = rng.bernoulli(0.2);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      netmodel::LinkParams link{1e-4, 1e8};
+      switch (family) {
+        case 0:
+          link = {rng.uniform(1e-5, 1e-3), rng.uniform(1e7, 1e9)};
+          break;
+        case 1:
+          link = {1e-4 * static_cast<double>(rng.uniform_int(1, 2)),
+                  1e8 * static_cast<double>(rng.uniform_int(1, 3))};
+          break;
+        case 2:
+          break;
+        default:
+          link = i % racks == j % racks ? netmodel::LinkParams{5e-5, 1e9}
+                                        : netmodel::LinkParams{2e-4, 1e8};
+          break;
+      }
+      if (zero_alpha) link.alpha = 0.0;
+      p.set_link(i, j, link);
+    }
+  }
+  return p;
+}
+
+// plan_mapping is the generic pipeline, bit for bit: the same assignment
+// and the same cost bits, over widths 2-32, tie-heavy clusters and
+// message sizes past 2^53 (where the task graph's double volume rounds).
+TEST(PlanMapping, MatchesTheGenericPipelineBitForBit) {
+  const std::uint64_t sizes[] = {1, 1u << 20, 8u << 20,
+                                 (std::uint64_t{1} << 53) + 1,
+                                 std::uint64_t{1} << 62};
+  std::size_t reordered = 0;
+  testing::run_property(0x5eed30, 160, [&](Rng& rng) {
+    const std::size_t width = testing::random_size(rng, 2, 32);
+    const std::size_t cluster = width + testing::random_size(rng, 0, 8);
+    const netmodel::PerformanceMatrix full = random_cluster(cluster, rng);
+    std::vector<std::size_t> members =
+        rng.sample_without_replacement(cluster, width);
+    std::sort(members.begin(), members.end());
+    const std::uint64_t bytes = sizes[testing::random_size(rng, 0, 4)];
+
+    const MappingPlan expected = generic_uniform_plan(full, members, bytes);
+    const MappingPlan planned = plan_mapping(full, members, bytes);
+    EXPECT_EQ(planned.mapping, expected.mapping);
+    EXPECT_TRUE(same_bits(planned.cost, expected.cost))
+        << planned.cost << " vs " << expected.cost;
+    if (expected.mapping != ring_mapping(width)) ++reordered;
+  });
+  // The greedy expansion is exercised, not just its first-index ties.
+  EXPECT_GT(reordered, 0u);
+}
+
+// The generic pipeline's contract checks survive: a non-positive or NaN
+// bandwidth (MachineGraph::set_bandwidth, restrict_to) or latency
+// between two members throws; links outside the member set do not
+// matter. So do a member out of range, zero bytes and a size the cost
+// model cannot hold.
+TEST(PlanMapping, InvalidLinksBetweenMembersThrow) {
+  const std::vector<std::size_t> members{0, 2, 3};
+  for (const double beta :
+       {0.0, -1e8, std::numeric_limits<double>::quiet_NaN()}) {
+    netmodel::PerformanceMatrix full(4);
+    full.bandwidth()(3, 0) = beta;
+    EXPECT_THROW(plan_mapping(full, members, 1024), ContractViolation);
+    EXPECT_THROW(generic_uniform_plan(full, members, 1024),
+                 ContractViolation);
+    full.bandwidth()(3, 0) = 1e8;
+    full.bandwidth()(1, 0) = beta;  // node 1 is not a member
+    EXPECT_NO_THROW(plan_mapping(full, members, 1024));
+  }
+  netmodel::PerformanceMatrix full(4);
+  full.latency()(0, 2) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(plan_mapping(full, members, 1024), ContractViolation);
+  full.latency()(0, 2) = -1e-4;
+  EXPECT_THROW(plan_mapping(full, members, 1024), ContractViolation);
+  EXPECT_THROW(plan_mapping(netmodel::PerformanceMatrix(4), {0, 7}, 1024),
+               ContractViolation);
+  EXPECT_THROW(plan_mapping(netmodel::PerformanceMatrix(4), {}, 1024),
+               ContractViolation);
+  EXPECT_THROW(plan_mapping(netmodel::PerformanceMatrix(4), {0, 1}, 0),
+               ContractViolation);
+  // Sizes whose double volume rounds to 2^64: mapping_cost's cast back
+  // to an integer would overflow.
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(plan_mapping(netmodel::PerformanceMatrix(4), {0, 1}, max),
+               ContractViolation);
+  EXPECT_THROW(plan_mapping(netmodel::PerformanceMatrix(4), {0, 1},
+                            max - 1023),
+               ContractViolation);
+  EXPECT_NO_THROW(plan_mapping(netmodel::PerformanceMatrix(4), {0, 1},
+                               max - 1024));
 }
 
 }  // namespace

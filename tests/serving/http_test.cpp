@@ -6,11 +6,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -285,12 +287,17 @@ TEST(HttpServer, OversizedHeadGetsAtMostOne413) {
 /// Send `raw` on a fresh loopback connection and return every byte the
 /// server answers before it closes. The client half-closes once the
 /// answer starts or a short grace period passes, so a keep-alive answer
-/// or an unfinished head ends in a close instead of a hang.
-std::string send_raw(std::uint16_t port, const std::string& raw) {
+/// or an unfinished head ends in a close instead of a hang. A `split`
+/// inside `raw` sends it in two writes a millisecond apart, so the
+/// server reads the head in two parts.
+std::string send_raw(std::uint16_t port, const std::string& raw,
+                     std::size_t split = std::string::npos) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   timeval timeout{5, 0};  // a server that neither answers nor closes
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const int no_delay = 1;  // each write leaves as its own segment
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_port = htons(port);
@@ -298,9 +305,16 @@ std::string send_raw(std::uint16_t port, const std::string& raw) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&address),
                       sizeof(address)),
             0);
-  if (!raw.empty()) {
-    EXPECT_EQ(::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(raw.size()));
+  split = std::min(split, raw.size());
+  const auto send_part = [&](std::size_t from, std::size_t to) {
+    if (from == to) return;
+    EXPECT_EQ(::send(fd, raw.data() + from, to - from, MSG_NOSIGNAL),
+              static_cast<ssize_t>(to - from));
+  };
+  send_part(0, split);
+  if (split < raw.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    send_part(split, raw.size());
   }
   pollfd readable{fd, POLLIN, 0};
   ::poll(&readable, 1, 30);
@@ -320,9 +334,10 @@ std::string send_raw(std::uint16_t port, const std::string& raw) {
   return answer;
 }
 
-class ServingEndToEnd : public ::testing::Test {
- protected:
-  void SetUp() override {
+/// A ConstantServer over one tenant, "edge", on a 6-node synthetic
+/// cloud, bootstrapped and serving.
+struct EdgeServer {
+  EdgeServer() {
     cloud::SyntheticCloudConfig cloud_config;
     cloud_config.cluster_size = 6;
     cloud_config.datacenter_racks = 3;
@@ -348,6 +363,48 @@ class ServingEndToEnd : public ::testing::Test {
   online::ConstantFinderService service_;
   std::unique_ptr<ConstantServer> server_;
 };
+
+class ServingEndToEnd : public ::testing::Test, protected EdgeServer {};
+
+/// Every response in `answer` (a stream can hold two heads' answers) has
+/// a status a malformed head may earn: 200, 400, 404, 405 or 413.
+void expect_allowed_statuses(const std::string& answer,
+                             const std::string& sent) {
+  EXPECT_EQ(answer.rfind("HTTP/1.1 ", 0), 0u) << answer;
+  for (std::size_t at = answer.find("HTTP/1.1 "); at != std::string::npos;
+       at = answer.find("HTTP/1.1 ", at + 1)) {
+    const std::string status = answer.substr(at + 9, 3);
+    EXPECT_TRUE(status == "200" || status == "400" || status == "404" ||
+                status == "405" || status == "413")
+        << status << " for:\n" << sent;
+  }
+}
+
+/// Send 4 batches of 40 heads, `make_head(rng, batch, k)`, each on its
+/// own connection: each gets allowed statuses or a close, and the
+/// server answers /healthz after every batch. Returns the number of
+/// heads that got an answer.
+template <typename MakeHead>
+std::size_t fuzz_heads(std::uint16_t port, Rng& rng, MakeHead&& make_head) {
+  std::size_t answered = 0, closed = 0;
+  for (int batch = 0; batch < 4; ++batch) {
+    for (int k = 0; k < 40; ++k) {
+      const std::string head = make_head(rng, batch, k);
+      const std::string answer = send_raw(port, head);
+      if (answer.empty()) {
+        ++closed;
+        continue;
+      }
+      ++answered;
+      expect_allowed_statuses(answer, head);
+    }
+    const ClientResponse health = http_request(port, "GET", "/healthz");
+    EXPECT_EQ(health.status, 200);
+    EXPECT_EQ(health.body, "ok\n");
+  }
+  EXPECT_EQ(answered + closed, 160u);
+  return answered;
+}
 
 TEST_F(ServingEndToEnd, HealthAndMetricsContentType) {
   ClientResponse health = http_request(server_->port(), "GET", "/healthz");
@@ -398,61 +455,108 @@ TEST_F(ServingEndToEnd, TenantsAndSnapshot) {
 // 200/400/404/405/413 responses, or a close, and the server keeps
 // serving /healthz after each batch.
 TEST(HttpServer, FuzzedRequestHeadsGetAnAnswerOrAClose) {
-  cloud::SyntheticCloudConfig cloud_config;
-  cloud_config.cluster_size = 6;
-  cloud_config.datacenter_racks = 3;
-  cloud_config.seed = 5;
-  cloud::SyntheticCloud cloud(cloud_config);
-  online::ConstantFinderService service;
-  online::TenantConfig tenant;
-  tenant.name = "edge";
-  tenant.provider = &cloud;
-  tenant.window_capacity = 4;
-  tenant.snapshot_interval = 600.0;
-  tenant.operation_gap = 300.0;
-  tenant.scheduler.base_interval = 1500.0;
-  tenant.seed = 21;
-  service.add_tenant(tenant);
-  ConstantServer server(service);
-  service.run(8);
-  server.start();
-
+  EdgeServer edge;
   const std::string heads[] = {
       "GET /plan?tenant=edge&kind=mapping&nodes=0,1,2,3&bytes=1048576 "
       "HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
       "GET /plan?tenant=edge&kind=tree&nodes=4,0,2&root=2&bytes=65536 "
       "HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
   };
-  std::size_t answered = 0, closed = 0;
   Rng rng(8);
-  for (int batch = 0; batch < 4; ++batch) {
-    for (int k = 0; k < 40; ++k) {
-      const std::string mutant =
-          testing::mutate_bytes(rng, heads[(batch + k) % 2]);
-      const std::string answer = send_raw(server.port(), mutant);
-      if (answer.empty()) {
-        ++closed;
-        continue;
-      }
-      ++answered;
-      EXPECT_EQ(answer.rfind("HTTP/1.1 ", 0), 0u) << answer;
-      // Every response in the stream (a mutant can hold two heads).
-      for (std::size_t at = answer.find("HTTP/1.1 ");
-           at != std::string::npos; at = answer.find("HTTP/1.1 ", at + 1)) {
-        const std::string status = answer.substr(at + 9, 3);
-        EXPECT_TRUE(status == "200" || status == "400" || status == "404" ||
-                    status == "405" || status == "413")
-            << status << " for:\n" << mutant;
-      }
-    }
-    const ClientResponse health =
-        http_request(server.port(), "GET", "/healthz");
-    EXPECT_EQ(health.status, 200);
-    EXPECT_EQ(health.body, "ok\n");
+  EXPECT_GT(fuzz_heads(edge.server_->port(), rng,
+                       [&](Rng& r, int batch, int k) {
+                         return testing::mutate_bytes(r,
+                                                      heads[(batch + k) % 2]);
+                       }),
+            0u);
+  edge.server_->stop();
+}
+
+/// A token from `tokens`: the first, well-formed one three times in four,
+/// so heads often reach the handlers; otherwise any of them.
+template <std::size_t N>
+std::string pick(Rng& rng, const char* const (&tokens)[N]) {
+  return tokens[rng.bernoulli(0.75) ? 0
+                                    : testing::random_size(rng, 0, N - 1)];
+}
+
+/// A request head built from scratch out of a small token alphabet: a
+/// request line (method, path, 0-4 query pairs, version) and 0-3 header
+/// lines, each part possibly empty or malformed, with CRLF, bare LF, CR
+/// or no line ends.
+std::string random_head(Rng& rng) {
+  static const char* const kMethods[] = {"GET", "HEAD", "POST", "get", "",
+                                         "GET GET"};
+  static const char* const kPaths[] = {
+      "/plan",  "/healthz", "/snapshot", "/tenants", "/metrics",
+      "/telemetry", "/",    "",          "*",        "/plan/",
+      "/pl%61n", "%",       "/%zz",      "/plan?"};
+  static const char* const kKeys[] = {"tenant", "kind",    "nodes", "root",
+                                      "bytes",  "include", "",      "n%00"};
+  static const char* const kValues[] = {
+      "edge",    "ghost",   "mapping", "tree", "0,1,2,3", "5,4",
+      "0",       "0,0",     "99",      "-1",   ",",       "1048576",
+      "1e6",     "18446744073709551615", "18446744073709551616",
+      "links",   "",        "%",       "%2C",  "e%64ge"};
+  static const char* const kVersions[] = {"HTTP/1.1", "HTTP/1.0", "HTTP/",
+                                          "http/1.1", ""};
+  static const char* const kSpaces[] = {" ", "  ", "\t", ""};
+  static const char* const kNames[] = {"Host", "Connection", "connection",
+                                       "Content-Length", "Transfer-Encoding",
+                                       "", "X"};
+  static const char* const kHeaderValues[] = {
+      "localhost", "close", "keep-alive", "CLOSE", "0", "chunked", "",
+      "\xff"};
+  static const char* const kColons[] = {": ", ":", " :", ""};
+  static const char* const kEnds[] = {"\r\n", "\n", "\r", ""};
+
+  std::string head = pick(rng, kMethods) + pick(rng, kSpaces) +
+                     pick(rng, kPaths);
+  const std::size_t pairs = testing::random_size(rng, 0, 4);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    head += k == 0 ? '?' : '&';
+    head += pick(rng, kKeys);
+    if (rng.bernoulli(0.8)) head += '=' + pick(rng, kValues);
   }
-  EXPECT_GT(answered, 0u);
-  EXPECT_EQ(answered + closed, 160u);
-  server.stop();
+  head += pick(rng, kSpaces) + pick(rng, kVersions) + pick(rng, kEnds);
+  const std::size_t lines = testing::random_size(rng, 0, 3);
+  for (std::size_t k = 0; k < lines; ++k) {
+    head += pick(rng, kNames) + pick(rng, kColons) +
+            pick(rng, kHeaderValues) + pick(rng, kEnds);
+  }
+  return head + pick(rng, kEnds);
+}
+
+// Heads built from scratch (not mutants of a valid head) get the same
+// contract: allowed statuses or a close, and /healthz after each batch.
+TEST(HttpServer, RandomRequestHeadsGetAnAnswerOrAClose) {
+  EdgeServer edge;
+  Rng rng(33);
+  EXPECT_GT(fuzz_heads(edge.server_->port(), rng,
+                       [](Rng& r, int, int) { return random_head(r); }),
+            0u);
+  edge.server_->stop();
+}
+
+// A valid mapping head split across two writes at every byte boundary
+// gets the answer the unsplit head gets, byte for byte.
+TEST(HttpServer, SplitPlanHeadGetsTheSameAnswerAtEveryBoundary) {
+  EdgeServer edge;
+  const std::uint16_t port = edge.server_->port();
+  const std::string head =
+      "GET /plan?tenant=edge&kind=mapping&nodes=0,1,2,3&bytes=1048576 "
+      "HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
+  const std::string whole = send_raw(port, head);
+  ASSERT_EQ(whole.rfind("HTTP/1.1 200 ", 0), 0u) << whole;
+  for (std::size_t split = 1; split < head.size(); ++split) {
+    const std::string answer = send_raw(port, head, split);
+    expect_allowed_statuses(answer, head.substr(0, split) + "|" +
+                                        head.substr(split));
+    EXPECT_EQ(answer, whole) << "split at " << split;
+  }
+  const ClientResponse health = http_request(port, "GET", "/healthz");
+  EXPECT_EQ(health.status, 200);
+  edge.server_->stop();
 }
 
 TEST_F(ServingEndToEnd, PlanQueriesMatchInProcessPath) {

@@ -19,7 +19,6 @@
 
 #include "collective/collective_ops.hpp"
 #include "collective/fnf.hpp"
-#include "mapping/refine.hpp"
 #include "obs/export.hpp"
 #include "serving/plan.hpp"
 #include "support/error.hpp"
@@ -28,7 +27,7 @@ namespace netconst::serving {
 namespace {
 
 /// Asymmetric deterministic component: link quality varies by pair so
-/// FNF ordering and mapping refinement have real structure to find, and
+/// FNF ordering and the greedy mapping have real structure to find, and
 /// by version so plans at different versions differ.
 core::ConstantComponent test_component(std::size_t size,
                                        std::uint64_t version) {
@@ -210,16 +209,14 @@ std::string twin_plan_json(const ConstantSnapshot& snapshot,
   } else {
     const mapping::TaskGraph tasks = mapping::uniform_task_graph(
         request.nodes.size(), static_cast<double>(request.bytes));
-    const mapping::RefineResult refined = mapping::refine_mapping(
-        mapping::greedy_mapping(tasks,
-                                mapping::MachineGraph::from_performance(sub)),
-        tasks, sub, mapping::mapping_cost);
+    const mapping::Mapping mapped = mapping::greedy_mapping(
+        tasks, mapping::MachineGraph::from_performance(sub));
     out << ",\"assignment\":[";
-    for (std::size_t k = 0; k < refined.mapping.size(); ++k) {
-      out << (k > 0 ? "," : "") << request.nodes[refined.mapping[k]];
+    for (std::size_t k = 0; k < mapped.size(); ++k) {
+      out << (k > 0 ? "," : "") << request.nodes[mapped[k]];
     }
     out << ']';
-    predicted = refined.cost;
+    predicted = mapping::mapping_cost(mapped, tasks, sub);
   }
   std::ostringstream real;
   real.precision(17);
